@@ -8,7 +8,6 @@ import csv
 import json
 import logging
 import os
-import sys
 from pathlib import Path
 
 import click
@@ -19,14 +18,20 @@ from .model_ir import ModelError, parse_model, serialize_model, topological_orde
 from .optimizer import (
     AnnealingParams,
     OptimizerError,
-    evaluate,
     anneal,
     pareto_sweep,
 )
 from .perf_model import schedule_latency
 from .reporting import build_report
 from .resource_model import graph_resources
-from .scheduler import MODE_PADDED, MODE_RUNTIME, Schedule, ScheduleEntry, build_schedule
+from .scheduler import (
+    MODE_PADDED,
+    MODE_RUNTIME,
+    InfeasibleScheduleError,
+    Schedule,
+    ScheduleEntry,
+    build_schedule,
+)
 from .hardware_graph import HardwareGraph
 
 log = logging.getLogger("harflow")
@@ -39,7 +44,7 @@ def _setup_logging():
 
 
 def _load_model_text(spec: str) -> str:
-    if spec in generators.BUNDLED_MODELS and not Path(spec).exists():
+    if spec in generators.bundled_model_names() and not Path(spec).exists():
         return generators.bundled_model_text(spec)
     path = Path(spec)
     if not path.exists():
@@ -92,12 +97,22 @@ def parse_cmd(model_file):
 def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):
     overrides = {}
     if params_file:
-        overrides = json.loads(Path(params_file).read_text())
+        try:
+            overrides = json.loads(Path(params_file).read_text())
+        except FileNotFoundError:
+            raise click.ClickException(f"params file not found: {params_file}")
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"params file {params_file}: invalid JSON: {exc}")
+        if not isinstance(overrides, dict):
+            raise click.ClickException(f"params file {params_file}: expected a JSON object")
     overrides.setdefault("seed", seed)
     overrides["enable_fusion"] = fusion
     overrides["enable_runtime_reconfig"] = runtime_reconfig
     overrides["enable_combine_separate"] = combine
-    return AnnealingParams(**overrides)
+    try:
+        return AnnealingParams(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"invalid annealing params: {exc}")
 
 
 def _write_trace(path, trace):
@@ -169,7 +184,10 @@ def _load_design(design_file):
 def schedule_cmd(design_file, out_file):
     """Build the tiled invocation schedule for an optimized design."""
     doc, model, dev, graph = _load_design(design_file)
-    schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
+    try:
+        schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
+    except InfeasibleScheduleError as exc:
+        raise click.ClickException(str(exc))
     total = schedule_latency(schedule, dev)
     out = {
         "model": model.name,
@@ -216,7 +234,14 @@ def pareto_cmd(model_file, device_spec, budgets, seed, params_file, out_file):
     model = _parse_model_or_fail(_load_model_text(model_file))
     dev = _load_device(device_spec)
     params = _params_from_file(params_file, seed, True, True, True)
-    caps = [int(b) for b in budgets.split(",")]
+    try:
+        caps = [int(b) for b in budgets.split(",")]
+    except ValueError:
+        caps = None
+    if not caps or caps != sorted(caps):
+        raise click.ClickException(
+            f"--budgets must be ascending comma-separated integers, got '{budgets}'"
+        )
     points = pareto_sweep(model, dev, params, caps)
     with open(out_file, "w", newline="") as fh:
         writer = csv.writer(fh)

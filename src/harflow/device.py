@@ -102,6 +102,8 @@ def load_profile(document: str) -> DeviceProfile:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DeviceError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DeviceError(f"device document must be a JSON object, got {type(doc).__name__}")
     name = doc.get("name", "device")
     for key in ("dsp_total", "bram_total", "lut_total", "ff_total", "clock_mhz"):
         if key not in doc:

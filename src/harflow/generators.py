@@ -1,189 +1,19 @@
-"""Builders for the bundled model descriptors.
+"""The bundled model descriptors.
 
-These emit model JSON documents (see docs/model-schema.md): a C3D-like
-network, an R(2+1)D-like residual network, a small toy chain and a
-"multishape" fixture whose layers deliberately differ in depth/channels so
-that padded execution on shared nodes is expensive.
+The bundled models are the JSON documents under `src/harflow/data/models/`
+(see docs/model-schema.md): a C3D-like network, an R(2+1)D-like residual
+network, a small toy chain and a "multishape" fixture whose layers
+deliberately differ in depth/channels so that padded execution on shared
+nodes is expensive.
 """
 
-import json
-
-from .model_ir import LayerDescriptor, TensorShape, infer_output_shape
+from importlib import resources
 
 
-class _Builder:
-    def __init__(self, name, input_shape):
-        self.name = name
-        self.layers = []
-        self.edges = []
-        self.shapes = {}  # id -> TensorShape
-        self._input = TensorShape(*input_shape)
-        self._last = None
-
-    def add(self, lid, kind, after=None, inputs=None, **params):
-        if inputs is None:
-            src = after if after is not None else self._last
-            producers = [src] if src else []
-        else:
-            producers = list(inputs)
-        if producers:
-            shape_in = tuple(self.shapes[p] for p in producers)
-        else:
-            shape_in = (self._input,)
-        probe = LayerDescriptor(
-            id=lid, kind=kind, shape_in=shape_in, shape_out=TensorShape(1, 1, 1, 1), **params
-        )
-        shape_out = infer_output_shape(probe)
-        entry = {
-            "id": lid,
-            "kind": kind,
-            "shape_in": [s.to_list() for s in shape_in] if kind == "ElementWise" else shape_in[0].to_list(),
-            "shape_out": shape_out.to_list(),
-        }
-        if kind in ("Conv3D", "FullyConnected"):
-            entry["filters"] = params["filters"]
-        if kind in ("Conv3D", "Pool3D"):
-            entry["kernel"] = list(params.get("kernel", (1, 1, 1)))
-            entry["stride"] = list(params.get("stride", (1, 1, 1)))
-            entry["padding"] = list(params.get("padding", (0, 0, 0, 0, 0, 0)))
-        if kind == "Conv3D":
-            entry["groups"] = params.get("groups", 1)
-        if params.get("op_type"):
-            entry["type"] = params["op_type"]
-        if kind == "ElementWise":
-            entry["broadcast"] = params.get("broadcast", False)
-        self.layers.append(entry)
-        self.edges.extend([p, lid] for p in producers)
-        self.shapes[lid] = shape_out
-        self._last = lid
-        return lid
-
-    def document(self):
-        return {"name": self.name, "layers": self.layers, "edges": self.edges}
-
-
-def _conv_block(b, tag, filters, kernel=(3, 3, 3), stride=(1, 1, 1), padding=(1, 1, 1, 1, 1, 1),
-                after=None):
-    b.add(f"conv{tag}", "Conv3D", after=after, filters=filters, kernel=kernel,
-          stride=stride, padding=padding)
-    b.add(f"relu{tag}", "Activation", op_type="relu")
-
-
-def c3d_like():
-    """Eight-conv 3D network on 16x112x112x3 clips (27 layers)."""
-    b = _Builder("c3d", (16, 112, 112, 3))
-    _conv_block(b, "1a", 64)
-    b.add("pool1", "Pool3D", op_type="max", kernel=(1, 2, 2), stride=(1, 2, 2))
-    _conv_block(b, "2a", 128)
-    b.add("pool2", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2))
-    _conv_block(b, "3a", 256)
-    _conv_block(b, "3b", 256)
-    b.add("pool3", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2))
-    _conv_block(b, "4a", 512)
-    _conv_block(b, "4b", 512)
-    b.add("pool4", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2))
-    _conv_block(b, "5a", 512)
-    _conv_block(b, "5b", 512)
-    b.add("pool5", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2),
-          padding=(0, 0, 0, 1, 0, 1))
-    b.add("fc6", "FullyConnected", filters=4096)
-    b.add("relu6", "Activation", op_type="relu")
-    b.add("fc7", "FullyConnected", filters=4096)
-    b.add("relu7", "Activation", op_type="relu")
-    b.add("fc8", "FullyConnected", filters=101)
-    b.add("score", "Activation", op_type="sigmoid")
-    return b.document()
-
-
-def _r2plus1d_block(b, tag, mid, out, stride, skip_from):
-    s = stride
-    b.add(f"{tag}_s", "Conv3D", after=skip_from, filters=mid, kernel=(1, 3, 3),
-          stride=(1, s, s), padding=(0, 0, 1, 1, 1, 1))
-    b.add(f"{tag}_s_relu", "Activation", op_type="relu")
-    b.add(f"{tag}_t", "Conv3D", filters=out, kernel=(3, 1, 1), stride=(s, 1, 1),
-          padding=(1, 1, 0, 0, 0, 0))
-    if s != 1:
-        b.add(f"{tag}_proj", "Conv3D", after=skip_from, filters=out,
-              kernel=(1, 1, 1), stride=(s, s, s))
-        skip = f"{tag}_proj"
-    else:
-        skip = skip_from
-    b.add(f"{tag}_add", "ElementWise", inputs=[f"{tag}_t", skip], op_type="add")
-    b.add(f"{tag}_relu", "Activation", op_type="relu")
-    return f"{tag}_relu"
-
-
-def r2plus1d_like():
-    """Residual factorised-conv network with element-wise skip connections."""
-    b = _Builder("r2plus1d", (16, 112, 112, 3))
-    b.add("stem_s", "Conv3D", filters=45, kernel=(1, 7, 7), stride=(1, 2, 2),
-          padding=(0, 0, 3, 3, 3, 3))
-    b.add("stem_s_relu", "Activation", op_type="relu")
-    b.add("stem_t", "Conv3D", filters=64, kernel=(3, 1, 1), padding=(1, 1, 0, 0, 0, 0))
-    b.add("stem_relu", "Activation", op_type="relu")
-    last = _r2plus1d_block(b, "block1", 144, 64, 1, "stem_relu")
-    last = _r2plus1d_block(b, "block2", 230, 128, 2, last)
-    last = _r2plus1d_block(b, "block3", 460, 256, 2, last)
-    b.add("gap", "GlobalAvgPool", after=last)
-    b.add("fc", "FullyConnected", filters=101)
-    return b.document()
-
-
-def toy_chain():
-    """Minimal conv/pool/fc chain for fast tests and CLI examples."""
-    b = _Builder("toy", (4, 16, 16, 3))
-    b.add("conv", "Conv3D", filters=8, kernel=(3, 3, 3), padding=(1, 1, 1, 1, 1, 1))
-    b.add("relu", "Activation", op_type="relu")
-    b.add("pool", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2))
-    b.add("fc", "FullyConnected", filters=10)
-    return b.document()
-
-
-def multishape():
-    """Layers with heterogeneous depth/channel shapes sharing nodes.
-
-    Includes a squeeze-excite style broadcast multiply, so every layer kind
-    except none is exercised; padded execution on the shared conv node must
-    run every invocation at 16x32x32x64 with 96 filters.
-    """
-    b = _Builder("multishape", (16, 32, 32, 4))
-    b.add("conv_a", "Conv3D", filters=32, kernel=(3, 3, 3), padding=(1, 1, 1, 1, 1, 1))
-    b.add("act_a", "Activation", op_type="relu")
-    b.add("pool_a", "Pool3D", op_type="max", kernel=(2, 2, 2), stride=(2, 2, 2))
-    b.add("conv_b", "Conv3D", filters=64, kernel=(3, 3, 3), padding=(1, 1, 1, 1, 1, 1))
-    b.add("act_b", "Activation", op_type="relu")
-    b.add("pool_b", "Pool3D", op_type="avg", kernel=(2, 2, 2), stride=(2, 2, 2))
-    b.add("conv_c", "Conv3D", filters=96, kernel=(1, 1, 1))
-    b.add("act_c", "Activation", op_type="relu")
-    b.add("gap_se", "GlobalAvgPool")
-    b.add("act_se", "Activation", op_type="sigmoid")
-    b.add("ew_se", "ElementWise", inputs=["act_c", "act_se"], op_type="mul",
-          broadcast=True)
-    b.add("gap_out", "GlobalAvgPool")
-    b.add("fc", "FullyConnected", filters=10)
-    return b.document()
-
-
-BUNDLED_MODELS = {
-    "c3d": c3d_like,
-    "r2plus1d": r2plus1d_like,
-    "toy": toy_chain,
-    "multishape": multishape,
-}
+def bundled_model_names() -> list:
+    entries = resources.files("harflow").joinpath("data/models").iterdir()
+    return sorted(p.name[:-5] for p in entries if p.name.endswith(".json"))
 
 
 def bundled_model_text(name: str) -> str:
-    from importlib import resources
-
-    path = resources.files("harflow").joinpath(f"data/models/{name}.json")
-    return path.read_text()
-
-
-def write_bundled_data(root):
-    """Regenerate the shipped model descriptors (development helper)."""
-    import pathlib
-
-    models_dir = pathlib.Path(root) / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    for name, fn in BUNDLED_MODELS.items():
-        (models_dir / f"{name}.json").write_text(json.dumps(fn(), indent=2) + "\n")
+    return resources.files("harflow").joinpath(f"data/models/{name}.json").read_text()

@@ -8,7 +8,7 @@ states in concurrent search chains never alias mutable state.
 import math
 from dataclasses import dataclass, field, replace
 
-from .model_ir import LayerDescriptor, ModelGraph, TensorShape
+from .model_ir import ModelGraph, TensorShape
 
 
 class HardwareGraphError(ValueError):
@@ -154,12 +154,6 @@ class HardwareGraph:
             for lid in layer_ids:
                 inv[lid] = node_id
         return inv
-
-    def node_for_layer(self, layer_id: str) -> str:
-        for node_id, layer_ids in self.mapping.items():
-            if layer_id in layer_ids:
-                return node_id
-        raise HardwareGraphError(f"layer '{layer_id}' is not mapped to any node")
 
     def validate_cover(self, model: ModelGraph):
         """Disjoint-cover invariant: every non-fused layer mapped exactly once."""

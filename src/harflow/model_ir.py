@@ -6,7 +6,6 @@ dimension and C the channel dimension.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 LAYER_KINDS = (

@@ -20,7 +20,7 @@ from .hardware_graph import (
     separate_node,
 )
 from .model_ir import ModelGraph
-from .perf_model import invocation_latency, schedule_latency
+from .perf_model import compute_latency, schedule_latency
 from .resource_model import default_regression_models, graph_resources
 from .scheduler import (
     MODE_PADDED,
@@ -75,8 +75,13 @@ class TraceRow:
     feasible: bool
 
 
-def check_constraints(state: CandidateState, dev: DeviceProfile, min_bw_progress=0) -> list:
-    """Violation list for the four feasibility checks (empty means feasible)."""
+def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
+    """Violation list of a scheduled state (empty means feasible).
+
+    The four resource budgets, plus every tile whose configuration yields no
+    output (a border tile smaller than the kernel window); such a tile also
+    starves the inbound DMA, since its roofline has no demand.
+    """
     violations = []
     res = state.resources
     budgets = dev.budgets
@@ -85,41 +90,14 @@ def check_constraints(state: CandidateState, dev: DeviceProfile, min_bw_progress
         avail = getattr(budgets, name)
         if used > avail:
             violations.append(f"{name} over budget: {used} > {avail}")
-    for node_id, cap in state.graph.nodes.items():
-        if cap.kind in ("Conv3D", "FullyConnected"):
-            if cap.shape_in_max.c % cap.coarse_in:
-                violations.append(
-                    f"node {node_id}: coarse_in {cap.coarse_in} does not divide "
-                    f"channels {cap.shape_in_max.c}"
-                )
-            if cap.filters_max % cap.coarse_out:
-                violations.append(
-                    f"node {node_id}: coarse_out {cap.coarse_out} does not divide "
-                    f"filters {cap.filters_max}"
-                )
-        elif cap.shape_in_max.c % cap.coarse_in:
-            violations.append(
-                f"node {node_id}: coarse fold {cap.coarse_in} does not divide "
-                f"channels {cap.shape_in_max.c}"
-            )
     # identical configurations repeat across interior tiles; check each once
     unique = {
         (entry.node_id, entry.layer_id, entry.config)
         for entry in state.schedule.entries
     }
     for node_id, layer_id, cfg in sorted(unique, key=lambda t: (t[0], t[1])):
-        cap = state.graph.nodes[node_id]
-        s, m = cfg.shape_in, cap.shape_in_max
-        if any(getattr(s, a) > getattr(m, a) for a in "dhwc"):
-            violations.append(
-                f"layer {layer_id} on {node_id}: shape {s.to_list()} "
-                f"exceeds node max {m.to_list()}"
-            )
-        if cfg.coarse_in > cap.coarse_in or cfg.coarse_out > cap.coarse_out or cfg.fine > cap.fine:
-            violations.append(f"layer {layer_id} on {node_id}: folds exceed node folds")
-        brk = invocation_latency(cfg, dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle)
-        if brk.bw_in <= min_bw_progress and cfg.shape_in.numel > 0:
-            violations.append(f"layer {layer_id} on {node_id}: inbound bandwidth starved")
+        if compute_latency(cfg) == 0:
+            violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
     return violations
 
 
@@ -281,23 +259,6 @@ def random_transformation(model: ModelGraph, graph: HardwareGraph, rng: random.R
     return graph
 
 
-def _sample_folds(graph, rng):
-    """Random fold assignment across all nodes (warm-start sampling)."""
-    nodes = {}
-    for nid, cap in graph.nodes.items():
-        if cap.kind in ("Conv3D", "FullyConnected"):
-            kvol = cap.kernel_max[0] * cap.kernel_max[1] * cap.kernel_max[2]
-            nodes[nid] = cap.with_folds(
-                coarse_in=rng.choice(_divisors(cap.shape_in_max.c)),
-                coarse_out=rng.choice(_divisors(cap.filters_max)),
-                fine=rng.choice(_divisors(kvol)) if cap.kind == "Conv3D" else 1,
-            )
-        else:
-            c = rng.choice(_divisors(cap.shape_in_max.c))
-            nodes[nid] = cap.with_folds(coarse_in=c, coarse_out=c)
-    return HardwareGraph(nodes=nodes, mapping=dict(graph.mapping), fused=dict(graph.fused))
-
-
 def _sample_capabilities(graph, model, rng):
     """Random tile shapes and folds for every node (warm-start sampling).
 
@@ -306,7 +267,11 @@ def _sample_capabilities(graph, model, rng):
     """
     for nid in sorted(graph.nodes):
         graph = _reshape(graph, model, nid, rng)
-    return _sample_folds(graph, rng)
+    for nid in list(graph.nodes):
+        graph = _coarse_fold(graph, model, nid, rng)
+        if graph.nodes[nid].kind == "Conv3D":
+            graph = _fine_fold(graph, model, nid, rng)
+    return graph
 
 
 def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,

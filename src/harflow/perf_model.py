@@ -190,7 +190,3 @@ def schedule_latency(schedule, dev=None) -> int:
         invocation_latency(cfg, bw_in, bw_out).total_cycles * n
         for cfg, n in counts.items()
     )
-
-
-def cycles_to_seconds(cycles: int, dev) -> float:
-    return cycles / dev.clock_hz

@@ -189,10 +189,6 @@ def regression_fit(samples_csv: str, target: str, ridge: bool = False) -> Regres
     )
 
 
-def regression_predict(model: RegressionModel, cap) -> int:
-    return model.predict(cap)
-
-
 _default_models_cache = None
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .hardware_graph import HardwareGraph
-from .model_ir import ModelGraph, TensorShape, topological_order
-from .perf_model import RuntimeConfig, compute_latency, invocation_latency
+from .model_ir import ModelGraph, TensorShape, _windowed_axis, topological_order
+from .perf_model import RuntimeConfig
 
 MODE_RUNTIME = "runtime_configurable"
 MODE_PADDED = "padded_baseline"
@@ -70,9 +70,6 @@ class ScheduleEntry:
 class Schedule:
     entries: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -104,30 +101,19 @@ def _axis_tiles(full: int, tile: int):
     return [(i * tile, min(tile, full - i * tile)) for i in range(n)]
 
 
-def _tile_output_shape(layer, tile_shape, first, last):
-    """Windowed output of one input tile; border tiles keep the layer padding."""
-    td, th, tw, tc = tile_shape
-    kd, kh, kw = layer.kernel
-    jd, jh, jw = layer.stride
-    pds, pde, phs, phe, pws, pwe = layer.padding
-    first_d, first_h, first_w = first
-    last_d, last_h, last_w = last
-
-    def axis(x, k, j, ps, pe, is_first, is_last):
-        eff = x + (ps if is_first else 0) + (pe if is_last else 0)
-        return max(0, (eff - k) // j + 1)
-
-    d = axis(td, kd, jd, pds, pde, first_d, last_d)
-    h = axis(th, kh, jh, phs, phe, first_h, last_h)
-    w = axis(tw, kw, jw, pws, pwe, first_w, last_w)
-    return d, h, w
+def _tile_output_shape(layer, tile_shape, pad):
+    """Windowed (D, H, W) output of one input tile under its border padding."""
+    return tuple(
+        max(0, _windowed_axis(x, k, j, pad[2 * i], pad[2 * i + 1]))
+        for i, (x, k, j) in enumerate(zip(tile_shape[:3], layer.kernel, layer.stride))
+    )
 
 
 def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
     td, th, tw, tc = tile_shape
     kind = layer.kind
     if kind in ("Conv3D", "Pool3D"):
-        od, oh, ow = _tile_output_shape(layer, tile_shape, first, last)
+        # border tiles keep the layer padding
         pad = tuple(
             p if on_border else 0
             for p, on_border in zip(
@@ -135,6 +121,7 @@ def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
                 (first[0], last[0], first[1], last[1], first[2], last[2]),
             )
         )
+        od, oh, ow = _tile_output_shape(layer, tile_shape, pad)
         kvol = layer.kernel_volume
         if kind == "Conv3D":
             return RuntimeConfig(
@@ -193,49 +180,21 @@ def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
 
 def _padded_config(layer, cap, psum):
     """Non-runtime-configurable execution: the node runs at full compile-time size."""
-    s = cap.shape_in_max
-    if cap.kind == "Conv3D":
-        return RuntimeConfig(
-            kind=cap.kind,
-            shape_in=s,
-            shape_out=cap.shape_out_max,
-            filters=cap.filters_max,
-            kernel=cap.kernel_max,
-            stride=layer.stride,
-            coarse_in=cap.coarse_in,
-            coarse_out=cap.coarse_out,
-            fine=cap.fine,
-            accumulate_psum=psum,
-        )
-    if cap.kind == "FullyConnected":
-        return RuntimeConfig(
-            kind=cap.kind,
-            shape_in=s,
-            shape_out=cap.shape_out_max,
-            filters=cap.filters_max,
-            coarse_in=cap.coarse_in,
-            coarse_out=cap.coarse_out,
-            accumulate_psum=psum,
-        )
-    if cap.kind == "Pool3D":
-        return RuntimeConfig(
-            kind=cap.kind,
-            shape_in=s,
-            shape_out=cap.shape_out_max,
-            kernel=cap.kernel_max,
-            stride=layer.stride,
-            op_type=layer.op_type,
-            coarse_in=cap.coarse_in,
-            coarse_out=cap.coarse_out,
-        )
+    macs = cap.kind in ("Conv3D", "FullyConnected")
+    windowed = cap.kind in ("Conv3D", "Pool3D")
     return RuntimeConfig(
         kind=cap.kind,
-        shape_in=s,
+        shape_in=cap.shape_in_max,
         shape_out=cap.shape_out_max,
-        op_type=layer.op_type,
-        broadcast=layer.broadcast,
+        filters=cap.filters_max if macs else 0,
+        kernel=cap.kernel_max if windowed else (1, 1, 1),
+        stride=layer.stride if windowed else (1, 1, 1),
+        op_type="" if macs else layer.op_type,
+        broadcast=layer.broadcast and not (macs or windowed),
         coarse_in=cap.coarse_in,
         coarse_out=cap.coarse_out,
+        fine=cap.fine,
+        accumulate_psum=psum and macs,
     )
 
 

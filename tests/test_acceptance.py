@@ -6,6 +6,7 @@ soft calibration band: an out-of-band result prints a documented note about
 the bandwidth assumption instead of failing.
 """
 
+import json
 import random
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import NodeCapability, initial_mapping
-from harflow.model_ir import TensorShape, parse_model
+from harflow.model_ir import LayerDescriptor, TensorShape, infer_output_shape, parse_model
 from harflow.optimizer import AnnealingParams, anneal, check_constraints, pareto_sweep
 from harflow.perf_model import RuntimeConfig, compute_latency, schedule_latency
 from harflow.reporting import derive_metrics
@@ -204,9 +205,58 @@ def test_criterion_3_oracle_equivalence(capsys):
     assert _verdict(capsys, 3, "oracle equivalence", ok, f"{matched}/{total + 50} exact")
 
 
-def _random_chain_model(rng):
-    from harflow.generators import _Builder
+class _Builder:
+    def __init__(self, name, input_shape):
+        self.name = name
+        self.layers = []
+        self.edges = []
+        self.shapes = {}  # id -> TensorShape
+        self._input = TensorShape(*input_shape)
+        self._last = None
 
+    def add(self, lid, kind, after=None, inputs=None, **params):
+        if inputs is None:
+            src = after if after is not None else self._last
+            producers = [src] if src else []
+        else:
+            producers = list(inputs)
+        if producers:
+            shape_in = tuple(self.shapes[p] for p in producers)
+        else:
+            shape_in = (self._input,)
+        probe = LayerDescriptor(
+            id=lid, kind=kind, shape_in=shape_in, shape_out=TensorShape(1, 1, 1, 1), **params
+        )
+        shape_out = infer_output_shape(probe)
+        entry = {
+            "id": lid,
+            "kind": kind,
+            "shape_in": [s.to_list() for s in shape_in] if kind == "ElementWise" else shape_in[0].to_list(),
+            "shape_out": shape_out.to_list(),
+        }
+        if kind in ("Conv3D", "FullyConnected"):
+            entry["filters"] = params["filters"]
+        if kind in ("Conv3D", "Pool3D"):
+            entry["kernel"] = list(params.get("kernel", (1, 1, 1)))
+            entry["stride"] = list(params.get("stride", (1, 1, 1)))
+            entry["padding"] = list(params.get("padding", (0, 0, 0, 0, 0, 0)))
+        if kind == "Conv3D":
+            entry["groups"] = params.get("groups", 1)
+        if params.get("op_type"):
+            entry["type"] = params["op_type"]
+        if kind == "ElementWise":
+            entry["broadcast"] = params.get("broadcast", False)
+        self.layers.append(entry)
+        self.edges.extend([p, lid] for p in producers)
+        self.shapes[lid] = shape_out
+        self._last = lid
+        return lid
+
+    def document(self):
+        return {"name": self.name, "layers": self.layers, "edges": self.edges}
+
+
+def _random_chain_model(rng):
     d = rng.choice([2, 4, 6])
     hw = rng.choice([4, 6, 8])
     c = rng.choice([1, 2, 3, 4])
@@ -225,8 +275,6 @@ def _random_chain_model(rng):
             b.add(f"act{i}", "Activation", op_type=rng.choice(["relu", "sigmoid"]))
     b.add("gap", "GlobalAvgPool")
     b.add("fc", "FullyConnected", filters=rng.choice([3, 5, 8]))
-    import json
-
     return parse_model(json.dumps(b.document()))
 
 

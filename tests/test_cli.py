@@ -5,6 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from harflow.cli import main
+from harflow.device import load_bundled_profile
+from harflow.generators import bundled_model_names, bundled_model_text
+from harflow.hardware_graph import initial_mapping
+from harflow.model_ir import parse_model
 
 QUICK_PARAMS = {"tau_start": 1.0, "tau_min": 0.05, "cooling": 0.9,
                 "warm_start_samples": 8}
@@ -33,6 +37,61 @@ def test_parse_missing_file_fails(runner):
     result = runner.invoke(main, ["parse", "/nonexistent.json"])
     assert result.exit_code != 0
     assert "not found" in result.output
+
+
+def test_bundled_models_are_the_data_files(runner):
+    assert bundled_model_names() == ["c3d", "multishape", "r2plus1d", "toy"]
+    for name in bundled_model_names():
+        assert parse_model(bundled_model_text(name)).name == name
+        assert runner.invoke(main, ["parse", name]).exit_code == 0
+    result = runner.invoke(main, ["parse", "nosuch"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: model file not found")
+
+
+def _unschedulable_design(workdir):
+    """A design whose graph leaves the toy pool layer unmapped."""
+    toy = parse_model(bundled_model_text("toy"))
+    graph = initial_mapping(toy).to_dict()
+    del graph["mapping"]["pool_0"]
+    design = workdir / "unschedulable.json"
+    design.write_text(json.dumps({
+        "model": json.loads(bundled_model_text("toy")),
+        "device": load_bundled_profile("zcu102").to_dict(),
+        "mode": "runtime_configurable",
+        "graph": graph,
+    }))
+    return design
+
+
+def _params(workdir, text):
+    path = workdir / "bad_params.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _search(workdir, cmd, *extra):
+    return [cmd, "--model", "toy", "--device", "zcu102", "--out", str(workdir / "out"), *extra]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda w: _search(w, "pareto", "--budgets", "10,x"),
+    lambda w: _search(w, "pareto", "--budgets", "256,64"),
+    lambda w: _search(w, "optimize", "--params", _params(w, '{"nosuch": 1}')),
+    lambda w: _search(w, "optimize", "--params", str(w / "missing.json")),
+    lambda w: _search(w, "optimize", "--params", _params(w, '{"cooling": 1.5}')),
+    lambda w: _search(w, "optimize", "--params", _params(w, "{oops")),
+    lambda w: _search(w, "optimize", "--params", _params(w, "[1, 2]")),
+    lambda w: ["schedule", "--design", str(_unschedulable_design(w))],
+], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
+        "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible"])
+def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
+    result = runner.invoke(main, argv(workdir))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "Traceback" not in result.output
 
 
 def test_unknown_device_fails(runner, workdir):

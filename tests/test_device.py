@@ -60,6 +60,12 @@ def test_missing_field_rejected():
         load_profile("{not json")
 
 
+@pytest.mark.parametrize("document", ["[1, 2]", "3", "null", '"zcu102"'])
+def test_non_object_document_rejected(document):
+    with pytest.raises(DeviceError, match="must be a JSON object"):
+        load_profile(document)
+
+
 def test_with_dsp_cap_never_raises_budget():
     dev = load_bundled_profile("zcu102")
     assert dev.with_dsp_cap(512).dsp_total == 512

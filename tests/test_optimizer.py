@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from test_acceptance import _random_chain_model
 
 from harflow.device import load_bundled_profile
-from harflow.generators import bundled_model_text
-from harflow.hardware_graph import fuse_activations, initial_mapping
+from harflow.generators import bundled_model_names, bundled_model_text
+from harflow.hardware_graph import NodeCapability, fuse_activations, initial_mapping
 from harflow.model_ir import parse_model
 from harflow.optimizer import (
     AnnealingParams,
     OptimizerError,
     ParetoPoint,
+    _sample_capabilities,
     anneal,
     check_constraints,
     evaluate,
@@ -19,7 +21,14 @@ from harflow.optimizer import (
     random_transformation,
     warm_start,
 )
-from harflow.scheduler import MODE_RUNTIME, coverage_oracle
+from harflow.perf_model import compute_latency, invocation_latency
+from harflow.scheduler import (
+    MODE_PADDED,
+    MODE_RUNTIME,
+    InfeasibleScheduleError,
+    build_schedule,
+    coverage_oracle,
+)
 
 QUICK = dict(tau_start=1.0, tau_min=0.05, cooling=0.9, warm_start_samples=8)
 
@@ -60,6 +69,51 @@ def test_check_constraints_passes_on_modest_design(toy, zcu102):
     state = evaluate(toy, initial_mapping(toy), zcu102, MODE_RUNTIME)
     assert state.feasible, state.violations
     assert check_constraints(state, zcu102) == []
+
+
+def _assert_feasibility_invariants(model, graph, mode):
+    """The invariants that make per-state shape, fold and bandwidth checks redundant.
+
+    Returns the number of distinct configurations that yield no output.
+    """
+    for cap in graph.nodes.values():
+        assert NodeCapability.from_dict(cap.to_dict()) == cap
+    try:
+        schedule = build_schedule(model, graph, mode)
+    except InfeasibleScheduleError:
+        return 0
+    empty = 0
+    for node_id, cfg in {(e.node_id, e.config) for e in schedule.entries}:
+        cap = graph.nodes[node_id]
+        assert all(getattr(cfg.shape_in, a) <= getattr(cap.shape_in_max, a) for a in "dhwc")
+        assert cfg.coarse_in <= cap.coarse_in
+        assert cfg.coarse_out <= cap.coarse_out
+        assert cfg.fine <= cap.fine
+        no_output = compute_latency(cfg) == 0
+        assert no_output == (invocation_latency(cfg, 8, 8).bw_in == 0)
+        empty += no_output
+    return empty
+
+
+@pytest.mark.parametrize("runtime", [True, False], ids=["runtime", "padded"])
+def test_feasibility_invariants_over_search_moves(runtime):
+    mode = MODE_RUNTIME if runtime else MODE_PADDED
+    params = AnnealingParams(**QUICK)
+    rng = random.Random(30)
+    models = [_random_chain_model(rng) for _ in range(40)]
+    models += [parse_model(bundled_model_text(name)) for name in bundled_model_names()]
+    empty = 0
+    for model in models:
+        graph = initial_mapping(model, runtime_configurable=runtime)
+        if rng.random() < 0.5:
+            graph = fuse_activations(graph, model)
+        graph = _sample_capabilities(graph, model, rng)
+        empty += _assert_feasibility_invariants(model, graph, mode)
+        for _ in range(3):
+            graph = random_transformation(model, graph, rng, params)
+            empty += _assert_feasibility_invariants(model, graph, mode)
+    # padded tiles run at the node's full shape, which always has output
+    assert (empty > 0) == runtime
 
 
 def test_warm_start_returns_feasible_state(toy, zcu102):

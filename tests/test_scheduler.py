@@ -11,6 +11,7 @@ from harflow.hardware_graph import (
     initial_mapping,
 )
 from harflow.model_ir import TensorShape, parse_model
+from harflow.optimizer import evaluate
 from harflow.perf_model import schedule_latency
 from harflow.scheduler import (
     MODE_PADDED,
@@ -111,6 +112,15 @@ def test_border_tiles_keep_layer_padding(toy):
     assert pads[1][0] == 0 and pads[1][1] == 1
     # no halos: input cells are partitioned exactly once
     assert coverage_oracle(schedule, toy).passed
+
+
+def test_tile_without_output_is_the_only_violation(toy):
+    # conv D=4 -> depth tiles 3, 1; the last tile plus its end padding is
+    # shallower than the 3-deep kernel, so it yields no output
+    graph = _shrink_conv(initial_mapping(toy), d=3)
+    state = evaluate(toy, graph, load_bundled_profile("zcu102"), MODE_RUNTIME)
+    assert state.violations == ["layer conv on conv_0: tile yields no output"]
+    assert not state.feasible
 
 
 def test_padded_mode_runs_every_tile_at_node_maximum(multishape):
