@@ -34,9 +34,6 @@ from .scheduler import (
 )
 from .hardware_graph import HardwareGraph
 
-log = logging.getLogger("harflow")
-
-
 def _setup_logging():
     level = os.environ.get("HARFLOW_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -172,9 +169,22 @@ def _load_design(design_file):
         doc = json.loads(Path(design_file).read_text())
     except FileNotFoundError:
         raise click.ClickException(f"design file not found: {design_file}")
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"design file {design_file}: invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise click.ClickException(f"design file {design_file}: expected a JSON object")
+    missing = [k for k in ("model", "device", "graph") if k not in doc]
+    if missing:
+        raise click.ClickException(f"design file {design_file}: missing {', '.join(missing)}")
     model = _parse_model_or_fail(json.dumps(doc["model"]))
-    dev = device_mod.load_profile(json.dumps(doc["device"]))
-    graph = HardwareGraph.from_dict(doc["graph"])
+    try:
+        dev = device_mod.load_profile(json.dumps(doc["device"]))
+    except device_mod.DeviceError as exc:
+        raise click.ClickException(f"design file {design_file}: {exc}")
+    try:
+        graph = HardwareGraph.from_dict(doc["graph"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
     return doc, model, dev, graph
 
 
@@ -197,7 +207,10 @@ def schedule_cmd(design_file, out_file):
         "entries": [e.to_dict() for e in schedule.entries],
     }
     Path(out_file).write_text(json.dumps(out, indent=2) + "\n")
-    click.echo(f"schedule: {len(schedule.entries)} invocations, {out['total_ms']:.3f} ms")
+    click.echo(
+        f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
+        f"{out['total_ms']:.3f} ms"
+    )
 
 
 @main.command("report")

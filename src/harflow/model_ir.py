@@ -46,9 +46,12 @@ class TensorShape:
 
     @classmethod
     def from_list(cls, dims) -> "TensorShape":
-        if not (isinstance(dims, (list, tuple)) and len(dims) == 4):
-            raise ModelError(f"shape must be a 4-element [D,H,W,C] array, got {dims!r}")
-        return cls(*[int(x) for x in dims])
+        try:
+            if isinstance(dims, (list, tuple)) and len(dims) == 4:
+                return cls(*[int(x) for x in dims])
+        except (TypeError, ValueError):
+            pass
+        raise ModelError(f"shape must be a 4-element [D,H,W,C] integer array, got {dims!r}")
 
     def to_list(self):
         return [self.d, self.h, self.w, self.c]
@@ -209,13 +212,15 @@ def _validate_layer(layer: LayerDescriptor):
 
 
 def _layer_from_json(entry: dict) -> LayerDescriptor:
+    if not isinstance(entry, dict):
+        raise ModelError(f"layer entry must be an object, got {entry!r}")
     if "id" not in entry or "kind" not in entry:
         raise ModelError(f"layer entry missing 'id' or 'kind': {entry}")
     lid = str(entry["id"])
     kind = entry["kind"]
     raw_in = entry.get("shape_in")
-    if raw_in is None or raw_in == []:
-        raise ModelError(f"layer '{lid}': missing shape_in")
+    if not raw_in or not isinstance(raw_in, list):
+        raise ModelError(f"layer '{lid}': missing or malformed shape_in")
     if isinstance(raw_in[0], (list, tuple)):
         shape_in = tuple(TensorShape.from_list(s) for s in raw_in)
     else:
@@ -224,22 +229,31 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
         raise ModelError(f"layer '{lid}': missing shape_out")
     shape_out = TensorShape.from_list(entry["shape_out"])
 
+    def integer(key, default):
+        try:
+            return int(entry.get(key, default))
+        except (TypeError, ValueError):
+            raise ModelError(f"layer '{lid}': '{key}' must be an integer") from None
+
     def triple(key, default):
         v = entry.get(key, default)
-        if len(v) != len(default):
-            raise ModelError(f"layer '{lid}': '{key}' must have {len(default)} entries")
-        return tuple(int(x) for x in v)
+        try:
+            if len(v) == len(default):
+                return tuple(int(x) for x in v)
+        except (TypeError, ValueError):
+            pass
+        raise ModelError(f"layer '{lid}': '{key}' must be {len(default)} integers")
 
     return LayerDescriptor(
         id=lid,
         kind=kind,
         shape_in=shape_in,
         shape_out=shape_out,
-        filters=int(entry.get("filters", 0)),
+        filters=integer("filters", 0),
         kernel=triple("kernel", (1, 1, 1)),
         stride=triple("stride", (1, 1, 1)),
         padding=triple("padding", (0, 0, 0, 0, 0, 0)),
-        groups=int(entry.get("groups", 1)),
+        groups=integer("groups", 1),
         op_type=entry.get("type", ""),
         broadcast=bool(entry.get("broadcast", False)),
     )
@@ -311,7 +325,7 @@ def parse_model(document: str) -> ModelGraph:
         raise ModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ModelError("document must be an object with a 'layers' array")
-    if not doc["layers"]:
+    if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise ModelError("model has no layers")
     model = ModelGraph(name=str(doc.get("name", "model")))
     for entry in doc["layers"]:
@@ -321,6 +335,10 @@ def parse_model(document: str) -> ModelGraph:
         _validate_layer(layer)
         model.layers[layer.id] = layer
     raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 for e in raw_edges
+    ):
+        raise ModelError("'edges' must be an array of [source, target] pairs")
     model.edges = [(str(s), str(t)) for s, t in raw_edges]
     _check_graph_structure(model)
     return model

@@ -6,6 +6,7 @@ and combine/separate transformations, subject to the device constraint set.
 Chains are deterministic per seed.
 """
 
+import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,9 @@ from .scheduler import (
     Schedule,
     build_schedule,
 )
+
+
+log = logging.getLogger(__name__)
 
 
 class OptimizerError(RuntimeError):
@@ -90,12 +94,8 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
         avail = getattr(budgets, name)
         if used > avail:
             violations.append(f"{name} over budget: {used} > {avail}")
-    # identical configurations repeat across interior tiles; check each once
-    unique = {
-        (entry.node_id, entry.layer_id, entry.config)
-        for entry in state.schedule.entries
-    }
-    for node_id, layer_id, cfg in sorted(unique, key=lambda t: (t[0], t[1])):
+    # groups are unique per (node, layer, config): each config is checked once
+    for node_id, layer_id, cfg, _ in sorted(state.schedule.groups, key=lambda g: g[:2]):
         if compute_latency(cfg) == 0:
             violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
     return violations
@@ -283,12 +283,14 @@ def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
         base = fuse_activations(base, model)
     best = None
     last = None
+    feasible = 0
     candidates = [base] + [
         _sample_capabilities(base, model, rng) for _ in range(params.warm_start_samples)
     ]
     for graph in candidates:
         state = evaluate(model, graph, dev, mode, lut_model, ff_model)
         last = state
+        feasible += state.feasible
         if state.feasible and (best is None or state.latency_cycles < best.latency_cycles):
             best = state
     if best is None:
@@ -296,6 +298,8 @@ def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
             "no feasible warm-start state found; last violations: "
             + "; ".join(last.violations if last else [])
         )
+    log.info("warm start: %d of %d candidates feasible, best %d cycles",
+             feasible, len(candidates), best.latency_cycles)
     return best, mode
 
 
@@ -374,6 +378,9 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
     iteration = 0
     ms = 1e3 / dev.clock_hz
     while tau > params.tau_min:
+        if iteration % (10 * params.iterations_per_temperature) == 0:  # every 10th tau
+            log.info("tau %.4g: current %d, best %d cycles",
+                     tau, current.latency_cycles, best.latency_cycles)
         for _ in range(params.iterations_per_temperature):
             new_graph = random_transformation(model, current.graph, rng, params)
             state = evaluate(model, new_graph, dev, mode, lut_model, ff_model)
@@ -395,6 +402,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             iteration += 1
         tau *= params.cooling
     polished = fold_climb(model, dev, best, mode, lut_model, ff_model)
+    log.info("fold_climb: %d -> %d cycles", best.latency_cycles, polished.latency_cycles)
     if polished.latency_cycles < best.latency_cycles:
         best = polished
         trace.append(

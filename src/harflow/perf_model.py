@@ -5,7 +5,6 @@ against brute-force cycle counters with exact integer equality.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -185,8 +184,7 @@ def schedule_latency(schedule, dev=None) -> int:
     """Total cycles of a schedule: sum of per-invocation roofline latencies."""
     bw_in = dev.bw_in_words_per_cycle if dev is not None else None
     bw_out = dev.bw_out_words_per_cycle if dev is not None else None
-    counts = Counter(entry.config for entry in schedule.entries)
     return sum(
         invocation_latency(cfg, bw_in, bw_out).total_cycles * n
-        for cfg, n in counts.items()
+        for _, _, cfg, n in schedule.groups
     )

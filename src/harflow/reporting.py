@@ -56,19 +56,18 @@ def utilization_percent(resources, dev) -> dict:
 
 
 def per_layer_latency(schedule, dev) -> list:
-    """Aggregate invocation latencies and bound tags per layer."""
+    """Aggregate invocation counts, cycles, distinct configs and bound tags per layer."""
     rows = {}
-    for entry in schedule.entries:
-        brk = invocation_latency(
-            entry.config, dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle
-        )
+    for node_id, layer_id, cfg, n in schedule.groups:
+        brk = invocation_latency(cfg, dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle)
         row = rows.setdefault(
-            entry.layer_id,
-            {"layer": entry.layer_id, "node": entry.node_id, "invocations": 0,
+            layer_id,
+            {"layer": layer_id, "node": node_id, "invocations": 0, "configs": 0,
              "cycles": 0, "bounds": set()},
         )
-        row["invocations"] += 1
-        row["cycles"] += brk.total_cycles
+        row["invocations"] += n
+        row["configs"] += 1
+        row["cycles"] += brk.total_cycles * n
         row["bounds"].add(brk.bound)
     out = []
     for row in rows.values():

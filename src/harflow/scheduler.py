@@ -2,13 +2,15 @@
 
 The scheduler walks the model in topological order, greedily tiles each
 layer's feature-map over its computation node (channels fastest, filters
-innermost for Conv/FC) and derives the runtime configuration of every
-invocation. The oracles re-derive coverage and cycle counts by explicit
-enumeration and are kept free of the analytical formulas they check.
+innermost for Conv/FC) and counts the invocations of each distinct runtime
+configuration; the invocation list itself is expanded on demand. The oracles
+re-derive coverage and cycle counts by explicit enumeration and are kept free
+of the analytical formulas they check.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ class InfeasibleScheduleError(ValueError):
         super().__init__(f"layer '{layer_id}' cannot run on node '{node_id}': {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleEntry:
     node_id: str
     layer_id: str
@@ -66,12 +68,37 @@ class ScheduleEntry:
         )
 
 
-@dataclass
 class Schedule:
-    entries: list = field(default_factory=list)
+    """Ordered invocation list of a model, held as counted groups.
+
+    `groups` has one (node_id, layer_id, config, count) per distinct config
+    of each layer, in schedule order; latency and constraint checks read
+    only these. `entries` lists every invocation: `Schedule(entries)` counts
+    them into groups, while `build_schedule` passes per-layer tiling plans
+    that are expanded on first access.
+    """
+
+    def __init__(self, entries=(), plans=None):
+        self._plans = plans
+        if plans is None:
+            self._entries = list(entries)
+            counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
+            self.groups = [(nid, lid, cfg, n) for (nid, lid, cfg), n in counts.items()]
+        else:
+            self._entries = None
+            self.groups = [g for plan in plans for g in plan.groups]
+        self._len = sum(n for *_, n in self.groups)
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            self._entries = []
+            for plan in self._plans:
+                self._entries.extend(plan.entries())
+        return self._entries
 
     def __len__(self):
-        return len(self.entries)
+        return self._len
 
 
 def _check_capability(layer, node_id, cap):
@@ -95,10 +122,14 @@ def _check_capability(layer, node_id, cap):
             )
 
 
+def _axis_count(full: int, tile: int) -> int:
+    """Number of tiles of `tile` covering `full`; an empty axis has one empty tile."""
+    return max(1, -(-full // tile))
+
+
 def _axis_tiles(full: int, tile: int):
     """[(origin, extent), ...] partitioning `full` into tiles of `tile`."""
-    n = -(-full // tile)
-    return [(i * tile, min(tile, full - i * tile)) for i in range(n)]
+    return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
 def _tile_output_shape(layer, tile_shape, pad):
@@ -211,12 +242,67 @@ def _node_tile_dims(cap):
     return s.d, s.h, s.w, s.c
 
 
+def _tile_class(i: int, n: int) -> int:
+    """Class of tile i of n along an axis: bit 0 marks the first, bit 1 the last."""
+    return (i == 0) | (i == n - 1) << 1
+
+
+def _axis_classes(full: int, tile: int) -> dict:
+    """{tile class: (extent, count)} of `_axis_tiles(full, tile)`, in closed form."""
+    n = _axis_count(full, tile)
+    classes = {
+        _tile_class(0, n): (min(tile, full), 1),
+        _tile_class(n - 1, n): (full - (n - 1) * tile, 1),
+    }
+    if n > 2:
+        classes[0] = (tile, n - 2)  # interior tiles
+    return classes
+
+
+@dataclass
+class _LayerPlan:
+    """One layer's tiling: (full, tile) per axis (H, W, D, C, F), the config
+    of each combination of tile classes, and the layer's counted groups."""
+
+    node_id: str
+    layer_id: str
+    axes: tuple
+    configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
+    groups: list
+
+    def entries(self) -> list:
+        """Every invocation of the layer, channels fastest, filters innermost."""
+        def indexed(full, tile):
+            tiles = _axis_tiles(full, tile)
+            return [(i, o, x, _tile_class(i, len(tiles))) for i, (o, x) in enumerate(tiles)]
+
+        h, w, d, c, f = (indexed(*axis) for axis in self.axes)
+        node_id, layer_id, configs = self.node_id, self.layer_id, self.configs
+        out = []
+        for ih, oh, th, ch in h:
+            for iw, ow, tw, cw in w:
+                for i_d, od, td, cd in d:
+                    for ic, oc, tc, cc in c:
+                        origin, shape = (od, oh, ow, oc), (td, th, tw, tc)
+                        for i_f, of, tf, cf in f:
+                            out.append(ScheduleEntry(
+                                node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
+                                of, tf, configs[ch, cw, cd, cc, cf],
+                            ))
+        return out
+
+
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME) -> Schedule:
-    """Emit the ordered invocation list covering every schedulable layer."""
+    """Tile every schedulable layer and count its invocations per config.
+
+    Per axis a layer has at most three tile classes (first, interior, last),
+    so its distinct configs and their counts are a product over classes; the
+    invocation list itself is only expanded if `Schedule.entries` is read.
+    """
     if mode not in (MODE_RUNTIME, MODE_PADDED):
         raise ValueError(f"unknown schedule mode '{mode}'")
     inv = g.inverse_mapping()
-    schedule = Schedule()
+    plans = []
     for lid in topological_order(model):
         if lid in g.fused:
             continue
@@ -230,50 +316,32 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
 
         ld, lh, lw, lc = _layer_input_dims(layer)
         nd, nh, nw, nc = _node_tile_dims(cap)
-        tiles_h = _axis_tiles(lh, nh)
-        tiles_w = _axis_tiles(lw, nw)
-        tiles_d = _axis_tiles(ld, nd)
-        tiles_c = _axis_tiles(lc, nc)
         if layer.kind in ("Conv3D", "FullyConnected"):
-            tiles_f = _axis_tiles(layer.filters, cap.filters_max)
+            filters = (layer.filters, cap.filters_max)
         else:
-            tiles_f = [(0, 0)]
+            filters = (0, 1)  # no filter axis: one empty tile
+        axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
 
-        config_memo = {}  # interior tiles repeat the same configuration
-        for (ih, (oh, th)), (iw, (ow, tw)), (idx_d, (od, td)), (ic, (oc, tc)) in itertools.product(
-            enumerate(tiles_h), enumerate(tiles_w), enumerate(tiles_d), enumerate(tiles_c)
+        memo = {}  # tiles of different classes may run the same config
+        configs, counts = {}, {}
+        for (ch, (th, kh)), (cw, (tw, kw)), (cd, (td, kd)), (cc, (tc, kc)), (cf, (tf, kf)) in (
+            itertools.product(*(_axis_classes(*axis).items() for axis in axes))
         ):
-            first = (idx_d == 0, ih == 0, iw == 0)
-            last = (
-                idx_d == len(tiles_d) - 1,
-                ih == len(tiles_h) - 1,
-                iw == len(tiles_w) - 1,
-            )
-            psum = ic < len(tiles_c) - 1
-            for i_f, (of, tf) in enumerate(tiles_f):
-                key = ((td, th, tw, tc), first, last, tf, psum)
-                cfg = config_memo.get(key)
-                if cfg is None:
-                    if padded:
-                        cfg = _padded_config(layer, cap, psum)
-                    else:
-                        cfg = _runtime_config(
-                            layer, cap, (td, th, tw, tc), first, last, tf, psum
-                        )
-                    config_memo[key] = cfg
-                schedule.entries.append(
-                    ScheduleEntry(
-                        node_id=node_id,
-                        layer_id=lid,
-                        tile_index=(ih, iw, idx_d, ic, i_f),
-                        tile_origin=(od, oh, ow, oc),
-                        tile_shape=(td, th, tw, tc),
-                        filter_origin=of,
-                        filter_count=tf,
-                        config=cfg,
-                    )
-                )
-    return schedule
+            first, last = (cd & 1, ch & 1, cw & 1), (cd & 2, ch & 2, cw & 2)
+            psum = not cc & 2
+            key = ((td, th, tw, tc), first, last, tf, psum)
+            cfg = memo.get(key)
+            if cfg is None:
+                if padded:
+                    cfg = _padded_config(layer, cap, psum)
+                else:
+                    cfg = _runtime_config(layer, cap, (td, th, tw, tc), first, last, tf, psum)
+                memo[key] = cfg
+            configs[ch, cw, cd, cc, cf] = cfg
+            counts[cfg] = counts.get(cfg, 0) + kh * kw * kd * kc * kf
+        groups = [(node_id, lid, cfg, n) for cfg, n in counts.items()]
+        plans.append(_LayerPlan(node_id, lid, axes, configs, groups))
+    return Schedule(plans=plans)
 
 
 # ---------------------------------------------------------------------------

@@ -49,19 +49,44 @@ def test_bundled_models_are_the_data_files(runner):
     assert result.output.startswith("Error: model file not found")
 
 
-def _unschedulable_design(workdir):
-    """A design whose graph leaves the toy pool layer unmapped."""
+def _design(workdir, edit, name="design.json"):
+    """The toy initial-mapping design, edited in place, written to `name`."""
     toy = parse_model(bundled_model_text("toy"))
-    graph = initial_mapping(toy).to_dict()
-    del graph["mapping"]["pool_0"]
-    design = workdir / "unschedulable.json"
-    design.write_text(json.dumps({
+    doc = {
         "model": json.loads(bundled_model_text("toy")),
         "device": load_bundled_profile("zcu102").to_dict(),
         "mode": "runtime_configurable",
-        "graph": graph,
-    }))
+        "graph": initial_mapping(toy).to_dict(),
+    }
+    edit(doc)
+    design = workdir / name
+    design.write_text(json.dumps(doc))
     return design
+
+
+def _unschedulable_design(workdir):
+    """A design whose graph leaves the toy pool layer unmapped."""
+    return _design(workdir, lambda d: d["graph"]["mapping"].pop("pool_0"), "unschedulable.json")
+
+
+def _bad_design(workdir, edit):
+    return str(_design(workdir, edit, "bad_design.json"))
+
+
+def _schedule_file(workdir):
+    """schedule.json of the unedited toy design."""
+    out = workdir / "good_schedule.json"
+    main.main(["schedule", "--design", str(_design(workdir, lambda d: None)), "--out", str(out)],
+              standalone_mode=False)
+    return str(out)
+
+
+def _bad_model(workdir, edit):
+    doc = json.loads(bundled_model_text("toy"))
+    edit(doc)
+    path = workdir / "bad_model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def _params(workdir, text):
@@ -83,8 +108,24 @@ def _search(workdir, cmd, *extra):
     lambda w: _search(w, "optimize", "--params", _params(w, "{oops")),
     lambda w: _search(w, "optimize", "--params", _params(w, "[1, 2]")),
     lambda w: ["schedule", "--design", str(_unschedulable_design(w))],
+    lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(filters="x"))],
+    lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(shape_in=["a", 1, 1, 1]))],
+    lambda w: ["parse", _bad_model(w, lambda d: d["edges"].append(["conv"]))],
+    lambda w: ["parse", _bad_model(w, lambda d: d.update(layers=[3]))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.pop("device"))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.pop("graph"))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.pop("model"))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.update(device="zcu102"))],
+    lambda w: ["report", "--schedule", _schedule_file(w),
+               "--design", _bad_design(w, lambda d: d.pop("device"))],
+    lambda w: ["report", "--schedule", _schedule_file(w),
+               "--design", _bad_design(w, lambda d: d.update(device=[1, 2]))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
-        "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible"])
+        "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
+        "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
+        "model-layer-not-object", "schedule-no-device", "schedule-no-graph",
+        "schedule-no-model", "schedule-device-not-object", "report-no-device",
+        "report-device-not-object"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -131,6 +172,8 @@ def test_optimize_schedule_report_pipeline(runner, workdir):
     sdoc = json.loads(sched.read_text())
     assert sdoc["total_cycles"] == doc["latency_cycles"]
     assert sdoc["entries"]
+    configs = {(e["layer"], json.dumps(e["config"], sort_keys=True)) for e in sdoc["entries"]}
+    assert f"{len(sdoc['entries'])} invocations ({len(configs)} distinct configs)" in result.output
 
     report = workdir / "report.json"
     result = runner.invoke(main, [
@@ -142,6 +185,10 @@ def test_optimize_schedule_report_pipeline(runner, workdir):
     assert rdoc["gops_per_s"] > 0
     assert 0 < rdoc["utilization_percent"]["dsp"] <= 100
     assert rdoc["per_layer"]
+    for row in rdoc["per_layer"]:
+        layer = [e for e in sdoc["entries"] if e["layer"] == row["layer"]]
+        assert row["invocations"] == len(layer)
+        assert row["configs"] == len({json.dumps(e["config"], sort_keys=True) for e in layer})
 
 
 def test_optimize_accepts_model_file_path(runner, workdir):

@@ -115,6 +115,11 @@ def test_parse_serialize_round_trip():
         (lambda d: d["layers"][0].update(shape_out=[4, 8, 8, 9]), "does not match"),
         (lambda d: d["layers"][1].update(type="tanh"), "unknown activation"),
         (lambda d: d.update(edges=[]), "single input"),
+        (lambda d: d["layers"][0].update(filters="x"), "'filters' must be an integer"),
+        (lambda d: d["layers"][0].update(shape_in=["a", 1, 1, 1]), "integer array"),
+        (lambda d: d["edges"].append(["conv"]), "source, target"),
+        (lambda d: d.update(layers=[3]), "must be an object"),
+        (lambda d: d["layers"][0].update(kernel=3), "'kernel' must be 3 integers"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, match):

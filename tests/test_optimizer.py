@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -213,3 +214,26 @@ def test_pareto_sweep_latency_monotone(toy, zcu102):
 def test_pareto_sweep_rejects_unsorted_budgets(toy, zcu102):
     with pytest.raises(ValueError, match="ascending"):
         pareto_sweep(toy, zcu102, AnnealingParams(**QUICK), [512, 64])
+
+
+def test_info_logging_reports_chain_progress(toy, zcu102, caplog):
+    params = AnnealingParams(**QUICK)
+    with caplog.at_level(logging.ERROR, logger="harflow"):
+        anneal(toy, zcu102, params)
+    assert not caplog.records
+    with caplog.at_level(logging.INFO, logger="harflow"):
+        best, trace = anneal(toy, zcu102, params)
+    messages = [r.getMessage() for r in caplog.records]
+    temperatures, tau = 0, params.tau_start
+    while tau > params.tau_min:
+        temperatures, tau = temperatures + 1, tau * params.cooling
+    searched = trace[temperatures * params.iterations_per_temperature - 1]
+    assert messages[0].startswith("warm start: ")
+    assert f"of {params.warm_start_samples + 1} candidates feasible" in messages[0]
+    warm = messages[0].rsplit("best ", 1)[1].split()[0]
+    assert messages[1] == f"tau 1: current {warm}, best {warm} cycles"
+    assert len([m for m in messages if m.startswith("tau ")]) == -(-temperatures // 10)
+    assert messages[-1] == (
+        f"fold_climb: {searched.best_cycles} -> {best.latency_cycles} cycles"
+    )
+    assert len(messages) == 2 + -(-temperatures // 10)

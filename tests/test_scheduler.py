@@ -1,9 +1,14 @@
+import hashlib
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from test_acceptance import _random_chain_model, _randomly_shrunk
 
 from harflow.device import load_bundled_profile
-from harflow.generators import bundled_model_text
+from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
     NodeCapability,
     capability_for_layers,
@@ -11,8 +16,9 @@ from harflow.hardware_graph import (
     initial_mapping,
 )
 from harflow.model_ir import TensorShape, parse_model
-from harflow.optimizer import evaluate
-from harflow.perf_model import schedule_latency
+from harflow.optimizer import _sample_capabilities, check_constraints, evaluate
+from harflow.perf_model import invocation_latency, schedule_latency
+from harflow.reporting import per_layer_latency
 from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
@@ -214,3 +220,114 @@ def test_oracle_latency_matches_analytical_on_random_shrinks(toy):
         assert coverage_oracle(schedule, toy).passed
         assert schedule_latency(schedule, dev) == schedule_latency_oracle(schedule, dev)
         assert schedule_latency(schedule) == schedule_latency_oracle(schedule)
+
+
+def _counted_schedule_cases(mode):
+    """(model, graph, oracle) over criterion-4 random chains and the bundled models.
+
+    The enumeration oracle takes seconds per config on the larger multishape,
+    r2plus1d and c3d tiles, so only the chains and toy are checked against it.
+    """
+    rng = random.Random(44)
+    for _ in range(30):
+        model = _random_chain_model(rng)
+        yield model, _randomly_shrunk(initial_mapping(model), model, rng), True
+    for name in bundled_model_names():
+        model = parse_model(bundled_model_text(name))
+        base = initial_mapping(model, runtime_configurable=mode == MODE_RUNTIME)
+        for fuse in (False, True):
+            graph = fuse_activations(base, model) if fuse else base
+            graph = _sample_capabilities(graph, model, rng)
+            yield model, graph, name == "toy"
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_counted_schedule_equals_its_expanded_entries(mode):
+    dev = load_bundled_profile("zcu102")
+    scheduled = 0
+    for model, graph, oracle in _counted_schedule_cases(mode):
+        try:
+            schedule = build_schedule(model, graph, mode)
+        except InfeasibleScheduleError:
+            continue
+        scheduled += 1
+        n = len(schedule)
+        entries = schedule.entries
+        assert n == len(entries)
+        counts = Counter((e.node_id, e.layer_id, e.config) for e in entries)
+        assert {(nid, lid, cfg): k for nid, lid, cfg, k in schedule.groups} == counts
+        assert len(schedule.groups) == len(counts)
+        recounted = Schedule(entries)
+        for device in (dev, None):
+            bw = (device.bw_in_words_per_cycle, device.bw_out_words_per_cycle) if device else ()
+            per_entry = sum(invocation_latency(e.config, *bw).total_cycles for e in entries)
+            assert schedule_latency(schedule, device) == per_entry
+            assert schedule_latency(recounted, device) == per_entry
+            if oracle:  # the oracle sums over entries: score each config once
+                first = {e.config: e for e in reversed(entries)}
+                assert per_entry == sum(
+                    k * schedule_latency_oracle(Schedule([first[cfg]]), device)
+                    for (_, _, cfg), k in counts.items()
+                )
+        state = evaluate(model, graph, dev, mode)
+        assert check_constraints(replace(state, schedule=recounted), dev) == state.violations
+        rows = per_layer_latency(schedule, dev)
+        assert rows == per_layer_latency(recounted, dev)
+        assert sum(row["invocations"] for row in rows) == n
+        for row in rows:
+            layer = [e for e in entries if e.layer_id == row["layer"]]
+            assert row["invocations"] == len(layer)
+            assert row["configs"] == len({e.config for e in layer})
+            assert row["cycles"] == sum(
+                invocation_latency(e.config, dev.bw_in_words_per_cycle,
+                                   dev.bw_out_words_per_cycle).total_cycles
+                for e in layer
+            )
+    assert scheduled >= 30
+
+
+def _entries_digest(schedule):
+    doc = json.dumps([e.to_dict() for e in schedule.entries])
+    return len(schedule.entries), hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def _pinned_schedules():
+    for name in ("toy", "multishape"):
+        model = parse_model(bundled_model_text(name))
+        base = initial_mapping(model)
+        graphs = [base, fuse_activations(base, model)]
+        graphs += [_sample_capabilities(graphs[1], model, random.Random(s)) for s in (0, 1, 2)]
+        for mode in (MODE_RUNTIME, MODE_PADDED):
+            for i, graph in enumerate(graphs):
+                yield f"{name}/{mode}/{i}", build_schedule(model, graph, mode)
+
+
+# (invocations, sha256 prefix of the JSON entry list) of the list-building
+# scheduler that counted schedules replaced
+PINNED_ENTRIES = {
+    "toy/runtime_configurable/0": (4, "3774ecf29e281e31"),
+    "toy/runtime_configurable/1": (3, "2cc7d7d30bb40b6b"),
+    "toy/runtime_configurable/2": (1030, "905e42cdc0fb082b"),
+    "toy/runtime_configurable/3": (80, "b8c97058bc977dae"),
+    "toy/runtime_configurable/4": (64, "b29a16dd079668e0"),
+    "toy/padded_baseline/0": (4, "c9a1a0eb956a100e"),
+    "toy/padded_baseline/1": (3, "908cfe37c10735d7"),
+    "toy/padded_baseline/2": (1030, "ffa9f62cd9fd18ce"),
+    "toy/padded_baseline/3": (80, "198f2fe0bc238ebd"),
+    "toy/padded_baseline/4": (64, "78e994f1f98f0e15"),
+    "multishape/runtime_configurable/0": (13, "9ddb0e3db578768d"),
+    "multishape/runtime_configurable/1": (10, "7027b686c30bd820"),
+    "multishape/runtime_configurable/2": (718, "c869e211b2220a35"),
+    "multishape/runtime_configurable/3": (153, "ba827aad8c88522d"),
+    "multishape/runtime_configurable/4": (340, "320ad8b2140c96a4"),
+    "multishape/padded_baseline/0": (13, "d91290b050b2cd5d"),
+    "multishape/padded_baseline/1": (10, "465137738c026d7e"),
+    "multishape/padded_baseline/2": (718, "ba297f9e9822319f"),
+    "multishape/padded_baseline/3": (153, "16cddff4fb235ce9"),
+    "multishape/padded_baseline/4": (340, "14e02c0b444035ab"),
+}
+
+
+def test_expanded_entries_match_pinned_fixture():
+    digests = {key: _entries_digest(s) for key, s in _pinned_schedules()}
+    assert digests == PINNED_ENTRIES
