@@ -21,7 +21,7 @@ from .optimizer import (
     anneal,
     pareto_sweep,
 )
-from .perf_model import schedule_latency
+from .perf_model import PerfModelError, schedule_latency
 from .reporting import build_report
 from .resource_model import graph_resources
 from .scheduler import (
@@ -183,9 +183,34 @@ def _load_design(design_file):
         raise click.ClickException(f"design file {design_file}: {exc}")
     try:
         graph = HardwareGraph.from_dict(doc["graph"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
+    unknown = sorted(set(graph.mapping) - set(graph.nodes))
+    if unknown:
+        raise click.ClickException(f"design file {design_file}: unknown mapped nodes {unknown}")
+    empty = sorted(
+        nid for nid, cap in graph.nodes.items()
+        if min(cap.shape_in_max.to_list()) < 1
+        or cap.kind in ("Conv3D", "FullyConnected") and cap.filters_max < 1
+    )
+    if empty:
+        raise click.ClickException(f"design file {design_file}: nodes with an empty tile {empty}")
+    if doc.get("mode", MODE_RUNTIME) not in (MODE_RUNTIME, MODE_PADDED):
+        raise click.ClickException(f"design file {design_file}: unknown mode {doc['mode']!r}")
     return doc, model, dev, graph
+
+
+def _load_schedule(schedule_file):
+    try:
+        doc = json.loads(Path(schedule_file).read_text())
+    except FileNotFoundError:
+        raise click.ClickException(f"schedule file not found: {schedule_file}")
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"schedule file {schedule_file}: invalid JSON: {exc}")
+    try:
+        return Schedule([ScheduleEntry.from_dict(e) for e in doc["entries"]])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"schedule file {schedule_file}: invalid entries: {exc!r}")
 
 
 @main.command("schedule")
@@ -223,9 +248,11 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     doc, model, dev, graph = _load_design(design_file)
     if device_spec:
         dev = _load_device(device_spec)
-    sched_doc = json.loads(Path(schedule_file).read_text())
-    schedule = Schedule([ScheduleEntry.from_dict(e) for e in sched_doc["entries"]])
-    latency = schedule_latency(schedule, dev)
+    schedule = _load_schedule(schedule_file)
+    try:
+        latency = schedule_latency(schedule, dev)
+    except PerfModelError as exc:
+        raise click.ClickException(f"schedule file {schedule_file}: {exc}")
     resources = graph_resources(graph, dev)
     report = build_report(model, dev, schedule, resources, latency)
     Path(out_file).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

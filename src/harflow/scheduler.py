@@ -242,20 +242,15 @@ def _node_tile_dims(cap):
     return s.d, s.h, s.w, s.c
 
 
-def _tile_class(i: int, n: int) -> int:
-    """Class of tile i of n along an axis: bit 0 marks the first, bit 1 the last."""
-    return (i == 0) | (i == n - 1) << 1
-
-
 def _axis_classes(full: int, tile: int) -> dict:
-    """{tile class: (extent, count)} of `_axis_tiles(full, tile)`, in closed form."""
+    """{(is_first, is_last): (extent, count)} of `_axis_tiles(full, tile)`, in closed form."""
     n = _axis_count(full, tile)
     classes = {
-        _tile_class(0, n): (min(tile, full), 1),
-        _tile_class(n - 1, n): (full - (n - 1) * tile, 1),
+        (True, n == 1): (min(tile, full), 1),
+        (n == 1, True): (full - (n - 1) * tile, 1),
     }
     if n > 2:
-        classes[0] = (tile, n - 2)  # interior tiles
+        classes[False, False] = (tile, n - 2)  # interior tiles
     return classes
 
 
@@ -274,7 +269,8 @@ class _LayerPlan:
         """Every invocation of the layer, channels fastest, filters innermost."""
         def indexed(full, tile):
             tiles = _axis_tiles(full, tile)
-            return [(i, o, x, _tile_class(i, len(tiles))) for i, (o, x) in enumerate(tiles)]
+            n = len(tiles)
+            return [(i, o, x, (i == 0, i == n - 1)) for i, (o, x) in enumerate(tiles)]
 
         h, w, d, c, f = (indexed(*axis) for axis in self.axes)
         node_id, layer_id, configs = self.node_id, self.layer_id, self.configs
@@ -327,8 +323,8 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
         for (ch, (th, kh)), (cw, (tw, kw)), (cd, (td, kd)), (cc, (tc, kc)), (cf, (tf, kf)) in (
             itertools.product(*(_axis_classes(*axis).items() for axis in axes))
         ):
-            first, last = (cd & 1, ch & 1, cw & 1), (cd & 2, ch & 2, cw & 2)
-            psum = not cc & 2
+            first, last = (cd[0], ch[0], cw[0]), (cd[1], ch[1], cw[1])
+            psum = not cc[1]
             key = ((td, th, tw, tc), first, last, tf, psum)
             cfg = memo.get(key)
             if cfg is None:

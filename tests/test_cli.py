@@ -73,6 +73,34 @@ def _bad_design(workdir, edit):
     return str(_design(workdir, edit, "bad_design.json"))
 
 
+def _rename_pool_node(doc):
+    """Map the pool layer to a node the graph does not have."""
+    mapping = doc["graph"]["mapping"]
+    mapping["nosuch"] = mapping.pop("pool_0")
+
+
+def _empty_pool_tile(doc):
+    doc["graph"]["nodes"]["pool_0"]["shape_in_max"][0] = 0
+
+
+def _conv_node(doc):
+    return doc["graph"]["nodes"]["conv_0"]
+
+
+def _unscorable_schedule(workdir):
+    """schedule.json of the toy design with one config at a zero channel fold."""
+    with open(_schedule_file(workdir)) as fh:
+        doc = json.load(fh)
+    doc["entries"][0]["config"]["coarse_in"] = 0
+    return _bad_schedule(workdir, json.dumps(doc))
+
+
+def _bad_schedule(workdir, text):
+    path = workdir / "bad_schedule.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _schedule_file(workdir):
     """schedule.json of the unedited toy design."""
     out = workdir / "good_schedule.json"
@@ -116,16 +144,33 @@ def _search(workdir, cmd, *extra):
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.pop("graph"))],
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.pop("model"))],
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.update(device="zcu102"))],
+    lambda w: ["schedule", "--design", _bad_design(w, _rename_pool_node)],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.update(mode="fastest"))],
+    lambda w: ["schedule", "--design", _bad_design(w, _empty_pool_tile)],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(coarse_in=0))],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: _conv_node(d).update(kernel_max=[3, 3]))],
     lambda w: ["report", "--schedule", _schedule_file(w),
                "--design", _bad_design(w, lambda d: d.pop("device"))],
     lambda w: ["report", "--schedule", _schedule_file(w),
                "--design", _bad_design(w, lambda d: d.update(device=[1, 2]))],
+    lambda w: ["report", "--schedule", str(w / "missing.json"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _bad_schedule(w, "{oops"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _bad_schedule(w, '{"entries": [{"node": "conv_0"}]}'),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _unscorable_schedule(w),
+               "--design", str(_design(w, lambda d: None))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
         "model-layer-not-object", "schedule-no-device", "schedule-no-graph",
-        "schedule-no-model", "schedule-device-not-object", "report-no-device",
-        "report-device-not-object"])
+        "schedule-no-model", "schedule-device-not-object", "schedule-unknown-node",
+        "schedule-unknown-mode", "schedule-empty-tile", "schedule-zero-fold",
+        "schedule-kernel-not-triple", "report-no-device", "report-device-not-object",
+        "report-schedule-missing", "report-schedule-bad-json", "report-schedule-bad-entry",
+        "report-schedule-zero-fold"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
