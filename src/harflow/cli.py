@@ -32,7 +32,7 @@ from .scheduler import (
     ScheduleEntry,
     build_schedule,
 )
-from .hardware_graph import HardwareGraph
+from .hardware_graph import HardwareGraph, HardwareGraphError
 
 def _setup_logging():
     level = os.environ.get("HARFLOW_LOG", "error").lower()
@@ -149,7 +149,7 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
     design = {
         "model": json.loads(serialize_model(model)),
         "device": dev.to_dict(),
-        "mode": MODE_RUNTIME if params.enable_runtime_reconfig else MODE_PADDED,
+        "mode": params.mode,
         "graph": best.graph.to_dict(),
         "latency_cycles": best.latency_cycles,
         "latency_ms": best.latency_cycles * 1e3 / dev.clock_hz,
@@ -185,9 +185,10 @@ def _load_design(design_file):
         graph = HardwareGraph.from_dict(doc["graph"])
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
-    unknown = sorted(set(graph.mapping) - set(graph.nodes))
-    if unknown:
-        raise click.ClickException(f"design file {design_file}: unknown mapped nodes {unknown}")
+    try:
+        graph.validate_cover(model)
+    except HardwareGraphError as exc:
+        raise click.ClickException(f"design file {design_file}: {exc}")
     empty = sorted(
         nid for nid, cap in graph.nodes.items()
         if min(cap.shape_in_max.to_list()) < 1

@@ -92,8 +92,21 @@ class DeviceProfile:
         }
 
 
-def _fraction(value) -> Fraction:
-    return Fraction(str(value))
+def _number(name, key, value, convert):
+    try:
+        return convert(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise DeviceError(f"device '{name}': '{key}' must be a number, got {value!r}") from None
+
+
+def _overhead(name, doc, key, default) -> ResourceVector:
+    try:
+        return ResourceVector(**dict(default, **doc.get(key, {})))
+    except TypeError:
+        raise DeviceError(
+            f"device '{name}': '{key}' must map keys from {sorted(default)} to numbers, "
+            f"got {doc[key]!r}"
+        ) from None
 
 
 def load_profile(document: str) -> DeviceProfile:
@@ -108,19 +121,25 @@ def load_profile(document: str) -> DeviceProfile:
     for key in ("dsp_total", "bram_total", "lut_total", "ff_total", "clock_mhz"):
         if key not in doc:
             raise DeviceError(f"device '{name}': missing field '{key}'")
-    dma = dict(DEFAULT_DMA_OVERHEAD, **doc.get("dma_overhead", {}))
-    xbar = dict(DEFAULT_XBAR_OVERHEAD, **doc.get("xbar_overhead", {}))
+
+    def integer(key):
+        return _number(name, key, doc[key], int)
+
+    def bandwidth(key):
+        return _number(name, key, doc.get(key, DEFAULT_BW_WORDS_PER_CYCLE),
+                       lambda v: Fraction(str(v)))
+
     return DeviceProfile(
         name=str(name),
-        dsp_total=int(doc["dsp_total"]),
-        bram_total=int(doc["bram_total"]),
-        lut_total=int(doc["lut_total"]),
-        ff_total=int(doc["ff_total"]),
-        clock_hz=int(round(float(doc["clock_mhz"]) * 1e6)),
-        bw_in_words_per_cycle=_fraction(doc.get("bw_in_words_per_cycle", DEFAULT_BW_WORDS_PER_CYCLE)),
-        bw_out_words_per_cycle=_fraction(doc.get("bw_out_words_per_cycle", DEFAULT_BW_WORDS_PER_CYCLE)),
-        dma_overhead=ResourceVector(**dma),
-        xbar_overhead=ResourceVector(**xbar),
+        dsp_total=integer("dsp_total"),
+        bram_total=integer("bram_total"),
+        lut_total=integer("lut_total"),
+        ff_total=integer("ff_total"),
+        clock_hz=_number(name, "clock_mhz", doc["clock_mhz"], lambda v: int(round(float(v) * 1e6))),
+        bw_in_words_per_cycle=bandwidth("bw_in_words_per_cycle"),
+        bw_out_words_per_cycle=bandwidth("bw_out_words_per_cycle"),
+        dma_overhead=_overhead(name, doc, "dma_overhead", DEFAULT_DMA_OVERHEAD),
+        xbar_overhead=_overhead(name, doc, "xbar_overhead", DEFAULT_XBAR_OVERHEAD),
     )
 
 

@@ -35,7 +35,6 @@ class NodeCapability:
     coarse_out: int = 1
     fine: int = 1
     supports_types: frozenset = frozenset()
-    runtime_configurable: bool = True
 
     def __post_init__(self):
         if self.kind in ("Conv3D", "FullyConnected"):
@@ -72,6 +71,20 @@ class NodeCapability:
             fine=self.fine if fine is None else fine,
         )
 
+    def refit(self, **changes) -> "NodeCapability":
+        """Copy with `changes` applied and each fold cut to `legal_fold` of its
+        preferred value. Outside Conv/FC the output fold is the input fold;
+        outside Conv3D the fine fold is 1."""
+        f = {**vars(self), **changes}
+        kd, kh, kw = f["kernel_max"]
+        f["coarse_in"] = legal_fold(f["coarse_in"], f["shape_in_max"].c)
+        if self.kind in ("Conv3D", "FullyConnected"):
+            f["coarse_out"] = legal_fold(f["coarse_out"], f["filters_max"])
+        else:
+            f["coarse_out"] = f["coarse_in"]
+        f["fine"] = legal_fold(f["fine"], kd * kh * kw) if self.kind == "Conv3D" else 1
+        return NodeCapability(**f)
+
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -83,7 +96,6 @@ class NodeCapability:
             "coarse_out": self.coarse_out,
             "fine": self.fine,
             "supports_types": sorted(self.supports_types),
-            "runtime_configurable": self.runtime_configurable,
         }
 
     @classmethod
@@ -98,7 +110,6 @@ class NodeCapability:
             coarse_out=int(doc.get("coarse_out", 1)),
             fine=int(doc.get("fine", 1)),
             supports_types=frozenset(doc.get("supports_types", [])),
-            runtime_configurable=bool(doc.get("runtime_configurable", True)),
         )
 
 
@@ -111,7 +122,7 @@ def _shape_max(shapes) -> TensorShape:
     )
 
 
-def capability_for_layers(kind, layers, runtime_configurable=True) -> NodeCapability:
+def capability_for_layers(kind, layers) -> NodeCapability:
     """Derive a maximal capability covering every given layer of one kind."""
     if not layers:
         raise HardwareGraphError("cannot derive a capability from zero layers")
@@ -136,7 +147,6 @@ def capability_for_layers(kind, layers, runtime_configurable=True) -> NodeCapabi
         filters_max=filters_max,
         kernel_max=kernel_max,
         supports_types=supports,
-        runtime_configurable=runtime_configurable,
     )
 
 
@@ -154,6 +164,12 @@ class HardwareGraph:
             for lid in layer_ids:
                 inv[lid] = node_id
         return inv
+
+    def with_node(self, node_id: str, cap: NodeCapability) -> "HardwareGraph":
+        """Copy with one node's capability replaced."""
+        return HardwareGraph(
+            nodes={**self.nodes, node_id: cap}, mapping=dict(self.mapping), fused=dict(self.fused)
+        )
 
     def validate_cover(self, model: ModelGraph):
         """Disjoint-cover invariant: every non-fused layer mapped exactly once."""
@@ -173,6 +189,8 @@ class HardwareGraph:
                 f"mapping does not cover the model (missing {missing}, extra {extra})"
             )
         for node_id, layer_ids in self.mapping.items():
+            if node_id not in self.nodes:
+                raise HardwareGraphError(f"mapping names unknown node '{node_id}'")
             kind = self.nodes[node_id].kind
             for lid in layer_ids:
                 if model.layers[lid].kind != kind:
@@ -215,7 +233,7 @@ def _fresh_node_id(kind: str, existing) -> str:
     return f"{tag}_{i}"
 
 
-def initial_mapping(model: ModelGraph, runtime_configurable=True) -> HardwareGraph:
+def initial_mapping(model: ModelGraph) -> HardwareGraph:
     """One computation node per layer kind, sized to cover all its layers."""
     kinds = []
     for layer in model.layers.values():
@@ -226,7 +244,7 @@ def initial_mapping(model: ModelGraph, runtime_configurable=True) -> HardwareGra
     for kind in kinds:
         layers = model.layers_of_kind(kind)
         node_id = _fresh_node_id(kind, nodes)
-        nodes[node_id] = capability_for_layers(kind, layers, runtime_configurable)
+        nodes[node_id] = capability_for_layers(kind, layers)
         mapping[node_id] = tuple(l.id for l in layers)
     return HardwareGraph(nodes=nodes, mapping=mapping)
 
@@ -244,28 +262,15 @@ def combine_nodes(g: HardwareGraph, node_ids, model: ModelGraph) -> HardwareGrap
     kind = caps[0].kind
     if any(c.kind != kind for c in caps):
         raise HardwareGraphError("cannot combine nodes of different kinds")
-    shape_in = _shape_max([c.shape_in_max for c in caps])
-    shape_out = _shape_max([c.shape_out_max for c in caps])
-    filters_max = max(c.filters_max for c in caps)
-    kernel_max = tuple(max(c.kernel_max[i] for c in caps) for i in range(3))
-    coarse_in = legal_fold(max(c.coarse_in for c in caps), shape_in.c)
-    if kind in ("Conv3D", "FullyConnected"):
-        coarse_out = legal_fold(max(c.coarse_out for c in caps), filters_max)
-    else:
-        coarse_out = coarse_in
-    kvol = kernel_max[0] * kernel_max[1] * kernel_max[2]
-    fine = legal_fold(max(c.fine for c in caps), kvol) if kind == "Conv3D" else 1
-    merged = NodeCapability(
-        kind=kind,
-        shape_in_max=shape_in,
-        shape_out_max=shape_out,
-        filters_max=filters_max,
-        kernel_max=kernel_max,
-        coarse_in=coarse_in,
-        coarse_out=coarse_out,
-        fine=fine,
+    merged = caps[0].refit(
+        shape_in_max=_shape_max([c.shape_in_max for c in caps]),
+        shape_out_max=_shape_max([c.shape_out_max for c in caps]),
+        filters_max=max(c.filters_max for c in caps),
+        kernel_max=tuple(max(c.kernel_max[i] for c in caps) for i in range(3)),
+        coarse_in=max(c.coarse_in for c in caps),
+        coarse_out=max(c.coarse_out for c in caps),
+        fine=max(c.fine for c in caps),
         supports_types=frozenset().union(*[c.supports_types for c in caps]),
-        runtime_configurable=all(c.runtime_configurable for c in caps),
     )
     nodes = {nid: cap for nid, cap in g.nodes.items() if nid not in node_ids}
     mapping = {nid: lids for nid, lids in g.mapping.items() if nid not in node_ids}
@@ -288,26 +293,8 @@ def separate_node(g: HardwareGraph, node_id: str, layer_ids, model: ModelGraph) 
             raise HardwareGraphError(f"layer '{lid}' is not mapped to node '{node_id}'")
     source = g.nodes[node_id]
     remaining = tuple(lid for lid in assigned if lid not in detach)
-    new_cap = capability_for_layers(
-        source.kind,
-        [model.layers[lid] for lid in detach],
-        source.runtime_configurable,
-    )
-    new_cap = new_cap.with_folds(
-        coarse_in=legal_fold(source.coarse_in, new_cap.shape_in_max.c),
-        coarse_out=(
-            legal_fold(source.coarse_out, new_cap.filters_max)
-            if source.kind in ("Conv3D", "FullyConnected")
-            else legal_fold(source.coarse_in, new_cap.shape_in_max.c)
-        ),
-        fine=(
-            legal_fold(
-                source.fine,
-                new_cap.kernel_max[0] * new_cap.kernel_max[1] * new_cap.kernel_max[2],
-            )
-            if source.kind == "Conv3D"
-            else 1
-        ),
+    new_cap = capability_for_layers(source.kind, [model.layers[lid] for lid in detach]).refit(
+        coarse_in=source.coarse_in, coarse_out=source.coarse_out, fine=source.fine
     )
     nodes = dict(g.nodes)
     mapping = dict(g.mapping)

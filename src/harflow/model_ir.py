@@ -264,25 +264,10 @@ def _check_graph_structure(model: ModelGraph):
     for src, dst in model.edges:
         if src not in ids or dst not in ids:
             raise ModelError(f"edge ({src}, {dst}) references unknown layer")
-    # cycle check via Kahn's algorithm
-    indeg = {lid: 0 for lid in ids}
-    for _, dst in model.edges:
-        indeg[dst] += 1
-    queue = sorted(lid for lid, n in indeg.items() if n == 0)
-    seen = 0
-    frontier = list(queue)
-    indeg_work = dict(indeg)
-    while frontier:
-        lid = frontier.pop()
-        seen += 1
-        for nxt in model.successors(lid):
-            indeg_work[nxt] -= 1
-            if indeg_work[nxt] == 0:
-                frontier.append(nxt)
-    if seen != len(ids):
-        cyclic = sorted(lid for lid, n in indeg_work.items() if n > 0)
-        raise ModelError(f"cycle detected involving layers {cyclic}")
-    sources = sorted(lid for lid, n in indeg.items() if n == 0)
+    order = topological_order(model)
+    if len(order) != len(ids):
+        raise ModelError(f"cycle detected involving layers {sorted(ids - set(order))}")
+    sources = sorted(ids - {dst for _, dst in model.edges})
     if len(sources) != 1:
         raise ModelError(f"model must have a single input layer, found {sources}")
     # connectivity from the single input
@@ -296,8 +281,9 @@ def _check_graph_structure(model: ModelGraph):
         stack.extend(model.successors(lid))
     if reach != ids:
         raise ModelError(f"layers unreachable from input: {sorted(ids - reach)}")
-    # edge shape consistency; input slots follow edge declaration order
-    incoming = {lid: [] for lid in ids}
+    # edge shape consistency, checked in layer declaration order so the layer
+    # reported does not vary with string hashing; input slots follow edge order
+    incoming = {lid: [] for lid in model.layers}
     for src, dst in model.edges:
         incoming[dst].append(src)
     for lid, producers in incoming.items():

@@ -17,10 +17,9 @@ from .hardware_graph import (
     combine_nodes,
     fuse_activations,
     initial_mapping,
-    legal_fold,
     separate_node,
 )
-from .model_ir import ModelGraph
+from .model_ir import ModelGraph, TensorShape
 from .perf_model import compute_latency, schedule_latency
 from .resource_model import default_regression_models, graph_resources
 from .scheduler import (
@@ -58,6 +57,16 @@ class AnnealingParams:
             raise ValueError("need tau_start > tau_min > 0")
         if not (0 < self.cooling < 1):
             raise ValueError("cooling rate must be in (0, 1)")
+        for name, low in (("iterations_per_temperature", 1), ("separate_layers", 1),
+                          ("combine_nodes", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+    @property
+    def mode(self) -> str:
+        """Schedule mode: per-tile runtime configs, or every tile padded to its node."""
+        return MODE_RUNTIME if self.enable_runtime_reconfig else MODE_PADDED
 
 
 @dataclass
@@ -167,19 +176,8 @@ def _reshape(graph, model, node_id, rng):
         new_w = rng.randint(min(kw, w_max), w_max)
         c_choices = sorted({d for s in shapes for d in _divisors(s.c)})
         new_c = rng.choice(c_choices)
-        new_shape = type(cap.shape_in_max)(new_d, h_max, new_w, new_c)
-    c_in = legal_fold(cap.coarse_in, new_shape.c)
-    new_cap = replace(
-        cap,
-        shape_in_max=new_shape,
-        coarse_in=c_in,
-        coarse_out=(
-            cap.coarse_out if cap.kind in ("Conv3D", "FullyConnected") else c_in
-        ),
-    )
-    nodes = dict(graph.nodes)
-    nodes[node_id] = new_cap
-    return HardwareGraph(nodes=nodes, mapping=dict(graph.mapping), fused=dict(graph.fused))
+        new_shape = TensorShape(new_d, h_max, new_w, new_c)
+    return graph.with_node(node_id, cap.refit(shape_in_max=new_shape))
 
 
 def _coarse_fold(graph, model, node_id, rng):
@@ -192,18 +190,13 @@ def _coarse_fold(graph, model, node_id, rng):
     else:
         c = rng.choice(_divisors(cap.shape_in_max.c))
         new_cap = cap.with_folds(coarse_in=c, coarse_out=c)
-    nodes = dict(graph.nodes)
-    nodes[node_id] = new_cap
-    return HardwareGraph(nodes=nodes, mapping=dict(graph.mapping), fused=dict(graph.fused))
+    return graph.with_node(node_id, new_cap)
 
 
 def _fine_fold(graph, model, node_id, rng):
     cap = graph.nodes[node_id]
     kvol = cap.kernel_max[0] * cap.kernel_max[1] * cap.kernel_max[2]
-    new_cap = cap.with_folds(fine=rng.choice(_divisors(kvol)))
-    nodes = dict(graph.nodes)
-    nodes[node_id] = new_cap
-    return HardwareGraph(nodes=nodes, mapping=dict(graph.mapping), fused=dict(graph.fused))
+    return graph.with_node(node_id, cap.with_folds(fine=rng.choice(_divisors(kvol))))
 
 
 def _combine(graph, model, rng, n_c):
@@ -277,8 +270,8 @@ def _sample_capabilities(graph, model, rng):
 def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
                rng: random.Random, lut_model=None, ff_model=None):
     """Initial per-kind mapping with the best feasible of R random fold samplings."""
-    mode = MODE_RUNTIME if params.enable_runtime_reconfig else MODE_PADDED
-    base = initial_mapping(model, runtime_configurable=params.enable_runtime_reconfig)
+    mode = params.mode
+    base = initial_mapping(model)
     if params.enable_fusion:
         base = fuse_activations(base, model)
     best = None
@@ -349,12 +342,8 @@ def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mod
         for nid in sorted(best.graph.nodes):
             headroom = dev.dsp_total - best.resources.dsp
             for cap in _fold_neighbours(best.graph.nodes[nid], headroom):
-                nodes = dict(best.graph.nodes)
-                nodes[nid] = cap
-                graph = HardwareGraph(
-                    nodes=nodes, mapping=dict(best.graph.mapping), fused=dict(best.graph.fused)
-                )
-                cand = evaluate(model, graph, dev, mode, lut_model, ff_model)
+                cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode,
+                                lut_model, ff_model)
                 if cand.feasible and cand.latency_cycles < best.latency_cycles:
                     best = cand
                     improved = True
@@ -451,7 +440,6 @@ def pareto_sweep(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
     budgets = list(budgets)
     if budgets != sorted(budgets):
         raise ValueError("budgets must be ascending")
-    mode = MODE_RUNTIME if params.enable_runtime_reconfig else MODE_PADDED
     points = []
     carry = None
     for i, cap in enumerate(budgets):
@@ -462,7 +450,7 @@ def pareto_sweep(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
         except OptimizerError:
             best = None
         if carry is not None:
-            carried = evaluate(model, carry.graph, capped, mode)
+            carried = evaluate(model, carry.graph, capped, params.mode)
             if carried.feasible and (
                 best is None or carried.latency_cycles < best.latency_cycles
             ):

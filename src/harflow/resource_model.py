@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ResourceVector
+from .model_ir import LAYER_KINDS
 
 
 class ResourceModelError(ValueError):
@@ -68,30 +69,21 @@ def node_bram(cap) -> int:
     return sliding_window_bram(cap) + weights_bram(cap)
 
 
-REGRESSION_KINDS = (
-    "Conv3D",
-    "FullyConnected",
-    "Pool3D",
-    "Activation",
-    "GlobalAvgPool",
-    "ElementWise",
-)
-REGRESSION_FEATURES = ("c_in", "c_out", "f", "kvol", "smax") + tuple(
-    f"is_{k}" for k in REGRESSION_KINDS
-)
+NUMERIC_FEATURES = ("c_in", "c_out", "f", "kvol", "smax")
+REGRESSION_FEATURES = NUMERIC_FEATURES + tuple(f"is_{k}" for k in LAYER_KINDS)
+
+
+def _features(kind, numeric) -> list:
+    """REGRESSION_FEATURES values: the numeric columns, then a one-hot of the kind."""
+    return [float(x) for x in numeric] + [1.0 if kind == k else 0.0 for k in LAYER_KINDS]
 
 
 def capability_features(cap) -> list:
     kd, kh, kw = cap.kernel_max
-    feats = [
-        float(cap.coarse_in),
-        float(cap.coarse_out),
-        float(cap.fine),
-        float(kd * kh * kw),
-        float(cap.shape_in_max.numel),
-    ]
-    feats.extend(1.0 if cap.kind == k else 0.0 for k in REGRESSION_KINDS)
-    return feats
+    return _features(
+        cap.kind,
+        (cap.coarse_in, cap.coarse_out, cap.fine, kd * kh * kw, cap.shape_in_max.numel),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,18 +136,6 @@ def _rows_from_csv(samples_csv: str) -> list:
     return rows
 
 
-def _row_features(row) -> list:
-    feats = [
-        float(row["c_in"]),
-        float(row["c_out"]),
-        float(row["f"]),
-        float(row["kvol"]),
-        float(row["smax"]),
-    ]
-    feats.extend(1.0 if row["kind"] == k else 0.0 for k in REGRESSION_KINDS)
-    return feats
-
-
 def regression_fit(samples_csv: str, target: str, ridge: bool = False) -> RegressionModel:
     """Least-squares fit of a LUT or FF estimator from a calibration CSV.
 
@@ -168,7 +148,7 @@ def regression_fit(samples_csv: str, target: str, ridge: bool = False) -> Regres
     rows = _rows_from_csv(samples_csv)
     if len(rows) < 2:
         raise ResourceModelError("need at least 2 calibration samples")
-    x = np.array([_row_features(r) for r in rows])
+    x = np.array([_features(r["kind"], (r[k] for k in NUMERIC_FEATURES)) for r in rows])
     y = np.array([float(r[target]) for r in rows])
     n_params = x.shape[1]
     if ridge:

@@ -141,9 +141,14 @@ def _tile_output_shape(layer, tile_shape, pad):
 
 
 def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
-    td, th, tw, tc = tile_shape
+    """One tile's configuration: its own shape and border padding, folds cut to fit."""
     kind = layer.kind
-    if kind in ("Conv3D", "Pool3D"):
+    macs = kind in ("Conv3D", "FullyConnected")
+    windowed = kind in ("Conv3D", "Pool3D")
+    td, th, tw, tc = tile_shape
+    pad = (0, 0, 0, 0, 0, 0)
+    out = (1, 1, 1) if kind in ("FullyConnected", "GlobalAvgPool") else (td, th, tw)
+    if windowed:
         # border tiles keep the layer padding
         pad = tuple(
             p if on_border else 0
@@ -152,60 +157,23 @@ def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
                 (first[0], last[0], first[1], last[1], first[2], last[2]),
             )
         )
-        od, oh, ow = _tile_output_shape(layer, tile_shape, pad)
-        kvol = layer.kernel_volume
-        if kind == "Conv3D":
-            return RuntimeConfig(
-                kind=kind,
-                shape_in=TensorShape(td, th, tw, tc),
-                shape_out=TensorShape(od, oh, ow, f_count),
-                filters=f_count,
-                kernel=layer.kernel,
-                stride=layer.stride,
-                padding=pad,
-                groups=layer.groups,
-                coarse_in=math.gcd(tc, cap.coarse_in),
-                coarse_out=math.gcd(f_count, cap.coarse_out),
-                fine=math.gcd(kvol, cap.fine),
-                accumulate_psum=psum,
-            )
-        c = math.gcd(tc, cap.coarse_in)
-        return RuntimeConfig(
-            kind=kind,
-            shape_in=TensorShape(td, th, tw, tc),
-            shape_out=TensorShape(od, oh, ow, tc),
-            kernel=layer.kernel,
-            stride=layer.stride,
-            padding=pad,
-            op_type=layer.op_type,
-            coarse_in=c,
-            coarse_out=c,
-        )
-    if kind == "FullyConnected":
-        return RuntimeConfig(
-            kind=kind,
-            shape_in=TensorShape(1, 1, 1, tc),
-            shape_out=TensorShape(1, 1, 1, f_count),
-            filters=f_count,
-            coarse_in=math.gcd(tc, cap.coarse_in),
-            coarse_out=math.gcd(f_count, cap.coarse_out),
-            accumulate_psum=psum,
-        )
-    # Activation / ElementWise / GlobalAvgPool
-    c = math.gcd(tc, cap.coarse_in)
-    out = (
-        TensorShape(1, 1, 1, tc)
-        if kind == "GlobalAvgPool"
-        else TensorShape(td, th, tw, tc)
-    )
+        out = _tile_output_shape(layer, tile_shape, pad)
+    c_in = math.gcd(tc, cap.coarse_in)
     return RuntimeConfig(
         kind=kind,
         shape_in=TensorShape(td, th, tw, tc),
-        shape_out=out,
-        op_type=layer.op_type,
-        broadcast=layer.broadcast,
-        coarse_in=c,
-        coarse_out=c,
+        shape_out=TensorShape(*out, f_count if macs else tc),
+        filters=f_count if macs else 0,
+        kernel=layer.kernel if windowed else (1, 1, 1),
+        stride=layer.stride if windowed else (1, 1, 1),
+        padding=pad,
+        groups=layer.groups if kind == "Conv3D" else 1,
+        op_type="" if macs else layer.op_type,
+        broadcast=layer.broadcast and not (macs or windowed),
+        coarse_in=c_in,
+        coarse_out=math.gcd(f_count, cap.coarse_out) if macs else c_in,
+        fine=math.gcd(layer.kernel_volume, cap.fine) if kind == "Conv3D" else 1,
+        accumulate_psum=psum and macs,
     )
 
 
@@ -308,7 +276,6 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
         node_id = inv[lid]
         cap = g.nodes[node_id]
         _check_capability(layer, node_id, cap)
-        padded = mode == MODE_PADDED or not cap.runtime_configurable
 
         ld, lh, lw, lc = _layer_input_dims(layer)
         nd, nh, nw, nc = _node_tile_dims(cap)
@@ -328,7 +295,7 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
             key = ((td, th, tw, tc), first, last, tf, psum)
             cfg = memo.get(key)
             if cfg is None:
-                if padded:
+                if mode == MODE_PADDED:
                     cfg = _padded_config(layer, cap, psum)
                 else:
                     cfg = _runtime_config(layer, cap, (td, th, tw, tc), first, last, tf, psum)

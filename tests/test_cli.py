@@ -87,6 +87,20 @@ def _conv_node(doc):
     return doc["graph"]["nodes"]["conv_0"]
 
 
+def _double_map_conv(doc):
+    """Map the conv layer to a copy of its node as well."""
+    graph = doc["graph"]
+    graph["nodes"]["conv_9"] = dict(graph["nodes"]["conv_0"])
+    graph["mapping"]["conv_9"] = ["conv"]
+
+
+def _bad_device(workdir, **fields):
+    """The zcu102 profile with `fields` replaced, written to a file."""
+    path = workdir / "bad_device.json"
+    path.write_text(json.dumps(dict(load_bundled_profile("zcu102").to_dict(), **fields)))
+    return str(path)
+
+
 def _unscorable_schedule(workdir):
     """schedule.json of the toy design with one config at a zero channel fold."""
     with open(_schedule_file(workdir)) as fh:
@@ -127,6 +141,13 @@ def _search(workdir, cmd, *extra):
     return [cmd, "--model", "toy", "--device", "zcu102", "--out", str(workdir / "out"), *extra]
 
 
+def _multishape_search(workdir, **params):
+    """optimize on multishape, whose combine and separate moves have candidates."""
+    return ["optimize", "--model", "multishape", "--device", "zcu102",
+            "--out", str(workdir / "out"),
+            "--params", _params(workdir, json.dumps(dict(QUICK_PARAMS, **params)))]
+
+
 @pytest.mark.parametrize("argv", [
     lambda w: _search(w, "pareto", "--budgets", "10,x"),
     lambda w: _search(w, "pareto", "--budgets", "256,64"),
@@ -162,6 +183,21 @@ def _search(workdir, cmd, *extra):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _unscorable_schedule(w),
                "--design", str(_design(w, lambda d: None))],
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, dsp_total="abc")),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, dsp_total=None)),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, clock_mhz="fast")),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, bw_in_words_per_cycle="x")),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, dma_overhead=[1])),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, dma_overhead={"foo": 1})),
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["device"].update(dsp_total="abc"))],
+    lambda w: _search(w, "optimize", "--params", _params(
+        w, json.dumps(dict(QUICK_PARAMS, iterations_per_temperature=0)))),
+    lambda w: _multishape_search(w, separate_layers=0),
+    lambda w: _multishape_search(w, combine_nodes=1),
+    lambda w: ["schedule", "--design", _bad_design(w, _double_map_conv)],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: _conv_node(d).update(kernel_max=[1, 1, 1]))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -170,7 +206,11 @@ def _search(workdir, cmd, *extra):
         "schedule-unknown-mode", "schedule-empty-tile", "schedule-zero-fold",
         "schedule-kernel-not-triple", "report-no-device", "report-device-not-object",
         "report-schedule-missing", "report-schedule-bad-json", "report-schedule-bad-entry",
-        "report-schedule-zero-fold"])
+        "report-schedule-zero-fold", "device-dsp-not-number", "device-dsp-null",
+        "device-clock-not-number", "device-bw-not-number", "device-overhead-not-object",
+        "device-overhead-unknown-key", "schedule-device-bad-field",
+        "params-zero-iterations", "params-separate-none", "params-combine-one",
+        "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1

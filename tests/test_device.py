@@ -66,6 +66,20 @@ def test_non_object_document_rejected(document):
         load_profile(document)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dsp_total", "abc"),
+    ("dsp_total", None),
+    ("clock_mhz", "fast"),
+    ("bw_in_words_per_cycle", "x"),
+    ("dma_overhead", [1]),
+    ("dma_overhead", {"foo": 1}),
+])
+def test_malformed_field_rejected(field, value):
+    doc = dict(load_bundled_profile("zcu102").to_dict(), **{field: value})
+    with pytest.raises(DeviceError, match=field):
+        load_profile(json.dumps(doc))
+
+
 def test_with_dsp_cap_never_raises_budget():
     dev = load_bundled_profile("zcu102")
     assert dev.with_dsp_cap(512).dsp_total == 512

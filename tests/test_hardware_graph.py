@@ -197,3 +197,57 @@ def test_graph_dict_round_trip(c3d):
     assert again.mapping == graph.mapping
     assert again.fused == graph.fused
     assert graph_resources(again, dev) == graph_resources(graph, dev)
+
+
+def test_refit_cuts_each_fold_to_a_legal_divisor(c3d, multishape):
+    rng = random.Random(11)
+    for model in (c3d, multishape):
+        for cap in initial_mapping(model).nodes.values():
+            macs = cap.kind in ("Conv3D", "FullyConnected")
+            for _ in range(40):
+                shape = TensorShape(*(rng.randint(1, x) for x in cap.shape_in_max.to_list()))
+                filters = rng.randint(1, cap.filters_max) if macs else 0
+                kernel = tuple(rng.randint(1, k) for k in cap.kernel_max)
+                folds = {k: rng.randint(1, 64) for k in ("coarse_in", "coarse_out", "fine")}
+                new = cap.refit(shape_in_max=shape, filters_max=filters, kernel_max=kernel,
+                                **folds)
+                new.__post_init__()
+                assert (new.shape_in_max, new.filters_max, new.kernel_max) == (
+                    shape, filters, kernel)
+                assert new.coarse_in == legal_fold(folds["coarse_in"], shape.c)
+                assert new.coarse_out == (
+                    legal_fold(folds["coarse_out"], filters) if macs else new.coarse_in
+                )
+                kvol = kernel[0] * kernel[1] * kernel[2]
+                assert new.fine == (
+                    legal_fold(folds["fine"], kvol) if cap.kind == "Conv3D" else 1
+                )
+
+
+def test_with_node_replaces_one_node_and_shares_nothing(multishape):
+    graph = fuse_activations(initial_mapping(multishape), multishape)
+    nid = sorted(graph.nodes)[1]
+    cap = graph.nodes[nid].refit(coarse_in=2)
+    edited = graph.with_node(nid, cap)
+    assert list(edited.nodes.items()) == [
+        (n, cap if n == nid else c) for n, c in graph.nodes.items()
+    ]
+    assert edited.nodes[nid] != graph.nodes[nid]
+    assert edited.mapping == graph.mapping and edited.mapping is not graph.mapping
+    assert edited.fused == graph.fused and edited.fused is not graph.fused
+
+
+def test_validate_cover_rejects_a_mapping_to_an_unknown_node(multishape):
+    graph = initial_mapping(multishape)
+    nid = sorted(graph.nodes)[0]
+    nodes = {n: c for n, c in graph.nodes.items() if n != nid}
+    with pytest.raises(HardwareGraphError, match=f"unknown node '{nid}'"):
+        HardwareGraph(nodes=nodes, mapping=graph.mapping).validate_cover(multishape)
+
+
+def test_from_dict_ignores_a_node_level_runtime_flag(c3d):
+    graph = initial_mapping(c3d)
+    doc = graph.to_dict()
+    for node in doc["nodes"].values():
+        node["runtime_configurable"] = False
+    assert HardwareGraph.from_dict(doc).nodes == graph.nodes

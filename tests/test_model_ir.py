@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from harflow.generators import bundled_model_text
 from harflow.model_ir import (
     LayerDescriptor,
     ModelError,
@@ -181,4 +182,11 @@ def test_elementwise_broadcast_validation():
     assert model.layers["mul"].broadcast
     doc["layers"][2]["broadcast"] = False
     with pytest.raises(ModelError, match="differ without broadcast"):
+        parse_model(json.dumps(doc))
+
+
+def test_edge_count_error_names_the_first_declared_layer():
+    doc = json.loads(bundled_model_text("toy"))
+    doc["edges"] += [["relu", "pool"], ["pool", "fc"]]  # pool and fc get two inputs
+    with pytest.raises(ModelError, match="layer 'pool': 2 incoming edges"):
         parse_model(json.dumps(doc))

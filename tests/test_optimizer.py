@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 import random
 
@@ -105,7 +107,7 @@ def test_feasibility_invariants_over_search_moves(runtime):
     models += [parse_model(bundled_model_text(name)) for name in bundled_model_names()]
     empty = 0
     for model in models:
-        graph = initial_mapping(model, runtime_configurable=runtime)
+        graph = initial_mapping(model)
         if rng.random() < 0.5:
             graph = fuse_activations(graph, model)
         graph = _sample_capabilities(graph, model, rng)
@@ -237,3 +239,41 @@ def test_info_logging_reports_chain_progress(toy, zcu102, caplog):
         f"fold_climb: {searched.best_cycles} -> {best.latency_cycles} cycles"
     )
     assert len(messages) == 2 + -(-temperatures // 10)
+
+
+def _move_fingerprint(name, seed, mode):
+    """(feasible states, sha256 prefix) of 50 search moves from a sampled warm start."""
+    model = parse_model(bundled_model_text(name))
+    dev = load_bundled_profile("zcu102")
+    params = AnnealingParams(**QUICK)
+    rng = random.Random(seed)
+    graph = _sample_capabilities(fuse_activations(initial_mapping(model), model), model, rng)
+    states = []
+    for _ in range(50):
+        graph = random_transformation(model, graph, rng, params)
+        state = evaluate(model, graph, dev, mode)
+        states.append([graph.to_dict(), state.latency_cycles, state.violations])
+    feasible = sum(not violations for *_, violations in states)
+    return feasible, hashlib.sha256(json.dumps(states).encode()).hexdigest()[:16]
+
+
+# Computed while nodes still carried a runtime flag of their own (set from the
+# mode, and left out of the hashed graph documents); the reshape, fold,
+# combine and separate moves must still produce these graphs and latencies.
+PINNED_MOVES = {
+    "toy/runtime_configurable": (0, "27c095332fd9d7c6"),
+    "toy/padded_baseline": (50, "c75a0b0a23922df4"),
+    "multishape/runtime_configurable": (3, "b8e5941f35ff6ba4"),
+    "multishape/padded_baseline": (3, "dd9d4a5f20c7a071"),
+    "c3d/runtime_configurable": (0, "f7628837cfefe734"),
+    "c3d/padded_baseline": (4, "d1bf28f7f4b680f4"),
+}
+
+
+def test_search_moves_match_pinned_fixture():
+    fingerprints = {
+        f"{name}/{mode}": _move_fingerprint(name, seed, mode)
+        for seed, name in enumerate(("toy", "multishape", "c3d"))
+        for mode in (MODE_RUNTIME, MODE_PADDED)
+    }
+    assert fingerprints == PINNED_MOVES

@@ -234,7 +234,7 @@ def _counted_schedule_cases(mode):
         yield model, _randomly_shrunk(initial_mapping(model), model, rng), True
     for name in bundled_model_names():
         model = parse_model(bundled_model_text(name))
-        base = initial_mapping(model, runtime_configurable=mode == MODE_RUNTIME)
+        base = initial_mapping(model)
         for fuse in (False, True):
             graph = fuse_activations(base, model) if fuse else base
             graph = _sample_capabilities(graph, model, rng)
