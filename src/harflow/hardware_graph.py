@@ -172,7 +172,18 @@ class HardwareGraph:
         )
 
     def validate_cover(self, model: ModelGraph):
-        """Disjoint-cover invariant: every non-fused layer mapped exactly once."""
+        """Disjoint-cover invariant: every non-fused layer mapped exactly once, and
+        every fused layer an activation absorbed into its single fusible producer."""
+        for lid, producer in self.fused.items():
+            layer = model.layers.get(lid)
+            if layer is None or layer.kind != "Activation":
+                raise HardwareGraphError(f"fused layer '{lid}' is not an activation of the model")
+            if (model.predecessors(lid) != [producer]
+                    or model.layers[producer].kind not in FUSIBLE_PRODUCER_KINDS):
+                raise HardwareGraphError(
+                    f"fused activation '{lid}' does not have '{producer}' as its single "
+                    f"producer of a kind in {FUSIBLE_PRODUCER_KINDS}"
+                )
         seen = {}
         for node_id, layer_ids in self.mapping.items():
             for lid in layer_ids:
@@ -208,10 +219,15 @@ class HardwareGraph:
 
     @classmethod
     def from_dict(cls, doc) -> "HardwareGraph":
+        mapping = {nid: tuple(lids) for nid, lids in doc["mapping"].items()}
+        fused = dict(doc.get("fused", {}))
+        names = [lid for lids in mapping.values() for lid in lids] + [*fused, *fused.values()]
+        if not all(isinstance(name, str) for name in names):
+            raise HardwareGraphError("mapping entries and fused layer ids must be strings")
         return cls(
             nodes={nid: NodeCapability.from_dict(d) for nid, d in doc["nodes"].items()},
-            mapping={nid: tuple(lids) for nid, lids in doc["mapping"].items()},
-            fused=dict(doc.get("fused", {})),
+            mapping=mapping,
+            fused=fused,
         )
 
 

@@ -4,6 +4,13 @@ A candidate state bundles a hardware graph with its schedule, latency and
 resource estimate. The annealer perturbs states with the reshaping, folding
 and combine/separate transformations, subject to the device constraint set.
 Chains are deterministic per seed.
+
+A move changes one node, or a few for combine and separate, of a state that
+is already scored. So `anneal` and `fold_climb` evaluate each candidate with
+the state it came from as `parent`: the schedule reuses the parent's
+per-layer plans and scored cycles on every unchanged node, and only the
+layers on changed nodes are re-tiled and re-scored. The result equals an
+evaluation from scratch.
 """
 
 import logging
@@ -111,13 +118,19 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
 
 def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: str,
-             lut_model=None, ff_model=None) -> CandidateState:
-    """Schedule, measure and constraint-check one hardware graph."""
+             lut_model=None, ff_model=None, parent: CandidateState = None) -> CandidateState:
+    """Schedule, measure and constraint-check one hardware graph.
+
+    `parent` is the state a move started from; its schedule lends the layer
+    plans and scored cycles of every node the move left unchanged. The
+    result equals the one without `parent`.
+    """
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
     resources = graph_resources(graph, dev, lut_model, ff_model)
     try:
-        schedule = build_schedule(model, graph, mode)
+        schedule = build_schedule(model, graph, mode,
+                                  parent=None if parent is None else parent.schedule)
     except InfeasibleScheduleError as exc:
         return CandidateState(
             graph=graph,
@@ -343,7 +356,7 @@ def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mod
             headroom = dev.dsp_total - best.resources.dsp
             for cap in _fold_neighbours(best.graph.nodes[nid], headroom):
                 cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode,
-                                lut_model, ff_model)
+                                lut_model, ff_model, parent=best)
                 if cand.feasible and cand.latency_cycles < best.latency_cycles:
                     best = cand
                     improved = True
@@ -365,18 +378,23 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
     trace = []
     tau = params.tau_start
     iteration = 0
+    accepted = logged = 0  # moves accepted since, and iteration of, the last progress line
     ms = 1e3 / dev.clock_hz
     while tau > params.tau_min:
         if iteration % (10 * params.iterations_per_temperature) == 0:  # every 10th tau
-            log.info("tau %.4g: current %d, best %d cycles",
-                     tau, current.latency_cycles, best.latency_cycles)
+            moves = iteration - logged
+            log.info("tau %.4g: current %d, best %d cycles; accepted %d of %d moves (%.0f%%)",
+                     tau, current.latency_cycles, best.latency_cycles,
+                     accepted, moves, 100 * accepted / max(moves, 1))
+            accepted, logged = 0, iteration
         for _ in range(params.iterations_per_temperature):
             new_graph = random_transformation(model, current.graph, rng, params)
-            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model)
+            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model, parent=current)
             if state.feasible:
                 delta_ms = (state.latency_cycles - current.latency_cycles) * ms
                 if delta_ms <= 0 or rng.random() < math.exp(-delta_ms / tau):
                     current = state
+                    accepted += 1
                 if state.latency_cycles < best.latency_cycles:
                     best = state
             trace.append(
@@ -456,7 +474,10 @@ def pareto_sweep(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
             ):
                 best = carried
         if best is None:
+            log.info("budget %d dsp: no feasible design", cap)
             continue
+        log.info("budget %d dsp: best %d cycles, dsp %d", cap, best.latency_cycles,
+                 best.resources.dsp)
         carry = best
         points.append(
             ParetoPoint(

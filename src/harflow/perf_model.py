@@ -181,10 +181,22 @@ def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBr
 
 
 def schedule_latency(schedule, dev=None) -> int:
-    """Total cycles of a schedule: sum of per-invocation roofline latencies."""
+    """Total cycles of a schedule: sum of per-invocation roofline latencies.
+
+    Each part of the schedule keeps its cycles with the bandwidths they were
+    scored at, so a layer plan reused from a parent schedule is not scored
+    again at the same bandwidths.
+    """
     bw_in = dev.bw_in_words_per_cycle if dev is not None else None
     bw_out = dev.bw_out_words_per_cycle if dev is not None else None
-    return sum(
-        invocation_latency(cfg, bw_in, bw_out).total_cycles * n
-        for _, _, cfg, n in schedule.groups
-    )
+    bw = (bw_in, bw_out)
+    total = 0
+    for part in schedule.parts:
+        scored = part.scored
+        if scored is None or scored[0] != bw:
+            part.scored = scored = (bw, sum(
+                invocation_latency(cfg, bw_in, bw_out).total_cycles * n
+                for _, _, cfg, n in part.groups
+            ))
+        total += scored[1]
+    return total

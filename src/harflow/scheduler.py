@@ -3,9 +3,17 @@
 The scheduler walks the model in topological order, greedily tiles each
 layer's feature-map over its computation node (channels fastest, filters
 innermost for Conv/FC) and counts the invocations of each distinct runtime
-configuration; the invocation list itself is expanded on demand. The oracles
-re-derive coverage and cycle counts by explicit enumeration and are kept free
-of the analytical formulas they check.
+configuration; the invocation list itself is expanded on demand.
+
+A layer's tiling plan depends only on the layer, its node id, the node's
+capability and the schedule mode. Given the schedule of a parent state (the
+state an annealing move started from), `build_schedule` reuses the parent's
+plan, with the cycles already scored for it, for every layer whose four
+inputs are unchanged, and the layer order when the model is the same. So a
+move that edits one node re-tiles only that node's layers.
+
+The oracles re-derive coverage and cycle counts by explicit enumeration and
+are kept free of the analytical formulas they check.
 """
 
 import itertools
@@ -73,32 +81,48 @@ class Schedule:
 
     `groups` has one (node_id, layer_id, config, count) per distinct config
     of each layer, in schedule order; latency and constraint checks read
-    only these. `entries` lists every invocation: `Schedule(entries)` counts
-    them into groups, while `build_schedule` passes per-layer tiling plans
-    that are expanded on first access.
+    only these. `parts` partitions the groups into units that
+    `perf_model.schedule_latency` scores once and keeps: one per layer plan
+    of a built schedule, one for all groups of `Schedule(entries)`.
+    `entries` lists every invocation: `Schedule(entries)` counts them into
+    groups, while `build_schedule` passes per-layer tiling plans (keyed by
+    layer id, in schedule order) that are expanded on first access.
+    A built schedule also records its `model`, `mode` and layer `order`.
     """
 
-    def __init__(self, entries=(), plans=None):
-        self._plans = plans
+    def __init__(self, entries=(), plans=None, model=None, mode=None, order=None):
+        self.plans = plans
+        self.model, self.mode, self.order = model, mode, order
         if plans is None:
             self._entries = list(entries)
             counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
-            self.groups = [(nid, lid, cfg, n) for (nid, lid, cfg), n in counts.items()]
+            self.parts = [_Groups([(nid, lid, cfg, n) for (nid, lid, cfg), n in counts.items()])]
         else:
             self._entries = None
-            self.groups = [g for plan in plans for g in plan.groups]
+            self.parts = list(plans.values())
+        self.groups = [g for part in self.parts for g in part.groups]
         self._len = sum(n for *_, n in self.groups)
 
     @property
     def entries(self) -> list:
         if self._entries is None:
             self._entries = []
-            for plan in self._plans:
+            for plan in self.parts:
                 self._entries.extend(plan.entries())
         return self._entries
 
     def __len__(self):
         return self._len
+
+
+class _Groups:
+    """Counted groups scored as one unit; `scored` is (bandwidths, cycles) once scored."""
+
+    __slots__ = ("groups", "scored")
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.scored = None
 
 
 def _check_capability(layer, node_id, cap):
@@ -222,16 +246,27 @@ def _axis_classes(full: int, tile: int) -> dict:
     return classes
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _LayerPlan:
-    """One layer's tiling: (full, tile) per axis (H, W, D, C, F), the config
-    of each combination of tile classes, and the layer's counted groups."""
+    """One layer's tiling on its node: (full, tile) per axis (H, W, D, C, F),
+    the config of each combination of tile classes, and the layer's counted
+    groups. `layer`, `node_id` and `cap` are what the plan was built from;
+    `scored` is kept by `perf_model.schedule_latency`."""
 
+    layer: object
     node_id: str
-    layer_id: str
+    cap: object
     axes: tuple
     configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
     groups: list
+    scored: tuple = None
+
+    def built_from(self, layer, node_id, cap) -> bool:
+        """True when the plan is what `_plan_layer(layer, node_id, cap, mode)` gives
+        for its schedule's mode."""
+        return (self.node_id == node_id
+                and (self.cap is cap or self.cap == cap)
+                and (self.layer is layer or self.layer == layer))
 
     def entries(self) -> list:
         """Every invocation of the layer, channels fastest, filters innermost."""
@@ -241,7 +276,7 @@ class _LayerPlan:
             return [(i, o, x, (i == 0, i == n - 1)) for i, (o, x) in enumerate(tiles)]
 
         h, w, d, c, f = (indexed(*axis) for axis in self.axes)
-        node_id, layer_id, configs = self.node_id, self.layer_id, self.configs
+        node_id, layer_id, configs = self.node_id, self.layer.id, self.configs
         out = []
         for ih, oh, th, ch in h:
             for iw, ow, tw, cw in w:
@@ -256,18 +291,62 @@ class _LayerPlan:
         return out
 
 
-def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME) -> Schedule:
-    """Tile every schedulable layer and count its invocations per config.
+def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
+    """Tile one layer over its node and count its invocations per config.
 
     Per axis a layer has at most three tile classes (first, interior, last),
-    so its distinct configs and their counts are a product over classes; the
-    invocation list itself is only expanded if `Schedule.entries` is read.
+    so its distinct configs and their counts are a product over classes.
+    """
+    _check_capability(layer, node_id, cap)
+    ld, lh, lw, lc = _layer_input_dims(layer)
+    nd, nh, nw, nc = _node_tile_dims(cap)
+    if layer.kind in ("Conv3D", "FullyConnected"):
+        filters = (layer.filters, cap.filters_max)
+    else:
+        filters = (0, 1)  # no filter axis: one empty tile
+    axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
+
+    memo = {}  # tiles of different classes may run the same config
+    configs, counts = {}, {}
+    for (ch, (th, kh)), (cw, (tw, kw)), (cd, (td, kd)), (cc, (tc, kc)), (cf, (tf, kf)) in (
+        itertools.product(*(_axis_classes(*axis).items() for axis in axes))
+    ):
+        first, last = (cd[0], ch[0], cw[0]), (cd[1], ch[1], cw[1])
+        psum = not cc[1]
+        key = ((td, th, tw, tc), first, last, tf, psum)
+        cfg = memo.get(key)
+        if cfg is None:
+            if mode == MODE_PADDED:
+                cfg = _padded_config(layer, cap, psum)
+            else:
+                cfg = _runtime_config(layer, cap, (td, th, tw, tc), first, last, tf, psum)
+            memo[key] = cfg
+        configs[ch, cw, cd, cc, cf] = cfg
+        counts[cfg] = counts.get(cfg, 0) + kh * kw * kd * kc * kf
+    groups = [(node_id, layer.id, cfg, n) for cfg, n in counts.items()]
+    return _LayerPlan(layer, node_id, cap, axes, configs, groups)
+
+
+def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,
+                   parent: Schedule = None) -> Schedule:
+    """Tile every schedulable layer and count its invocations per config.
+
+    With `parent`, a schedule built in the same mode, each layer whose
+    descriptor, node id and node capability equal the parent's keeps the
+    parent's plan; the rest are planned afresh. The result is the same
+    as without `parent`.
     """
     if mode not in (MODE_RUNTIME, MODE_PADDED):
         raise ValueError(f"unknown schedule mode '{mode}'")
+    # a schedule counted from entries records no mode or model, so lends nothing
+    reuse = parent.plans if parent is not None and parent.mode == mode else {}
+    if parent is not None and parent.model is model:
+        order = parent.order
+    else:
+        order = topological_order(model)
     inv = g.inverse_mapping()
-    plans = []
-    for lid in topological_order(model):
+    plans = {}
+    for lid in order:
         if lid in g.fused:
             continue
         layer = model.layers[lid]
@@ -275,36 +354,11 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
             raise InfeasibleScheduleError(lid, "<none>", "layer not mapped")
         node_id = inv[lid]
         cap = g.nodes[node_id]
-        _check_capability(layer, node_id, cap)
-
-        ld, lh, lw, lc = _layer_input_dims(layer)
-        nd, nh, nw, nc = _node_tile_dims(cap)
-        if layer.kind in ("Conv3D", "FullyConnected"):
-            filters = (layer.filters, cap.filters_max)
-        else:
-            filters = (0, 1)  # no filter axis: one empty tile
-        axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
-
-        memo = {}  # tiles of different classes may run the same config
-        configs, counts = {}, {}
-        for (ch, (th, kh)), (cw, (tw, kw)), (cd, (td, kd)), (cc, (tc, kc)), (cf, (tf, kf)) in (
-            itertools.product(*(_axis_classes(*axis).items() for axis in axes))
-        ):
-            first, last = (cd[0], ch[0], cw[0]), (cd[1], ch[1], cw[1])
-            psum = not cc[1]
-            key = ((td, th, tw, tc), first, last, tf, psum)
-            cfg = memo.get(key)
-            if cfg is None:
-                if mode == MODE_PADDED:
-                    cfg = _padded_config(layer, cap, psum)
-                else:
-                    cfg = _runtime_config(layer, cap, (td, th, tw, tc), first, last, tf, psum)
-                memo[key] = cfg
-            configs[ch, cw, cd, cc, cf] = cfg
-            counts[cfg] = counts.get(cfg, 0) + kh * kw * kd * kc * kf
-        groups = [(node_id, lid, cfg, n) for cfg, n in counts.items()]
-        plans.append(_LayerPlan(node_id, lid, axes, configs, groups))
-    return Schedule(plans=plans)
+        plan = reuse.get(lid)
+        if plan is None or not plan.built_from(layer, node_id, cap):
+            plan = _plan_layer(layer, node_id, cap, mode)
+        plans[lid] = plan
+    return Schedule(plans=plans, model=model, mode=mode, order=order)
 
 
 # ---------------------------------------------------------------------------

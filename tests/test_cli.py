@@ -94,6 +94,13 @@ def _double_map_conv(doc):
     graph["mapping"]["conv_9"] = ["conv"]
 
 
+def _fuse_conv_away(doc):
+    """List the conv layer as fused into relu, with its node and mapping gone."""
+    graph = doc["graph"]
+    del graph["nodes"]["conv_0"], graph["mapping"]["conv_0"]
+    graph["fused"] = {"conv": "relu"}
+
+
 def _bad_device(workdir, **fields):
     """The zcu102 profile with `fields` replaced, written to a file."""
     path = workdir / "bad_device.json"
@@ -198,6 +205,9 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(w, _double_map_conv)],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: _conv_node(d).update(kernel_max=[1, 1, 1]))],
+    lambda w: ["schedule", "--design", _bad_design(w, _fuse_conv_away)],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["graph"]["mapping"].update(conv_0=[["conv"]]))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -210,7 +220,8 @@ def _multishape_search(workdir, **params):
         "device-clock-not-number", "device-bw-not-number", "device-overhead-not-object",
         "device-overhead-unknown-key", "schedule-device-bad-field",
         "params-zero-iterations", "params-separate-none", "params-combine-one",
-        "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node"])
+        "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
+        "schedule-fused-not-activation", "schedule-mapped-id-not-string"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1

@@ -1,0 +1,52 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from harflow.device import load_bundled_profile
+from harflow.generators import bundled_model_text
+from harflow.hardware_graph import HardwareGraph
+from harflow.model_ir import parse_model
+from harflow.optimizer import evaluate
+from harflow.scheduler import MODE_RUNTIME, build_schedule
+
+PROBE = Path(__file__).resolve().parents[1] / "tools" / "design_probe.py"
+
+
+def _probe(out_dir, *runs):
+    args = [arg for run in runs for arg in ("--run", run)]
+    done = subprocess.run([sys.executable, str(PROBE), str(out_dir), *args],
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_design_probe_digest_of_toy_seed_0(tmp_path):
+    assert "toy-runtime-0" in _probe(tmp_path / "a", "toy-runtime-0")
+    _probe(tmp_path / "b", "toy-runtime-0")
+    digest_file = tmp_path / "a" / "toy-runtime-0.json"
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["toy-runtime-0.json"]
+    # two runs of the same tree give the same bytes
+    assert digest_file.read_bytes() == (tmp_path / "b" / "toy-runtime-0.json").read_bytes()
+
+    digest = json.loads(digest_file.read_text())
+    assert digest["optimize_exit"] == 0 and digest["schedule_exit"] == 0
+    assert digest["trace"][0] == "iter,tau,current_cycles,best_cycles,feasible"
+    assert int(digest["trace"][-1].split(",")[3]) == digest["latency_cycles"]
+    model = parse_model(bundled_model_text("toy"))
+    dev = load_bundled_profile("zcu102")
+    graph = HardwareGraph.from_dict(digest["graph"])
+    state = evaluate(model, graph, dev, MODE_RUNTIME)
+    assert state.feasible and state.latency_cycles == digest["latency_cycles"]
+    assert state.resources.to_dict() == digest["resources"]
+    schedule = build_schedule(model, graph, MODE_RUNTIME)
+    assert digest["schedule_stdout"].startswith(f"schedule: {len(schedule)} invocations")
+    assert digest["schedule_bytes"] > 0 and len(digest["schedule_sha256"]) == 64
+
+
+def test_design_probe_lists_the_thirty_runs():
+    done = subprocess.run([sys.executable, str(PROBE), "--list"],
+                          capture_output=True, text=True, check=True)
+    names = done.stdout.split()
+    assert len(names) == len(set(names)) == 30
+    assert {"c3d-runtime-18", "multishape-padded-7", "r2plus1d-runtime-1",
+            "toy-padded-3"} <= set(names)

@@ -29,6 +29,11 @@ def multishape():
     return parse_model(bundled_model_text("multishape"))
 
 
+@pytest.fixture(scope="module")
+def toy():
+    return parse_model(bundled_model_text("toy"))
+
+
 def test_legal_fold_is_common_divisor():
     assert legal_fold(8, 32) == 8
     assert legal_fold(8, 12) == 4
@@ -251,3 +256,41 @@ def test_from_dict_ignores_a_node_level_runtime_flag(c3d):
     for node in doc["nodes"].values():
         node["runtime_configurable"] = False
     assert HardwareGraph.from_dict(doc).nodes == graph.nodes
+
+
+@pytest.mark.parametrize("fused, match", [
+    ({"conv": "relu"}, "'conv' is not an activation"),
+    ({"nosuch": "conv"}, "'nosuch' is not an activation"),
+    ({"relu": "pool"}, "'relu' does not have 'pool' as its single producer"),
+], ids=["not-activation", "unknown-layer", "not-its-producer"])
+def test_validate_cover_rejects_bad_fused_layers(toy, fused, match):
+    graph = initial_mapping(toy)
+    mapping = {nid: tuple(l for l in lids if l not in fused)
+               for nid, lids in graph.mapping.items()}
+    bad = HardwareGraph(nodes=graph.nodes, mapping=mapping, fused=fused)
+    with pytest.raises(HardwareGraphError, match=match):
+        bad.validate_cover(toy)
+    fuse_activations(graph, toy).validate_cover(toy)
+
+
+def test_validate_cover_rejects_an_activation_fed_by_an_unfusible_producer(multishape):
+    graph = initial_mapping(multishape)
+    # act_se follows a GlobalAvgPool, which cannot absorb it
+    producer = multishape.predecessors("act_se")[0]
+    mapping = {nid: tuple(l for l in lids if l != "act_se")
+               for nid, lids in graph.mapping.items()}
+    bad = HardwareGraph(nodes=graph.nodes, mapping=mapping, fused={"act_se": producer})
+    with pytest.raises(HardwareGraphError, match="single producer"):
+        bad.validate_cover(multishape)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["mapping"].update(conv_0=[["conv"]]),
+    lambda doc: doc["mapping"].update(conv_0=[7]),
+    lambda doc: doc.update(fused={"relu": ["conv"]}),
+], ids=["mapping-list", "mapping-int", "fused-value-list"])
+def test_from_dict_rejects_layer_ids_that_are_not_strings(toy, edit):
+    doc = initial_mapping(toy).to_dict()
+    edit(doc)
+    with pytest.raises(HardwareGraphError, match="must be strings"):
+        HardwareGraph.from_dict(doc)

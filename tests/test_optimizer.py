@@ -2,18 +2,23 @@ import hashlib
 import json
 import logging
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from test_acceptance import _random_chain_model
 
+import harflow.optimizer as optimizer
+
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import NodeCapability, fuse_activations, initial_mapping
-from harflow.model_ir import parse_model
+from harflow.model_ir import parse_model, serialize_model
 from harflow.optimizer import (
     AnnealingParams,
     OptimizerError,
     ParetoPoint,
+    _fold_neighbours,
     _sample_capabilities,
     anneal,
     check_constraints,
@@ -218,13 +223,24 @@ def test_pareto_sweep_rejects_unsorted_budgets(toy, zcu102):
         pareto_sweep(toy, zcu102, AnnealingParams(**QUICK), [512, 64])
 
 
-def test_info_logging_reports_chain_progress(toy, zcu102, caplog):
+def test_info_logging_reports_chain_progress(toy, zcu102, caplog, monkeypatch):
     params = AnnealingParams(**QUICK)
     with caplog.at_level(logging.ERROR, logger="harflow"):
-        anneal(toy, zcu102, params)
+        quiet = anneal(toy, zcu102, params)
     assert not caplog.records
+    moves = []  # (parent, state) of each evaluation made from a parent, in call order
+
+    def recording(*args, parent=None, **kwargs):
+        state = evaluate(*args, parent=parent, **kwargs)
+        if parent is not None:
+            moves.append((parent, state))
+        return state
+
+    monkeypatch.setattr(optimizer, "evaluate", recording)
     with caplog.at_level(logging.INFO, logger="harflow"):
         best, trace = anneal(toy, zcu102, params)
+    # logging draws no random number and changes no trace row
+    assert trace == quiet[1] and best.graph.to_dict() == quiet[0].graph.to_dict()
     messages = [r.getMessage() for r in caplog.records]
     temperatures, tau = 0, params.tau_start
     while tau > params.tau_min:
@@ -233,12 +249,34 @@ def test_info_logging_reports_chain_progress(toy, zcu102, caplog):
     assert messages[0].startswith("warm start: ")
     assert f"of {params.warm_start_samples + 1} candidates feasible" in messages[0]
     warm = messages[0].rsplit("best ", 1)[1].split()[0]
-    assert messages[1] == f"tau 1: current {warm}, best {warm} cycles"
-    assert len([m for m in messages if m.startswith("tau ")]) == -(-temperatures // 10)
+    assert messages[1] == (
+        f"tau 1: current {warm}, best {warm} cycles; accepted 0 of 0 moves (0%)"
+    )
+    progress = [m for m in messages if m.startswith("tau ")]
+    assert len(progress) == -(-temperatures // 10)
+    # a move was accepted exactly when the next move starts from its state
+    accepted = [nxt is state for (_, state), (nxt, _) in zip(moves, moves[1:])]
+    window = 10 * params.iterations_per_temperature
+    for k, line in enumerate(progress[1:]):
+        count = sum(accepted[k * window:(k + 1) * window])
+        assert line.endswith(
+            f"; accepted {count} of {window} moves ({100 * count / window:.0f}%)"
+        )
     assert messages[-1] == (
         f"fold_climb: {searched.best_cycles} -> {best.latency_cycles} cycles"
     )
     assert len(messages) == 2 + -(-temperatures // 10)
+
+
+def test_info_logging_reports_each_pareto_budget(toy, zcu102, caplog):
+    params = AnnealingParams(seed=8, **QUICK)
+    with caplog.at_level(logging.INFO, logger="harflow"):
+        points = pareto_sweep(toy, zcu102, params, [1, 64, 256])
+    budgets = [r.getMessage() for r in caplog.records if r.getMessage().startswith("budget ")]
+    assert budgets[0] == "budget 1 dsp: no feasible design"
+    assert len(budgets) == 3 and budgets[1].startswith("budget 64 dsp: best ")
+    for p in points:
+        assert any(f"best {p.latency_cycles} cycles, dsp {p.dsp}" in m for m in budgets[1:])
 
 
 def _move_fingerprint(name, seed, mode):
@@ -277,3 +315,76 @@ def test_search_moves_match_pinned_fixture():
         for mode in (MODE_RUNTIME, MODE_PADDED)
     }
     assert fingerprints == PINNED_MOVES
+
+
+def _evaluation(state):
+    """Everything `evaluate` reports about a state, entries included."""
+    return (state.latency_cycles, state.feasible, state.violations, state.resources,
+            state.schedule.groups, [e.to_dict() for e in state.schedule.entries])
+
+
+def _walk_with_parents(model, dev, mode, rng, steps):
+    """Random annealing moves and fold_climb candidates, each evaluated from its
+    parent and from scratch; returns (plans reused, moves that changed the node set)."""
+    params = AnnealingParams(**QUICK)
+    graph = initial_mapping(model)
+    if rng.random() < 0.5:
+        graph = fuse_activations(graph, model)
+    state = evaluate(model, _sample_capabilities(graph, model, rng), dev, mode)
+    reused = structural = 0
+    for step in range(steps):
+        nid = rng.choice(sorted(state.graph.nodes))
+        neighbours = _fold_neighbours(state.graph.nodes[nid], dev.dsp_total)
+        if step % 3 == 2 and neighbours:
+            graph = state.graph.with_node(nid, rng.choice(neighbours))
+        else:
+            graph = random_transformation(model, state.graph, rng, params)
+        child = evaluate(model, graph, dev, mode, parent=state)
+        assert _evaluation(child) == _evaluation(evaluate(model, graph, dev, mode))
+        if child.schedule.plans and state.schedule.plans:
+            reused += sum(plan is state.schedule.plans.get(lid)
+                          for lid, plan in child.schedule.plans.items())
+        structural += set(graph.nodes) != set(state.graph.nodes)
+        state = child
+    return reused, structural
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_parent_reuse_equals_evaluation_from_scratch(mode):
+    dev = load_bundled_profile("zcu102")
+    rng = random.Random(40)
+    reused = structural = 0
+    for name in bundled_model_names():
+        model = parse_model(bundled_model_text(name))
+        r, s = _walk_with_parents(model, dev, mode, rng, steps=10 if name == "c3d" else 16)
+        reused, structural = reused + r, structural + s
+    for _ in range(30):
+        r, s = _walk_with_parents(_random_chain_model(rng), dev, mode, rng, steps=10)
+        reused, structural = reused + r, structural + s
+    # the walks did exercise reuse, and combine/separate moves
+    assert reused > 0 and structural > 0
+
+
+def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape, zcu102):
+    graph = initial_mapping(toy)
+    parent = evaluate(multishape, initial_mapping(multishape), zcu102, MODE_RUNTIME)
+    assert _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, parent=parent)) == (
+        _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME)))
+    for mode, other in ((MODE_RUNTIME, MODE_PADDED), (MODE_PADDED, MODE_RUNTIME)):
+        parent = evaluate(toy, graph, zcu102, other)
+        assert _evaluation(evaluate(toy, graph, zcu102, mode, parent=parent)) == (
+            _evaluation(evaluate(toy, graph, zcu102, mode)))
+    # same layer ids, node ids and capabilities; the fc layer has fewer filters
+    doc = json.loads(serialize_model(toy))
+    fc = next(layer for layer in doc["layers"] if layer["id"] == "fc")
+    fc.update(filters=6, shape_out=[1, 1, 1, 6])
+    narrower = parse_model(json.dumps(doc))
+    parent = evaluate(toy, graph, zcu102, MODE_RUNTIME)
+    child = evaluate(narrower, graph, zcu102, MODE_RUNTIME, parent=parent)
+    assert _evaluation(child) == _evaluation(evaluate(narrower, graph, zcu102, MODE_RUNTIME))
+    assert child.latency_cycles != parent.latency_cycles
+    # cycles scored at one bandwidth are not kept for another
+    slow = replace(zcu102, bw_in_words_per_cycle=Fraction(1, 2))
+    child = evaluate(toy, graph, slow, MODE_RUNTIME, parent=parent)
+    assert _evaluation(child) == _evaluation(evaluate(toy, graph, slow, MODE_RUNTIME))
+    assert child.latency_cycles != parent.latency_cycles
