@@ -6,7 +6,7 @@ states in concurrent search chains never alias mutable state.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model_ir import ModelGraph, TensorShape
 
@@ -63,14 +63,6 @@ class NodeCapability:
         elif self.fine != 1:
             raise HardwareGraphError("fine folding applies to Conv3D only")
 
-    def with_folds(self, coarse_in=None, coarse_out=None, fine=None) -> "NodeCapability":
-        return replace(
-            self,
-            coarse_in=self.coarse_in if coarse_in is None else coarse_in,
-            coarse_out=self.coarse_out if coarse_out is None else coarse_out,
-            fine=self.fine if fine is None else fine,
-        )
-
     def refit(self, **changes) -> "NodeCapability":
         """Copy with `changes` applied and each fold cut to `legal_fold` of its
         preferred value. Outside Conv/FC the output fold is the input fold;
@@ -105,7 +97,7 @@ class NodeCapability:
             shape_in_max=TensorShape.from_list(doc["shape_in_max"]),
             shape_out_max=TensorShape.from_list(doc["shape_out_max"]),
             filters_max=int(doc.get("filters_max", 0)),
-            kernel_max=tuple(doc.get("kernel_max", (1, 1, 1))),
+            kernel_max=tuple(int(k) for k in doc.get("kernel_max", (1, 1, 1))),
             coarse_in=int(doc.get("coarse_in", 1)),
             coarse_out=int(doc.get("coarse_out", 1)),
             fine=int(doc.get("fine", 1)),

@@ -7,10 +7,10 @@ Chains are deterministic per seed.
 
 A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` and `fold_climb` evaluate each candidate with
-the state it came from as `parent`: the schedule reuses the parent's
-per-layer plans and scored cycles on every unchanged node, and only the
-layers on changed nodes are re-tiled and re-scored. The result equals an
-evaluation from scratch.
+the state it came from as `parent`: every unchanged node keeps the parent's
+resources, and its layers keep their plans, scored cycles and no-output
+verdicts. Only the changed nodes are costed, re-tiled, re-scored and
+re-checked. The result equals an evaluation from scratch.
 """
 
 import logging
@@ -84,6 +84,7 @@ class CandidateState:
     resources: object
     feasible: bool
     violations: list = field(default_factory=list)
+    node_costs: dict = field(default_factory=dict)  # see resource_model.graph_resources
 
 
 @dataclass
@@ -99,8 +100,8 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
     """Violation list of a scheduled state (empty means feasible).
 
     The four resource budgets, plus every tile whose configuration yields no
-    output (a border tile smaller than the kernel window); such a tile also
-    starves the inbound DMA, since its roofline has no demand.
+    output (a border tile smaller than the kernel window); the roofline
+    gives such a tile 0 cycles.
     """
     violations = []
     res = state.resources
@@ -110,10 +111,16 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
         avail = getattr(budgets, name)
         if used > avail:
             violations.append(f"{name} over budget: {used} > {avail}")
-    # groups are unique per (node, layer, config): each config is checked once
-    for node_id, layer_id, cfg, _ in sorted(state.schedule.groups, key=lambda g: g[:2]):
-        if compute_latency(cfg) == 0:
-            violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
+    # groups are unique per (node, layer, config), and each part of the schedule
+    # (a layer plan, possibly kept from a parent) is checked once
+    empty = []
+    for part in state.schedule.parts:
+        if part.no_output is None:
+            part.no_output = [(node_id, layer_id) for node_id, layer_id, cfg, _ in part.groups
+                              if compute_latency(cfg) == 0]
+        empty += part.no_output
+    for node_id, layer_id in sorted(empty):
+        violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
     return violations
 
 
@@ -121,13 +128,16 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
              lut_model=None, ff_model=None, parent: CandidateState = None) -> CandidateState:
     """Schedule, measure and constraint-check one hardware graph.
 
-    `parent` is the state a move started from; its schedule lends the layer
-    plans and scored cycles of every node the move left unchanged. The
-    result equals the one without `parent`.
+    `parent` is the state a move started from; it lends the resources of
+    every node the move left unchanged, and its schedule lends the layer
+    plans, scored cycles and no-output verdicts of those nodes. The result
+    equals the one without `parent`.
     """
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
-    resources = graph_resources(graph, dev, lut_model, ff_model)
+    costs = {}
+    resources = graph_resources(graph, dev, lut_model, ff_model, costs,
+                                None if parent is None else parent.node_costs)
     try:
         schedule = build_schedule(model, graph, mode,
                                   parent=None if parent is None else parent.schedule)
@@ -139,6 +149,7 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
             resources=resources,
             feasible=False,
             violations=[str(exc)],
+            node_costs=costs,
         )
     latency = schedule_latency(schedule, dev)
     state = CandidateState(
@@ -147,6 +158,7 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
         latency_cycles=latency,
         resources=resources,
         feasible=True,
+        node_costs=costs,
     )
     state.violations = check_constraints(state, dev)
     state.feasible = not state.violations
@@ -196,20 +208,19 @@ def _reshape(graph, model, node_id, rng):
 def _coarse_fold(graph, model, node_id, rng):
     cap = graph.nodes[node_id]
     if cap.kind in ("Conv3D", "FullyConnected"):
-        new_cap = cap.with_folds(
+        new_cap = cap.refit(
             coarse_in=rng.choice(_divisors(cap.shape_in_max.c)),
             coarse_out=rng.choice(_divisors(cap.filters_max)),
         )
     else:
-        c = rng.choice(_divisors(cap.shape_in_max.c))
-        new_cap = cap.with_folds(coarse_in=c, coarse_out=c)
+        new_cap = cap.refit(coarse_in=rng.choice(_divisors(cap.shape_in_max.c)))
     return graph.with_node(node_id, new_cap)
 
 
 def _fine_fold(graph, model, node_id, rng):
     cap = graph.nodes[node_id]
     kvol = cap.kernel_max[0] * cap.kernel_max[1] * cap.kernel_max[2]
-    return graph.with_node(node_id, cap.with_folds(fine=rng.choice(_divisors(kvol))))
+    return graph.with_node(node_id, cap.refit(fine=rng.choice(_divisors(kvol))))
 
 
 def _combine(graph, model, rng, n_c):
@@ -331,14 +342,14 @@ def _fold_neighbours(cap, dsp_headroom):
                     product = c_in * c_out * fine
                     if product <= current or product - node_dsp(cap) > dsp_headroom:
                         continue
-                    out.append(cap.with_folds(coarse_in=c_in, coarse_out=c_out, fine=fine))
+                    out.append(cap.refit(coarse_in=c_in, coarse_out=c_out, fine=fine))
         # try the most parallel repackings first
         out.sort(key=lambda c: -(c.coarse_in * c.coarse_out * c.fine))
         return out
     bigger = [d for d in _divisors(cap.shape_in_max.c) if d > cap.coarse_in]
     if not bigger:
         return []
-    return [cap.with_folds(coarse_in=min(bigger), coarse_out=min(bigger))]
+    return [cap.refit(coarse_in=min(bigger))]
 
 
 def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mode: str,

@@ -1,12 +1,12 @@
-"""Analytical latency model: compute cycles, stream rates and the bandwidth roofline.
+"""Analytical latency model: compute cycles and the bandwidth roofline.
 
-All rates are exact rationals (fractions.Fraction) so the model can be checked
-against brute-force cycle counters with exact integer equality.
+The roofline is computed in integers: a rational DMA bandwidth enters as its
+numerator and denominator, and memory terms are compared by
+cross-multiplication, so the model can be checked against brute-force cycle
+counters with exact integer equality.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .model_ir import TensorShape
@@ -45,14 +45,6 @@ class RuntimeConfig:
     def kernel_volume(self) -> int:
         kd, kh, kw = self.kernel
         return kd * kh * kw
-
-    @property
-    def weight_words(self) -> int:
-        if self.kind == "Conv3D":
-            return self.shape_in.c * self.filters * self.kernel_volume // self.groups
-        if self.kind == "FullyConnected":
-            return self.shape_in.c * self.filters
-        return 0
 
     def to_dict(self):
         d = {
@@ -101,8 +93,6 @@ class RuntimeConfig:
 @dataclass(frozen=True)
 class LatencyBreakdown:
     compute_cycles: int
-    bw_in: Fraction
-    bw_out: Fraction
     bound: str  # compute | memory_in | memory_out
     total_cycles: int
 
@@ -126,58 +116,34 @@ def compute_latency(cfg: RuntimeConfig) -> int:
     return _ceil_div(cfg.shape_in.numel, cfg.coarse_in)
 
 
-def stream_rates(cfg: RuntimeConfig):
-    """(r_in, r_out, r_param, r_psum) in words/cycle/stream."""
-    cycles = compute_latency(cfg)
-    if cycles == 0:
-        return Fraction(0), Fraction(0), Fraction(0), Fraction(0)
-    r_in = Fraction(cfg.shape_in.numel, cycles * cfg.coarse_in)
-    r_out = Fraction(cfg.shape_out.numel, cycles * cfg.coarse_out)
-    if cfg.kind in ("Conv3D", "FullyConnected"):
-        r_param = Fraction(
-            cfg.weight_words, cycles * cfg.coarse_in * cfg.coarse_out * cfg.fine
-        )
-        r_psum = r_out if cfg.accumulate_psum else Fraction(0)
-    else:
-        r_param = Fraction(0)
-        r_psum = Fraction(0)
-    return r_in, r_out, r_param, r_psum
+def _transfer(words: int, bw):
+    """words / bw cycles as an exact (numerator, denominator); (0, 1) for bw None."""
+    if bw is None:
+        return 0, 1
+    num, den = bw.as_integer_ratio()
+    return words * den, num
 
 
 @lru_cache(maxsize=1 << 16)
 def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBreakdown:
     """Roofline latency of one invocation (cached; configs repeat across tiles).
 
-    bw_in / bw_out are DMA caps in words/cycle; None means unlimited.
+    bw_in / bw_out are DMA caps in words/cycle (int, Fraction or None for
+    unlimited). The total is max(compute, words_in / bw_in, words_out / bw_out)
+    rounded up. The bound names the term that sets it: compute wins every tie
+    and memory_in wins a tie with memory_out. A config without compute (a tile
+    that yields no output) takes 0 cycles.
     """
     cycles = compute_latency(cfg)
-    r_in, r_out, r_param, r_psum = stream_rates(cfg)
-    demand_in = r_in * cfg.coarse_in
-    if cfg.kind in ("Conv3D", "FullyConnected"):
-        demand_in += r_psum * cfg.coarse_out
-        demand_in += r_param * cfg.coarse_in * cfg.coarse_out * cfg.fine
-    demand_out = r_out * cfg.coarse_out
-
-    b_in = demand_in if bw_in is None else min(Fraction(bw_in), demand_in)
-    b_out = demand_out if bw_out is None else min(Fraction(bw_out), demand_out)
-
-    term_in = Fraction(cfg.shape_in.numel) / b_in if b_in > 0 else Fraction(0)
-    term_out = Fraction(cfg.shape_out.numel) / b_out if b_out > 0 else Fraction(0)
-    total = max(term_in, term_out, Fraction(cycles))
-    total_cycles = math.ceil(total)
-
-    bound = "compute"
-    if term_in >= term_out and b_in < demand_in and term_in > cycles:
-        bound = "memory_in"
-    elif term_out > term_in and b_out < demand_out and term_out > cycles:
-        bound = "memory_out"
-    return LatencyBreakdown(
-        compute_cycles=cycles,
-        bw_in=b_in,
-        bw_out=b_out,
-        bound=bound,
-        total_cycles=total_cycles,
-    )
+    if cycles == 0:
+        return LatencyBreakdown(0, "compute", 0)
+    a, b = _transfer(cfg.shape_in.numel, bw_in)  # T_in = a / b
+    c, d = _transfer(cfg.shape_out.numel, bw_out)  # T_out = c / d
+    if a > cycles * b and a * d >= c * b:
+        return LatencyBreakdown(cycles, "memory_in", _ceil_div(a, b))
+    if c > cycles * d and c * b > a * d:
+        return LatencyBreakdown(cycles, "memory_out", _ceil_div(c, d))
+    return LatencyBreakdown(cycles, "compute", cycles)
 
 
 def schedule_latency(schedule, dev=None) -> int:
@@ -185,11 +151,14 @@ def schedule_latency(schedule, dev=None) -> int:
 
     Each part of the schedule keeps its cycles with the bandwidths they were
     scored at, so a layer plan reused from a parent schedule is not scored
-    again at the same bandwidths.
+    again at the same bandwidths. A whole bandwidth is passed on as an int,
+    which hashes much faster than an equal Fraction in the cache lookup.
     """
-    bw_in = dev.bw_in_words_per_cycle if dev is not None else None
-    bw_out = dev.bw_out_words_per_cycle if dev is not None else None
-    bw = (bw_in, bw_out)
+    bw = (None, None)
+    if dev is not None:
+        bw = tuple(int(b) if b == int(b) else b
+                   for b in (dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle))
+    bw_in, bw_out = bw
     total = 0
     for part in schedule.parts:
         scored = part.scored

@@ -201,9 +201,24 @@ def node_resources(cap, lut_model=None, ff_model=None) -> ResourceVector:
     )
 
 
-def graph_resources(graph, dev, lut_model=None, ff_model=None) -> ResourceVector:
-    """Total estimate: node sum plus one DMA pair and two crossbars."""
-    total = ResourceVector()
-    for cap in graph.nodes.values():
-        total = total + node_resources(cap, lut_model, ff_model)
-    return total + dev.dma_overhead + dev.xbar_overhead.scaled(2)
+def graph_resources(graph, dev, lut_model=None, ff_model=None, costs=None,
+                    known=None) -> ResourceVector:
+    """Total estimate: node sum plus one DMA pair and two crossbars.
+
+    `costs`, if given, receives each node's (capability, regression models,
+    ResourceVector). `known` is such a map of another graph, e.g. the parent
+    of an annealing move: a node whose capability and models it records keeps
+    its vector instead of being costed again.
+    """
+    if lut_model is None or ff_model is None:
+        lut_model, ff_model = default_regression_models()
+    models, costs = (lut_model, ff_model), {} if costs is None else costs
+    dsp = bram = lut = ff = 0
+    for node_id, cap in graph.nodes.items():
+        cost = known.get(node_id) if known else None
+        if cost is None or cost[1] != models or not (cost[0] is cap or cost[0] == cap):
+            cost = (cap, models, node_resources(cap, lut_model, ff_model))
+        costs[node_id] = cost
+        res = cost[2]
+        dsp, bram, lut, ff = dsp + res.dsp, bram + res.bram, lut + res.lut, ff + res.ff
+    return ResourceVector(dsp, bram, lut, ff) + dev.dma_overhead + dev.xbar_overhead.scaled(2)

@@ -116,13 +116,14 @@ class Schedule:
 
 
 class _Groups:
-    """Counted groups scored as one unit; `scored` is (bandwidths, cycles) once scored."""
+    """Counted groups scored and checked as one unit. `scored` is (bandwidths,
+    cycles) once scored; `no_output` is kept by `optimizer.check_constraints`."""
 
-    __slots__ = ("groups", "scored")
+    __slots__ = ("groups", "scored", "no_output")
 
     def __init__(self, groups):
         self.groups = groups
-        self.scored = None
+        self.scored = self.no_output = None
 
 
 def _check_capability(layer, node_id, cap):
@@ -251,7 +252,8 @@ class _LayerPlan:
     """One layer's tiling on its node: (full, tile) per axis (H, W, D, C, F),
     the config of each combination of tile classes, and the layer's counted
     groups. `layer`, `node_id` and `cap` are what the plan was built from;
-    `scored` is kept by `perf_model.schedule_latency`."""
+    `scored` is kept by `perf_model.schedule_latency` and `no_output` by
+    `optimizer.check_constraints`."""
 
     layer: object
     node_id: str
@@ -260,6 +262,7 @@ class _LayerPlan:
     configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
     groups: list
     scored: tuple = None
+    no_output: list = None
 
     def built_from(self, layer, node_id, cap) -> bool:
         """True when the plan is what `_plan_layer(layer, node_id, cap, mode)` gives

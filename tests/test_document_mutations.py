@@ -1,0 +1,123 @@
+"""Mutation gate: a bundled document with one key dropped, or one value swapped
+for a value of another JSON type, either parses or raises the loader's typed
+error, and the CLI ends in exit code 0 or in exit code 1 with one `Error:` line.
+"""
+
+import copy
+import json
+
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from harflow.cli import main
+from harflow.device import DeviceError, load_bundled_profile, load_profile
+from harflow.generators import bundled_model_text
+from harflow.hardware_graph import initial_mapping
+from harflow.model_ir import ModelError, parse_model
+
+# bounded and derandomized, so every run draws the same examples; the whole
+# single-mutation space of the three documents is about 3,300 examples
+GATE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+MODEL = json.loads(bundled_model_text("toy"))
+DEVICE = load_bundled_profile("zcu102").to_dict()
+DESIGN = {
+    "model": MODEL,
+    "device": DEVICE,
+    "mode": "runtime_configurable",
+    "graph": initial_mapping(parse_model(bundled_model_text("toy"))).to_dict(),
+}
+
+# one value per JSON type; bool and int, and int and float, are told apart
+# because Python's loaders treat them differently
+SAMPLES = [None, True, 0, 3, -1, 2.5, "", "x", [], [1], {}, {"x": 1}]
+
+
+def _kind(value):
+    return type(value).__name__
+
+
+def _paths(doc, prefix=()):
+    """Every key path of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def mutations(doc):
+    """("drop", path, None) or ("swap", path, value of another JSON type) of `doc`."""
+    droppable = [p for p in _paths(doc) if isinstance(_get(doc, p[:-1]), dict)]
+    swaps = st.sampled_from(list(_paths(doc))).flatmap(lambda p: st.tuples(
+        st.just("swap"), st.just(p),
+        st.sampled_from([v for v in SAMPLES if _kind(v) != _kind(_get(doc, p))])))
+    return st.tuples(st.just("drop"), st.sampled_from(droppable), st.none()) | swaps
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(doc, mutation):
+    op, path, value = mutation
+    out = copy.deepcopy(doc)
+    parent = _get(out, path[:-1])
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def _assert_one_line_outcome(argv):
+    result = CliRunner().invoke(main, argv)
+    assert "Traceback" not in result.output
+    if result.exit_code != 0:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), (
+            repr(result.exception))
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
+def _schedule(tmp_path, design):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    _assert_one_line_outcome(["schedule", "--design", str(path),
+                              "--out", str(tmp_path / "schedule.json")])
+
+
+@GATE
+@given(mutation=mutations(MODEL))
+def test_mutated_model_parses_or_fails_in_one_line(tmp_path_factory, mutation):
+    doc = _mutated(MODEL, mutation)
+    tmp_path = tmp_path_factory.mktemp("model")
+    try:
+        parse_model(json.dumps(doc))
+    except ModelError:
+        pass
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_line_outcome(["parse", str(path)])
+    _schedule(tmp_path, dict(DESIGN, model=doc))
+
+
+@GATE
+@given(mutation=mutations(DEVICE))
+def test_mutated_device_parses_or_fails_in_one_line(tmp_path_factory, mutation):
+    doc = _mutated(DEVICE, mutation)
+    try:
+        load_profile(json.dumps(doc))
+    except DeviceError:
+        pass
+    _schedule(tmp_path_factory.mktemp("device"), dict(DESIGN, device=doc))
+
+
+@GATE
+@given(mutation=mutations(DESIGN))
+@example(mutation=("swap", ("graph", "nodes", "pool_0", "kernel_max", 0), ""))
+def test_mutated_design_schedules_or_fails_in_one_line(tmp_path_factory, mutation):
+    _schedule(tmp_path_factory.mktemp("design"), _mutated(DESIGN, mutation))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from harflow.optimizer import (
     warm_start,
 )
 from harflow.perf_model import compute_latency, invocation_latency
+from harflow.resource_model import default_regression_models
 from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
@@ -67,7 +69,7 @@ def test_evaluate_flags_budget_violations(toy, zcu102):
     graph = initial_mapping(toy)
     tiny = zcu102.with_dsp_cap(1)
     nid = next(n for n, c in graph.nodes.items() if c.kind == "Conv3D")
-    graph.nodes[nid] = graph.nodes[nid].with_folds(coarse_in=3, coarse_out=8)
+    graph.nodes[nid] = graph.nodes[nid].refit(coarse_in=3, coarse_out=8)
     state = evaluate(toy, graph, tiny, MODE_RUNTIME)
     assert not state.feasible
     assert any("dsp over budget" in v for v in state.violations)
@@ -98,7 +100,7 @@ def _assert_feasibility_invariants(model, graph, mode):
         assert cfg.coarse_out <= cap.coarse_out
         assert cfg.fine <= cap.fine
         no_output = compute_latency(cfg) == 0
-        assert no_output == (invocation_latency(cfg, 8, 8).bw_in == 0)
+        assert no_output == (invocation_latency(cfg, 8, 8).total_cycles == 0)
         empty += no_output
     return empty
 
@@ -323,15 +325,20 @@ def _evaluation(state):
             state.schedule.groups, [e.to_dict() for e in state.schedule.entries])
 
 
+def _no_output(state):
+    return [v for v in state.violations if v.endswith("tile yields no output")]
+
+
 def _walk_with_parents(model, dev, mode, rng, steps):
     """Random annealing moves and fold_climb candidates, each evaluated from its
-    parent and from scratch; returns (plans reused, moves that changed the node set)."""
+    parent and from scratch. Returns counts of: plans reused, moves that changed
+    the node set, the resources, and the no-output violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
         graph = fuse_activations(graph, model)
     state = evaluate(model, _sample_capabilities(graph, model, rng), dev, mode)
-    reused = structural = 0
+    counts = Counter()
     for step in range(steps):
         nid = rng.choice(sorted(state.graph.nodes))
         neighbours = _fold_neighbours(state.graph.nodes[nid], dev.dsp_total)
@@ -340,29 +347,34 @@ def _walk_with_parents(model, dev, mode, rng, steps):
         else:
             graph = random_transformation(model, state.graph, rng, params)
         child = evaluate(model, graph, dev, mode, parent=state)
-        assert _evaluation(child) == _evaluation(evaluate(model, graph, dev, mode))
+        scratch = evaluate(model, graph, dev, mode)
+        assert _evaluation(child) == _evaluation(scratch)
+        assert child.node_costs == scratch.node_costs
         if child.schedule.plans and state.schedule.plans:
-            reused += sum(plan is state.schedule.plans.get(lid)
-                          for lid, plan in child.schedule.plans.items())
-        structural += set(graph.nodes) != set(state.graph.nodes)
+            counts["reused"] += sum(plan is state.schedule.plans.get(lid)
+                                    for lid, plan in child.schedule.plans.items())
+        counts["structural"] += set(graph.nodes) != set(state.graph.nodes)
+        counts["resources"] += child.resources != state.resources
+        counts["no_output"] += _no_output(child) != _no_output(state)
         state = child
-    return reused, structural
+    return counts
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
 def test_parent_reuse_equals_evaluation_from_scratch(mode):
     dev = load_bundled_profile("zcu102")
     rng = random.Random(40)
-    reused = structural = 0
+    counts = Counter()
     for name in bundled_model_names():
         model = parse_model(bundled_model_text(name))
-        r, s = _walk_with_parents(model, dev, mode, rng, steps=10 if name == "c3d" else 16)
-        reused, structural = reused + r, structural + s
+        counts += _walk_with_parents(model, dev, mode, rng,
+                                     steps=10 if name == "c3d" else 16)
     for _ in range(30):
-        r, s = _walk_with_parents(_random_chain_model(rng), dev, mode, rng, steps=10)
-        reused, structural = reused + r, structural + s
-    # the walks did exercise reuse, and combine/separate moves
-    assert reused > 0 and structural > 0
+        counts += _walk_with_parents(_random_chain_model(rng), dev, mode, rng, steps=10)
+    # the walks did exercise reuse, combine/separate moves and changed resources;
+    # padded tiles run at the node's full shape, so only runtime tiles lack output
+    assert counts["reused"] > 0 and counts["structural"] > 0 and counts["resources"] > 0
+    assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 
 
 def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape, zcu102):
@@ -388,3 +400,9 @@ def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape,
     child = evaluate(toy, graph, slow, MODE_RUNTIME, parent=parent)
     assert _evaluation(child) == _evaluation(evaluate(toy, graph, slow, MODE_RUNTIME))
     assert child.latency_cycles != parent.latency_cycles
+    # node resources costed with one LUT estimator are not kept for another
+    lut, ff = default_regression_models()
+    lut = replace(lut, intercept=lut.intercept + 1000)
+    child = evaluate(toy, graph, zcu102, MODE_RUNTIME, lut, ff, parent=parent)
+    assert _evaluation(child) == _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, lut, ff))
+    assert child.resources.lut != parent.resources.lut

@@ -1,18 +1,30 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from harflow.model_ir import TensorShape
+from harflow.generators import bundled_model_names, bundled_model_text
+from harflow.hardware_graph import fuse_activations, initial_mapping
+from harflow.model_ir import TensorShape, parse_model
+from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
 from harflow.perf_model import (
     PerfModelError,
     RuntimeConfig,
     compute_latency,
     invocation_latency,
     schedule_latency,
-    stream_rates,
 )
-from harflow.scheduler import Schedule, ScheduleEntry, _compute_cycles_oracle
+from harflow.scheduler import (
+    MODE_PADDED,
+    MODE_RUNTIME,
+    InfeasibleScheduleError,
+    Schedule,
+    ScheduleEntry,
+    _compute_cycles_oracle,
+    build_schedule,
+)
 
 
 def _conv(shape_out=(4, 4, 4, 16), c_in=8, f=16, kernel=(3, 3, 3), groups=1,
@@ -77,7 +89,10 @@ def test_zero_fold_rejected():
         compute_latency(_conv(coarse_in=0))
 
 
-def test_pool_stream_rate_fixture():
+def test_pool_roofline_integer_fixture():
+    # 512 input words at 4 words/cycle take exactly the 128 compute cycles, and
+    # compute wins the tie; at 3 words/cycle they take ceil(512 / 3) = 171.
+    # Psum words are not timed (ROADMAP item 1), so no psum case is kept.
     cfg = RuntimeConfig(
         kind="Pool3D",
         shape_in=TensorShape(8, 8, 8, 1),
@@ -88,16 +103,10 @@ def test_pool_stream_rate_fixture():
         coarse_in=4,
         coarse_out=4,
     )
-    r_in, r_out, r_param, r_psum = stream_rates(cfg)
-    assert r_in == Fraction(1)
-    assert r_param == 0 and r_psum == 0
-
-
-def test_psum_rate_only_on_non_final_channel_tile():
-    _, r_out, _, r_psum = stream_rates(_conv(psum=False))
-    assert r_psum == 0
-    _, r_out2, _, r_psum2 = stream_rates(_conv(psum=True))
-    assert r_psum2 == r_out2 > 0
+    brk = invocation_latency(cfg, 4, 4)
+    assert (brk.total_cycles, brk.bound) == (128, "compute")
+    brk = invocation_latency(cfg, 3, 3)
+    assert (brk.total_cycles, brk.bound) == (171, "memory_in")
 
 
 def test_roofline_fixture_compute_and_memory_bound():
@@ -185,3 +194,75 @@ def test_schedule_latency_additivity():
 def test_analytical_matches_enumeration_oracle_spot():
     cfg = _conv()
     assert compute_latency(cfg) == _compute_cycles_oracle(cfg)
+
+
+def _fraction_roofline(cfg, bw_in, bw_out):
+    """(total_cycles, bound) of the stream-rate roofline in exact rationals.
+
+    Each DMA runs at the lower of its cap and the invocation's demand, where
+    the inbound demand also counts weight and psum words; the integer form in
+    `invocation_latency` must agree with it wherever there is compute.
+    """
+    cycles = compute_latency(cfg)
+    if cycles == 0:
+        return 0, "compute"
+    words_in, words_out = cfg.shape_in.numel, cfg.shape_out.numel
+    demand_in = Fraction(words_in, cycles)
+    if cfg.kind in ("Conv3D", "FullyConnected"):
+        weights = cfg.shape_in.c * cfg.filters * cfg.kernel_volume // cfg.groups
+        psum = words_out if cfg.accumulate_psum else 0
+        demand_in += Fraction(weights + psum, cycles)
+    demand_out = Fraction(words_out, cycles)
+    b_in = demand_in if bw_in is None else min(Fraction(bw_in), demand_in)
+    b_out = demand_out if bw_out is None else min(Fraction(bw_out), demand_out)
+    term_in = words_in / b_in if b_in > 0 else Fraction(0)
+    term_out = words_out / b_out if b_out > 0 else Fraction(0)
+    bound = "compute"
+    if term_in >= term_out and b_in < demand_in and term_in > cycles:
+        bound = "memory_in"
+    elif term_out > term_in and b_out < demand_out and term_out > cycles:
+        bound = "memory_out"
+    return math.ceil(max(term_in, term_out, Fraction(cycles))), bound
+
+
+def _search_configs():
+    """Distinct configs of the bundled models' warm-start samples and random
+    moves, in both modes, plus one tile that yields no output."""
+    params = AnnealingParams(tau_start=1.0, tau_min=0.05, cooling=0.9)
+    rng = random.Random(11)
+    configs = {_conv(shape_out=(0, 4, 4, 16))}
+    for name in bundled_model_names():
+        model = parse_model(bundled_model_text(name))
+        for mode in (MODE_RUNTIME, MODE_PADDED):
+            for _ in range(3):
+                graph = fuse_activations(initial_mapping(model), model)
+                graph = _sample_capabilities(graph, model, rng)
+                for _ in range(8):
+                    try:
+                        configs.update(cfg for *_, cfg, _ in
+                                       build_schedule(model, graph, mode).groups)
+                    except InfeasibleScheduleError:
+                        pass
+                    graph = random_transformation(model, graph, rng, params)
+    return sorted(configs, key=repr)
+
+
+def test_integer_roofline_equals_fraction_reference():
+    values = [None, 1, 2, 8, Fraction(15, 2), Fraction(1, 3), 64]
+    configs = _search_configs()
+    assert any(compute_latency(cfg) == 0 for cfg in configs)
+    seen = set()
+    for cfg in configs:
+        words_in, words_out = cfg.shape_in.numel, cfg.shape_out.numel
+        for bw_in, bw_out in itertools.product(values, values):
+            brk = invocation_latency(cfg, bw_in, bw_out)
+            expected = _fraction_roofline(cfg, bw_in, bw_out)
+            assert (brk.total_cycles, brk.bound) == expected, (cfg, bw_in, bw_out)
+            assert brk.compute_cycles == compute_latency(cfg)
+            if bw_in is not None and bw_out is not None and brk.bound != "compute":
+                t_in, t_out = Fraction(words_in) / bw_in, Fraction(words_out) / bw_out
+                seen.add("memory tie" if t_in == t_out else brk.bound)
+            if bw_in is not None and Fraction(words_in) / bw_in == brk.compute_cycles > 0:
+                seen.add("compute tie")
+    # the sample decides every rule: both memory bounds, and both kinds of tie
+    assert seen == {"memory_in", "memory_out", "memory tie", "compute tie"}

@@ -95,9 +95,9 @@ def test_min_rule_tile_sizes():
 def test_runtime_folds_are_gcd_of_tile_and_node_folds(toy):
     graph = initial_mapping(toy)
     nid = next(n for n, cap in graph.nodes.items() if cap.kind == "Conv3D")
-    graph.nodes[nid] = graph.nodes[nid].with_folds(coarse_in=3, coarse_out=8)
+    graph.nodes[nid] = graph.nodes[nid].refit(coarse_in=3, coarse_out=8)
     graph2 = _shrink_conv(graph, c=2)
-    graph2.nodes[nid] = graph2.nodes[nid].with_folds(coarse_in=2, coarse_out=8)
+    graph2.nodes[nid] = graph2.nodes[nid].refit(coarse_in=2, coarse_out=8)
     schedule = build_schedule(toy, graph2, MODE_RUNTIME)
     conv_entries = [e for e in schedule.entries if e.layer_id == "conv"]
     # tile channels 2 then 1; runtime coarse_in = gcd(tile_c, node fold)
