@@ -8,7 +8,7 @@ states in concurrent search chains never alias mutable state.
 import math
 from dataclasses import dataclass, field
 
-from .model_ir import ModelGraph, TensorShape
+from .model_ir import ModelGraph, TensorShape, strict
 
 
 class HardwareGraphError(ValueError):
@@ -92,15 +92,19 @@ class NodeCapability:
 
     @classmethod
     def from_dict(cls, doc) -> "NodeCapability":
+        def integer(key, default, length=None):
+            return strict(doc.get(key, default), int, f"node capability '{key}'",
+                          HardwareGraphError, length)
+
         return cls(
             kind=doc["kind"],
             shape_in_max=TensorShape.from_list(doc["shape_in_max"]),
             shape_out_max=TensorShape.from_list(doc["shape_out_max"]),
-            filters_max=int(doc.get("filters_max", 0)),
-            kernel_max=tuple(int(k) for k in doc.get("kernel_max", (1, 1, 1))),
-            coarse_in=int(doc.get("coarse_in", 1)),
-            coarse_out=int(doc.get("coarse_out", 1)),
-            fine=int(doc.get("fine", 1)),
+            filters_max=integer("filters_max", 0),
+            kernel_max=integer("kernel_max", (1, 1, 1), 3),
+            coarse_in=integer("coarse_in", 1),
+            coarse_out=integer("coarse_out", 1),
+            fine=integer("fine", 1),
             supports_types=frozenset(doc.get("supports_types", [])),
         )
 

@@ -26,6 +26,24 @@ class ModelError(ValueError):
     """Raised on malformed or inconsistent model documents."""
 
 
+def strict(value, kind, what, error=ModelError, length=None):
+    """`value` when it is a JSON integer (`kind` int; booleans are not) or a JSON
+    boolean (`kind` bool); with `length`, a JSON array of `length` such values,
+    returned as a tuple. Anything else raises `error`, so input documents get
+    2.5, true or "false" rejected, not truncated or coerced."""
+    if length is None:
+        if type(value) is kind:
+            return value
+    elif (isinstance(value, (list, tuple)) and len(value) == length
+          and set(map(type, value)) == {kind}):
+        return tuple(value)
+    if length is None:
+        noun = "an integer" if kind is int else "true or false"
+    else:
+        noun = f"{length} {'integers' if kind is int else 'booleans'}"
+    raise error(f"{what} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """Feature-map shape (depth, height, width, channels)."""
@@ -37,7 +55,7 @@ class TensorShape:
 
     def __post_init__(self):
         for dim in (self.d, self.h, self.w, self.c):
-            if not isinstance(dim, int) or dim < 0:
+            if type(dim) is not int or dim < 0:  # the rule of `strict`: no bool
                 raise ModelError(f"shape dimensions must be non-negative ints, got {self}")
 
     @property
@@ -46,11 +64,11 @@ class TensorShape:
 
     @classmethod
     def from_list(cls, dims) -> "TensorShape":
-        try:
-            if isinstance(dims, (list, tuple)) and len(dims) == 4:
-                return cls(*[int(x) for x in dims])
-        except (TypeError, ValueError):
-            pass
+        if isinstance(dims, (list, tuple)) and len(dims) == 4:
+            try:
+                return cls(*dims)
+            except ModelError:
+                pass
         raise ModelError(f"shape must be a 4-element [D,H,W,C] integer array, got {dims!r}")
 
     def to_list(self):
@@ -229,20 +247,8 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
         raise ModelError(f"layer '{lid}': missing shape_out")
     shape_out = TensorShape.from_list(entry["shape_out"])
 
-    def integer(key, default):
-        try:
-            return int(entry.get(key, default))
-        except (TypeError, ValueError):
-            raise ModelError(f"layer '{lid}': '{key}' must be an integer") from None
-
-    def triple(key, default):
-        v = entry.get(key, default)
-        try:
-            if len(v) == len(default):
-                return tuple(int(x) for x in v)
-        except (TypeError, ValueError):
-            pass
-        raise ModelError(f"layer '{lid}': '{key}' must be {len(default)} integers")
+    def integer(key, default, length=None):
+        return strict(entry.get(key, default), int, f"layer '{lid}': '{key}'", length=length)
 
     return LayerDescriptor(
         id=lid,
@@ -250,12 +256,12 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
         shape_in=shape_in,
         shape_out=shape_out,
         filters=integer("filters", 0),
-        kernel=triple("kernel", (1, 1, 1)),
-        stride=triple("stride", (1, 1, 1)),
-        padding=triple("padding", (0, 0, 0, 0, 0, 0)),
+        kernel=integer("kernel", (1, 1, 1), 3),
+        stride=integer("stride", (1, 1, 1), 3),
+        padding=integer("padding", (0, 0, 0, 0, 0, 0), 6),
         groups=integer("groups", 1),
         op_type=entry.get("type", ""),
-        broadcast=bool(entry.get("broadcast", False)),
+        broadcast=strict(entry.get("broadcast", False), bool, f"layer '{lid}': 'broadcast'"),
     )
 
 

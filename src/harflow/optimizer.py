@@ -10,7 +10,11 @@ is already scored. So `anneal` and `fold_climb` evaluate each candidate with
 the state it came from as `parent`: every unchanged node keeps the parent's
 resources, and its layers keep their plans, scored cycles and no-output
 verdicts. Only the changed nodes are costed, re-tiled, re-scored and
-re-checked. The result equals an evaluation from scratch.
+re-checked. Each chain also keeps a plan table of every layer plan it has
+built; a changed node whose capability the chain has seen before takes its
+layers' plans, cycles and verdicts from there instead of re-tiling. The
+table lives only as long as its chain. The result equals an evaluation from
+scratch.
 """
 
 import logging
@@ -125,13 +129,17 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
 
 def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: str,
-             lut_model=None, ff_model=None, parent: CandidateState = None) -> CandidateState:
+             lut_model=None, ff_model=None, parent: CandidateState = None,
+             plan_table: dict = None) -> CandidateState:
     """Schedule, measure and constraint-check one hardware graph.
 
     `parent` is the state a move started from; it lends the resources of
     every node the move left unchanged, and its schedule lends the layer
-    plans, scored cycles and no-output verdicts of those nodes. The result
-    equals the one without `parent`.
+    plans, scored cycles and no-output verdicts of those nodes.
+    `plan_table` is the plan table of a search chain (see
+    `scheduler.build_schedule`); it lends the plans of the other layers when
+    the chain has built them before. The result equals the one without
+    `parent` and `plan_table`.
     """
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
@@ -140,7 +148,7 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
                                 None if parent is None else parent.node_costs)
     try:
         schedule = build_schedule(model, graph, mode,
-                                  parent=None if parent is None else parent.schedule)
+                                  None if parent is None else parent.schedule, plan_table)
     except InfeasibleScheduleError as exc:
         return CandidateState(
             graph=graph,
@@ -353,11 +361,12 @@ def _fold_neighbours(cap, dsp_headroom):
 
 
 def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mode: str,
-               lut_model=None, ff_model=None) -> CandidateState:
+               lut_model=None, ff_model=None, plan_table: dict = None) -> CandidateState:
     """Greedy post-search pass: repack folds while feasible and improving.
 
     SA's random divisor proposals leave parallelism on the table near the
     resource cap; this systematic neighbourhood descent closes the gap.
+    `plan_table` is the plan table of the chain it polishes, if any.
     """
     best = state
     improved = True
@@ -367,7 +376,7 @@ def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mod
             headroom = dev.dsp_total - best.resources.dsp
             for cap in _fold_neighbours(best.graph.nodes[nid], headroom):
                 cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode,
-                                lut_model, ff_model, parent=best)
+                                lut_model, ff_model, parent=best, plan_table=plan_table)
                 if cand.feasible and cand.latency_cycles < best.latency_cycles:
                     best = cand
                     improved = True
@@ -386,6 +395,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
     lut_model, ff_model = default_regression_models()
     current, mode = warm_start(model, dev, params, rng, lut_model, ff_model)
     best = current
+    plan_table = {}  # every layer plan of this chain; dropped with it
     trace = []
     tau = params.tau_start
     iteration = 0
@@ -400,7 +410,8 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             accepted, logged = 0, iteration
         for _ in range(params.iterations_per_temperature):
             new_graph = random_transformation(model, current.graph, rng, params)
-            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model, parent=current)
+            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model,
+                             parent=current, plan_table=plan_table)
             if state.feasible:
                 delta_ms = (state.latency_cycles - current.latency_cycles) * ms
                 if delta_ms <= 0 or rng.random() < math.exp(-delta_ms / tau):
@@ -419,7 +430,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             )
             iteration += 1
         tau *= params.cooling
-    polished = fold_climb(model, dev, best, mode, lut_model, ff_model)
+    polished = fold_climb(model, dev, best, mode, lut_model, ff_model, plan_table)
     log.info("fold_climb: %d -> %d cycles", best.latency_cycles, polished.latency_cycles)
     if polished.latency_cycles < best.latency_cycles:
         best = polished

@@ -9,7 +9,7 @@ counters with exact integer equality.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import TensorShape
+from .model_ir import TensorShape, strict
 
 
 class PerfModelError(ValueError):
@@ -72,21 +72,23 @@ class RuntimeConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
+        get, error = doc.get, PerfModelError
         return cls(
             kind=doc["kind"],
             shape_in=TensorShape.from_list(doc["shape_in"]),
             shape_out=TensorShape.from_list(doc["shape_out"]),
-            filters=int(doc.get("filters", 0)),
-            kernel=tuple(doc.get("kernel", (1, 1, 1))),
-            stride=tuple(doc.get("stride", (1, 1, 1))),
-            padding=tuple(doc.get("padding", (0, 0, 0, 0, 0, 0))),
-            groups=int(doc.get("groups", 1)),
-            op_type=doc.get("type", ""),
-            broadcast=bool(doc.get("broadcast", False)),
-            coarse_in=int(doc.get("coarse_in", 1)),
-            coarse_out=int(doc.get("coarse_out", 1)),
-            fine=int(doc.get("fine", 1)),
-            accumulate_psum=bool(doc.get("accumulate_psum", False)),
+            filters=strict(get("filters", 0), int, "config 'filters'", error),
+            kernel=strict(get("kernel", (1, 1, 1)), int, "config 'kernel'", error, 3),
+            stride=strict(get("stride", (1, 1, 1)), int, "config 'stride'", error, 3),
+            padding=strict(get("padding", (0, 0, 0, 0, 0, 0)), int, "config 'padding'", error, 6),
+            groups=strict(get("groups", 1), int, "config 'groups'", error),
+            op_type=get("type", ""),
+            broadcast=strict(get("broadcast", False), bool, "config 'broadcast'", error),
+            coarse_in=strict(get("coarse_in", 1), int, "config 'coarse_in'", error),
+            coarse_out=strict(get("coarse_out", 1), int, "config 'coarse_out'", error),
+            fine=strict(get("fine", 1), int, "config 'fine'", error),
+            accumulate_psum=strict(get("accumulate_psum", False), bool,
+                                   "config 'accumulate_psum'", error),
         )
 
 

@@ -9,8 +9,11 @@ A layer's tiling plan depends only on the layer, its node id, the node's
 capability and the schedule mode. Given the schedule of a parent state (the
 state an annealing move started from), `build_schedule` reuses the parent's
 plan, with the cycles already scored for it, for every layer whose four
-inputs are unchanged, and the layer order when the model is the same. So a
-move that edits one node re-tiles only that node's layers.
+inputs are unchanged, and the layer order when the model is the same. A
+search chain also passes a table of every plan it has built, so a layer
+whose node returns to a capability the chain has planned before takes that
+plan instead of re-tiling. So a move that edits one node re-tiles at most
+that node's layers, and only for capabilities new to the chain.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -25,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hardware_graph import HardwareGraph
-from .model_ir import ModelGraph, TensorShape, _windowed_axis, topological_order
+from .model_ir import ModelGraph, TensorShape, _windowed_axis, strict, topological_order
 from .perf_model import RuntimeConfig
 
 MODE_RUNTIME = "runtime_configurable"
@@ -70,8 +73,8 @@ class ScheduleEntry:
             tile_index=tuple(doc["tile_index"]),
             tile_origin=tuple(doc["tile_origin"]),
             tile_shape=tuple(doc["tile_shape"]),
-            filter_origin=int(doc["filter_origin"]),
-            filter_count=int(doc["filter_count"]),
+            filter_origin=strict(doc["filter_origin"], int, "entry 'filter_origin'", ValueError),
+            filter_count=strict(doc["filter_count"], int, "entry 'filter_count'", ValueError),
             config=RuntimeConfig.from_dict(doc["config"]),
         )
 
@@ -87,12 +90,12 @@ class Schedule:
     `entries` lists every invocation: `Schedule(entries)` counts them into
     groups, while `build_schedule` passes per-layer tiling plans (keyed by
     layer id, in schedule order) that are expanded on first access.
-    A built schedule also records its `model`, `mode` and layer `order`.
+    A built schedule also records its `model` and layer `order`.
     """
 
-    def __init__(self, entries=(), plans=None, model=None, mode=None, order=None):
+    def __init__(self, entries=(), plans=None, model=None, order=None):
         self.plans = plans
-        self.model, self.mode, self.order = model, mode, order
+        self.model, self.order = model, order
         if plans is None:
             self._entries = list(entries)
             counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
@@ -157,53 +160,36 @@ def _axis_tiles(full: int, tile: int):
     return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
-def _tile_output_shape(layer, tile_shape, pad):
-    """Windowed (D, H, W) output of one input tile under its border padding."""
-    return tuple(
-        max(0, _windowed_axis(x, k, j, pad[2 * i], pad[2 * i + 1]))
-        for i, (x, k, j) in enumerate(zip(tile_shape[:3], layer.kernel, layer.stride))
-    )
-
-
-def _runtime_config(layer, cap, tile_shape, first, last, f_count, psum):
-    """One tile's configuration: its own shape and border padding, folds cut to fit."""
+def _tile_config(layer, cap, parts):
+    """Runtime config of the tiles whose per-axis parts (see `_axis_parts`) are
+    `parts`: their own shape and border padding, folds cut to fit."""
+    (th, ph0, ph1, oh), (tw, pw0, pw1, ow), (td, pd0, pd1, od), (tc, psum), tf = parts
     kind = layer.kind
     macs = kind in ("Conv3D", "FullyConnected")
     windowed = kind in ("Conv3D", "Pool3D")
-    td, th, tw, tc = tile_shape
-    pad = (0, 0, 0, 0, 0, 0)
-    out = (1, 1, 1) if kind in ("FullyConnected", "GlobalAvgPool") else (td, th, tw)
-    if windowed:
-        # border tiles keep the layer padding
-        pad = tuple(
-            p if on_border else 0
-            for p, on_border in zip(
-                layer.padding,
-                (first[0], last[0], first[1], last[1], first[2], last[2]),
-            )
-        )
-        out = _tile_output_shape(layer, tile_shape, pad)
     c_in = math.gcd(tc, cap.coarse_in)
     return RuntimeConfig(
         kind=kind,
         shape_in=TensorShape(td, th, tw, tc),
-        shape_out=TensorShape(*out, f_count if macs else tc),
-        filters=f_count if macs else 0,
+        shape_out=TensorShape(od, oh, ow, tf if macs else tc),
+        filters=tf,  # a layer without filters has one empty filter tile
         kernel=layer.kernel if windowed else (1, 1, 1),
         stride=layer.stride if windowed else (1, 1, 1),
-        padding=pad,
+        padding=(pd0, pd1, ph0, ph1, pw0, pw1),
         groups=layer.groups if kind == "Conv3D" else 1,
         op_type="" if macs else layer.op_type,
         broadcast=layer.broadcast and not (macs or windowed),
         coarse_in=c_in,
-        coarse_out=math.gcd(f_count, cap.coarse_out) if macs else c_in,
+        coarse_out=math.gcd(tf, cap.coarse_out) if macs else c_in,
         fine=math.gcd(layer.kernel_volume, cap.fine) if kind == "Conv3D" else 1,
-        accumulate_psum=psum and macs,
+        accumulate_psum=psum,
     )
 
 
-def _padded_config(layer, cap, psum):
-    """Non-runtime-configurable execution: the node runs at full compile-time size."""
+def _padded_config(layer, cap, parts):
+    """Non-runtime-configurable execution: the node runs at full compile-time size.
+    Of the per-axis parts only the partial-sum flag is left."""
+    psum = parts[3]
     macs = cap.kind in ("Conv3D", "FullyConnected")
     windowed = cap.kind in ("Conv3D", "Pool3D")
     return RuntimeConfig(
@@ -218,7 +204,7 @@ def _padded_config(layer, cap, psum):
         coarse_in=cap.coarse_in,
         coarse_out=cap.coarse_out,
         fine=cap.fine,
-        accumulate_psum=psum and macs,
+        accumulate_psum=psum,
     )
 
 
@@ -247,27 +233,64 @@ def _axis_classes(full: int, tile: int) -> dict:
     return classes
 
 
+def _axis_parts(layer, axes, mode) -> list:
+    """Per axis (H, W, D, C, F), [(tile class, part, count)] over its tile classes.
+
+    A part is all that tiles of the class contribute to their config. At
+    runtime that is, on H, W and D, the extent, the border padding and the
+    windowed output extent; on C the extent and whether partial sums are
+    accumulated; on F the filter count. A padded tile runs at its node's
+    full size, so only the partial-sum flag is left.
+    """
+    kind = layer.kind
+    macs = kind in ("Conv3D", "FullyConnected")
+    windowed = kind in ("Conv3D", "Pool3D")
+    runtime = mode == MODE_RUNTIME
+    per_axis = []
+    for axis, (full, tile) in enumerate(axes):
+        parts = []
+        for (first, last), (x, n) in _axis_classes(full, tile).items():
+            if axis == 3:
+                psum = macs and not last
+                part = (x, psum) if runtime else psum
+            elif not runtime:
+                part = None
+            elif axis == 4:
+                part = x
+            elif windowed:
+                i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
+                start = layer.padding[2 * i] if first else 0
+                end = layer.padding[2 * i + 1] if last else 0
+                out = _windowed_axis(x, layer.kernel[i], layer.stride[i], start, end)
+                part = (x, start, end, max(0, out))
+            else:
+                part = (x, 0, 0, 1 if kind in ("FullyConnected", "GlobalAvgPool") else x)
+            parts.append(((first, last), part, n))
+        per_axis.append(parts)
+    return per_axis
+
+
 @dataclass(eq=False, slots=True)
 class _LayerPlan:
     """One layer's tiling on its node: (full, tile) per axis (H, W, D, C, F),
     the config of each combination of tile classes, and the layer's counted
-    groups. `layer`, `node_id` and `cap` are what the plan was built from;
-    `scored` is kept by `perf_model.schedule_latency` and `no_output` by
-    `optimizer.check_constraints`."""
+    groups. `layer`, `node_id`, `cap` and `mode` are what the plan was built
+    from; `scored` is kept by `perf_model.schedule_latency` and `no_output`
+    by `optimizer.check_constraints`."""
 
     layer: object
     node_id: str
     cap: object
+    mode: str
     axes: tuple
     configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
     groups: list
     scored: tuple = None
     no_output: list = None
 
-    def built_from(self, layer, node_id, cap) -> bool:
-        """True when the plan is what `_plan_layer(layer, node_id, cap, mode)` gives
-        for its schedule's mode."""
-        return (self.node_id == node_id
+    def built_from(self, layer, node_id, cap, mode) -> bool:
+        """True when the plan is what `_plan_layer(layer, node_id, cap, mode)` gives."""
+        return (self.node_id == node_id and self.mode == mode
                 and (self.cap is cap or self.cap == cap)
                 and (self.layer is layer or self.layer == layer))
 
@@ -299,6 +322,8 @@ def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
 
     Per axis a layer has at most three tile classes (first, interior, last),
     so its distinct configs and their counts are a product over classes.
+    Each config is built once from the parts its tile classes contribute;
+    distinct parts give distinct configs, so groups are counted on the parts.
     """
     _check_capability(layer, node_id, cap)
     ld, lh, lw, lc = _layer_input_dims(layer)
@@ -308,41 +333,36 @@ def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
     else:
         filters = (0, 1)  # no filter axis: one empty tile
     axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
-
-    memo = {}  # tiles of different classes may run the same config
-    configs, counts = {}, {}
-    for (ch, (th, kh)), (cw, (tw, kw)), (cd, (td, kd)), (cc, (tc, kc)), (cf, (tf, kf)) in (
-        itertools.product(*(_axis_classes(*axis).items() for axis in axes))
+    build = _padded_config if mode == MODE_PADDED else _tile_config
+    configs, counts = {}, {}  # counts: parts -> [config, invocations]
+    for (ch, ph, kh), (cw, pw, kw), (cd, pd, kd), (cc, pc, kc), (cf, pf, kf) in (
+        itertools.product(*_axis_parts(layer, axes, mode))
     ):
-        first, last = (cd[0], ch[0], cw[0]), (cd[1], ch[1], cw[1])
-        psum = not cc[1]
-        key = ((td, th, tw, tc), first, last, tf, psum)
-        cfg = memo.get(key)
-        if cfg is None:
-            if mode == MODE_PADDED:
-                cfg = _padded_config(layer, cap, psum)
-            else:
-                cfg = _runtime_config(layer, cap, (td, th, tw, tc), first, last, tf, psum)
-            memo[key] = cfg
-        configs[ch, cw, cd, cc, cf] = cfg
-        counts[cfg] = counts.get(cfg, 0) + kh * kw * kd * kc * kf
-    groups = [(node_id, layer.id, cfg, n) for cfg, n in counts.items()]
-    return _LayerPlan(layer, node_id, cap, axes, configs, groups)
+        parts = (ph, pw, pd, pc, pf)
+        group = counts.get(parts)
+        if group is None:
+            group = counts[parts] = [build(layer, cap, parts), 0]
+        group[1] += kh * kw * kd * kc * kf
+        configs[ch, cw, cd, cc, cf] = group[0]
+    groups = [(node_id, layer.id, cfg, n) for cfg, n in counts.values()]
+    return _LayerPlan(layer, node_id, cap, mode, axes, configs, groups)
 
 
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,
-                   parent: Schedule = None) -> Schedule:
+                   parent: Schedule = None, plan_table: dict = None) -> Schedule:
     """Tile every schedulable layer and count its invocations per config.
 
-    With `parent`, a schedule built in the same mode, each layer whose
-    descriptor, node id and node capability equal the parent's keeps the
-    parent's plan; the rest are planned afresh. The result is the same
-    as without `parent`.
+    With `parent`, a schedule built before, each layer whose descriptor,
+    node id and node capability equal the parent's keeps the parent's plan
+    when it was built in `mode`. `plan_table` holds the plans of earlier
+    schedules, keyed on (layer id, node id, capability); a layer the parent
+    cannot lend a plan to takes one from it, and every plan built afresh is
+    added to it. The result is the same as without `parent` and `plan_table`.
     """
     if mode not in (MODE_RUNTIME, MODE_PADDED):
         raise ValueError(f"unknown schedule mode '{mode}'")
-    # a schedule counted from entries records no mode or model, so lends nothing
-    reuse = parent.plans if parent is not None and parent.mode == mode else {}
+    # a schedule counted from entries has no plans, so lends nothing
+    reuse = getattr(parent, "plans", None) or {}
     if parent is not None and parent.model is model:
         order = parent.order
     else:
@@ -358,10 +378,15 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
         node_id = inv[lid]
         cap = g.nodes[node_id]
         plan = reuse.get(lid)
-        if plan is None or not plan.built_from(layer, node_id, cap):
-            plan = _plan_layer(layer, node_id, cap, mode)
+        if plan is None or not plan.built_from(layer, node_id, cap, mode):
+            key = (lid, node_id, cap)
+            plan = None if plan_table is None else plan_table.get(key)
+            if plan is None or not plan.built_from(layer, node_id, cap, mode):
+                plan = _plan_layer(layer, node_id, cap, mode)
+                if plan_table is not None:
+                    plan_table[key] = plan
         plans[lid] = plan
-    return Schedule(plans=plans, model=model, mode=mode, order=order)
+    return Schedule(plans=plans, model=model, order=order)
 
 
 # ---------------------------------------------------------------------------

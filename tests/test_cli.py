@@ -110,9 +110,14 @@ def _bad_device(workdir, **fields):
 
 def _unscorable_schedule(workdir):
     """schedule.json of the toy design with one config at a zero channel fold."""
+    return _edited_schedule(workdir, coarse_in=0)
+
+
+def _edited_schedule(workdir, **config):
+    """schedule.json of the toy design with `config` fields set on its first entry."""
     with open(_schedule_file(workdir)) as fh:
         doc = json.load(fh)
-    doc["entries"][0]["config"]["coarse_in"] = 0
+    doc["entries"][0]["config"].update(config)
     return _bad_schedule(workdir, json.dumps(doc))
 
 
@@ -208,6 +213,15 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(w, _fuse_conv_away)],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: d["graph"]["mapping"].update(conv_0=[["conv"]]))],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["graph"]["nodes"]["pool_0"]["shape_in_max"].__setitem__(0, 2.5))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(coarse_in=True))],
+    lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(filters=8.7))],
+    lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(broadcast="false"))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, accumulate_psum="false"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, kernel=["3", 3, 3]),
+               "--design", str(_design(w, lambda d: None))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -221,7 +235,10 @@ def _multishape_search(workdir, **params):
         "device-overhead-unknown-key", "schedule-device-bad-field",
         "params-zero-iterations", "params-separate-none", "params-combine-one",
         "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
-        "schedule-fused-not-activation", "schedule-mapped-id-not-string"])
+        "schedule-fused-not-activation", "schedule-mapped-id-not-string",
+        "schedule-shape-not-int", "schedule-fold-bool", "model-filters-float",
+        "model-broadcast-string", "report-schedule-psum-string",
+        "report-schedule-kernel-string"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,11 @@ from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import HardwareGraph
 from harflow.model_ir import parse_model
-from harflow.optimizer import evaluate
+from harflow.optimizer import AnnealingParams, anneal, evaluate
 from harflow.scheduler import MODE_RUNTIME, build_schedule
 
-PROBE = Path(__file__).resolve().parents[1] / "tools" / "design_probe.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PROBE = TOOLS / "design_probe.py"
 
 
 def _probe(out_dir, *runs):
@@ -50,3 +53,27 @@ def test_design_probe_lists_the_thirty_runs():
     assert len(names) == len(set(names)) == 30
     assert {"c3d-runtime-18", "multishape-padded-7", "r2plus1d-runtime-1",
             "toy-padded-3"} <= set(names)
+
+
+def test_stage_profile_of_toy_seed_0():
+    done = subprocess.run([sys.executable, str(TOOLS / "stage_profile.py"),
+                           "--model", "toy", "--seed", "0"],
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    head, params = lines[0].split(", params ")
+    assert head == "toy/zcu102 runtime"
+    chain = re.fullmatch(
+        r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), configs built (\d+), "
+        r"invocation_latency hits (\d+) misses (\d+)", lines[1])
+    best, plans, configs, hits, misses = map(int, chain.groups())
+    model = parse_model(bundled_model_text("toy"))
+    params = AnnealingParams(seed=0, **ast.literal_eval(params))
+    state, _ = anneal(model, load_bundled_profile("zcu102"), params)
+    assert best == state.latency_cycles
+    assert configs >= plans > 0 and hits > 0 and misses > 0
+    stages = dict(re.fullmatch(r"(\w+): (\d+) calls, [\d.]+ s", line).group(1, 2)
+                  for line in lines[2:])
+    assert list(stages) == ["build_schedule", "schedule_latency", "graph_resources",
+                            "check_constraints"]
+    # every evaluation builds a schedule and costs its graph
+    assert int(stages["build_schedule"]) == int(stages["graph_resources"]) > 0

@@ -121,6 +121,12 @@ def test_parse_serialize_round_trip():
         (lambda d: d["edges"].append(["conv"]), "source, target"),
         (lambda d: d.update(layers=[3]), "must be an object"),
         (lambda d: d["layers"][0].update(kernel=3), "'kernel' must be 3 integers"),
+        (lambda d: d["layers"][0].update(shape_in=[2.5, 8, 8, 3]), r"integer array, got \[2.5"),
+        (lambda d: d["layers"][0].update(shape_in=[True, 8, 8, 3]), r"array, got \[True"),
+        (lambda d: d["layers"][0].update(filters=8.7), "'filters' must be an integer, got 8.7"),
+        (lambda d: d["layers"][0].update(filters=True), "'filters' must be an integer, got True"),
+        (lambda d: d["layers"][0].update(kernel=[3, 3.0, 3]), r"3 integers, got \[3, 3.0, 3\]"),
+        (lambda d: d["layers"][1].update(broadcast="false"), "'broadcast' must be true or false"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, match):

@@ -331,13 +331,15 @@ def _no_output(state):
 
 def _walk_with_parents(model, dev, mode, rng, steps):
     """Random annealing moves and fold_climb candidates, each evaluated from its
-    parent and from scratch. Returns counts of: plans reused, moves that changed
-    the node set, the resources, and the no-output violations."""
+    parent with the walk's plan table, and from scratch. Returns counts of:
+    plans reused from the parent, plans taken from the table, moves that
+    changed the node set, the resources, and the no-output violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
         graph = fuse_activations(graph, model)
     state = evaluate(model, _sample_capabilities(graph, model, rng), dev, mode)
+    table = {}
     counts = Counter()
     for step in range(steps):
         nid = rng.choice(sorted(state.graph.nodes))
@@ -346,13 +348,18 @@ def _walk_with_parents(model, dev, mode, rng, steps):
             graph = state.graph.with_node(nid, rng.choice(neighbours))
         else:
             graph = random_transformation(model, state.graph, rng, params)
-        child = evaluate(model, graph, dev, mode, parent=state)
+        # plans built at earlier steps, held so that their ids stay unique
+        tabled = {id(plan): plan for plan in table.values()}
+        child = evaluate(model, graph, dev, mode, parent=state, plan_table=table)
         scratch = evaluate(model, graph, dev, mode)
         assert _evaluation(child) == _evaluation(scratch)
         assert child.node_costs == scratch.node_costs
-        if child.schedule.plans and state.schedule.plans:
-            counts["reused"] += sum(plan is state.schedule.plans.get(lid)
-                                    for lid, plan in child.schedule.plans.items())
+        lent = state.schedule.plans or {}
+        for lid, plan in (child.schedule.plans or {}).items():
+            if plan is lent.get(lid):
+                counts["reused"] += 1
+            elif id(plan) in tabled:
+                counts["from_table"] += 1
         counts["structural"] += set(graph.nodes) != set(state.graph.nodes)
         counts["resources"] += child.resources != state.resources
         counts["no_output"] += _no_output(child) != _no_output(state)
@@ -371,9 +378,12 @@ def test_parent_reuse_equals_evaluation_from_scratch(mode):
                                      steps=10 if name == "c3d" else 16)
     for _ in range(30):
         counts += _walk_with_parents(_random_chain_model(rng), dev, mode, rng, steps=10)
-    # the walks did exercise reuse, combine/separate moves and changed resources;
-    # padded tiles run at the node's full shape, so only runtime tiles lack output
-    assert counts["reused"] > 0 and counts["structural"] > 0 and counts["resources"] > 0
+    # the walks did exercise reuse from the parent and from the table (a layer's
+    # node came back to a capability planned at an earlier step), combine/separate
+    # moves and changed resources; padded tiles run at the node's full shape, so
+    # only runtime tiles lack output
+    assert counts["reused"] > 0 and counts["from_table"] > 0
+    assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 
 
@@ -382,19 +392,30 @@ def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape,
     parent = evaluate(multishape, initial_mapping(multishape), zcu102, MODE_RUNTIME)
     assert _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, parent=parent)) == (
         _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME)))
+    table = {}
+    evaluate(multishape, initial_mapping(multishape), zcu102, MODE_RUNTIME, plan_table=table)
+    assert _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, plan_table=table)) == (
+        _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME)))
     for mode, other in ((MODE_RUNTIME, MODE_PADDED), (MODE_PADDED, MODE_RUNTIME)):
-        parent = evaluate(toy, graph, zcu102, other)
+        table = {}
+        parent = evaluate(toy, graph, zcu102, other, plan_table=table)
+        assert table and _evaluation(parent) != _evaluation(evaluate(toy, graph, zcu102, mode))
         assert _evaluation(evaluate(toy, graph, zcu102, mode, parent=parent)) == (
+            _evaluation(evaluate(toy, graph, zcu102, mode)))
+        assert _evaluation(evaluate(toy, graph, zcu102, mode, plan_table=table)) == (
             _evaluation(evaluate(toy, graph, zcu102, mode)))
     # same layer ids, node ids and capabilities; the fc layer has fewer filters
     doc = json.loads(serialize_model(toy))
     fc = next(layer for layer in doc["layers"] if layer["id"] == "fc")
     fc.update(filters=6, shape_out=[1, 1, 1, 6])
     narrower = parse_model(json.dumps(doc))
-    parent = evaluate(toy, graph, zcu102, MODE_RUNTIME)
+    table = {}
+    parent = evaluate(toy, graph, zcu102, MODE_RUNTIME, plan_table=table)
     child = evaluate(narrower, graph, zcu102, MODE_RUNTIME, parent=parent)
     assert _evaluation(child) == _evaluation(evaluate(narrower, graph, zcu102, MODE_RUNTIME))
     assert child.latency_cycles != parent.latency_cycles
+    child = evaluate(narrower, graph, zcu102, MODE_RUNTIME, plan_table=table)
+    assert _evaluation(child) == _evaluation(evaluate(narrower, graph, zcu102, MODE_RUNTIME))
     # cycles scored at one bandwidth are not kept for another
     slow = replace(zcu102, bw_in_words_per_cycle=Fraction(1, 2))
     child = evaluate(toy, graph, slow, MODE_RUNTIME, parent=parent)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -25,6 +26,7 @@ from harflow.scheduler import (
     InfeasibleScheduleError,
     Schedule,
     ScheduleEntry,
+    _axis_count,
     build_schedule,
     coverage_oracle,
     schedule_latency_oracle,
@@ -284,6 +286,27 @@ def test_counted_schedule_equals_its_expanded_entries(mode):
                 for e in layer
             )
     assert scheduled >= 30
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_plans_build_each_distinct_config_once(mode):
+    plans = 0
+    for model, graph, _ in _counted_schedule_cases(mode):
+        try:
+            schedule = build_schedule(model, graph, mode)
+        except InfeasibleScheduleError:
+            continue
+        for plan in schedule.plans.values():
+            plans += 1
+            configs = [cfg for _, _, cfg, _ in plan.groups]
+            assert len(set(configs)) == len(configs)
+            # every tile class combination runs one of the groups' config objects
+            assert {id(cfg) for cfg in plan.configs.values()} == {id(cfg) for cfg in configs}
+            assert sum(n for *_, n in plan.groups) == math.prod(
+                _axis_count(*axis) for axis in plan.axes)
+            if mode == MODE_PADDED:  # only the partial-sum flag varies
+                assert len(configs) <= 2
+    assert plans >= 100
 
 
 def _entries_digest(schedule):
