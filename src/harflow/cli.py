@@ -1,6 +1,9 @@
 """Command-line entry point: parse -> optimize -> schedule -> report.
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
+`harflow schedule` and `harflow report` cost per distinct runtime config, not
+per invocation: the schedule file's text encodes each config once, and
+reading it back decodes each distinct config document once per file.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -31,6 +34,7 @@ from .scheduler import (
     Schedule,
     ScheduleEntry,
     build_schedule,
+    schedule_json,
 )
 from .hardware_graph import HardwareGraph, HardwareGraphError
 
@@ -208,8 +212,9 @@ def _load_schedule(schedule_file):
         raise click.ClickException(f"schedule file not found: {schedule_file}")
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"schedule file {schedule_file}: invalid JSON: {exc}")
+    configs = {}  # each distinct config document of this file is decoded once
     try:
-        return Schedule([ScheduleEntry.from_dict(e) for e in doc["entries"]])
+        return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"schedule file {schedule_file}: invalid entries: {exc!r}")
 
@@ -225,17 +230,12 @@ def schedule_cmd(design_file, out_file):
     except InfeasibleScheduleError as exc:
         raise click.ClickException(str(exc))
     total = schedule_latency(schedule, dev)
-    out = {
-        "model": model.name,
-        "device": dev.name,
-        "total_cycles": total,
-        "total_ms": total * 1e3 / dev.clock_hz,
-        "entries": [e.to_dict() for e in schedule.entries],
-    }
-    Path(out_file).write_text(json.dumps(out, indent=2) + "\n")
+    total_ms = total * 1e3 / dev.clock_hz
+    head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
+    Path(out_file).write_text(schedule_json(head, schedule))
     click.echo(
         f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
-        f"{out['total_ms']:.3f} ms"
+        f"{total_ms:.3f} ms"
     )
 
 
@@ -254,6 +254,9 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
         latency = schedule_latency(schedule, dev)
     except PerfModelError as exc:
         raise click.ClickException(f"schedule file {schedule_file}: {exc}")
+    if latency <= 0:
+        raise click.ClickException(
+            f"schedule file {schedule_file}: total latency is {latency} cycles; nothing to report")
     resources = graph_resources(graph, dev)
     report = build_report(model, dev, schedule, resources, latency)
     Path(out_file).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

@@ -9,7 +9,7 @@ counters with exact integer equality.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import TensorShape, strict
+from .model_ir import LAYER_KINDS, TensorShape, strict
 
 
 class PerfModelError(ValueError):
@@ -73,6 +73,9 @@ class RuntimeConfig:
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
         get, error = doc.get, PerfModelError
+        if doc["kind"] not in LAYER_KINDS:
+            raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, "
+                        f"got {doc['kind']!r}")
         return cls(
             kind=doc["kind"],
             shape_in=TensorShape.from_list(doc["shape_in"]),

@@ -15,11 +15,17 @@ whose node returns to a capability the chain has planned before takes that
 plan instead of re-tiling. So a move that edits one node re-tiles at most
 that node's layers, and only for capabilities new to the chain.
 
+`schedule_json` writes a schedule as schedule.json text, encoding each node
+id, layer id and config object once; `ScheduleEntry.from_dict` reads an entry
+back, checking every field, and with a memo decodes each distinct config
+document once.
+
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -66,16 +72,29 @@ class ScheduleEntry:
         }
 
     @classmethod
-    def from_dict(cls, doc) -> "ScheduleEntry":
+    def from_dict(cls, doc, configs: dict) -> "ScheduleEntry":
+        """The entry of a schedule.json entry document, every field checked.
+
+        `configs` memoizes decoded configs on the `repr` of their document,
+        which tells 1, 1.0, true and "1" apart (`==` would not), so each
+        distinct config document is decoded and checked once per memo.
+        """
+        node, layer = doc["node"], doc["layer"]
+        if type(node) is not str or type(layer) is not str:
+            raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
+        key = repr(doc["config"])
+        config = configs.get(key)
+        if config is None:
+            config = configs[key] = RuntimeConfig.from_dict(doc["config"])
         return cls(
-            node_id=doc["node"],
-            layer_id=doc["layer"],
-            tile_index=tuple(doc["tile_index"]),
-            tile_origin=tuple(doc["tile_origin"]),
-            tile_shape=tuple(doc["tile_shape"]),
+            node_id=node,
+            layer_id=layer,
+            tile_index=strict(doc["tile_index"], int, "entry 'tile_index'", ValueError, 5),
+            tile_origin=strict(doc["tile_origin"], int, "entry 'tile_origin'", ValueError, 4),
+            tile_shape=strict(doc["tile_shape"], int, "entry 'tile_shape'", ValueError, 4),
             filter_origin=strict(doc["filter_origin"], int, "entry 'filter_origin'", ValueError),
             filter_count=strict(doc["filter_count"], int, "entry 'filter_count'", ValueError),
-            config=RuntimeConfig.from_dict(doc["config"]),
+            config=config,
         )
 
 
@@ -116,6 +135,51 @@ class Schedule:
 
     def __len__(self):
         return self._len
+
+
+def _json_ints(n, depth):
+    """`%d` template of an array of `n` integers as `json.dumps(indent=2)` writes
+    it at `depth`."""
+    return "[" + ",".join(["\n" + "  " * (depth + 1) + "%d"] * n) + "\n" + "  " * depth + "]"
+
+
+# one entry of schedule.json at depth 2: the encoded node id, layer id and
+# config, and the entry's integers, go into the `%s` and `%d` fields
+_ENTRY_JSON = (
+    '    {\n'
+    '      "node": %s,\n'
+    '      "layer": %s,\n'
+    f'      "tile_index": {_json_ints(5, 3)},\n'
+    f'      "tile_origin": {_json_ints(4, 3)},\n'
+    f'      "tile_shape": {_json_ints(4, 3)},\n'
+    '      "filter_origin": %d,\n'
+    '      "filter_count": %d,\n'
+    '      "config": %s\n'
+    '    }'
+)
+
+
+def schedule_json(head: dict, schedule: Schedule) -> str:
+    """The text of `json.dumps(dict(head, entries=[e.to_dict() for e in
+    schedule.entries]), indent=2) + "\\n"`, encoding each node id, layer id and
+    config object once; per entry only its integers are formatted."""
+    ids, configs = {}, {}  # id string -> JSON; id(config) -> JSON at depth 3
+    rows = []
+    for e in schedule.entries:
+        node, layer, config = ids.get(e.node_id), ids.get(e.layer_id), configs.get(id(e.config))
+        if node is None:
+            node = ids[e.node_id] = json.dumps(e.node_id)
+        if layer is None:
+            layer = ids[e.layer_id] = json.dumps(e.layer_id)
+        if config is None:
+            config = json.dumps(e.config.to_dict(), indent=2).replace("\n", "\n      ")
+            configs[id(e.config)] = config
+        rows.append(_ENTRY_JSON % (node, layer, *e.tile_index, *e.tile_origin, *e.tile_shape,
+                                   e.filter_origin, e.filter_count, config))
+    text = json.dumps(dict(head, entries=[]), indent=2)  # ends in '"entries": []\n}'
+    if not rows:
+        return text + "\n"
+    return text[:-3] + "\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 class _Groups:

@@ -9,6 +9,7 @@ from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import initial_mapping
 from harflow.model_ir import parse_model
+from harflow.perf_model import RuntimeConfig
 
 QUICK_PARAMS = {"tau_start": 1.0, "tau_min": 0.05, "cooling": 0.9,
                 "warm_start_samples": 8}
@@ -115,10 +116,35 @@ def _unscorable_schedule(workdir):
 
 def _edited_schedule(workdir, **config):
     """schedule.json of the toy design with `config` fields set on its first entry."""
+    return _edited_entries(workdir, lambda entries: entries[0]["config"].update(config))
+
+
+def _edited_entry(workdir, **fields):
+    """schedule.json of the toy design with `fields` set on its first entry."""
+    return _edited_entries(workdir, lambda entries: entries[0].update(fields))
+
+
+def _edited_entries(workdir, edit):
+    """schedule.json of the toy design with `edit` applied to its entry list."""
     with open(_schedule_file(workdir)) as fh:
         doc = json.load(fh)
-    doc["entries"][0]["config"].update(config)
+    edit(doc["entries"])
     return _bad_schedule(workdir, json.dumps(doc))
+
+
+def _only_no_output_entry(entries):
+    """Keep only the first entry (the conv layer), with no filters to compute."""
+    entries[1:] = []
+    entries[0]["config"]["filters"] = 0
+
+
+def _twice(edit):
+    """Entry list edit: the first entry followed by a copy with `edit` applied."""
+    def twice(entries):
+        copy = json.loads(json.dumps(entries[0]))
+        edit(copy["config"])
+        entries[1:1] = [copy]
+    return twice
 
 
 def _bad_schedule(workdir, text):
@@ -222,6 +248,29 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_schedule(w, kernel=["3", 3, 3]),
                "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, node=1),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, layer=7),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, kind="Conv2D"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, kind=None),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, tile_index=[0.5, "x"]),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, tile_origin=[0, 0, 0]),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, tile_shape="abc"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entries(w, list.clear),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entries(w, _only_no_output_entry),
+               "--design", str(_design(w, lambda d: None))],
+    # {"coarse_in": true} == {"coarse_in": 1}, so a config memo keyed on equality
+    # would let the copy borrow the first entry's validated config
+    lambda w: ["report", "--schedule",
+               _edited_entries(w, _twice(lambda cfg: cfg.update(coarse_in=True))),
+               "--design", str(_design(w, lambda d: None))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -238,7 +287,12 @@ def _multishape_search(workdir, **params):
         "schedule-fused-not-activation", "schedule-mapped-id-not-string",
         "schedule-shape-not-int", "schedule-fold-bool", "model-filters-float",
         "model-broadcast-string", "report-schedule-psum-string",
-        "report-schedule-kernel-string"])
+        "report-schedule-kernel-string", "report-schedule-node-not-string",
+        "report-schedule-layer-not-string", "report-schedule-kind-unknown",
+        "report-schedule-kind-null", "report-schedule-tile-index-not-int",
+        "report-schedule-tile-origin-short", "report-schedule-tile-shape-string",
+        "report-schedule-no-entries", "report-schedule-zero-latency",
+        "report-schedule-bool-after-equal-int"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -246,6 +300,38 @@ def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
+
+
+def test_report_counts_reordered_equal_configs_as_one_group(runner, workdir):
+    def reorder(cfg):
+        items = list(cfg.items())
+        cfg.clear()
+        cfg.update(reversed(items))
+
+    out = workdir / "report.json"
+    result = runner.invoke(main, ["report", "--out", str(out),
+                                  "--schedule", _edited_entries(workdir, _twice(reorder)),
+                                  "--design", str(_design(workdir, lambda d: None))])
+    assert result.exit_code == 0, result.output
+    rows = {row["layer"]: row for row in json.loads(out.read_text())["per_layer"]}
+    assert (rows["conv"]["invocations"], rows["conv"]["configs"]) == (2, 1)
+
+
+def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
+    design = _design(workdir, lambda d: _conv_node(d).update(shape_in_max=[4, 1, 1, 3]))
+    schedule = workdir / "schedule.json"
+    assert runner.invoke(main, ["schedule", "--design", str(design),
+                                "--out", str(schedule)]).exit_code == 0
+    documents = {json.dumps(e["config"]) for e in json.loads(schedule.read_text())["entries"]}
+    decoded = []
+    from_dict = RuntimeConfig.from_dict.__func__
+    monkeypatch.setattr(RuntimeConfig, "from_dict", classmethod(
+        lambda cls, doc: decoded.append(doc) or from_dict(cls, doc)))
+    result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(schedule),
+                                  "--out", str(workdir / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(schedule.read_text())["entries"]) > 20 * len(documents)
+    assert sorted(json.dumps(doc) for doc in decoded) == sorted(documents)
 
 
 def test_unknown_device_fails(runner, workdir):

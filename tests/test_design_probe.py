@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import HardwareGraph
 from harflow.model_ir import parse_model
-from harflow.optimizer import AnnealingParams, anneal, evaluate
+from harflow.optimizer import AnnealingParams, OptimizerError, anneal, evaluate, warm_start
 from harflow.scheduler import MODE_RUNTIME, build_schedule
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -60,20 +61,45 @@ def test_stage_profile_of_toy_seed_0():
                            "--model", "toy", "--seed", "0"],
                           capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
-    head, params = lines[0].split(", params ")
+    head, params_text = lines[0].split(", params ")
     assert head == "toy/zcu102 runtime"
     chain = re.fullmatch(
         r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), configs built (\d+), "
         r"invocation_latency hits (\d+) misses (\d+)", lines[1])
     best, plans, configs, hits, misses = map(int, chain.groups())
     model = parse_model(bundled_model_text("toy"))
-    params = AnnealingParams(seed=0, **ast.literal_eval(params))
+    params = AnnealingParams(seed=0, **ast.literal_eval(params_text))
     state, _ = anneal(model, load_bundled_profile("zcu102"), params)
     assert best == state.latency_cycles
     assert configs >= plans > 0 and hits > 0 and misses > 0
     stages = dict(re.fullmatch(r"(\w+): (\d+) calls, [\d.]+ s", line).group(1, 2)
-                  for line in lines[2:])
+                  for line in lines[2:6])
     assert list(stages) == ["build_schedule", "schedule_latency", "graph_resources",
                             "check_constraints"]
     # every evaluation builds a schedule and costs its graph
     assert int(stages["build_schedule"]) == int(stages["graph_resources"]) > 0
+
+    export = re.fullmatch(
+        r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "
+        r"\((\d+) infeasible\), (\d+) entries written, (\d+) configs encoded, "
+        r"(\d+) configs decoded", lines[6])
+    designs = infeasible = entries = encoded = decoded = 0
+    for seed in range(8):
+        params = AnnealingParams(seed=seed, **ast.literal_eval(params_text))
+        try:
+            warm, _ = warm_start(model, load_bundled_profile("zcu102"), params,
+                                 random.Random(seed))
+        except OptimizerError:
+            infeasible += 1
+            continue
+        groups = warm.schedule.groups
+        designs += 1
+        entries += len(warm.schedule)
+        encoded += len(groups)  # one config object per group
+        decoded += len({json.dumps(cfg.to_dict()) for _, _, cfg, _ in groups})
+    assert list(map(int, export.groups())) == [designs, infeasible, entries, encoded, decoded]
+    assert entries > encoded >= decoded
+    export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
+                     for line in lines[7:]]
+    assert export_stages == ["build + expand", "encode + write", "read + decode",
+                             "count + score + report", "load design"]

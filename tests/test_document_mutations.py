@@ -1,10 +1,13 @@
 """Mutation gate: a bundled document with one key dropped, or one value swapped
 for a value of another JSON type, either parses or raises the loader's typed
 error, and the CLI ends in exit code 0 or in exit code 1 with one `Error:` line.
+The documents are the toy model, the zcu102 profile, the toy design and the
+toy design's schedule file.
 """
 
 import copy
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -29,6 +32,19 @@ DESIGN = {
     "graph": initial_mapping(parse_model(bundled_model_text("toy"))).to_dict(),
 }
 
+
+def _toy_schedule():
+    """schedule.json of DESIGN, as `harflow schedule` writes it."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("design.json").write_text(json.dumps(DESIGN))
+        result = runner.invoke(main, ["schedule", "--design", "design.json"])
+        assert result.exit_code == 0, result.output
+        return json.loads(Path("schedule.json").read_text())
+
+
+SCHEDULE = _toy_schedule()
+
 # one value per JSON type; bool and int, and int and float, are told apart
 # because Python's loaders treat them differently
 SAMPLES = [None, True, 0, 3, -1, 2.5, "", "x", [], [1], {}, {"x": 1}]
@@ -47,10 +63,12 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def mutations(doc):
-    """("drop", path, None) or ("swap", path, value of another JSON type) of `doc`."""
-    droppable = [p for p in _paths(doc) if isinstance(_get(doc, p[:-1]), dict)]
-    swaps = st.sampled_from(list(_paths(doc))).flatmap(lambda p: st.tuples(
+def mutations(doc, where=lambda path: True):
+    """("drop", path, None) or ("swap", path, value of another JSON type) of `doc`,
+    at the key paths that `where` accepts."""
+    paths = [p for p in _paths(doc) if where(p)]
+    droppable = [p for p in paths if isinstance(_get(doc, p[:-1]), dict)]
+    swaps = st.sampled_from(paths).flatmap(lambda p: st.tuples(
         st.just("swap"), st.just(p),
         st.sampled_from([v for v in SAMPLES if _kind(v) != _kind(_get(doc, p))])))
     return st.tuples(st.just("drop"), st.sampled_from(droppable), st.none()) | swaps
@@ -121,3 +139,16 @@ def test_mutated_device_parses_or_fails_in_one_line(tmp_path_factory, mutation):
 @example(mutation=("swap", ("graph", "nodes", "pool_0", "kernel_max", 0), ""))
 def test_mutated_design_schedules_or_fails_in_one_line(tmp_path_factory, mutation):
     _schedule(tmp_path_factory.mktemp("design"), _mutated(DESIGN, mutation))
+
+
+@GATE
+@given(mutation=mutations(SCHEDULE, lambda p: len(p) == 1 or p[:2] == ("entries", 0)))
+@example(mutation=("swap", ("entries",), ""))
+@example(mutation=("swap", ("entries", 0, "tile_shape"), "abc"))
+def test_mutated_schedule_reports_or_fails_in_one_line(tmp_path_factory, mutation):
+    tmp_path = tmp_path_factory.mktemp("schedule")
+    design, schedule = tmp_path / "design.json", tmp_path / "schedule.json"
+    design.write_text(json.dumps(DESIGN))
+    schedule.write_text(json.dumps(_mutated(SCHEDULE, mutation)))
+    _assert_one_line_outcome(["report", "--design", str(design), "--schedule", str(schedule),
+                              "--out", str(tmp_path / "report.json")])

@@ -11,6 +11,7 @@ from test_acceptance import _random_chain_model, _randomly_shrunk
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
+    HardwareGraph,
     NodeCapability,
     capability_for_layers,
     fuse_activations,
@@ -29,6 +30,7 @@ from harflow.scheduler import (
     _axis_count,
     build_schedule,
     coverage_oracle,
+    schedule_json,
     schedule_latency_oracle,
 )
 
@@ -205,7 +207,7 @@ def test_schedule_entry_round_trip(toy):
     graph = initial_mapping(toy)
     schedule = build_schedule(toy, graph, MODE_RUNTIME)
     for e in schedule.entries:
-        assert ScheduleEntry.from_dict(e.to_dict()) == e
+        assert ScheduleEntry.from_dict(e.to_dict(), {}) == e
 
 
 def test_oracle_latency_matches_analytical_on_random_shrinks(toy):
@@ -354,3 +356,27 @@ PINNED_ENTRIES = {
 def test_expanded_entries_match_pinned_fixture():
     digests = {key: _entries_digest(s) for key, s in _pinned_schedules()}
     assert digests == PINNED_ENTRIES
+
+
+def _escaped_ids_schedule():
+    """The toy schedule, conv tiled, with a layer and a node id that JSON escapes."""
+    layer, node = 'conv "3d" \u00e9\\', "n\u0153ud\t0"
+    doc = json.loads(bundled_model_text("toy").replace('"conv"', json.dumps(layer)))
+    model = parse_model(json.dumps(doc))
+    graph = initial_mapping(model).to_dict()
+    graph["nodes"][node] = graph["nodes"].pop("conv_0")
+    graph["mapping"][node] = graph["mapping"].pop("conv_0")
+    graph = _shrink_conv(HardwareGraph.from_dict(graph), d=2, c=2, f=3)
+    schedule = build_schedule(model, graph, MODE_RUNTIME)
+    assert {(e.node_id, e.layer_id) for e in schedule.entries} >= {(node, layer)}
+    return schedule
+
+
+def test_schedule_json_is_the_indented_json_of_its_entries():
+    cases = list(_pinned_schedules())
+    cases += [("empty", Schedule()), ("escaped ids", _escaped_ids_schedule())]
+    head = {"model": "toy \"\u00e9\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
+    for name, schedule in cases:
+        expected = json.dumps(dict(head, entries=[e.to_dict() for e in schedule.entries]),
+                              indent=2) + "\n"
+        assert schedule_json(head, schedule) == expected, name

@@ -10,6 +10,23 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
   `build_schedule`, `schedule_latency`, `graph_resources` and
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
 
+Then it exports the warm-start design of each of the seeds 0-7 (for C3D, the
+inputs of the c3d-export benchmark workload) through `harflow schedule` and
+`harflow report`, as separate processes would (the `invocation_latency`
+cache is cleared before each command), and prints the
+entries written, the configs encoded (`RuntimeConfig.to_dict` calls) and
+decoded (`RuntimeConfig.from_dict` calls), and the seconds summed over the
+designs of each export stage:
+
+- build + expand: `build_schedule` and the expansion of its entries;
+- encode + write: the rest of `harflow schedule`, past loading the design
+  and scoring the schedule;
+- read + decode: `harflow report` reading and decoding the schedule file,
+  without counting its entries into groups;
+- count + score + report: that count, `schedule_latency` in both commands
+  and the rest of `harflow report`;
+- load design: `cli._load_design` in both commands.
+
 The counts are deterministic per seed; the seconds are wall time of this
 process. Two trees are compared by running the profile on each:
 
@@ -18,11 +35,18 @@ process. Two trees are compared by running the profile on each:
 """
 
 import argparse
+import io
+import json
+import random
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from design_probe import DEVICE, PARAMS
+
+EXPORT_SEEDS = range(8)  # the warm starts the c3d-export benchmark workload exports
 
 STAGES = ("build_schedule", "schedule_latency", "graph_resources", "check_constraints")
 
@@ -85,6 +109,84 @@ def profile(model_name, seeds, padded=False):
     return rows, stages
 
 
+def export_profile(model_name, seeds, padded=False):
+    """(stage seconds, counts) of exporting the warm-start design of each seed.
+
+    Seeds whose warm start finds no feasible design (`OptimizerError`) are
+    skipped and counted.
+    """
+    from harflow import cli, optimizer, perf_model, scheduler
+    from harflow.device import load_bundled_profile
+    from harflow.generators import bundled_model_text
+    from harflow.model_ir import parse_model, serialize_model
+    from harflow.perf_model import RuntimeConfig
+
+    model = parse_model(bundled_model_text(model_name))
+    dev = load_bundled_profile(DEVICE)
+    names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule", "Schedule")
+    timers = {name: [0, 0.0] for name in names}
+    timers["expand"] = [0, 0.0]
+    encoded, decoded = [0], [0]
+    patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
+    patched[scheduler._LayerPlan, "entries"] = _timed(scheduler._LayerPlan.entries,
+                                                      timers["expand"])
+    patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
+    patched[RuntimeConfig, "from_dict"] = classmethod(
+        _counted(RuntimeConfig.from_dict.__func__, decoded))
+    saved = {key: vars(key[0])[key[1]] for key in patched}
+
+    def command(*argv):
+        """Seconds of one CLI command, and the seconds each timer took of them."""
+        before = {name: t[1] for name, t in timers.items()}
+        perf_model.invocation_latency.cache_clear()  # as in a fresh process
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()):
+            cli.main.main(list(argv), standalone_mode=False)
+        wall = time.perf_counter() - start
+        return wall, {name: t[1] - before[name] for name, t in timers.items()}
+
+    stages = dict.fromkeys(("build + expand", "encode + write", "read + decode",
+                            "count + score + report", "load design"), 0.0)
+    counts = dict(designs=0, infeasible=0, entries=0)
+    try:
+        for (owner, name), fn in patched.items():
+            setattr(owner, name, fn)
+        with tempfile.TemporaryDirectory() as tmp:
+            design, schedule, report = (str(Path(tmp) / f) for f in (
+                "design.json", "schedule.json", "report.json"))
+            for seed in seeds:
+                params = optimizer.AnnealingParams(
+                    seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
+                try:
+                    state, _ = optimizer.warm_start(model, dev, params, random.Random(seed))
+                except optimizer.OptimizerError:
+                    counts["infeasible"] += 1
+                    continue
+                Path(design).write_text(json.dumps({
+                    "model": json.loads(serialize_model(model)), "device": dev.to_dict(),
+                    "mode": params.mode, "graph": state.graph.to_dict(),
+                }))
+                ws, ts = command("schedule", "--design", design, "--out", schedule)
+                wr, tr = command("report", "--design", design, "--schedule", schedule,
+                                 "--out", report)
+                build = ts["build_schedule"] + ts["expand"]
+                stages["build + expand"] += build
+                stages["encode + write"] += (ws - ts["_load_design"] - build
+                                             - ts["schedule_latency"])
+                stages["read + decode"] += tr["_load_schedule"] - tr["Schedule"]
+                stages["count + score + report"] += (
+                    wr - tr["_load_design"] - tr["_load_schedule"] + tr["Schedule"]
+                    + ts["schedule_latency"])
+                stages["load design"] += ts["_load_design"] + tr["_load_design"]
+                counts["designs"] += 1
+                counts["entries"] += len(state.schedule)
+    finally:
+        for (owner, name), fn in saved.items():
+            setattr(owner, name, fn)
+    counts.update(encoded=encoded[0], decoded=decoded[0])
+    return stages, counts
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--model", default="c3d", help="bundled model name")
@@ -105,6 +207,12 @@ def main(argv=None):
               .format(**row))
     for name, (calls, seconds) in stages.items():
         print(f"{name}: {calls} calls, {seconds:.3f} s")
+    stages, counts = export_profile(args.model, EXPORT_SEEDS, args.padded)
+    print(f"export: {counts['designs']} warm-start designs of seeds {list(EXPORT_SEEDS)} "
+          f"({counts['infeasible']} infeasible), {counts['entries']} entries written, "
+          f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded")
+    for name, seconds in stages.items():
+        print(f"export {name}: {seconds:.3f} s")
     return 0
 
 
