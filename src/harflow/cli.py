@@ -1,9 +1,10 @@
 """Command-line entry point: parse -> optimize -> schedule -> report.
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
-`harflow schedule` and `harflow report` cost per distinct runtime config, not
-per invocation: the schedule file's text encodes each config once, and
-reading it back decodes each distinct config document once per file.
+schedule.json holds each runtime config once, in a `configs` table that its
+entries index, so `harflow report` decodes each config once. The report also
+checks the file's invocations per (node, layer) against the design's own
+schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -11,6 +12,7 @@ import csv
 import json
 import logging
 import os
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -24,7 +26,7 @@ from .optimizer import (
     anneal,
     pareto_sweep,
 )
-from .perf_model import PerfModelError, schedule_latency
+from .perf_model import RuntimeConfig, schedule_latency
 from .reporting import build_report
 from .resource_model import graph_resources
 from .scheduler import (
@@ -212,11 +214,28 @@ def _load_schedule(schedule_file):
         raise click.ClickException(f"schedule file not found: {schedule_file}")
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"schedule file {schedule_file}: invalid JSON: {exc}")
-    configs = {}  # each distinct config document of this file is decoded once
     try:
+        if type(doc["configs"]) is not list:
+            raise TypeError(f"'configs' must be an array, got {type(doc['configs']).__name__}")
+        configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
         return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"schedule file {schedule_file}: invalid entries: {exc!r}")
+        raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc!r}")
+
+
+def _design_schedule(doc, model, graph):
+    try:
+        return build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
+    except InfeasibleScheduleError as exc:
+        raise click.ClickException(str(exc))
+
+
+def _invocation_counts(schedule) -> Counter:
+    """Invocations per (node id, layer id), counted over the schedule's groups."""
+    counts = Counter()
+    for node_id, layer_id, _, n in schedule.groups:
+        counts[node_id, layer_id] += n
+    return counts
 
 
 @main.command("schedule")
@@ -225,10 +244,7 @@ def _load_schedule(schedule_file):
 def schedule_cmd(design_file, out_file):
     """Build the tiled invocation schedule for an optimized design."""
     doc, model, dev, graph = _load_design(design_file)
-    try:
-        schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
-    except InfeasibleScheduleError as exc:
-        raise click.ClickException(str(exc))
+    schedule = _design_schedule(doc, model, graph)
     total = schedule_latency(schedule, dev)
     total_ms = total * 1e3 / dev.clock_hz
     head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
@@ -250,10 +266,14 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     if device_spec:
         dev = _load_device(device_spec)
     schedule = _load_schedule(schedule_file)
-    try:
-        latency = schedule_latency(schedule, dev)
-    except PerfModelError as exc:
-        raise click.ClickException(f"schedule file {schedule_file}: {exc}")
+    found = _invocation_counts(schedule)
+    expected = _invocation_counts(_design_schedule(doc, model, graph))
+    if found != expected:
+        node, layer = min(k for k in found.keys() | expected.keys() if found[k] != expected[k])
+        raise click.ClickException(
+            f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' "
+            f"{found[node, layer]} times; the design runs it {expected[node, layer]} times")
+    latency = schedule_latency(schedule, dev)
     if latency <= 0:
         raise click.ClickException(
             f"schedule file {schedule_file}: total latency is {latency} cycles; nothing to report")

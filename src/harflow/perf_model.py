@@ -72,24 +72,34 @@ class RuntimeConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
+        """The config of a schedule.json config document, every field checked:
+        folds, groups, kernel and stride are at least 1, filters and padding
+        at least 0, so no latency term divides by zero or counts negative work."""
         get, error = doc.get, PerfModelError
         if doc["kind"] not in LAYER_KINDS:
             raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, "
                         f"got {doc['kind']!r}")
+
+        def count(name, default, least, length=None):
+            value = strict(get(name, default), int, f"config '{name}'", error, length)
+            if min(value if length else (value,)) < least:
+                raise error(f"config '{name}' must be at least {least}, got {get(name)!r}")
+            return value
+
         return cls(
             kind=doc["kind"],
             shape_in=TensorShape.from_list(doc["shape_in"]),
             shape_out=TensorShape.from_list(doc["shape_out"]),
-            filters=strict(get("filters", 0), int, "config 'filters'", error),
-            kernel=strict(get("kernel", (1, 1, 1)), int, "config 'kernel'", error, 3),
-            stride=strict(get("stride", (1, 1, 1)), int, "config 'stride'", error, 3),
-            padding=strict(get("padding", (0, 0, 0, 0, 0, 0)), int, "config 'padding'", error, 6),
-            groups=strict(get("groups", 1), int, "config 'groups'", error),
+            filters=count("filters", 0, 0),
+            kernel=count("kernel", (1, 1, 1), 1, 3),
+            stride=count("stride", (1, 1, 1), 1, 3),
+            padding=count("padding", (0, 0, 0, 0, 0, 0), 0, 6),
+            groups=count("groups", 1, 1),
             op_type=get("type", ""),
             broadcast=strict(get("broadcast", False), bool, "config 'broadcast'", error),
-            coarse_in=strict(get("coarse_in", 1), int, "config 'coarse_in'", error),
-            coarse_out=strict(get("coarse_out", 1), int, "config 'coarse_out'", error),
-            fine=strict(get("fine", 1), int, "config 'fine'", error),
+            coarse_in=count("coarse_in", 1, 1),
+            coarse_out=count("coarse_out", 1, 1),
+            fine=count("fine", 1, 1),
             accumulate_psum=strict(get("accumulate_psum", False), bool,
                                    "config 'accumulate_psum'", error),
         )
@@ -103,8 +113,6 @@ class LatencyBreakdown:
 
 
 def _ceil_div(a: int, b: int) -> int:
-    if b <= 0:
-        raise PerfModelError(f"zero or negative divisor in latency model ({b})")
     return -(-a // b)
 
 

@@ -15,10 +15,10 @@ whose node returns to a capability the chain has planned before takes that
 plan instead of re-tiling. So a move that edits one node re-tiles at most
 that node's layers, and only for capabilities new to the chain.
 
-`schedule_json` writes a schedule as schedule.json text, encoding each node
-id, layer id and config object once; `ScheduleEntry.from_dict` reads an entry
-back, checking every field, and with a memo decodes each distinct config
-document once.
+`schedule_json` writes a schedule as schedule.json text: a `configs` table
+holds each config object once, and each entry names its config by index into
+it. `ScheduleEntry.from_dict` reads an entry back against the decoded table,
+checking every field.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -59,33 +59,31 @@ class ScheduleEntry:
     filter_count: int
     config: RuntimeConfig
 
-    def to_dict(self):
+    def to_dict(self, config):
+        """The entry document for `json.dumps`, which writes its tuples as
+        arrays, with `config` as its 'config' field: in schedule.json, the
+        index of the entry's config in the `configs` table."""
         return {
             "node": self.node_id,
             "layer": self.layer_id,
-            "tile_index": list(self.tile_index),
-            "tile_origin": list(self.tile_origin),
-            "tile_shape": list(self.tile_shape),
+            "tile_index": self.tile_index,
+            "tile_origin": self.tile_origin,
+            "tile_shape": self.tile_shape,
             "filter_origin": self.filter_origin,
             "filter_count": self.filter_count,
-            "config": self.config.to_dict(),
+            "config": config,
         }
 
     @classmethod
-    def from_dict(cls, doc, configs: dict) -> "ScheduleEntry":
-        """The entry of a schedule.json entry document, every field checked.
-
-        `configs` memoizes decoded configs on the `repr` of their document,
-        which tells 1, 1.0, true and "1" apart (`==` would not), so each
-        distinct config document is decoded and checked once per memo.
-        """
-        node, layer = doc["node"], doc["layer"]
+    def from_dict(cls, doc, configs: list) -> "ScheduleEntry":
+        """The entry of a schedule.json entry document, every field checked;
+        its 'config' is a JSON integer index into `configs`, the decoded table."""
+        node, layer, index = doc["node"], doc["layer"], doc["config"]
         if type(node) is not str or type(layer) is not str:
             raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
-        key = repr(doc["config"])
-        config = configs.get(key)
-        if config is None:
-            config = configs[key] = RuntimeConfig.from_dict(doc["config"])
+        if type(index) is not int or not 0 <= index < len(configs):
+            raise ValueError(f"entry 'config' must be an integer index into the "
+                             f"{len(configs)} configs, got {index!r}")
         return cls(
             node_id=node,
             layer_id=layer,
@@ -94,7 +92,7 @@ class ScheduleEntry:
             tile_shape=strict(doc["tile_shape"], int, "entry 'tile_shape'", ValueError, 4),
             filter_origin=strict(doc["filter_origin"], int, "entry 'filter_origin'", ValueError),
             filter_count=strict(doc["filter_count"], int, "entry 'filter_count'", ValueError),
-            config=config,
+            config=configs[index],
         )
 
 
@@ -137,49 +135,18 @@ class Schedule:
         return self._len
 
 
-def _json_ints(n, depth):
-    """`%d` template of an array of `n` integers as `json.dumps(indent=2)` writes
-    it at `depth`."""
-    return "[" + ",".join(["\n" + "  " * (depth + 1) + "%d"] * n) + "\n" + "  " * depth + "]"
-
-
-# one entry of schedule.json at depth 2: the encoded node id, layer id and
-# config, and the entry's integers, go into the `%s` and `%d` fields
-_ENTRY_JSON = (
-    '    {\n'
-    '      "node": %s,\n'
-    '      "layer": %s,\n'
-    f'      "tile_index": {_json_ints(5, 3)},\n'
-    f'      "tile_origin": {_json_ints(4, 3)},\n'
-    f'      "tile_shape": {_json_ints(4, 3)},\n'
-    '      "filter_origin": %d,\n'
-    '      "filter_count": %d,\n'
-    '      "config": %s\n'
-    '    }'
-)
-
-
 def schedule_json(head: dict, schedule: Schedule) -> str:
-    """The text of `json.dumps(dict(head, entries=[e.to_dict() for e in
-    schedule.entries]), indent=2) + "\\n"`, encoding each node id, layer id and
-    config object once; per entry only its integers are formatted."""
-    ids, configs = {}, {}  # id string -> JSON; id(config) -> JSON at depth 3
-    rows = []
+    """schedule.json text: `head`, then `configs`, each config object of the
+    schedule once in first-use order, then `entries`, each naming its config
+    by index into `configs`."""
+    index, configs, entries = {}, [], []  # index: id(config) -> position in configs
     for e in schedule.entries:
-        node, layer, config = ids.get(e.node_id), ids.get(e.layer_id), configs.get(id(e.config))
-        if node is None:
-            node = ids[e.node_id] = json.dumps(e.node_id)
-        if layer is None:
-            layer = ids[e.layer_id] = json.dumps(e.layer_id)
-        if config is None:
-            config = json.dumps(e.config.to_dict(), indent=2).replace("\n", "\n      ")
-            configs[id(e.config)] = config
-        rows.append(_ENTRY_JSON % (node, layer, *e.tile_index, *e.tile_origin, *e.tile_shape,
-                                   e.filter_origin, e.filter_count, config))
-    text = json.dumps(dict(head, entries=[]), indent=2)  # ends in '"entries": []\n}'
-    if not rows:
-        return text + "\n"
-    return text[:-3] + "\n" + ",\n".join(rows) + "\n  ]\n}\n"
+        i = index.get(id(e.config))
+        if i is None:
+            i = index[id(e.config)] = len(configs)
+            configs.append(e.config.to_dict())
+        entries.append(e.to_dict(i))
+    return json.dumps(dict(head, configs=configs, entries=entries)) + "\n"
 
 
 class _Groups:

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -115,36 +116,40 @@ def _unscorable_schedule(workdir):
 
 
 def _edited_schedule(workdir, **config):
-    """schedule.json of the toy design with `config` fields set on its first entry."""
-    return _edited_entries(workdir, lambda entries: entries[0]["config"].update(config))
+    """schedule.json of the toy design with `config` fields set on its first entry's config."""
+    return _edited_doc(
+        workdir, lambda doc: doc["configs"][doc["entries"][0]["config"]].update(config))
 
 
 def _edited_entry(workdir, **fields):
     """schedule.json of the toy design with `fields` set on its first entry."""
-    return _edited_entries(workdir, lambda entries: entries[0].update(fields))
+    return _edited_doc(workdir, lambda doc: doc["entries"][0].update(fields))
 
 
 def _edited_entries(workdir, edit):
     """schedule.json of the toy design with `edit` applied to its entry list."""
-    with open(_schedule_file(workdir)) as fh:
+    return _edited_doc(workdir, lambda doc: edit(doc["entries"]))
+
+
+def _edited_doc(workdir, edit, design=None):
+    """schedule.json of the toy design (or `design`) with `edit` applied to its document."""
+    with open(_schedule_file(workdir, design)) as fh:
         doc = json.load(fh)
-    edit(doc["entries"])
+    edit(doc)
     return _bad_schedule(workdir, json.dumps(doc))
 
 
-def _only_no_output_entry(entries):
-    """Keep only the first entry (the conv layer), with no filters to compute."""
-    entries[1:] = []
-    entries[0]["config"]["filters"] = 0
+def _zero_shapes(doc):
+    """Keep every entry, with every config's tiles empty: nothing to compute."""
+    for config in doc["configs"]:
+        config["shape_in"] = config["shape_out"] = [0, 0, 0, 0]
 
 
-def _twice(edit):
-    """Entry list edit: the first entry followed by a copy with `edit` applied."""
-    def twice(entries):
-        copy = json.loads(json.dumps(entries[0]))
-        edit(copy["config"])
-        entries[1:1] = [copy]
-    return twice
+def _old_layout(doc):
+    """The layout before the config table: each entry holds its config document."""
+    configs = doc.pop("configs")
+    for entry in doc["entries"]:
+        entry["config"] = configs[entry["config"]]
 
 
 def _bad_schedule(workdir, text):
@@ -153,11 +158,11 @@ def _bad_schedule(workdir, text):
     return str(path)
 
 
-def _schedule_file(workdir):
-    """schedule.json of the unedited toy design."""
+def _schedule_file(workdir, design=None):
+    """schedule.json of `design`, by default the unedited toy design."""
     out = workdir / "good_schedule.json"
-    main.main(["schedule", "--design", str(_design(workdir, lambda d: None)), "--out", str(out)],
-              standalone_mode=False)
+    design = design or _design(workdir, lambda d: None)
+    main.main(["schedule", "--design", str(design), "--out", str(out)], standalone_mode=False)
     return str(out)
 
 
@@ -217,7 +222,8 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _bad_schedule(w, "{oops"),
                "--design", str(_design(w, lambda d: None))],
-    lambda w: ["report", "--schedule", _bad_schedule(w, '{"entries": [{"node": "conv_0"}]}'),
+    lambda w: ["report", "--schedule", _bad_schedule(
+                   w, '{"configs": [], "entries": [{"node": "conv_0"}]}'),
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _unscorable_schedule(w),
                "--design", str(_design(w, lambda d: None))],
@@ -264,12 +270,37 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_entries(w, list.clear),
                "--design", str(_design(w, lambda d: None))],
-    lambda w: ["report", "--schedule", _edited_entries(w, _only_no_output_entry),
+    lambda w: ["report", "--schedule", _edited_doc(w, _zero_shapes),
                "--design", str(_design(w, lambda d: None))],
-    # {"coarse_in": true} == {"coarse_in": 1}, so a config memo keyed on equality
-    # would let the copy borrow the first entry's validated config
-    lambda w: ["report", "--schedule",
-               _edited_entries(w, _twice(lambda cfg: cfg.update(coarse_in=True))),
+    # {"coarse_in": true} == {"coarse_in": 1}: every table element is checked,
+    # also a copy of a valid config that no entry names
+    lambda w: ["report", "--schedule", _edited_doc(
+        w, lambda d: d["configs"].append(dict(d["configs"][0], coarse_in=True))),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, filters=-1),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_schedule(w, padding=[0, 0, -1, 0, 0, 0]),
+               "--design", str(_design(w, lambda d: None))],
+    # Python reads configs[-1] and configs[True] as the last and the second config
+    lambda w: ["report", "--schedule", _edited_entry(w, config=-1),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_doc(
+        w, lambda d: d["entries"][0].update(config=len(d["configs"]))),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, config=True),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_doc(
+        w, lambda d: d.update(configs=dict(enumerate(d["configs"])))),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, layer="nosuch"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entries(w, lambda e: e.append(e[0])),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entry(w, node="pool_0"),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_entries(w, list.pop),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_doc(w, _old_layout),
                "--design", str(_design(w, lambda d: None))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
@@ -292,7 +323,12 @@ def _multishape_search(workdir, **params):
         "report-schedule-kind-null", "report-schedule-tile-index-not-int",
         "report-schedule-tile-origin-short", "report-schedule-tile-shape-string",
         "report-schedule-no-entries", "report-schedule-zero-latency",
-        "report-schedule-bool-after-equal-int"])
+        "report-schedule-bool-after-equal-int", "report-schedule-filters-negative",
+        "report-schedule-padding-negative", "report-schedule-config-index-negative",
+        "report-schedule-config-index-out-of-range", "report-schedule-config-index-bool",
+        "report-schedule-configs-not-list", "report-schedule-unknown-layer",
+        "report-schedule-repeated-entry", "report-schedule-wrong-node",
+        "report-schedule-missing-entry", "report-schedule-old-layout"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -302,27 +338,38 @@ def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     assert "Traceback" not in result.output
 
 
-def test_report_counts_reordered_equal_configs_as_one_group(runner, workdir):
-    def reorder(cfg):
-        items = list(cfg.items())
-        cfg.clear()
-        cfg.update(reversed(items))
+def _tiled_conv_design(workdir):
+    """The toy design with its conv layer tiled into many invocations of few configs."""
+    return _design(workdir, lambda d: _conv_node(d).update(shape_in_max=[4, 1, 1, 3]))
 
-    out = workdir / "report.json"
-    result = runner.invoke(main, ["report", "--out", str(out),
-                                  "--schedule", _edited_entries(workdir, _twice(reorder)),
-                                  "--design", str(_design(workdir, lambda d: None))])
-    assert result.exit_code == 0, result.output
-    rows = {row["layer"]: row for row in json.loads(out.read_text())["per_layer"]}
-    assert (rows["conv"]["invocations"], rows["conv"]["configs"]) == (2, 1)
+
+def test_report_counts_reordered_equal_configs_as_one_group(runner, workdir):
+    def reorder(doc):
+        """Point one entry of the most used config at a copy with the keys reversed."""
+        used = Counter(e["config"] for e in doc["entries"])
+        entry = next(e for e in doc["entries"] if e["config"] == max(used, key=used.get))
+        doc["configs"].append(dict(reversed(doc["configs"][entry["config"]].items())))
+        entry["config"] = len(doc["configs"]) - 1
+
+    design = str(_tiled_conv_design(workdir))
+    reports = []
+    for schedule in (_schedule_file(workdir, design), _edited_doc(workdir, reorder, design)):
+        out = workdir / f"report{len(reports)}.json"
+        result = runner.invoke(main, ["report", "--out", str(out), "--schedule", schedule,
+                                      "--design", design])
+        assert result.exit_code == 0, result.output
+        reports.append(out.read_text())
+    assert reports[1] == reports[0]
+    rows = {row["layer"]: row for row in json.loads(reports[0])["per_layer"]}
+    assert rows["conv"]["invocations"] > rows["conv"]["configs"]
 
 
 def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
-    design = _design(workdir, lambda d: _conv_node(d).update(shape_in_max=[4, 1, 1, 3]))
+    design = _tiled_conv_design(workdir)
     schedule = workdir / "schedule.json"
     assert runner.invoke(main, ["schedule", "--design", str(design),
                                 "--out", str(schedule)]).exit_code == 0
-    documents = {json.dumps(e["config"]) for e in json.loads(schedule.read_text())["entries"]}
+    doc = json.loads(schedule.read_text())
     decoded = []
     from_dict = RuntimeConfig.from_dict.__func__
     monkeypatch.setattr(RuntimeConfig, "from_dict", classmethod(
@@ -330,8 +377,8 @@ def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
     result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(schedule),
                                   "--out", str(workdir / "report.json")])
     assert result.exit_code == 0, result.output
-    assert len(json.loads(schedule.read_text())["entries"]) > 20 * len(documents)
-    assert sorted(json.dumps(doc) for doc in decoded) == sorted(documents)
+    assert len(doc["entries"]) > 20 * len(doc["configs"])
+    assert decoded == doc["configs"]
 
 
 def test_unknown_device_fails(runner, workdir):
@@ -371,7 +418,11 @@ def test_optimize_schedule_report_pipeline(runner, workdir):
     sdoc = json.loads(sched.read_text())
     assert sdoc["total_cycles"] == doc["latency_cycles"]
     assert sdoc["entries"]
-    configs = {(e["layer"], json.dumps(e["config"], sort_keys=True)) for e in sdoc["entries"]}
+
+    def config(entry):
+        return json.dumps(sdoc["configs"][entry["config"]], sort_keys=True)
+
+    configs = {(e["layer"], config(e)) for e in sdoc["entries"]}
     assert f"{len(sdoc['entries'])} invocations ({len(configs)} distinct configs)" in result.output
 
     report = workdir / "report.json"
@@ -387,7 +438,7 @@ def test_optimize_schedule_report_pipeline(runner, workdir):
     for row in rdoc["per_layer"]:
         layer = [e for e in sdoc["entries"] if e["layer"] == row["layer"]]
         assert row["invocations"] == len(layer)
-        assert row["configs"] == len({json.dumps(e["config"], sort_keys=True) for e in layer})
+        assert row["configs"] == len({config(e) for e in layer})
 
 
 def test_optimize_accepts_model_file_path(runner, workdir):

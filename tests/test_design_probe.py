@@ -83,7 +83,7 @@ def test_stage_profile_of_toy_seed_0():
         r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "
         r"\((\d+) infeasible\), (\d+) entries written, (\d+) configs encoded, "
         r"(\d+) configs decoded", lines[6])
-    designs = infeasible = entries = encoded = decoded = 0
+    designs = infeasible = entries = encoded = 0
     for seed in range(8):
         params = AnnealingParams(seed=seed, **ast.literal_eval(params_text))
         try:
@@ -92,13 +92,11 @@ def test_stage_profile_of_toy_seed_0():
         except OptimizerError:
             infeasible += 1
             continue
-        groups = warm.schedule.groups
         designs += 1
         entries += len(warm.schedule)
-        encoded += len(groups)  # one config object per group
-        decoded += len({json.dumps(cfg.to_dict()) for _, _, cfg, _ in groups})
-    assert list(map(int, export.groups())) == [designs, infeasible, entries, encoded, decoded]
-    assert entries > encoded >= decoded
+        encoded += len(warm.schedule.groups)  # one config object per group
+    assert list(map(int, export.groups())) == [designs, infeasible, entries, encoded, encoded]
+    assert entries > encoded
     export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
                      for line in lines[7:]]
     assert export_stages == ["build + expand", "encode + write", "read + decode",

@@ -142,9 +142,14 @@ def test_mutated_design_schedules_or_fails_in_one_line(tmp_path_factory, mutatio
 
 
 @GATE
-@given(mutation=mutations(SCHEDULE, lambda p: len(p) == 1 or p[:2] == ("entries", 0)))
+@given(mutation=mutations(
+    SCHEDULE, lambda p: len(p) == 1 or p[:2] in (("configs", 0), ("entries", 0))))
 @example(mutation=("swap", ("entries",), ""))
 @example(mutation=("swap", ("entries", 0, "tile_shape"), "abc"))
+# swaps draw values of another JSON type, so in-type bad indices are pinned here
+@example(mutation=("swap", ("entries", 0, "config"), -1))
+@example(mutation=("swap", ("entries", 0, "config"), len(SCHEDULE["configs"])))
+@example(mutation=("swap", ("entries", 0, "config"), True))
 def test_mutated_schedule_reports_or_fails_in_one_line(tmp_path_factory, mutation):
     tmp_path = tmp_path_factory.mktemp("schedule")
     design, schedule = tmp_path / "design.json", tmp_path / "schedule.json"

@@ -322,7 +322,7 @@ def test_search_moves_match_pinned_fixture():
 def _evaluation(state):
     """Everything `evaluate` reports about a state, entries included."""
     return (state.latency_cycles, state.feasible, state.violations, state.resources,
-            state.schedule.groups, [e.to_dict() for e in state.schedule.entries])
+            state.schedule.groups, state.schedule.entries)
 
 
 def _no_output(state):

@@ -86,7 +86,7 @@ def test_pool_latency_fixture():
 
 def test_zero_fold_rejected():
     with pytest.raises(PerfModelError):
-        compute_latency(_conv(coarse_in=0))
+        RuntimeConfig.from_dict(_conv(coarse_in=0).to_dict())
 
 
 def test_pool_roofline_integer_fixture():

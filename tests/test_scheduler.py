@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from test_acceptance import _random_chain_model, _randomly_shrunk
 
+from harflow.cli import _load_schedule
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
@@ -163,7 +164,7 @@ def test_schedule_determinism(multishape):
     graph = initial_mapping(multishape)
     a = build_schedule(multishape, graph, MODE_RUNTIME)
     b = build_schedule(multishape, graph, MODE_RUNTIME)
-    assert [e.to_dict() for e in a.entries] == [e.to_dict() for e in b.entries]
+    assert a.entries == b.entries
 
 
 def test_unmapped_layer_rejected(toy):
@@ -207,7 +208,7 @@ def test_schedule_entry_round_trip(toy):
     graph = initial_mapping(toy)
     schedule = build_schedule(toy, graph, MODE_RUNTIME)
     for e in schedule.entries:
-        assert ScheduleEntry.from_dict(e.to_dict(), {}) == e
+        assert ScheduleEntry.from_dict(e.to_dict(0), [e.config]) == e
 
 
 def test_oracle_latency_matches_analytical_on_random_shrinks(toy):
@@ -312,7 +313,7 @@ def test_plans_build_each_distinct_config_once(mode):
 
 
 def _entries_digest(schedule):
-    doc = json.dumps([e.to_dict() for e in schedule.entries])
+    doc = json.dumps([e.to_dict(e.config.to_dict()) for e in schedule.entries])
     return len(schedule.entries), hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -372,11 +373,18 @@ def _escaped_ids_schedule():
     return schedule
 
 
-def test_schedule_json_is_the_indented_json_of_its_entries():
+def test_schedule_json_reads_back_as_its_entries(tmp_path):
     cases = list(_pinned_schedules())
     cases += [("empty", Schedule()), ("escaped ids", _escaped_ids_schedule())]
     head = {"model": "toy \"\u00e9\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
+    path = tmp_path / "schedule.json"
     for name, schedule in cases:
-        expected = json.dumps(dict(head, entries=[e.to_dict() for e in schedule.entries]),
-                              indent=2) + "\n"
-        assert schedule_json(head, schedule) == expected, name
+        text = schedule_json(head, schedule)
+        doc = json.loads(text)
+        assert list(doc) == [*head, "configs", "entries"], name
+        assert {key: doc[key] for key in head} == head, name
+        # one table element per config object, in first-use order
+        first_use = {id(e.config): e.config for e in schedule.entries}
+        assert doc["configs"] == [cfg.to_dict() for cfg in first_use.values()], name
+        path.write_text(text)
+        assert _load_schedule(str(path)).entries == schedule.entries, name

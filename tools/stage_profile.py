@@ -15,10 +15,12 @@ inputs of the c3d-export benchmark workload) through `harflow schedule` and
 `harflow report`, as separate processes would (the `invocation_latency`
 cache is cleared before each command), and prints the
 entries written, the configs encoded (`RuntimeConfig.to_dict` calls) and
-decoded (`RuntimeConfig.from_dict` calls), and the seconds summed over the
-designs of each export stage:
+decoded (`RuntimeConfig.from_dict` calls; both are the size of the schedule
+file's config table), and the seconds summed over the designs of each export
+stage:
 
-- build + expand: `build_schedule` and the expansion of its entries;
+- build + expand: `build_schedule` in both commands (`harflow report` checks
+  the file's invocation counts against it) and the expansion of its entries;
 - encode + write: the rest of `harflow schedule`, past loading the design
   and scoring the schedule;
 - read + decode: `harflow report` reading and decoding the schedule file,
@@ -170,13 +172,13 @@ def export_profile(model_name, seeds, padded=False):
                 wr, tr = command("report", "--design", design, "--schedule", schedule,
                                  "--out", report)
                 build = ts["build_schedule"] + ts["expand"]
-                stages["build + expand"] += build
+                stages["build + expand"] += build + tr["build_schedule"]
                 stages["encode + write"] += (ws - ts["_load_design"] - build
                                              - ts["schedule_latency"])
                 stages["read + decode"] += tr["_load_schedule"] - tr["Schedule"]
                 stages["count + score + report"] += (
                     wr - tr["_load_design"] - tr["_load_schedule"] + tr["Schedule"]
-                    + ts["schedule_latency"])
+                    - tr["build_schedule"] + ts["schedule_latency"])
                 stages["load design"] += ts["_load_design"] + tr["_load_design"]
                 counts["designs"] += 1
                 counts["entries"] += len(state.schedule)
