@@ -3,8 +3,8 @@
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
 schedule.json holds each runtime config once, in a `configs` table that its
 entries index, so `harflow report` decodes each config once. The report also
-checks the file's invocations per (node, layer) against the design's own
-schedule.
+checks the file's invocations per (node, layer, config) against the design's
+own schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -231,10 +231,10 @@ def _design_schedule(doc, model, graph):
 
 
 def _invocation_counts(schedule) -> Counter:
-    """Invocations per (node id, layer id), counted over the schedule's groups."""
+    """Invocations per (node id, layer id, config), counted over the schedule's groups."""
     counts = Counter()
-    for node_id, layer_id, _, n in schedule.groups:
-        counts[node_id, layer_id] += n
+    for node_id, layer_id, cfg, n in schedule.groups:
+        counts[node_id, layer_id, cfg] += n
     return counts
 
 
@@ -269,10 +269,10 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     found = _invocation_counts(schedule)
     expected = _invocation_counts(_design_schedule(doc, model, graph))
     if found != expected:
-        node, layer = min(k for k in found.keys() | expected.keys() if found[k] != expected[k])
+        node, layer = min(k[:2] for k in found.keys() | expected.keys() if found[k] != expected[k])
         raise click.ClickException(
-            f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' "
-            f"{found[node, layer]} times; the design runs it {expected[node, layer]} times")
+            f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' with other "
+            f"configs or invocation counts than the design does")
     latency = schedule_latency(schedule, dev)
     if latency <= 0:
         raise click.ClickException(

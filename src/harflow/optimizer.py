@@ -5,6 +5,10 @@ resource estimate. The annealer perturbs states with the reshaping, folding
 and combine/separate transformations, subject to the device constraint set.
 Chains are deterministic per seed.
 
+`evaluate` checks the resource budgets first: the search never reads the
+latency of an infeasible state, so a graph over budget is rejected before
+it is tiled and scored.
+
 A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` and `fold_climb` evaluate each candidate with
 the state it came from as `parent`: every unchanged node keeps the parent's
@@ -100,21 +104,22 @@ class TraceRow:
     feasible: bool
 
 
+def _budget_violations(resources, dev: DeviceProfile) -> list:
+    """One line per resource budget that `resources` exceed."""
+    budgets = dev.budgets
+    return [f"{name} over budget: {getattr(resources, name)} > {getattr(budgets, name)}"
+            for name in ("dsp", "bram", "lut", "ff")
+            if getattr(resources, name) > getattr(budgets, name)]
+
+
 def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
     """Violation list of a scheduled state (empty means feasible).
 
-    The four resource budgets, plus every tile whose configuration yields no
-    output (a border tile smaller than the kernel window); the roofline
-    gives such a tile 0 cycles.
+    The four resource budgets, plus every (node, layer) with a tile whose
+    configuration yields no output (a border tile smaller than the kernel
+    window); the roofline gives such a tile 0 cycles.
     """
-    violations = []
-    res = state.resources
-    budgets = dev.budgets
-    for name in ("dsp", "bram", "lut", "ff"):
-        used = getattr(res, name)
-        avail = getattr(budgets, name)
-        if used > avail:
-            violations.append(f"{name} over budget: {used} > {avail}")
+    violations = _budget_violations(state.resources, dev)
     # groups are unique per (node, layer, config), and each part of the schedule
     # (a layer plan, possibly kept from a parent) is checked once
     empty = []
@@ -123,7 +128,7 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
             part.no_output = [(node_id, layer_id) for node_id, layer_id, cfg, _ in part.groups
                               if compute_latency(cfg) == 0]
         empty += part.no_output
-    for node_id, layer_id in sorted(empty):
+    for node_id, layer_id in sorted(set(empty)):
         violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
     return violations
 
@@ -131,7 +136,13 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: str,
              lut_model=None, ff_model=None, parent: CandidateState = None,
              plan_table: dict = None) -> CandidateState:
-    """Schedule, measure and constraint-check one hardware graph.
+    """Cost, then schedule, measure and constraint-check one hardware graph.
+
+    The budgets come first. A graph over any resource budget is rejected
+    before it is tiled: its violations are the budget lines, its schedule is
+    empty and its latency 0. A graph that cannot be scheduled is rejected
+    the same way, with the schedule error. Only a graph within budget is
+    scheduled, scored and checked for tiles without output.
 
     `parent` is the state a move started from; it lends the resources of
     every node the move left unchanged, and its schedule lends the layer
@@ -146,24 +157,21 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
     costs = {}
     resources = graph_resources(graph, dev, lut_model, ff_model, costs,
                                 None if parent is None else parent.node_costs)
-    try:
-        schedule = build_schedule(model, graph, mode,
-                                  None if parent is None else parent.schedule, plan_table)
-    except InfeasibleScheduleError as exc:
-        return CandidateState(
-            graph=graph,
-            schedule=Schedule(),
-            latency_cycles=0,
-            resources=resources,
-            feasible=False,
-            violations=[str(exc)],
-            node_costs=costs,
-        )
-    latency = schedule_latency(schedule, dev)
+    violations = _budget_violations(resources, dev)
+    if not violations:
+        try:
+            schedule = build_schedule(model, graph, mode,
+                                      None if parent is None else parent.schedule, plan_table)
+        except InfeasibleScheduleError as exc:
+            violations = [str(exc)]
+    if violations:
+        return CandidateState(graph=graph, schedule=Schedule(), latency_cycles=0,
+                              resources=resources, feasible=False, violations=violations,
+                              node_costs=costs)
     state = CandidateState(
         graph=graph,
         schedule=schedule,
-        latency_cycles=latency,
+        latency_cycles=schedule_latency(schedule, dev),
         resources=resources,
         feasible=True,
         node_costs=costs,

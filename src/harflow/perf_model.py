@@ -73,12 +73,15 @@ class RuntimeConfig:
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
         """The config of a schedule.json config document, every field checked:
-        folds, groups, kernel and stride are at least 1, filters and padding
-        at least 0, so no latency term divides by zero or counts negative work."""
+        `type` is a string, folds, groups, kernel and stride are at least 1,
+        filters and padding at least 0, so no latency term divides by zero or
+        counts negative work."""
         get, error = doc.get, PerfModelError
         if doc["kind"] not in LAYER_KINDS:
             raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, "
                         f"got {doc['kind']!r}")
+        if type(get("type", "")) is not str:
+            raise error(f"config 'type' must be a string, got {get('type')!r}")
 
         def count(name, default, least, length=None):
             value = strict(get(name, default), int, f"config '{name}'", error, length)

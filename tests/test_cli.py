@@ -121,6 +121,12 @@ def _edited_schedule(workdir, **config):
         workdir, lambda doc: doc["configs"][doc["entries"][0]["config"]].update(config))
 
 
+def _edited_kind(workdir, kind, **config):
+    """schedule.json of the toy design with `config` fields set on its first `kind` config."""
+    return _edited_doc(
+        workdir, lambda doc: next(c for c in doc["configs"] if c["kind"] == kind).update(config))
+
+
 def _edited_entry(workdir, **fields):
     """schedule.json of the toy design with `fields` set on its first entry."""
     return _edited_doc(workdir, lambda doc: doc["entries"][0].update(fields))
@@ -139,10 +145,20 @@ def _edited_doc(workdir, edit, design=None):
     return _bad_schedule(workdir, json.dumps(doc))
 
 
-def _zero_shapes(doc):
-    """Keep every entry, with every config's tiles empty: nothing to compute."""
-    for config in doc["configs"]:
-        config["shape_in"] = config["shape_out"] = [0, 0, 0, 0]
+def _outputless(doc):
+    """The toy conv layer alone, on a node one plane deep: with the 3-deep kernel
+    and one plane of padding, no depth tile yields output, so the design's own
+    schedule totals 0 cycles."""
+    doc["model"].update(layers=doc["model"]["layers"][:1], edges=[])
+    for nid in ("act_0", "pool_0", "fc_0"):
+        del doc["graph"]["nodes"][nid], doc["graph"]["mapping"][nid]
+    _conv_node(doc)["shape_in_max"][0] = 1
+
+
+def _report_own_schedule(workdir, edit):
+    """report argv for the toy design edited by `edit`, with its own schedule file."""
+    design = _design(workdir, edit)
+    return ["report", "--schedule", _schedule_file(workdir, design), "--design", str(design)]
 
 
 def _old_layout(doc):
@@ -270,8 +286,7 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_entries(w, list.clear),
                "--design", str(_design(w, lambda d: None))],
-    lambda w: ["report", "--schedule", _edited_doc(w, _zero_shapes),
-               "--design", str(_design(w, lambda d: None))],
+    lambda w: _report_own_schedule(w, _outputless),
     # {"coarse_in": true} == {"coarse_in": 1}: every table element is checked,
     # also a copy of a valid config that no entry names
     lambda w: ["report", "--schedule", _edited_doc(
@@ -302,6 +317,10 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_doc(w, _old_layout),
                "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_kind(w, "Activation", shape_out=[9, 9, 9, 9]),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _edited_kind(w, "Pool3D", type=3),
+               "--design", str(_design(w, lambda d: None))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -328,7 +347,8 @@ def _multishape_search(workdir, **params):
         "report-schedule-config-index-out-of-range", "report-schedule-config-index-bool",
         "report-schedule-configs-not-list", "report-schedule-unknown-layer",
         "report-schedule-repeated-entry", "report-schedule-wrong-node",
-        "report-schedule-missing-entry", "report-schedule-old-layout"])
+        "report-schedule-missing-entry", "report-schedule-old-layout",
+        "report-schedule-config-not-the-designs", "report-schedule-type-not-string"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1

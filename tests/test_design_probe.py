@@ -65,8 +65,8 @@ def test_stage_profile_of_toy_seed_0():
     assert head == "toy/zcu102 runtime"
     chain = re.fullmatch(
         r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), configs built (\d+), "
-        r"invocation_latency hits (\d+) misses (\d+)", lines[1])
-    best, plans, configs, hits, misses = map(int, chain.groups())
+        r"invocation_latency hits (\d+) misses (\d+), rejected on budget (\d+)", lines[1])
+    best, plans, configs, hits, misses, rejected = map(int, chain.groups())
     model = parse_model(bundled_model_text("toy"))
     params = AnnealingParams(seed=0, **ast.literal_eval(params_text))
     state, _ = anneal(model, load_bundled_profile("zcu102"), params)
@@ -76,8 +76,9 @@ def test_stage_profile_of_toy_seed_0():
                   for line in lines[2:6])
     assert list(stages) == ["build_schedule", "schedule_latency", "graph_resources",
                             "check_constraints"]
-    # every evaluation builds a schedule and costs its graph
-    assert int(stages["build_schedule"]) == int(stages["graph_resources"]) > 0
+    # every evaluation costs its graph, and builds a schedule unless it is over budget
+    assert int(stages["build_schedule"]) + rejected == int(stages["graph_resources"]) > 0
+    assert rejected > 0
 
     export = re.fullmatch(
         r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "

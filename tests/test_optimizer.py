@@ -30,8 +30,8 @@ from harflow.optimizer import (
     random_transformation,
     warm_start,
 )
-from harflow.perf_model import compute_latency, invocation_latency
-from harflow.resource_model import default_regression_models
+from harflow.perf_model import compute_latency, invocation_latency, schedule_latency
+from harflow.resource_model import default_regression_models, graph_resources
 from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
@@ -65,14 +65,19 @@ def test_params_validation():
         AnnealingParams(cooling=1.5)
 
 
-def test_evaluate_flags_budget_violations(toy, zcu102):
+def test_evaluate_flags_budget_violations(toy, zcu102, monkeypatch):
+    def unschedulable(*args, **kwargs):
+        raise AssertionError("an over-budget graph was scheduled")
+
     graph = initial_mapping(toy)
     tiny = zcu102.with_dsp_cap(1)
     nid = next(n for n, c in graph.nodes.items() if c.kind == "Conv3D")
     graph.nodes[nid] = graph.nodes[nid].refit(coarse_in=3, coarse_out=8)
+    monkeypatch.setattr(optimizer, "build_schedule", unschedulable)
     state = evaluate(toy, graph, tiny, MODE_RUNTIME)
-    assert not state.feasible
-    assert any("dsp over budget" in v for v in state.violations)
+    assert not state.feasible and state.latency_cycles == 0
+    assert state.violations == [f"dsp over budget: {state.resources.dsp} > 1"]
+    assert len(state.schedule) == 0 and state.schedule.groups == []
 
 
 def test_check_constraints_passes_on_modest_design(toy, zcu102):
@@ -297,16 +302,16 @@ def _move_fingerprint(name, seed, mode):
     return feasible, hashlib.sha256(json.dumps(states).encode()).hexdigest()[:16]
 
 
-# Computed while nodes still carried a runtime flag of their own (set from the
-# mode, and left out of the hashed graph documents); the reshape, fold,
-# combine and separate moves must still produce these graphs and latencies.
+# The reshape, fold, combine and separate moves must still produce these
+# graphs and latencies; a state over budget hashes with latency 0 and its
+# budget lines only, since it is rejected before it is scheduled.
 PINNED_MOVES = {
-    "toy/runtime_configurable": (0, "27c095332fd9d7c6"),
+    "toy/runtime_configurable": (0, "1064ec7b30bc99a5"),
     "toy/padded_baseline": (50, "c75a0b0a23922df4"),
-    "multishape/runtime_configurable": (3, "b8e5941f35ff6ba4"),
-    "multishape/padded_baseline": (3, "dd9d4a5f20c7a071"),
-    "c3d/runtime_configurable": (0, "f7628837cfefe734"),
-    "c3d/padded_baseline": (4, "d1bf28f7f4b680f4"),
+    "multishape/runtime_configurable": (3, "f173dd02ea8defd7"),
+    "multishape/padded_baseline": (3, "3655edffbe176835"),
+    "c3d/runtime_configurable": (0, "79defb4f8d7bc27a"),
+    "c3d/padded_baseline": (4, "36aa18dc1fbd1901"),
 }
 
 
@@ -385,6 +390,44 @@ def test_parent_reuse_equals_evaluation_from_scratch(mode):
     assert counts["reused"] > 0 and counts["from_table"] > 0
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_only_states_within_budget_are_scheduled(mode):
+    """A random-move walk, each state evaluated from the one before: a state is
+    rejected on budget exactly when `graph_resources` puts it over a budget,
+    and a state within budget scores as its schedule built from scratch."""
+    dev = load_bundled_profile("zcu102")
+    params = AnnealingParams(**QUICK)
+    rng = random.Random(41)
+    models = [parse_model(bundled_model_text(name)) for name in bundled_model_names()]
+    models += [_random_chain_model(rng) for _ in range(20)]
+    counts = Counter()
+    for model in models:
+        graph = _sample_capabilities(initial_mapping(model), model, rng)
+        state = evaluate(model, graph, dev, mode)
+        table = {}
+        for _ in range(12):
+            graph = random_transformation(model, state.graph, rng, params)
+            child = evaluate(model, graph, dev, mode, parent=state, plan_table=table)
+            resources = graph_resources(graph, dev)
+            over = [name for name in ("dsp", "bram", "lut", "ff")
+                    if getattr(resources, name) > getattr(dev.budgets, name)]
+            if over:
+                assert not child.feasible and child.latency_cycles == 0
+                assert [v.split()[0] for v in child.violations] == over
+                assert len(child.schedule) == 0
+                counts["rejected"] += 1
+            else:
+                try:
+                    schedule = build_schedule(model, graph, mode)
+                except InfeasibleScheduleError as exc:
+                    assert child.violations == [str(exc)]
+                else:
+                    assert child.latency_cycles == schedule_latency(schedule, dev)
+                    counts["scheduled"] += 1
+            state = child
+    assert counts["rejected"] > 0 and counts["scheduled"] > 0
 
 
 def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape, zcu102):

@@ -89,6 +89,11 @@ def test_zero_fold_rejected():
         RuntimeConfig.from_dict(_conv(coarse_in=0).to_dict())
 
 
+def test_non_string_type_rejected():
+    with pytest.raises(PerfModelError, match="'type' must be a string"):
+        RuntimeConfig.from_dict(dict(_conv().to_dict(), type=3))
+
+
 def test_pool_roofline_integer_fixture():
     # 512 input words at 4 words/cycle take exactly the 128 compute cycles, and
     # compute wins the tie; at 3 words/cycle they take ceil(512 / 3) = 171.

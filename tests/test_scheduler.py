@@ -127,11 +127,14 @@ def test_border_tiles_keep_layer_padding(toy):
 
 def test_tile_without_output_is_the_only_violation(toy):
     # conv D=4 -> depth tiles 3, 1; the last tile plus its end padding is
-    # shallower than the 3-deep kernel, so it yields no output
-    graph = _shrink_conv(initial_mapping(toy), d=3)
-    state = evaluate(toy, graph, load_bundled_profile("zcu102"), MODE_RUNTIME)
-    assert state.violations == ["layer conv on conv_0: tile yields no output"]
-    assert not state.feasible
+    # shallower than the 3-deep kernel, so it yields no output. At depth 1 the
+    # first, interior and last tiles are three configs without output, and
+    # the layer is still named once.
+    for depth in (3, 1):
+        graph = _shrink_conv(initial_mapping(toy), d=depth)
+        state = evaluate(toy, graph, load_bundled_profile("zcu102"), MODE_RUNTIME)
+        assert state.violations == ["layer conv on conv_0: tile yields no output"]
+        assert not state.feasible
 
 
 def test_padded_mode_runs_every_tile_at_node_maximum(multishape):
