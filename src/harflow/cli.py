@@ -19,7 +19,7 @@ import click
 
 from . import device as device_mod
 from . import generators
-from .model_ir import ModelError, parse_model, serialize_model, topological_order
+from .model_ir import ModelError, parse_model, serialize_model
 from .optimizer import (
     AnnealingParams,
     OptimizerError,
@@ -94,7 +94,7 @@ def parse_cmd(model_file):
     click.echo(f"layers: {len(model.layers)} ({', '.join(f'{k}={v}' for k, v in sorted(kinds.items()))})")
     click.echo(f"edges: {len(model.edges)}")
     click.echo(f"workload: {model.workload_macs() / 1e9:.2f} GMACs")
-    click.echo(f"order: {' -> '.join(topological_order(model)[:6])} ...")
+    click.echo(f"order: {' -> '.join(model.order[:6])} ...")
 
 
 def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):

@@ -163,6 +163,7 @@ class ModelGraph:
     name: str
     layers: dict = field(default_factory=dict)  # id -> LayerDescriptor, insertion ordered
     edges: list = field(default_factory=list)  # list of (src_id, dst_id)
+    order: list = field(default_factory=list)  # `topological_order`, set by parse_model
 
     def predecessors(self, layer_id: str) -> list:
         return [s for s, t in self.edges if t == layer_id]
@@ -265,7 +266,8 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
     )
 
 
-def _check_graph_structure(model: ModelGraph):
+def _check_graph_structure(model: ModelGraph) -> list:
+    """Validate the DAG; returns its `topological_order`."""
     ids = set(model.layers)
     for src, dst in model.edges:
         if src not in ids or dst not in ids:
@@ -307,6 +309,7 @@ def _check_graph_structure(model: ModelGraph):
                     f"{produced.to_list()}, consumer expects "
                     f"{layer.shape_in[slot].to_list()}"
                 )
+    return order
 
 
 def parse_model(document: str) -> ModelGraph:
@@ -332,7 +335,7 @@ def parse_model(document: str) -> ModelGraph:
     ):
         raise ModelError("'edges' must be an array of [source, target] pairs")
     model.edges = [(str(s), str(t)) for s, t in raw_edges]
-    _check_graph_structure(model)
+    model.order = _check_graph_structure(model)
     return model
 
 

@@ -10,15 +10,14 @@ latency of an infeasible state, so a graph over budget is rejected before
 it is tiled and scored.
 
 A move changes one node, or a few for combine and separate, of a state that
-is already scored. So `anneal` and `fold_climb` evaluate each candidate with
-the state it came from as `parent`: every unchanged node keeps the parent's
-resources, and its layers keep their plans, scored cycles and no-output
-verdicts. Only the changed nodes are costed, re-tiled, re-scored and
-re-checked. Each chain also keeps a plan table of every layer plan it has
-built; a changed node whose capability the chain has seen before takes its
-layers' plans, cycles and verdicts from there instead of re-tiling. The
-table lives only as long as its chain. The result equals an evaluation from
-scratch.
+is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
+it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
+node resource vector and every layer plan, with its scored cycles and
+no-output verdicts, that the chain has computed. A node whose capability the
+chain has costed before is not costed again, and a layer whose (layer, node,
+capability) the chain has planned before is not re-tiled, re-scored or
+re-checked. The memo lives only as long as its chain. The result equals an
+evaluation from scratch.
 """
 
 import logging
@@ -34,7 +33,7 @@ from .hardware_graph import (
     initial_mapping,
     separate_node,
 )
-from .model_ir import ModelGraph, TensorShape
+from .model_ir import ModelGraph, TensorShape, strict
 from .perf_model import compute_latency, schedule_latency
 from .resource_model import default_regression_models, graph_resources
 from .scheduler import (
@@ -68,14 +67,15 @@ class AnnealingParams:
     enable_runtime_reconfig: bool = True
 
     def __post_init__(self):
-        if not (self.tau_start > self.tau_min > 0):
-            raise ValueError("need tau_start > tau_min > 0")
+        if not (math.inf > self.tau_start > self.tau_min > 0):  # else the chain never cools
+            raise ValueError("need a finite tau_start > tau_min > 0")
         if not (0 < self.cooling < 1):
             raise ValueError("cooling rate must be in (0, 1)")
+        strict(self.seed, int, "seed", ValueError)
         for name, low in (("iterations_per_temperature", 1), ("separate_layers", 1),
-                          ("combine_nodes", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+                          ("combine_nodes", 2), ("warm_start_samples", 0)):
+            value = strict(getattr(self, name), int, name, ValueError)
+            if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
@@ -92,7 +92,19 @@ class CandidateState:
     resources: object
     feasible: bool
     violations: list = field(default_factory=list)
-    node_costs: dict = field(default_factory=dict)  # see resource_model.graph_resources
+
+
+@dataclass
+class ChainMemo:
+    """Everything one search chain has computed that its later moves reuse:
+    `costs` maps a node capability to its resources (see
+    `resource_model.graph_resources`), and `plans` maps (layer id, node id,
+    capability) to a layer plan (see `scheduler.build_schedule`). Neither key
+    names the model, the schedule mode, the device or the LUT/FF estimators,
+    so a memo serves one chain: one model, mode, device and estimator pair."""
+
+    costs: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -121,7 +133,7 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
     """
     violations = _budget_violations(state.resources, dev)
     # groups are unique per (node, layer, config), and each part of the schedule
-    # (a layer plan, possibly kept from a parent) is checked once
+    # (a layer plan, possibly reused from the chain's memo) is checked once
     empty = []
     for part in state.schedule.parts:
         if part.no_output is None:
@@ -134,8 +146,7 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
 
 def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: str,
-             lut_model=None, ff_model=None, parent: CandidateState = None,
-             plan_table: dict = None) -> CandidateState:
+             lut_model=None, ff_model=None, memo: ChainMemo = None) -> CandidateState:
     """Cost, then schedule, measure and constraint-check one hardware graph.
 
     The budgets come first. A graph over any resource budget is rejected
@@ -144,37 +155,28 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
     the same way, with the schedule error. Only a graph within budget is
     scheduled, scored and checked for tiles without output.
 
-    `parent` is the state a move started from; it lends the resources of
-    every node the move left unchanged, and its schedule lends the layer
-    plans, scored cycles and no-output verdicts of those nodes.
-    `plan_table` is the plan table of a search chain (see
-    `scheduler.build_schedule`); it lends the plans of the other layers when
-    the chain has built them before. The result equals the one without
-    `parent` and `plan_table`.
+    `memo` is the memo of the search chain the graph belongs to; the
+    result equals the one without it.
     """
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
-    costs = {}
-    resources = graph_resources(graph, dev, lut_model, ff_model, costs,
-                                None if parent is None else parent.node_costs)
+    memo = ChainMemo() if memo is None else memo
+    resources = graph_resources(graph, dev, lut_model, ff_model, memo.costs)
     violations = _budget_violations(resources, dev)
     if not violations:
         try:
-            schedule = build_schedule(model, graph, mode,
-                                      None if parent is None else parent.schedule, plan_table)
+            schedule = build_schedule(model, graph, mode, memo.plans)
         except InfeasibleScheduleError as exc:
             violations = [str(exc)]
     if violations:
         return CandidateState(graph=graph, schedule=Schedule(), latency_cycles=0,
-                              resources=resources, feasible=False, violations=violations,
-                              node_costs=costs)
+                              resources=resources, feasible=False, violations=violations)
     state = CandidateState(
         graph=graph,
         schedule=schedule,
         latency_cycles=schedule_latency(schedule, dev),
         resources=resources,
         feasible=True,
-        node_costs=costs,
     )
     state.violations = check_constraints(state, dev)
     state.feasible = not state.violations
@@ -308,8 +310,9 @@ def _sample_capabilities(graph, model, rng):
 
 
 def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
-               rng: random.Random, lut_model=None, ff_model=None):
-    """Initial per-kind mapping with the best feasible of R random fold samplings."""
+               rng: random.Random, lut_model=None, ff_model=None, memo: ChainMemo = None):
+    """Initial per-kind mapping with the best feasible of R random fold samplings.
+    `memo` is the memo of the chain it starts, if any."""
     mode = params.mode
     base = initial_mapping(model)
     if params.enable_fusion:
@@ -321,7 +324,7 @@ def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
         _sample_capabilities(base, model, rng) for _ in range(params.warm_start_samples)
     ]
     for graph in candidates:
-        state = evaluate(model, graph, dev, mode, lut_model, ff_model)
+        state = evaluate(model, graph, dev, mode, lut_model, ff_model, memo)
         last = state
         feasible += state.feasible
         if state.feasible and (best is None or state.latency_cycles < best.latency_cycles):
@@ -369,12 +372,12 @@ def _fold_neighbours(cap, dsp_headroom):
 
 
 def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mode: str,
-               lut_model=None, ff_model=None, plan_table: dict = None) -> CandidateState:
+               lut_model=None, ff_model=None, memo: ChainMemo = None) -> CandidateState:
     """Greedy post-search pass: repack folds while feasible and improving.
 
     SA's random divisor proposals leave parallelism on the table near the
     resource cap; this systematic neighbourhood descent closes the gap.
-    `plan_table` is the plan table of the chain it polishes, if any.
+    `memo` is the memo of the chain it polishes, if any.
     """
     best = state
     improved = True
@@ -384,7 +387,7 @@ def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mod
             headroom = dev.dsp_total - best.resources.dsp
             for cap in _fold_neighbours(best.graph.nodes[nid], headroom):
                 cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode,
-                                lut_model, ff_model, parent=best, plan_table=plan_table)
+                                lut_model, ff_model, memo)
                 if cand.feasible and cand.latency_cycles < best.latency_cycles:
                     best = cand
                     improved = True
@@ -401,9 +404,9 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
     """
     rng = random.Random(params.seed)
     lut_model, ff_model = default_regression_models()
-    current, mode = warm_start(model, dev, params, rng, lut_model, ff_model)
+    memo = ChainMemo()  # dropped with the chain
+    current, mode = warm_start(model, dev, params, rng, lut_model, ff_model, memo)
     best = current
-    plan_table = {}  # every layer plan of this chain; dropped with it
     trace = []
     tau = params.tau_start
     iteration = 0
@@ -418,8 +421,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             accepted, logged = 0, iteration
         for _ in range(params.iterations_per_temperature):
             new_graph = random_transformation(model, current.graph, rng, params)
-            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model,
-                             parent=current, plan_table=plan_table)
+            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model, memo)
             if state.feasible:
                 delta_ms = (state.latency_cycles - current.latency_cycles) * ms
                 if delta_ms <= 0 or rng.random() < math.exp(-delta_ms / tau):
@@ -438,7 +440,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             )
             iteration += 1
         tau *= params.cooling
-    polished = fold_climb(model, dev, best, mode, lut_model, ff_model, plan_table)
+    polished = fold_climb(model, dev, best, mode, lut_model, ff_model, memo)
     log.info("fold_climb: %d -> %d cycles", best.latency_cycles, polished.latency_cycles)
     if polished.latency_cycles < best.latency_cycles:
         best = polished

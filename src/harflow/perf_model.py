@@ -4,6 +4,10 @@ The roofline is computed in integers: a rational DMA bandwidth enters as its
 numerator and denominator, and memory terms are compared by
 cross-multiplication, so the model can be checked against brute-force cycle
 counters with exact integer equality.
+
+`schedule_latency` keeps each part's cycles on the part, with the bandwidths
+they were scored at. A layer plan is shared by every schedule of a search
+chain that reuses it from the chain's memo, so it is scored once per chain.
 """
 
 from dataclasses import dataclass
@@ -166,9 +170,10 @@ def schedule_latency(schedule, dev=None) -> int:
     """Total cycles of a schedule: sum of per-invocation roofline latencies.
 
     Each part of the schedule keeps its cycles with the bandwidths they were
-    scored at, so a layer plan reused from a parent schedule is not scored
-    again at the same bandwidths. A whole bandwidth is passed on as an int,
-    which hashes much faster than an equal Fraction in the cache lookup.
+    scored at, so a layer plan reused from a chain's memo is not scored
+    again at the same bandwidths; one schedule may be scored at two devices.
+    A whole bandwidth is passed on as an int, which hashes much faster than
+    an equal Fraction in the cache lookup.
     """
     bw = (None, None)
     if dev is not None:

@@ -1,16 +1,13 @@
 """Per-node and whole-graph resource estimation (DSP, BRAM, LUT, FF).
 
 DSP and BRAM are analytical; LUT and FF come from a linear regression fitted
-on a calibration dataset (a default model is bundled with the package).
+on a calibration dataset. The bundled default model is the fit of the
+bundled dataset by `tools/fit_resources.py`.
 """
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .device import ResourceVector
 from .model_ir import LAYER_KINDS
@@ -124,51 +121,6 @@ class RegressionModel:
         )
 
 
-def _rows_from_csv(samples_csv: str) -> list:
-    reader = csv.DictReader(io.StringIO(samples_csv))
-    rows = list(reader)
-    if not rows:
-        raise ResourceModelError("calibration CSV is empty")
-    required = {"kind", "c_in", "c_out", "f", "kvol", "smax", "lut", "ff"}
-    missing = required - set(reader.fieldnames or [])
-    if missing:
-        raise ResourceModelError(f"calibration CSV missing columns: {sorted(missing)}")
-    return rows
-
-
-def regression_fit(samples_csv: str, target: str, ridge: bool = False) -> RegressionModel:
-    """Least-squares fit of a LUT or FF estimator from a calibration CSV.
-
-    The kind one-hot columns absorb the intercept, so none is fitted. With
-    fewer independent samples than features the plain fit is singular; pass
-    ridge=True to use a fixed 1e-6 Tikhonov regulariser instead.
-    """
-    if target not in ("lut", "ff"):
-        raise ResourceModelError(f"unknown regression target '{target}'")
-    rows = _rows_from_csv(samples_csv)
-    if len(rows) < 2:
-        raise ResourceModelError("need at least 2 calibration samples")
-    x = np.array([_features(r["kind"], (r[k] for k in NUMERIC_FEATURES)) for r in rows])
-    y = np.array([float(r[target]) for r in rows])
-    n_params = x.shape[1]
-    if ridge:
-        a = x.T @ x + 1e-6 * np.eye(n_params)
-        theta = np.linalg.solve(a, x.T @ y)
-    else:
-        if len(rows) < n_params or np.linalg.matrix_rank(x) < n_params:
-            raise ResourceModelError(
-                "singular regression fit (fewer independent samples than features); "
-                "retry with ridge=True (fixed 1e-6 regulariser)"
-            )
-        theta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    return RegressionModel(
-        target=target,
-        feature_names=REGRESSION_FEATURES,
-        coefficients=tuple(float(c) for c in theta),
-        intercept=0.0,
-    )
-
-
 _default_models_cache = None
 
 
@@ -201,24 +153,20 @@ def node_resources(cap, lut_model=None, ff_model=None) -> ResourceVector:
     )
 
 
-def graph_resources(graph, dev, lut_model=None, ff_model=None, costs=None,
-                    known=None) -> ResourceVector:
+def graph_resources(graph, dev, lut_model=None, ff_model=None, costs=None) -> ResourceVector:
     """Total estimate: node sum plus one DMA pair and two crossbars.
 
-    `costs`, if given, receives each node's (capability, regression models,
-    ResourceVector). `known` is such a map of another graph, e.g. the parent
-    of an annealing move: a node whose capability and models it records keeps
-    its vector instead of being costed again.
+    `costs`, if given, maps capabilities to the node resources costed with
+    these estimators (a search chain's memo): a node whose capability it
+    holds is not costed again, and every node costed is added to it.
     """
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
-    models, costs = (lut_model, ff_model), {} if costs is None else costs
+    costs = {} if costs is None else costs
     dsp = bram = lut = ff = 0
-    for node_id, cap in graph.nodes.items():
-        cost = known.get(node_id) if known else None
-        if cost is None or cost[1] != models or not (cost[0] is cap or cost[0] == cap):
-            cost = (cap, models, node_resources(cap, lut_model, ff_model))
-        costs[node_id] = cost
-        res = cost[2]
+    for cap in graph.nodes.values():
+        res = costs.get(cap)
+        if res is None:
+            res = costs[cap] = node_resources(cap, lut_model, ff_model)
         dsp, bram, lut, ff = dsp + res.dsp, bram + res.bram, lut + res.lut, ff + res.ff
     return ResourceVector(dsp, bram, lut, ff) + dev.dma_overhead + dev.xbar_overhead.scaled(2)

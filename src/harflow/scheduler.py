@@ -6,14 +6,12 @@ innermost for Conv/FC) and counts the invocations of each distinct runtime
 configuration; the invocation list itself is expanded on demand.
 
 A layer's tiling plan depends only on the layer, its node id, the node's
-capability and the schedule mode. Given the schedule of a parent state (the
-state an annealing move started from), `build_schedule` reuses the parent's
-plan, with the cycles already scored for it, for every layer whose four
-inputs are unchanged, and the layer order when the model is the same. A
-search chain also passes a table of every plan it has built, so a layer
-whose node returns to a capability the chain has planned before takes that
-plan instead of re-tiling. So a move that edits one node re-tiles at most
-that node's layers, and only for capabilities new to the chain.
+capability and the schedule mode. A search chain passes `build_schedule` its
+memo of every plan it has built, keyed on (layer id, node id, capability);
+the chain's model and mode are fixed. A layer whose key the memo holds takes
+that plan, with the cycles already scored for it, instead of re-tiling. So a
+move that edits one node re-tiles at most that node's layers, and only for
+capabilities new to the chain.
 
 `schedule_json` writes a schedule as schedule.json text: a `configs` table
 holds each config object once, and each entry names its config by index into
@@ -31,10 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .hardware_graph import HardwareGraph
-from .model_ir import ModelGraph, TensorShape, _windowed_axis, strict, topological_order
+from .model_ir import ModelGraph, TensorShape, _windowed_axis, strict
 from .perf_model import RuntimeConfig
 
 MODE_RUNTIME = "runtime_configurable"
@@ -105,21 +101,18 @@ class Schedule:
     `perf_model.schedule_latency` scores once and keeps: one per layer plan
     of a built schedule, one for all groups of `Schedule(entries)`.
     `entries` lists every invocation: `Schedule(entries)` counts them into
-    groups, while `build_schedule` passes per-layer tiling plans (keyed by
-    layer id, in schedule order) that are expanded on first access.
-    A built schedule also records its `model` and layer `order`.
+    groups, while `build_schedule` passes its per-layer tiling plans, in
+    schedule order, which are expanded on first access.
     """
 
-    def __init__(self, entries=(), plans=None, model=None, order=None):
-        self.plans = plans
-        self.model, self.order = model, order
+    def __init__(self, entries=(), plans=None):
         if plans is None:
             self._entries = list(entries)
             counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
             self.parts = [_Groups([(nid, lid, cfg, n) for (nid, lid, cfg), n in counts.items()])]
         else:
             self._entries = None
-            self.parts = list(plans.values())
+            self.parts = plans
         self.groups = [g for part in self.parts for g in part.groups]
         self._len = sum(n for *_, n in self.groups)
 
@@ -305,25 +298,16 @@ def _axis_parts(layer, axes, mode) -> list:
 class _LayerPlan:
     """One layer's tiling on its node: (full, tile) per axis (H, W, D, C, F),
     the config of each combination of tile classes, and the layer's counted
-    groups. `layer`, `node_id`, `cap` and `mode` are what the plan was built
-    from; `scored` is kept by `perf_model.schedule_latency` and `no_output`
+    groups. `scored` is kept by `perf_model.schedule_latency` and `no_output`
     by `optimizer.check_constraints`."""
 
     layer: object
     node_id: str
-    cap: object
-    mode: str
     axes: tuple
     configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
     groups: list
     scored: tuple = None
     no_output: list = None
-
-    def built_from(self, layer, node_id, cap, mode) -> bool:
-        """True when the plan is what `_plan_layer(layer, node_id, cap, mode)` gives."""
-        return (self.node_id == node_id and self.mode == mode
-                and (self.cap is cap or self.cap == cap)
-                and (self.layer is layer or self.layer == layer))
 
     def entries(self) -> list:
         """Every invocation of the layer, channels fastest, filters innermost."""
@@ -376,48 +360,36 @@ def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
         group[1] += kh * kw * kd * kc * kf
         configs[ch, cw, cd, cc, cf] = group[0]
     groups = [(node_id, layer.id, cfg, n) for cfg, n in counts.values()]
-    return _LayerPlan(layer, node_id, cap, mode, axes, configs, groups)
+    return _LayerPlan(layer, node_id, axes, configs, groups)
 
 
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,
-                   parent: Schedule = None, plan_table: dict = None) -> Schedule:
-    """Tile every schedulable layer and count its invocations per config.
+                   memo: dict = None) -> Schedule:
+    """Tile every schedulable layer, in `model.order`, and count its
+    invocations per config.
 
-    With `parent`, a schedule built before, each layer whose descriptor,
-    node id and node capability equal the parent's keeps the parent's plan
-    when it was built in `mode`. `plan_table` holds the plans of earlier
-    schedules, keyed on (layer id, node id, capability); a layer the parent
-    cannot lend a plan to takes one from it, and every plan built afresh is
-    added to it. The result is the same as without `parent` and `plan_table`.
+    `memo` maps (layer id, node id, capability) to the plans of earlier
+    schedules of the same model in the same mode: a layer whose key it
+    holds takes that plan, and every plan built is added to it.
     """
     if mode not in (MODE_RUNTIME, MODE_PADDED):
         raise ValueError(f"unknown schedule mode '{mode}'")
-    # a schedule counted from entries has no plans, so lends nothing
-    reuse = getattr(parent, "plans", None) or {}
-    if parent is not None and parent.model is model:
-        order = parent.order
-    else:
-        order = topological_order(model)
+    memo = {} if memo is None else memo
     inv = g.inverse_mapping()
-    plans = {}
-    for lid in order:
+    plans = []
+    for lid in model.order:
         if lid in g.fused:
             continue
-        layer = model.layers[lid]
         if lid not in inv:
             raise InfeasibleScheduleError(lid, "<none>", "layer not mapped")
         node_id = inv[lid]
         cap = g.nodes[node_id]
-        plan = reuse.get(lid)
-        if plan is None or not plan.built_from(layer, node_id, cap, mode):
-            key = (lid, node_id, cap)
-            plan = None if plan_table is None else plan_table.get(key)
-            if plan is None or not plan.built_from(layer, node_id, cap, mode):
-                plan = _plan_layer(layer, node_id, cap, mode)
-                if plan_table is not None:
-                    plan_table[key] = plan
-        plans[lid] = plan
-    return Schedule(plans=plans, model=model, order=order)
+        key = (lid, node_id, cap)
+        plan = memo.get(key)
+        if plan is None:
+            plan = memo[key] = _plan_layer(model.layers[lid], node_id, cap, mode)
+        plans.append(plan)
+    return Schedule(plans=plans)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +412,8 @@ def coverage_oracle(schedule: Schedule, model: ModelGraph, fused=(),
     `fused` lists layer ids legitimately absent from the schedule (activations
     absorbed into their producer); every other layer must be fully covered.
     """
+    import numpy as np  # test-only; kept off the import of the CLI
+
     by_layer = {}
     for entry in schedule.entries:
         by_layer.setdefault(entry.layer_id, []).append(entry)

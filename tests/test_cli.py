@@ -255,6 +255,12 @@ def _multishape_search(workdir, **params):
         w, json.dumps(dict(QUICK_PARAMS, iterations_per_temperature=0)))),
     lambda w: _multishape_search(w, separate_layers=0),
     lambda w: _multishape_search(w, combine_nodes=1),
+    lambda w: _multishape_search(w, warm_start_samples=1.5),
+    lambda w: _multishape_search(w, warm_start_samples="4"),
+    lambda w: _multishape_search(w, warm_start_samples=-3),
+    lambda w: _multishape_search(w, iterations_per_temperature=True),
+    lambda w: _multishape_search(w, seed=[1]),
+    lambda w: _search(w, "optimize", "--params", _params(w, '{"tau_start": Infinity}')),
     lambda w: ["schedule", "--design", _bad_design(w, _double_map_conv)],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: _conv_node(d).update(kernel_max=[1, 1, 1]))],
@@ -333,6 +339,8 @@ def _multishape_search(workdir, **params):
         "device-clock-not-number", "device-bw-not-number", "device-overhead-not-object",
         "device-overhead-unknown-key", "schedule-device-bad-field",
         "params-zero-iterations", "params-separate-none", "params-combine-one",
+        "params-samples-float", "params-samples-string", "params-samples-negative",
+        "params-iterations-bool", "params-seed-list", "params-tau-infinite",
         "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
         "schedule-fused-not-activation", "schedule-mapped-id-not-string",
         "schedule-shape-not-int", "schedule-fold-bool", "model-filters-float",

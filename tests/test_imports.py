@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,11 @@ def test_every_definition_is_used():
         and node.name not in referenced and not _click_command(node)
     )
     assert not dead, f"top-level definitions named nowhere else: {dead}"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the test oracles; every command runs without it
+    code = "import sys, harflow.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert done.stdout.strip() == "False"

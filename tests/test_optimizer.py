@@ -3,20 +3,21 @@ import json
 import logging
 import random
 from collections import Counter
-from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from test_acceptance import _random_chain_model
 
 import harflow.optimizer as optimizer
+import harflow.resource_model as resource_model
+import harflow.scheduler as scheduler
 
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import NodeCapability, fuse_activations, initial_mapping
-from harflow.model_ir import parse_model, serialize_model
+from harflow.model_ir import parse_model
 from harflow.optimizer import (
     AnnealingParams,
+    ChainMemo,
     OptimizerError,
     ParetoPoint,
     _fold_neighbours,
@@ -31,7 +32,7 @@ from harflow.optimizer import (
     warm_start,
 )
 from harflow.perf_model import compute_latency, invocation_latency, schedule_latency
-from harflow.resource_model import default_regression_models, graph_resources
+from harflow.resource_model import graph_resources
 from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
@@ -63,6 +64,13 @@ def test_params_validation():
         AnnealingParams(tau_start=0.1, tau_min=1.0)
     with pytest.raises(ValueError):
         AnnealingParams(cooling=1.5)
+    # integers only, as in input documents: a bool or a float is not one
+    for bad in (dict(seed=[1]), dict(seed=True), dict(warm_start_samples=1.5),
+                dict(warm_start_samples="4"), dict(warm_start_samples=-3),
+                dict(iterations_per_temperature=True), dict(combine_nodes=2.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AnnealingParams(**bad)
+    assert AnnealingParams(warm_start_samples=0).warm_start_samples == 0
 
 
 def test_evaluate_flags_budget_violations(toy, zcu102, monkeypatch):
@@ -235,15 +243,14 @@ def test_info_logging_reports_chain_progress(toy, zcu102, caplog, monkeypatch):
     with caplog.at_level(logging.ERROR, logger="harflow"):
         quiet = anneal(toy, zcu102, params)
     assert not caplog.records
-    moves = []  # (parent, state) of each evaluation made from a parent, in call order
+    moves = []  # (graph a move starts from, graph it proposes), in call order
 
-    def recording(*args, parent=None, **kwargs):
-        state = evaluate(*args, parent=parent, **kwargs)
-        if parent is not None:
-            moves.append((parent, state))
-        return state
+    def recording(model, graph, rng, params):
+        proposed = random_transformation(model, graph, rng, params)
+        moves.append((graph, proposed))
+        return proposed
 
-    monkeypatch.setattr(optimizer, "evaluate", recording)
+    monkeypatch.setattr(optimizer, "random_transformation", recording)
     with caplog.at_level(logging.INFO, logger="harflow"):
         best, trace = anneal(toy, zcu102, params)
     # logging draws no random number and changes no trace row
@@ -261,8 +268,9 @@ def test_info_logging_reports_chain_progress(toy, zcu102, caplog, monkeypatch):
     )
     progress = [m for m in messages if m.startswith("tau ")]
     assert len(progress) == -(-temperatures // 10)
-    # a move was accepted exactly when the next move starts from its state
-    accepted = [nxt is state for (_, state), (nxt, _) in zip(moves, moves[1:])]
+    # a move was accepted exactly when the next move starts from its graph (every
+    # move proposes a new graph object)
+    accepted = [nxt is proposed for (_, proposed), (nxt, _) in zip(moves, moves[1:])]
     window = 10 * params.iterations_per_temperature
     for k, line in enumerate(progress[1:]):
         count = sum(accepted[k * window:(k + 1) * window])
@@ -334,17 +342,18 @@ def _no_output(state):
     return [v for v in state.violations if v.endswith("tile yields no output")]
 
 
-def _walk_with_parents(model, dev, mode, rng, steps):
-    """Random annealing moves and fold_climb candidates, each evaluated from its
-    parent with the walk's plan table, and from scratch. Returns counts of:
-    plans reused from the parent, plans taken from the table, moves that
-    changed the node set, the resources, and the no-output violations."""
+def _memo_walk(model, dev, mode, rng, steps, built):
+    """Random annealing moves and fold_climb candidates, each evaluated with the
+    walk's memo and from scratch. `built` counts the node costings ("costs")
+    and layer plannings ("plans") made. Returns counts of: node costs and
+    layer plans taken from the memo, moves that changed the node set, the
+    resources, and the no-output violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
         graph = fuse_activations(graph, model)
-    state = evaluate(model, _sample_capabilities(graph, model, rng), dev, mode)
-    table = {}
+    memo = ChainMemo()
+    state = evaluate(model, _sample_capabilities(graph, model, rng), dev, mode, memo=memo)
     counts = Counter()
     for step in range(steps):
         nid = rng.choice(sorted(state.graph.nodes))
@@ -353,18 +362,22 @@ def _walk_with_parents(model, dev, mode, rng, steps):
             graph = state.graph.with_node(nid, rng.choice(neighbours))
         else:
             graph = random_transformation(model, state.graph, rng, params)
-        # plans built at earlier steps, held so that their ids stay unique
-        tabled = {id(plan): plan for plan in table.values()}
-        child = evaluate(model, graph, dev, mode, parent=state, plan_table=table)
+        costs, plans, before = dict(memo.costs), dict(memo.plans), built.copy()
+        child = evaluate(model, graph, dev, mode, memo=memo)
+        # only capabilities new to the memo are costed, and only layers new to it planned
+        caps = set(graph.nodes.values())
+        assert built["costs"] - before["costs"] == len(caps - costs.keys())
+        counts["costs"] += len(caps & costs.keys())
+        if len(child.schedule):
+            keys = [(p.layer.id, p.node_id, graph.nodes[p.node_id])
+                    for p in child.schedule.parts]
+            assert built["plans"] - before["plans"] == sum(key not in plans for key in keys)
+            for key, plan in zip(keys, child.schedule.parts):
+                if key in plans:
+                    assert plan is plans[key]
+                    counts["plans"] += 1
         scratch = evaluate(model, graph, dev, mode)
         assert _evaluation(child) == _evaluation(scratch)
-        assert child.node_costs == scratch.node_costs
-        lent = state.schedule.plans or {}
-        for lid, plan in (child.schedule.plans or {}).items():
-            if plan is lent.get(lid):
-                counts["reused"] += 1
-            elif id(plan) in tabled:
-                counts["from_table"] += 1
         counts["structural"] += set(graph.nodes) != set(state.graph.nodes)
         counts["resources"] += child.resources != state.resources
         counts["no_output"] += _no_output(child) != _no_output(state)
@@ -373,28 +386,39 @@ def _walk_with_parents(model, dev, mode, rng, steps):
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
-def test_parent_reuse_equals_evaluation_from_scratch(mode):
+def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
+    built = Counter()
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            built[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(resource_model, "node_resources", "costs")
+    counted(scheduler, "_plan_layer", "plans")
     dev = load_bundled_profile("zcu102")
     rng = random.Random(40)
     counts = Counter()
     for name in bundled_model_names():
         model = parse_model(bundled_model_text(name))
-        counts += _walk_with_parents(model, dev, mode, rng,
-                                     steps=10 if name == "c3d" else 16)
+        counts += _memo_walk(model, dev, mode, rng, steps=10 if name == "c3d" else 16,
+                             built=built)
     for _ in range(30):
-        counts += _walk_with_parents(_random_chain_model(rng), dev, mode, rng, steps=10)
-    # the walks did exercise reuse from the parent and from the table (a layer's
-    # node came back to a capability planned at an earlier step), combine/separate
-    # moves and changed resources; padded tiles run at the node's full shape, so
-    # only runtime tiles lack output
-    assert counts["reused"] > 0 and counts["from_table"] > 0
+        counts += _memo_walk(_random_chain_model(rng), dev, mode, rng, steps=10, built=built)
+    # the walks did take node costs and layer plans from the memo, made
+    # combine/separate moves and changed resources; padded tiles run at the
+    # node's full shape, so only runtime tiles lack output
+    assert counts["costs"] > 0 and counts["plans"] > 0
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
 def test_only_states_within_budget_are_scheduled(mode):
-    """A random-move walk, each state evaluated from the one before: a state is
+    """A random-move walk, each state evaluated with the walk's memo: a state is
     rejected on budget exactly when `graph_resources` puts it over a budget,
     and a state within budget scores as its schedule built from scratch."""
     dev = load_bundled_profile("zcu102")
@@ -405,11 +429,11 @@ def test_only_states_within_budget_are_scheduled(mode):
     counts = Counter()
     for model in models:
         graph = _sample_capabilities(initial_mapping(model), model, rng)
-        state = evaluate(model, graph, dev, mode)
-        table = {}
+        memo = ChainMemo()
+        state = evaluate(model, graph, dev, mode, memo=memo)
         for _ in range(12):
             graph = random_transformation(model, state.graph, rng, params)
-            child = evaluate(model, graph, dev, mode, parent=state, plan_table=table)
+            child = evaluate(model, graph, dev, mode, memo=memo)
             resources = graph_resources(graph, dev)
             over = [name for name in ("dsp", "bram", "lut", "ff")
                     if getattr(resources, name) > getattr(dev.budgets, name)]
@@ -428,45 +452,3 @@ def test_only_states_within_budget_are_scheduled(mode):
                     counts["scheduled"] += 1
             state = child
     assert counts["rejected"] > 0 and counts["scheduled"] > 0
-
-
-def test_parent_from_another_mode_model_or_device_is_not_reused(toy, multishape, zcu102):
-    graph = initial_mapping(toy)
-    parent = evaluate(multishape, initial_mapping(multishape), zcu102, MODE_RUNTIME)
-    assert _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, parent=parent)) == (
-        _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME)))
-    table = {}
-    evaluate(multishape, initial_mapping(multishape), zcu102, MODE_RUNTIME, plan_table=table)
-    assert _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, plan_table=table)) == (
-        _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME)))
-    for mode, other in ((MODE_RUNTIME, MODE_PADDED), (MODE_PADDED, MODE_RUNTIME)):
-        table = {}
-        parent = evaluate(toy, graph, zcu102, other, plan_table=table)
-        assert table and _evaluation(parent) != _evaluation(evaluate(toy, graph, zcu102, mode))
-        assert _evaluation(evaluate(toy, graph, zcu102, mode, parent=parent)) == (
-            _evaluation(evaluate(toy, graph, zcu102, mode)))
-        assert _evaluation(evaluate(toy, graph, zcu102, mode, plan_table=table)) == (
-            _evaluation(evaluate(toy, graph, zcu102, mode)))
-    # same layer ids, node ids and capabilities; the fc layer has fewer filters
-    doc = json.loads(serialize_model(toy))
-    fc = next(layer for layer in doc["layers"] if layer["id"] == "fc")
-    fc.update(filters=6, shape_out=[1, 1, 1, 6])
-    narrower = parse_model(json.dumps(doc))
-    table = {}
-    parent = evaluate(toy, graph, zcu102, MODE_RUNTIME, plan_table=table)
-    child = evaluate(narrower, graph, zcu102, MODE_RUNTIME, parent=parent)
-    assert _evaluation(child) == _evaluation(evaluate(narrower, graph, zcu102, MODE_RUNTIME))
-    assert child.latency_cycles != parent.latency_cycles
-    child = evaluate(narrower, graph, zcu102, MODE_RUNTIME, plan_table=table)
-    assert _evaluation(child) == _evaluation(evaluate(narrower, graph, zcu102, MODE_RUNTIME))
-    # cycles scored at one bandwidth are not kept for another
-    slow = replace(zcu102, bw_in_words_per_cycle=Fraction(1, 2))
-    child = evaluate(toy, graph, slow, MODE_RUNTIME, parent=parent)
-    assert _evaluation(child) == _evaluation(evaluate(toy, graph, slow, MODE_RUNTIME))
-    assert child.latency_cycles != parent.latency_cycles
-    # node resources costed with one LUT estimator are not kept for another
-    lut, ff = default_regression_models()
-    lut = replace(lut, intercept=lut.intercept + 1000)
-    child = evaluate(toy, graph, zcu102, MODE_RUNTIME, lut, ff, parent=parent)
-    assert _evaluation(child) == _evaluation(evaluate(toy, graph, zcu102, MODE_RUNTIME, lut, ff))
-    assert child.resources.lut != parent.resources.lut

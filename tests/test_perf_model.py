@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import fuse_activations, initial_mapping
 from harflow.model_ir import TensorShape, parse_model
@@ -194,6 +196,21 @@ def test_schedule_latency_additivity():
     )
     assert schedule_latency(Schedule()) == 0
     assert schedule_latency(Schedule([entry, entry])) == 2 * schedule_latency(Schedule([entry]))
+
+
+def test_schedule_latency_rescores_at_another_bandwidth():
+    """A schedule keeps its cycles with the bandwidths they were scored at, so
+    scoring it for a second device scores it afresh."""
+    model = parse_model(bundled_model_text("toy"))
+    dev = load_bundled_profile("zcu102")
+    slow = replace(dev, bw_in_words_per_cycle=Fraction(1, 2))
+    graph = initial_mapping(model)
+    schedule = build_schedule(model, graph, MODE_RUNTIME)
+    fast = schedule_latency(schedule, dev)
+    assert schedule_latency(schedule, slow) == (
+        schedule_latency(build_schedule(model, graph, MODE_RUNTIME), slow))
+    assert schedule_latency(schedule, slow) != fast
+    assert schedule_latency(schedule, dev) == fast
 
 
 def test_analytical_matches_enumeration_oracle_spot():

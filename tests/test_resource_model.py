@@ -1,4 +1,8 @@
+import json
 import random
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +19,12 @@ from harflow.resource_model import (
     node_bram,
     node_dsp,
     node_resources,
-    regression_fit,
     sliding_window_bram,
     weights_bram,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from fit_resources import fit_document, regression_fit  # noqa: E402
 
 
 def test_bram_blocks_fixtures():
@@ -156,6 +162,12 @@ def test_regression_rejects_bad_target_and_columns():
         regression_fit("kind,c_in,c_out,f,kvol,smax,lut,ff\nConv3D,1,1,1,1,1,1,1\n", "dsp")
     with pytest.raises(ResourceModelError, match="missing columns"):
         regression_fit("kind,lut\nConv3D,1\n", "lut")
+
+
+def test_bundled_model_is_the_fit_of_the_bundled_dataset():
+    data = resources.files("harflow").joinpath("data/regression")
+    fitted = fit_document(data.joinpath("calibration.csv").read_text())
+    assert fitted == json.loads(data.joinpath("default_model.json").read_text())
 
 
 def test_regression_model_round_trip():

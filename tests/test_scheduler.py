@@ -302,7 +302,7 @@ def test_plans_build_each_distinct_config_once(mode):
             schedule = build_schedule(model, graph, mode)
         except InfeasibleScheduleError:
             continue
-        for plan in schedule.plans.values():
+        for plan in schedule.parts:
             plans += 1
             configs = [cfg for _, _, cfg, _ in plan.groups]
             assert len(set(configs)) == len(configs)
