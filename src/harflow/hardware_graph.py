@@ -6,9 +6,9 @@ states in concurrent search chains never alias mutable state.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .model_ir import ModelGraph, TensorShape, strict
+from .model_ir import ModelGraph, TensorShape, hash_once, strict
 
 
 class HardwareGraphError(ValueError):
@@ -22,9 +22,11 @@ def legal_fold(preferred: int, total: int) -> int:
     return max(1, math.gcd(preferred, total))
 
 
+@hash_once
 @dataclass(frozen=True)
 class NodeCapability:
-    """Compile-time capability record of a computation node."""
+    """Compile-time capability record of a computation node. Its hash is
+    computed once per object (see `model_ir.hash_once`)."""
 
     kind: str
     shape_in_max: TensorShape
@@ -66,8 +68,9 @@ class NodeCapability:
     def refit(self, **changes) -> "NodeCapability":
         """Copy with `changes` applied and each fold cut to `legal_fold` of its
         preferred value. Outside Conv/FC the output fold is the input fold;
-        outside Conv3D the fine fold is 1."""
-        f = {**vars(self), **changes}
+        outside Conv3D the fine fold is 1. The copy hashes its own fields."""
+        f = {x.name: getattr(self, x.name) for x in fields(self)}
+        f.update(changes)
         kd, kh, kw = f["kernel_max"]
         f["coarse_in"] = legal_fold(f["coarse_in"], f["shape_in_max"].c)
         if self.kind in ("Conv3D", "FullyConnected"):

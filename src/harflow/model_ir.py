@@ -44,19 +44,35 @@ def strict(value, kind, what, error=ModelError, length=None):
     raise error(f"{what} must be {noun}, got {value!r}")
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: the hash of its fields is
+    computed on the first call and kept on the object as `_hash`, which is
+    not a field. So `dataclasses.replace` and a copy built from the fields
+    compute their own. (Strings hash differently in every process, so an
+    object must not carry its `_hash` into another one.)"""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class TensorShape:
-    """Feature-map shape (depth, height, width, channels)."""
+    """Feature-map shape (depth, height, width, channels). Document values are
+    checked by `from_list`; shapes the program derives are non-negative."""
 
     d: int
     h: int
     w: int
     c: int
-
-    def __post_init__(self):
-        for dim in (self.d, self.h, self.w, self.c):
-            if type(dim) is not int or dim < 0:  # the rule of `strict`: no bool
-                raise ModelError(f"shape dimensions must be non-negative ints, got {self}")
 
     @property
     def numel(self) -> int:
@@ -64,11 +80,11 @@ class TensorShape:
 
     @classmethod
     def from_list(cls, dims) -> "TensorShape":
-        if isinstance(dims, (list, tuple)) and len(dims) == 4:
-            try:
-                return cls(*dims)
-            except ModelError:
-                pass
+        """The shape of a [D, H, W, C] document value: four non-negative JSON
+        integers (the rule of `strict`: no bool)."""
+        if (isinstance(dims, (list, tuple)) and len(dims) == 4
+                and all(type(x) is int and x >= 0 for x in dims)):
+            return cls(*dims)
         raise ModelError(f"shape must be a 4-element [D,H,W,C] integer array, got {dims!r}")
 
     def to_list(self):

@@ -12,18 +12,22 @@ it is tiled and scored.
 A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
 it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
-node resource vector and every layer plan, with its scored cycles and
-no-output verdicts, that the chain has computed. A node whose capability the
-chain has costed before is not costed again, and a layer whose (layer, node,
-capability) the chain has planned before is not re-tiled, re-scored or
-re-checked. The memo lives only as long as its chain. The result equals an
-evaluation from scratch.
+node resource vector, layer plan (with its scored cycles and no-output
+verdicts), layer tiling and runtime config that the chain has computed. A
+node whose capability the chain has costed before is not costed again, and a
+layer whose (layer, node, capability) the chain has planned before is not
+re-tiled, re-scored or re-checked. A layer whose tile shape the chain has
+tiled before is not re-tiled, so a move that changes only folds (coarse,
+fine or a `fold_climb` step) re-tiles nothing; at runtime it builds only the
+configs new to the chain. The memo lives only as long as its chain. The
+result equals an evaluation from scratch.
 """
 
 import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .device import DeviceProfile
 from .hardware_graph import (
@@ -35,10 +39,11 @@ from .hardware_graph import (
 )
 from .model_ir import ModelGraph, TensorShape, strict
 from .perf_model import compute_latency, schedule_latency
-from .resource_model import default_regression_models, graph_resources
+from .resource_model import default_regression_models, graph_resources, node_dsp
 from .scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
+    ChainMemo,
     InfeasibleScheduleError,
     Schedule,
     build_schedule,
@@ -67,6 +72,10 @@ class AnnealingParams:
     enable_runtime_reconfig: bool = True
 
     def __post_init__(self):
+        for name in ("tau_start", "tau_min", "cooling"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):  # JSON numbers; true is not one
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.inf > self.tau_start > self.tau_min > 0):  # else the chain never cools
             raise ValueError("need a finite tau_start > tau_min > 0")
         if not (0 < self.cooling < 1):
@@ -92,19 +101,6 @@ class CandidateState:
     resources: object
     feasible: bool
     violations: list = field(default_factory=list)
-
-
-@dataclass
-class ChainMemo:
-    """Everything one search chain has computed that its later moves reuse:
-    `costs` maps a node capability to its resources (see
-    `resource_model.graph_resources`), and `plans` maps (layer id, node id,
-    capability) to a layer plan (see `scheduler.build_schedule`). Neither key
-    names the model, the schedule mode, the device or the LUT/FF estimators,
-    so a memo serves one chain: one model, mode, device and estimator pair."""
-
-    costs: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -165,7 +161,7 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
     violations = _budget_violations(resources, dev)
     if not violations:
         try:
-            schedule = build_schedule(model, graph, mode, memo.plans)
+            schedule = build_schedule(model, graph, mode, memo)
         except InfeasibleScheduleError as exc:
             violations = [str(exc)]
     if violations:
@@ -187,14 +183,15 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
 # Transformations
 
 
-def _divisors(n: int) -> list:
+@lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple:
     divs = []
     for i in range(1, int(math.isqrt(n)) + 1):
         if n % i == 0:
             divs.append(i)
             if i != n // i:
                 divs.append(n // i)
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 def _node_layers(graph, model, node_id):
@@ -312,8 +309,10 @@ def _sample_capabilities(graph, model, rng):
 def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
                rng: random.Random, lut_model=None, ff_model=None, memo: ChainMemo = None):
     """Initial per-kind mapping with the best feasible of R random fold samplings.
-    `memo` is the memo of the chain it starts, if any."""
+    `memo` is the memo of the chain it starts; without one, the samples share
+    a memo of their own."""
     mode = params.mode
+    memo = ChainMemo() if memo is None else memo
     base = initial_mapping(model)
     if params.enable_fusion:
         base = fuse_activations(base, model)
@@ -348,8 +347,6 @@ def _fold_neighbours(cap, dsp_headroom):
     combinations whose DSP increase exceeds `dsp_headroom` are pruned before
     evaluation. Other kinds step the single coarse fold up one divisor.
     """
-    from .resource_model import node_dsp
-
     if cap.kind in ("Conv3D", "FullyConnected"):
         current = cap.coarse_in * cap.coarse_out * cap.fine
         kvol = cap.kernel_max[0] * cap.kernel_max[1] * cap.kernel_max[2]

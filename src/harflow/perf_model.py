@@ -13,19 +13,21 @@ chain that reuses it from the chain's memo, so it is scored once per chain.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import LAYER_KINDS, TensorShape, strict
+from .model_ir import LAYER_KINDS, TensorShape, hash_once, strict
 
 
 class PerfModelError(ValueError):
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Per-invocation parameters of a computation node.
 
     FullyConnected invocations use the flattened form: shape_in = (1,1,1,C)
-    where C is the feature count processed by the invocation.
+    where C is the feature count processed by the invocation. Its hash is
+    computed once per object (see `model_ir.hash_once`).
     """
 
     kind: str

@@ -163,10 +163,12 @@ def graph_resources(graph, dev, lut_model=None, ff_model=None, costs=None) -> Re
     if lut_model is None or ff_model is None:
         lut_model, ff_model = default_regression_models()
     costs = {} if costs is None else costs
-    dsp = bram = lut = ff = 0
+    dma, xbar = dev.dma_overhead, dev.xbar_overhead
+    dsp, bram = dma.dsp + 2 * xbar.dsp, dma.bram + 2 * xbar.bram
+    lut, ff = dma.lut + 2 * xbar.lut, dma.ff + 2 * xbar.ff
     for cap in graph.nodes.values():
         res = costs.get(cap)
         if res is None:
             res = costs[cap] = node_resources(cap, lut_model, ff_model)
         dsp, bram, lut, ff = dsp + res.dsp, bram + res.bram, lut + res.lut, ff + res.ff
-    return ResourceVector(dsp, bram, lut, ff) + dev.dma_overhead + dev.xbar_overhead.scaled(2)
+    return ResourceVector(dsp, bram, lut, ff)

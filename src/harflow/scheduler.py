@@ -5,13 +5,18 @@ layer's feature-map over its computation node (channels fastest, filters
 innermost for Conv/FC) and counts the invocations of each distinct runtime
 configuration; the invocation list itself is expanded on demand.
 
-A layer's tiling plan depends only on the layer, its node id, the node's
-capability and the schedule mode. A search chain passes `build_schedule` its
-memo of every plan it has built, keyed on (layer id, node id, capability);
-the chain's model and mode are fixed. A layer whose key the memo holds takes
-that plan, with the cycles already scored for it, instead of re-tiling. So a
-move that edits one node re-tiles at most that node's layers, and only for
-capabilities new to the chain.
+A layer is planned in two steps. Its tiling depends only on the layer, its
+node's tile shape and the schedule mode: the per-axis parts of its tile
+classes and the invocations of each combination of parts. The fold pass then
+builds the config of each combination from the parts and the node's folds.
+
+A search chain passes `build_schedule` its `ChainMemo`; the chain's model and
+mode are fixed. It holds every plan built, keyed on (layer id, node id,
+capability): a layer whose key it holds takes that plan, with the cycles
+already scored for it. It holds every tiling, keyed on (layer id, tile
+shape), so a move that changes only folds re-tiles nothing. At runtime it
+also holds every config built, keyed on (layer id, parts, folds), so plans
+that share a config share one object.
 
 `schedule_json` writes a schedule as schedule.json text: a `configs` table
 holds each config object once, and each entry names its config by index into
@@ -28,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .hardware_graph import HardwareGraph
 from .model_ir import ModelGraph, TensorShape, _windowed_axis, strict
@@ -102,19 +108,29 @@ class Schedule:
     of a built schedule, one for all groups of `Schedule(entries)`.
     `entries` lists every invocation: `Schedule(entries)` counts them into
     groups, while `build_schedule` passes its per-layer tiling plans, in
-    schedule order, which are expanded on first access.
+    schedule order, which are expanded on first access. `groups` and the
+    length are worked out when first asked for; an empty schedule has no
+    parts.
     """
 
     def __init__(self, entries=(), plans=None):
         if plans is None:
             self._entries = list(entries)
-            counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
-            self.parts = [_Groups([(nid, lid, cfg, n) for (nid, lid, cfg), n in counts.items()])]
+            self.parts = []
+            if self._entries:
+                counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
+                self.parts.append(_Groups([(*key, n) for key, n in counts.items()]))
         else:
             self._entries = None
             self.parts = plans
-        self.groups = [g for part in self.parts for g in part.groups]
-        self._len = sum(n for *_, n in self.groups)
+
+    @cached_property
+    def groups(self) -> list:
+        return [g for part in self.parts for g in part.groups]
+
+    @cached_property
+    def _len(self) -> int:
+        return sum(n for part in self.parts for *_, n in part.groups)
 
     @property
     def entries(self) -> list:
@@ -184,30 +200,37 @@ def _axis_tiles(full: int, tile: int):
     return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
-def _tile_config(layer, cap, parts):
+def _tile_config(layer, cap, parts, configs):
     """Runtime config of the tiles whose per-axis parts (see `_axis_parts`) are
-    `parts`: their own shape and border padding, folds cut to fit."""
+    `parts`: their own shape and border padding, folds cut to fit. `configs`
+    maps (layer id, parts, folds) to the config built for them."""
     (th, ph0, ph1, oh), (tw, pw0, pw1, ow), (td, pd0, pd1, od), (tc, psum), tf = parts
     kind = layer.kind
     macs = kind in ("Conv3D", "FullyConnected")
-    windowed = kind in ("Conv3D", "Pool3D")
     c_in = math.gcd(tc, cap.coarse_in)
-    return RuntimeConfig(
-        kind=kind,
-        shape_in=TensorShape(td, th, tw, tc),
-        shape_out=TensorShape(od, oh, ow, tf if macs else tc),
-        filters=tf,  # a layer without filters has one empty filter tile
-        kernel=layer.kernel if windowed else (1, 1, 1),
-        stride=layer.stride if windowed else (1, 1, 1),
-        padding=(pd0, pd1, ph0, ph1, pw0, pw1),
-        groups=layer.groups if kind == "Conv3D" else 1,
-        op_type="" if macs else layer.op_type,
-        broadcast=layer.broadcast and not (macs or windowed),
-        coarse_in=c_in,
-        coarse_out=math.gcd(tf, cap.coarse_out) if macs else c_in,
-        fine=math.gcd(layer.kernel_volume, cap.fine) if kind == "Conv3D" else 1,
-        accumulate_psum=psum,
-    )
+    c_out = math.gcd(tf, cap.coarse_out) if macs else c_in
+    fine = math.gcd(layer.kernel_volume, cap.fine) if kind == "Conv3D" else 1
+    key = (layer.id, parts, c_in, c_out, fine)
+    cfg = configs.get(key)
+    if cfg is None:
+        windowed = kind in ("Conv3D", "Pool3D")
+        cfg = configs[key] = RuntimeConfig(
+            kind=kind,
+            shape_in=TensorShape(td, th, tw, tc),
+            shape_out=TensorShape(od, oh, ow, tf if macs else tc),
+            filters=tf,  # a layer without filters has one empty filter tile
+            kernel=layer.kernel if windowed else (1, 1, 1),
+            stride=layer.stride if windowed else (1, 1, 1),
+            padding=(pd0, pd1, ph0, ph1, pw0, pw1),
+            groups=layer.groups if kind == "Conv3D" else 1,
+            op_type="" if macs else layer.op_type,
+            broadcast=layer.broadcast and not (macs or windowed),
+            coarse_in=c_in,
+            coarse_out=c_out,
+            fine=fine,
+            accumulate_psum=psum,
+        )
+    return cfg
 
 
 def _padded_config(layer, cap, parts):
@@ -294,51 +317,97 @@ def _axis_parts(layer, axes, mode) -> list:
     return per_axis
 
 
+@dataclass
+class ChainMemo:
+    """Everything one search chain has computed that its later moves reuse:
+    `costs` maps a node capability to its resources (see
+    `resource_model.graph_resources`); `plans` maps (layer id, node id,
+    capability) to a layer plan; `tilings` maps (layer id, axes) to a
+    layer's tiling (see `_plan_layer`); and `configs` maps (layer id, parts,
+    folds) to a runtime config. No key names the model, the schedule mode,
+    the device or the LUT/FF estimators, so a memo serves one chain: one
+    model, mode, device and estimator pair."""
+
+    costs: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
+    tilings: dict = field(default_factory=dict)
+    configs: dict = field(default_factory=dict)
+
+
+@dataclass(eq=False, slots=True)
+class _Tiling:
+    """A layer's tiling over one tile shape in one mode, the same for every
+    fold: (full, tile) per axis (H, W, D, C, F) in `axes`, and the
+    invocations of each combination of per-axis parts (see `_axis_parts`) in
+    `counts`, in schedule order."""
+
+    axes: tuple
+    mode: str
+    counts: dict
+
+
+def _tile_layer(layer, axes, mode) -> _Tiling:
+    """The tiling of `layer` over `axes`. Per axis a layer has at most three
+    tile classes (first, interior, last), so its combinations of parts and
+    their counts are a product over classes."""
+    counts = {}
+    for (_, ph, kh), (_, pw, kw), (_, pd, kd), (_, pc, kc), (_, pf, kf) in (
+        itertools.product(*_axis_parts(layer, axes, mode))
+    ):
+        parts = (ph, pw, pd, pc, pf)
+        counts[parts] = counts.get(parts, 0) + kh * kw * kd * kc * kf
+    return _Tiling(axes, mode, counts)
+
+
 @dataclass(eq=False, slots=True)
 class _LayerPlan:
-    """One layer's tiling on its node: (full, tile) per axis (H, W, D, C, F),
-    the config of each combination of tile classes, and the layer's counted
-    groups. `scored` is kept by `perf_model.schedule_latency` and `no_output`
-    by `optimizer.check_constraints`."""
+    """One layer's tiling on its node and its counted groups, one per
+    combination of parts of the tiling, in its order. `scored` is kept by
+    `perf_model.schedule_latency` and `no_output` by
+    `optimizer.check_constraints`."""
 
     layer: object
     node_id: str
-    axes: tuple
-    configs: dict  # (class_h, class_w, class_d, class_c, class_f) -> RuntimeConfig
+    tiling: _Tiling
     groups: list
     scored: tuple = None
     no_output: list = None
 
     def entries(self) -> list:
-        """Every invocation of the layer, channels fastest, filters innermost."""
-        def indexed(full, tile):
-            tiles = _axis_tiles(full, tile)
+        """Every invocation of the layer, channels fastest, filters innermost.
+        The tile classes and their parts are derived again from the axes."""
+        def indexed(axis, classes):
+            part = {cls: p for cls, p, _ in classes}
+            tiles = _axis_tiles(*axis)
             n = len(tiles)
-            return [(i, o, x, (i == 0, i == n - 1)) for i, (o, x) in enumerate(tiles)]
+            return [(i, o, x, part[i == 0, i == n - 1]) for i, (o, x) in enumerate(tiles)]
 
-        h, w, d, c, f = (indexed(*axis) for axis in self.axes)
-        node_id, layer_id, configs = self.node_id, self.layer.id, self.configs
+        tiling = self.tiling
+        per_axis = _axis_parts(self.layer, tiling.axes, tiling.mode)
+        h, w, d, c, f = map(indexed, tiling.axes, per_axis)
+        node_id, layer_id = self.node_id, self.layer.id
+        configs = dict(zip(tiling.counts, (cfg for _, _, cfg, _ in self.groups)))
         out = []
-        for ih, oh, th, ch in h:
-            for iw, ow, tw, cw in w:
-                for i_d, od, td, cd in d:
-                    for ic, oc, tc, cc in c:
+        for ih, oh, th, ph in h:
+            for iw, ow, tw, pw in w:
+                for i_d, od, td, pd in d:
+                    for ic, oc, tc, pc in c:
                         origin, shape = (od, oh, ow, oc), (td, th, tw, tc)
-                        for i_f, of, tf, cf in f:
+                        for i_f, of, tf, pf in f:
                             out.append(ScheduleEntry(
                                 node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
-                                of, tf, configs[ch, cw, cd, cc, cf],
+                                of, tf, configs[ph, pw, pd, pc, pf],
                             ))
         return out
 
 
-def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
+def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     """Tile one layer over its node and count its invocations per config.
 
-    Per axis a layer has at most three tile classes (first, interior, last),
-    so its distinct configs and their counts are a product over classes.
-    Each config is built once from the parts its tile classes contribute;
-    distinct parts give distinct configs, so groups are counted on the parts.
+    The tiling is taken from `memo` when it holds the layer at the node's
+    tile shape; then each config is built from its parts and the node's
+    folds, once per distinct parts. Distinct parts give distinct configs, so
+    groups are counted on the parts.
     """
     _check_capability(layer, node_id, cap)
     ld, lh, lw, lc = _layer_input_dims(layer)
@@ -348,33 +417,32 @@ def _plan_layer(layer, node_id, cap, mode) -> _LayerPlan:
     else:
         filters = (0, 1)  # no filter axis: one empty tile
     axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
-    build = _padded_config if mode == MODE_PADDED else _tile_config
-    configs, counts = {}, {}  # counts: parts -> [config, invocations]
-    for (ch, ph, kh), (cw, pw, kw), (cd, pd, kd), (cc, pc, kc), (cf, pf, kf) in (
-        itertools.product(*_axis_parts(layer, axes, mode))
-    ):
-        parts = (ph, pw, pd, pc, pf)
-        group = counts.get(parts)
-        if group is None:
-            group = counts[parts] = [build(layer, cap, parts), 0]
-        group[1] += kh * kw * kd * kc * kf
-        configs[ch, cw, cd, cc, cf] = group[0]
-    groups = [(node_id, layer.id, cfg, n) for cfg, n in counts.values()]
-    return _LayerPlan(layer, node_id, axes, configs, groups)
+    key = (layer.id, axes)
+    tiling = memo.tilings.get(key)
+    if tiling is None:
+        tiling = memo.tilings[key] = _tile_layer(layer, axes, mode)
+    if mode == MODE_PADDED:
+        groups = [(node_id, layer.id, _padded_config(layer, cap, parts), n)
+                  for parts, n in tiling.counts.items()]
+    else:
+        groups = [(node_id, layer.id, _tile_config(layer, cap, parts, memo.configs), n)
+                  for parts, n in tiling.counts.items()]
+    return _LayerPlan(layer, node_id, tiling, groups)
 
 
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,
-                   memo: dict = None) -> Schedule:
+                   memo: ChainMemo = None) -> Schedule:
     """Tile every schedulable layer, in `model.order`, and count its
     invocations per config.
 
-    `memo` maps (layer id, node id, capability) to the plans of earlier
-    schedules of the same model in the same mode: a layer whose key it
-    holds takes that plan, and every plan built is added to it.
+    `memo` holds the plans, tilings and configs of earlier schedules of the
+    same model in the same mode: a layer whose (layer id, node id,
+    capability) it holds takes that plan, and every plan, tiling and config
+    built is added to it.
     """
     if mode not in (MODE_RUNTIME, MODE_PADDED):
         raise ValueError(f"unknown schedule mode '{mode}'")
-    memo = {} if memo is None else memo
+    memo = ChainMemo() if memo is None else memo
     inv = g.inverse_mapping()
     plans = []
     for lid in model.order:
@@ -385,9 +453,9 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
         node_id = inv[lid]
         cap = g.nodes[node_id]
         key = (lid, node_id, cap)
-        plan = memo.get(key)
+        plan = memo.plans.get(key)
         if plan is None:
-            plan = memo[key] = _plan_layer(model.layers[lid], node_id, cap, mode)
+            plan = memo.plans[key] = _plan_layer(model.layers[lid], node_id, cap, mode, memo)
         plans.append(plan)
     return Schedule(plans=plans)
 

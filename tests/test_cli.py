@@ -261,6 +261,10 @@ def _multishape_search(workdir, **params):
     lambda w: _multishape_search(w, iterations_per_temperature=True),
     lambda w: _multishape_search(w, seed=[1]),
     lambda w: _search(w, "optimize", "--params", _params(w, '{"tau_start": Infinity}')),
+    # true passes every comparison as 1
+    lambda w: _search(w, "optimize", "--params", _params(
+        w, '{"tau_start": 10, "tau_min": true, "cooling": 0.5}')),
+    lambda w: _search(w, "optimize", "--params", _params(w, '{"cooling": true}')),
     lambda w: ["schedule", "--design", _bad_design(w, _double_map_conv)],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: _conv_node(d).update(kernel_max=[1, 1, 1]))],
@@ -341,6 +345,7 @@ def _multishape_search(workdir, **params):
         "params-zero-iterations", "params-separate-none", "params-combine-one",
         "params-samples-float", "params-samples-string", "params-samples-negative",
         "params-iterations-bool", "params-seed-list", "params-tau-infinite",
+        "params-tau-min-bool", "params-cooling-bool",
         "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
         "schedule-fused-not-activation", "schedule-mapped-id-not-string",
         "schedule-shape-not-int", "schedule-fold-bool", "model-filters-float",

@@ -64,14 +64,15 @@ def test_stage_profile_of_toy_seed_0():
     head, params_text = lines[0].split(", params ")
     assert head == "toy/zcu102 runtime"
     chain = re.fullmatch(
-        r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), configs built (\d+), "
-        r"invocation_latency hits (\d+) misses (\d+), rejected on budget (\d+)", lines[1])
-    best, plans, configs, hits, misses, rejected = map(int, chain.groups())
+        r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), tilings (\d+), "
+        r"configs built (\d+), invocation_latency hits (\d+) misses (\d+), "
+        r"rejected on budget (\d+)", lines[1])
+    best, plans, tilings, configs, hits, misses, rejected = map(int, chain.groups())
     model = parse_model(bundled_model_text("toy"))
     params = AnnealingParams(seed=0, **ast.literal_eval(params_text))
     state, _ = anneal(model, load_bundled_profile("zcu102"), params)
     assert best == state.latency_cycles
-    assert configs >= plans > 0 and hits > 0 and misses > 0
+    assert configs >= misses > 0 and plans >= tilings > 0 and hits > 0
     stages = dict(re.fullmatch(r"(\w+): (\d+) calls, [\d.]+ s", line).group(1, 2)
                   for line in lines[2:6])
     assert list(stages) == ["build_schedule", "schedule_latency", "graph_resources",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -227,6 +228,29 @@ def test_refit_cuts_each_fold_to_a_legal_divisor(c3d, multishape):
                 assert new.fine == (
                     legal_fold(folds["fine"], kvol) if cap.kind == "Conv3D" else 1
                 )
+
+
+def test_capability_hashes_as_its_value_however_built(c3d, multishape):
+    """The hash is kept per object, so each way of building a capability must
+    hash as its value: from the constructor, `from_dict`, `refit` or
+    `replace`, and a `refit` of an already-hashed capability afresh."""
+    for model in (c3d, multishape):
+        for cap in initial_mapping(model).nodes.values():
+            hash(cap)
+            fields = {k: getattr(cap, k) for k in cap.__dataclass_fields__}
+            same = [NodeCapability(**fields), NodeCapability.from_dict(cap.to_dict()),
+                    cap.refit(), replace(cap)]
+            deeper = replace(cap.shape_in_max, d=cap.shape_in_max.d + 1)
+            changed = [cap.refit(coarse_in=1), cap.refit(shape_in_max=deeper),
+                       replace(cap, supports_types=frozenset({"nosuch"}))]
+            for other in same:
+                assert other == cap and hash(other) == hash(cap)
+            for other in changed:
+                hash(other)
+                rebuilt = NodeCapability.from_dict(other.to_dict())
+                assert other == rebuilt and hash(other) == hash(rebuilt)
+                assert other.refit() == other and hash(other.refit()) == hash(other)
+            assert changed[1] != cap and hash(changed[1]) != hash(cap)
 
 
 def test_with_node_replaces_one_node_and_shares_nothing(multishape):

@@ -136,6 +136,17 @@ def test_parse_rejects_malformed_documents(mutate, match):
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("dims", [[True, 8, 8, 3], [4, -1, 8, 3], [4, 8, 2.0, 3], [4, 8, 8],
+                                  (4, 8, 8, 3, 1), "4883", None])
+def test_shape_from_list_rejects_what_is_not_four_non_negative_integers(dims):
+    with pytest.raises(ModelError, match="4-element"):
+        TensorShape.from_list(dims)
+
+
+def test_shape_from_list_takes_four_non_negative_integers():
+    assert TensorShape.from_list([4, 0, 8, 3]) == TensorShape(4, 0, 8, 3)
+
+
 def test_parse_rejects_disconnected_layer():
     doc = _toy_doc()
     doc["layers"].append({"id": "orphanA", "kind": "Activation", "type": "relu",

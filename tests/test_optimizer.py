@@ -37,6 +37,7 @@ from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
     InfeasibleScheduleError,
+    _plan_layer,
     build_schedule,
     coverage_oracle,
 )
@@ -71,6 +72,14 @@ def test_params_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             AnnealingParams(**bad)
     assert AnnealingParams(warm_start_samples=0).warm_start_samples == 0
+    # numbers only: true would pass every comparison as 1
+    for bad, name in ((dict(tau_start=10, tau_min=True, cooling=0.5), "tau_min"),
+                      (dict(cooling=True), "cooling"), (dict(tau_start=False), "tau_start"),
+                      (dict(tau_start="10"), "tau_start"), (dict(tau_min=None), "tau_min"),
+                      (dict(cooling=[0.5]), "cooling")):
+        with pytest.raises(ValueError, match=name):
+            AnnealingParams(**bad)
+    assert AnnealingParams(tau_start=10, tau_min=1, cooling=0.5).tau_min == 1
 
 
 def test_evaluate_flags_budget_violations(toy, zcu102, monkeypatch):
@@ -344,10 +353,11 @@ def _no_output(state):
 
 def _memo_walk(model, dev, mode, rng, steps, built):
     """Random annealing moves and fold_climb candidates, each evaluated with the
-    walk's memo and from scratch. `built` counts the node costings ("costs")
-    and layer plannings ("plans") made. Returns counts of: node costs and
-    layer plans taken from the memo, moves that changed the node set, the
-    resources, and the no-output violations."""
+    walk's memo and from scratch. `built` counts the node costings ("costs"),
+    layer plannings ("plans") and layer tilings ("tilings") made. Returns
+    counts of: node costs and layer plans taken from the memo, new plans that
+    took their tiling from it, configs of new plans taken from it, moves that
+    changed the node set, the resources, and the no-output violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
@@ -362,20 +372,36 @@ def _memo_walk(model, dev, mode, rng, steps, built):
             graph = state.graph.with_node(nid, rng.choice(neighbours))
         else:
             graph = random_transformation(model, state.graph, rng, params)
-        costs, plans, before = dict(memo.costs), dict(memo.plans), built.copy()
+        costs, plans, tilings = dict(memo.costs), dict(memo.plans), dict(memo.tilings)
+        configs, before = dict(memo.configs), built.copy()
         child = evaluate(model, graph, dev, mode, memo=memo)
-        # only capabilities new to the memo are costed, and only layers new to it planned
+        # only capabilities new to the memo are costed, only layers new to it
+        # planned, and only (layer, axes) new to it tiled
         caps = set(graph.nodes.values())
         assert built["costs"] - before["costs"] == len(caps - costs.keys())
         counts["costs"] += len(caps & costs.keys())
-        if len(child.schedule):
-            keys = [(p.layer.id, p.node_id, graph.nodes[p.node_id])
-                    for p in child.schedule.parts]
-            assert built["plans"] - before["plans"] == sum(key not in plans for key in keys)
-            for key, plan in zip(keys, child.schedule.parts):
-                if key in plans:
-                    assert plan is plans[key]
-                    counts["plans"] += 1
+        parts = child.schedule.parts
+        keys = [(p.layer.id, p.node_id, graph.nodes[p.node_id]) for p in parts]
+        assert built["plans"] - before["plans"] == sum(key not in plans for key in keys)
+        tiled = [(p.layer.id, p.tiling.axes) for p in parts]
+        assert built["tilings"] - before["tilings"] == sum(key not in tilings for key in tiled)
+        for key, tiling_key, plan in zip(keys, tiled, parts):
+            if key in plans:
+                assert plan is plans[key]
+                counts["plans"] += 1
+            elif tiling_key in tilings:
+                counts["tilings"] += 1
+            if tiling_key in tilings:
+                assert plan.tiling is tilings[tiling_key]
+            # at runtime, a config the memo holds under (layer id, parts, folds) is its own
+            for tile_parts, (*_, cfg, _) in zip(plan.tiling.counts, plan.groups):
+                config_key = (plan.layer.id, tile_parts, cfg.coarse_in, cfg.coarse_out, cfg.fine)
+                if config_key in configs:
+                    assert cfg is configs[config_key]
+                    counts["configs"] += key not in plans
+            # the plan's groups are those of the layer planned from scratch
+            scratch_plan = _plan_layer(plan.layer, plan.node_id, key[2], mode, ChainMemo())
+            assert plan.groups == scratch_plan.groups
         scratch = evaluate(model, graph, dev, mode)
         assert _evaluation(child) == _evaluation(scratch)
         counts["structural"] += set(graph.nodes) != set(state.graph.nodes)
@@ -399,6 +425,7 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
 
     counted(resource_model, "node_resources", "costs")
     counted(scheduler, "_plan_layer", "plans")
+    counted(scheduler, "_tile_layer", "tilings")
     dev = load_bundled_profile("zcu102")
     rng = random.Random(40)
     counts = Counter()
@@ -408,10 +435,11 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
                              built=built)
     for _ in range(30):
         counts += _memo_walk(_random_chain_model(rng), dev, mode, rng, steps=10, built=built)
-    # the walks did take node costs and layer plans from the memo, made
-    # combine/separate moves and changed resources; padded tiles run at the
-    # node's full shape, so only runtime tiles lack output
-    assert counts["costs"] > 0 and counts["plans"] > 0
+    # the walks did take node costs, layer plans and, for new plans, tilings
+    # from the memo, made combine/separate moves and changed resources;
+    # padded tiles run at the node's full shape, so only runtime tiles lack output
+    assert counts["costs"] > 0 and counts["plans"] > 0 and counts["tilings"] > 0
+    assert (counts["configs"] > 0) == (mode == MODE_RUNTIME)  # padded configs are not kept
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 

@@ -96,6 +96,22 @@ def test_non_string_type_rejected():
         RuntimeConfig.from_dict(dict(_conv().to_dict(), type=3))
 
 
+def test_config_hashes_as_its_value_however_built():
+    """The hash is kept per object, so a config hashes as its value whether it
+    was built by the scheduler, `from_dict` or `replace`."""
+    model = parse_model(bundled_model_text("multishape"))
+    graph = _sample_capabilities(initial_mapping(model), model, random.Random(3))
+    for mode in (MODE_RUNTIME, MODE_PADDED):
+        for _, _, cfg, _ in build_schedule(model, graph, mode).groups:
+            hash(cfg)
+            for other in (RuntimeConfig.from_dict(cfg.to_dict()), replace(cfg)):
+                assert other == cfg and hash(other) == hash(cfg)
+            changed = replace(cfg, accumulate_psum=not cfg.accumulate_psum)
+            hash(changed)
+            rebuilt = RuntimeConfig(**{k: getattr(changed, k) for k in cfg.__dataclass_fields__})
+            assert changed == rebuilt and hash(changed) == hash(rebuilt) != hash(cfg)
+
+
 def test_pool_roofline_integer_fixture():
     # 512 input words at 4 words/cycle take exactly the 128 compute cycles, and
     # compute wins the tie; at 3 words/cycle they take ceil(512 / 3) = 171.

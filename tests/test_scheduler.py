@@ -306,10 +306,10 @@ def test_plans_build_each_distinct_config_once(mode):
             plans += 1
             configs = [cfg for _, _, cfg, _ in plan.groups]
             assert len(set(configs)) == len(configs)
-            # every tile class combination runs one of the groups' config objects
-            assert {id(cfg) for cfg in plan.configs.values()} == {id(cfg) for cfg in configs}
+            # one group per combination of parts of the tiling, in its order
+            assert [n for *_, n in plan.groups] == list(plan.tiling.counts.values())
             assert sum(n for *_, n in plan.groups) == math.prod(
-                _axis_count(*axis) for axis in plan.axes)
+                _axis_count(*axis) for axis in plan.tiling.axes)
             if mode == MODE_PADDED:  # only the partial-sum flag varies
                 assert len(configs) <= 2
     assert plans >= 100

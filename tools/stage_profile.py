@@ -4,10 +4,11 @@ Runs one `optimizer.anneal` chain per seed on zcu102 at the design-probe
 annealing parameters (C3D seeds 0-2 by default) and prints:
 
 - per chain: its wall time, best latency, the `scheduler._plan_layer` calls,
-  the runtime configs the scheduler built, the `invocation_latency` cache
-  hits and misses (the cache is cleared before each chain), and the
-  evaluations rejected on budget, which `evaluate` returns before building
-  a schedule;
+  the layer tilings made (`scheduler._tile_layer` calls; a plan whose tiling
+  the chain's memo holds makes none), the runtime configs the scheduler
+  built, the `invocation_latency` cache hits and misses (the cache is
+  cleared before each chain), and the evaluations rejected on budget, which
+  `evaluate` returns before building a schedule;
 - per `evaluate` stage, summed over the chains: the calls and seconds spent in
   `build_schedule`, `schedule_latency`, `graph_resources` and
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
@@ -95,10 +96,11 @@ def profile(model_name, seeds, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     stages = {name: [0, 0.0] for name in STAGES}
-    plans, configs, rejected = [0], [0], [0]
+    plans, tilings, configs, rejected = [0], [0], [0], [0]
     patched = {(optimizer, name): _timed(getattr(optimizer, name), stages[name])
                for name in STAGES}
     patched[scheduler, "_plan_layer"] = _counted(scheduler._plan_layer, plans)
+    patched[scheduler, "_tile_layer"] = _counted(scheduler._tile_layer, tilings)
     patched[scheduler, "RuntimeConfig"] = _counted(scheduler.RuntimeConfig, configs)
     patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate, rejected)
     saved = {key: getattr(*key) for key in patched}
@@ -110,15 +112,15 @@ def profile(model_name, seeds, padded=False):
             params = optimizer.AnnealingParams(
                 seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
             perf_model.invocation_latency.cache_clear()
-            before = plans[0], configs[0], rejected[0]
+            before = plans[0], tilings[0], configs[0], rejected[0]
             start = time.perf_counter()
             best, _ = optimizer.anneal(model, dev, params)
             wall = time.perf_counter() - start
             cache = perf_model.invocation_latency.cache_info()
             rows.append(dict(seed=seed, wall_s=wall, best_cycles=best.latency_cycles,
-                             plan_layer=plans[0] - before[0], configs=configs[0] - before[1],
-                             hits=cache.hits, misses=cache.misses,
-                             rejected=rejected[0] - before[2]))
+                             plan_layer=plans[0] - before[0], tilings=tilings[0] - before[1],
+                             configs=configs[0] - before[2], hits=cache.hits,
+                             misses=cache.misses, rejected=rejected[0] - before[3]))
     finally:
         for (module, name), fn in saved.items():
             setattr(module, name, fn)
@@ -219,7 +221,8 @@ def main(argv=None):
     print(f"{args.model}/{DEVICE} {mode}, params {PARAMS}")
     for row in rows:
         print("seed {seed}: {wall_s:.3f} s, best {best_cycles} cycles, _plan_layer {plan_layer}, "
-              "configs built {configs}, invocation_latency hits {hits} misses {misses}, "
+              "tilings {tilings}, configs built {configs}, "
+              "invocation_latency hits {hits} misses {misses}, "
               "rejected on budget {rejected}"
               .format(**row))
     for name, (calls, seconds) in stages.items():
