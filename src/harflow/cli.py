@@ -98,16 +98,7 @@ def parse_cmd(model_file):
 
 
 def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):
-    overrides = {}
-    if params_file:
-        try:
-            overrides = json.loads(Path(params_file).read_text())
-        except FileNotFoundError:
-            raise click.ClickException(f"params file not found: {params_file}")
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"params file {params_file}: invalid JSON: {exc}")
-        if not isinstance(overrides, dict):
-            raise click.ClickException(f"params file {params_file}: expected a JSON object")
+    overrides = _read_json_object(params_file, "params") if params_file else {}
     overrides.setdefault("seed", seed)
     overrides["enable_fusion"] = fusion
     overrides["enable_runtime_reconfig"] = runtime_reconfig
@@ -170,15 +161,22 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
     )
 
 
-def _load_design(design_file):
+def _read_json_object(path, what):
+    """The JSON object in file `path`; a missing file, invalid JSON or any other
+    JSON value ends in a one-line error naming the `what` file."""
     try:
-        doc = json.loads(Path(design_file).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise click.ClickException(f"design file not found: {design_file}")
+        raise click.ClickException(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise click.ClickException(f"design file {design_file}: invalid JSON: {exc}")
+        raise click.ClickException(f"{what} file {path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise click.ClickException(f"design file {design_file}: expected a JSON object")
+        raise click.ClickException(f"{what} file {path}: expected a JSON object")
+    return doc
+
+
+def _load_design(design_file):
+    doc = _read_json_object(design_file, "design")
     missing = [k for k in ("model", "device", "graph") if k not in doc]
     if missing:
         raise click.ClickException(f"design file {design_file}: missing {', '.join(missing)}")
@@ -189,31 +187,18 @@ def _load_design(design_file):
         raise click.ClickException(f"design file {design_file}: {exc}")
     try:
         graph = HardwareGraph.from_dict(doc["graph"])
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
-    try:
         graph.validate_cover(model)
     except HardwareGraphError as exc:
         raise click.ClickException(f"design file {design_file}: {exc}")
-    empty = sorted(
-        nid for nid, cap in graph.nodes.items()
-        if min(cap.shape_in_max.to_list()) < 1
-        or cap.kind in ("Conv3D", "FullyConnected") and cap.filters_max < 1
-    )
-    if empty:
-        raise click.ClickException(f"design file {design_file}: nodes with an empty tile {empty}")
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
     if doc.get("mode", MODE_RUNTIME) not in (MODE_RUNTIME, MODE_PADDED):
         raise click.ClickException(f"design file {design_file}: unknown mode {doc['mode']!r}")
     return doc, model, dev, graph
 
 
 def _load_schedule(schedule_file):
-    try:
-        doc = json.loads(Path(schedule_file).read_text())
-    except FileNotFoundError:
-        raise click.ClickException(f"schedule file not found: {schedule_file}")
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"schedule file {schedule_file}: invalid JSON: {exc}")
+    doc = _read_json_object(schedule_file, "schedule")
     try:
         if type(doc["configs"]) is not list:
             raise TypeError(f"'configs' must be an array, got {type(doc['configs']).__name__}")
@@ -302,9 +287,9 @@ def pareto_cmd(model_file, device_spec, budgets, seed, params_file, out_file):
         caps = [int(b) for b in budgets.split(",")]
     except ValueError:
         caps = None
-    if not caps or caps != sorted(caps):
+    if not caps or caps != sorted(caps) or caps[0] < 1:
         raise click.ClickException(
-            f"--budgets must be ascending comma-separated integers, got '{budgets}'"
+            f"--budgets must be ascending comma-separated integers >= 1, got '{budgets}'"
         )
     points = pareto_sweep(model, dev, params, caps)
     with open(out_file, "w", newline="") as fh:

@@ -4,6 +4,8 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .model_ir import strict
+
 # Measured infrastructure costs of the DMA pair and one crossbar; used as
 # defaults when a profile does not override them.
 DEFAULT_DMA_OVERHEAD = {"dsp": 0, "bram": 51, "lut": 2900, "ff": 4700}
@@ -30,17 +32,6 @@ class ResourceVector:
         for v in (self.dsp, self.bram, self.lut, self.ff):
             if v < 0:
                 raise DeviceError(f"resource components must be >= 0, got {self}")
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.dsp + other.dsp,
-            self.bram + other.bram,
-            self.lut + other.lut,
-            self.ff + other.ff,
-        )
-
-    def scaled(self, k: int) -> "ResourceVector":
-        return ResourceVector(self.dsp * k, self.bram * k, self.lut * k, self.ff * k)
 
     def to_dict(self):
         return {"dsp": self.dsp, "bram": self.bram, "lut": self.lut, "ff": self.ff}
@@ -99,14 +90,23 @@ def _number(name, key, value, convert):
         raise DeviceError(f"device '{name}': '{key}' must be a number, got {value!r}") from None
 
 
+def _hz(mhz) -> int:
+    """Hz of a `clock_mhz` value, a JSON number: a bool or a string is not one."""
+    if type(mhz) not in (int, float):
+        raise TypeError(mhz)
+    return int(round(float(mhz) * 1e6))
+
+
 def _overhead(name, doc, key, default) -> ResourceVector:
-    try:
-        return ResourceVector(**dict(default, **doc.get(key, {})))
-    except TypeError:
+    given = doc.get(key, {})
+    if type(given) is not dict or not given.keys() <= default.keys():
         raise DeviceError(
-            f"device '{name}': '{key}' must map keys from {sorted(default)} to numbers, "
-            f"got {doc[key]!r}"
-        ) from None
+            f"device '{name}': '{key}' must map keys from {sorted(default)} to integers, "
+            f"got {given!r}"
+        )
+    return ResourceVector(**{
+        k: strict(given.get(k, v), int, f"device '{name}': '{key}.{k}'", DeviceError)
+        for k, v in default.items()})
 
 
 def load_profile(document: str) -> DeviceProfile:
@@ -122,20 +122,16 @@ def load_profile(document: str) -> DeviceProfile:
         if key not in doc:
             raise DeviceError(f"device '{name}': missing field '{key}'")
 
-    def integer(key):
-        return _number(name, key, doc[key], int)
-
     def bandwidth(key):
         return _number(name, key, doc.get(key, DEFAULT_BW_WORDS_PER_CYCLE),
                        lambda v: Fraction(str(v)))
 
+    budgets = {key: strict(doc[key], int, f"device '{name}': '{key}'", DeviceError)
+               for key in ("dsp_total", "bram_total", "lut_total", "ff_total")}
     return DeviceProfile(
         name=str(name),
-        dsp_total=integer("dsp_total"),
-        bram_total=integer("bram_total"),
-        lut_total=integer("lut_total"),
-        ff_total=integer("ff_total"),
-        clock_hz=_number(name, "clock_mhz", doc["clock_mhz"], lambda v: int(round(float(v) * 1e6))),
+        **budgets,
+        clock_hz=_number(name, "clock_mhz", doc["clock_mhz"], _hz),
         bw_in_words_per_cycle=bandwidth("bw_in_words_per_cycle"),
         bw_out_words_per_cycle=bandwidth("bw_out_words_per_cycle"),
         dma_overhead=_overhead(name, doc, "dma_overhead", DEFAULT_DMA_OVERHEAD),

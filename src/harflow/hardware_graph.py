@@ -95,20 +95,31 @@ class NodeCapability:
 
     @classmethod
     def from_dict(cls, doc) -> "NodeCapability":
-        def integer(key, default, length=None):
-            return strict(doc.get(key, default), int, f"node capability '{key}'",
-                          HardwareGraphError, length)
-
+        """The capability of a design.json node document, every field checked:
+        shape dimensions, kernel sizes and folds at least 1, `filters_max` at
+        least 1 on a Conv/FC node (else 0), `supports_types` an array of
+        strings. So every node tiles a layer into non-empty tiles."""
+        error, kind = HardwareGraphError, doc["kind"]
+        types = doc.get("supports_types", [])
+        if type(types) is not list or not all(type(t) is str for t in types):
+            raise error(f"node capability 'supports_types' must be an array of strings, "
+                        f"got {types!r}")
         return cls(
-            kind=doc["kind"],
-            shape_in_max=TensorShape.from_list(doc["shape_in_max"]),
-            shape_out_max=TensorShape.from_list(doc["shape_out_max"]),
-            filters_max=integer("filters_max", 0),
-            kernel_max=integer("kernel_max", (1, 1, 1), 3),
-            coarse_in=integer("coarse_in", 1),
-            coarse_out=integer("coarse_out", 1),
-            fine=integer("fine", 1),
-            supports_types=frozenset(doc.get("supports_types", [])),
+            kind=kind,
+            shape_in_max=TensorShape(*strict(
+                doc["shape_in_max"], int, "node capability 'shape_in_max'", error, 4, 1)),
+            shape_out_max=TensorShape(*strict(
+                doc["shape_out_max"], int, "node capability 'shape_out_max'", error, 4, 1)),
+            filters_max=strict(doc.get("filters_max", 0), int, "node capability 'filters_max'",
+                               error, least=int(kind in ("Conv3D", "FullyConnected"))),
+            kernel_max=strict(doc.get("kernel_max", (1, 1, 1)), int,
+                              "node capability 'kernel_max'", error, 3, 1),
+            coarse_in=strict(doc.get("coarse_in", 1), int, "node capability 'coarse_in'",
+                             error, least=1),
+            coarse_out=strict(doc.get("coarse_out", 1), int, "node capability 'coarse_out'",
+                              error, least=1),
+            fine=strict(doc.get("fine", 1), int, "node capability 'fine'", error, least=1),
+            supports_types=frozenset(types),
         )
 
 

@@ -26,22 +26,49 @@ class ModelError(ValueError):
     """Raised on malformed or inconsistent model documents."""
 
 
-def strict(value, kind, what, error=ModelError, length=None):
-    """`value` when it is a JSON integer (`kind` int; booleans are not) or a JSON
-    boolean (`kind` bool); with `length`, a JSON array of `length` such values,
-    returned as a tuple. Anything else raises `error`, so input documents get
+_NOUNS = {int: ("an integer", "integers"), bool: ("true or false", "booleans"),
+          str: ("a string", "strings")}
+
+
+def strict(value, kind, what, error=ModelError, length=None, least=None):
+    """`value` when it is a JSON integer (`kind` int; booleans are not), a JSON
+    boolean (`kind` bool) or a JSON string (`kind` str); with `length`, a JSON
+    array of `length` such values, returned as a tuple; with `least`, integers
+    at least `least`. Anything else raises `error`, so input documents get
     2.5, true or "false" rejected, not truncated or coerced."""
     if length is None:
-        if type(value) is kind:
-            return value
-    elif (isinstance(value, (list, tuple)) and len(value) == length
-          and set(map(type, value)) == {kind}):
-        return tuple(value)
-    if length is None:
-        noun = "an integer" if kind is int else "true or false"
+        typed = type(value) is kind
+        values = (value,)
     else:
-        noun = f"{length} {'integers' if kind is int else 'booleans'}"
+        typed = (isinstance(value, (list, tuple)) and len(value) == length
+                 and set(map(type, value)) == {kind})
+        values = value
+    if typed and (least is None or min(values) >= least):
+        return value if length is None else tuple(value)
+    one, many = _NOUNS[kind]
+    noun = one if length is None else f"{length} {many}"
+    if typed:
+        noun += f" >= {least}"
     raise error(f"{what} must be {noun}, got {value!r}")
+
+
+def operator_fields(doc, where, error=ModelError) -> dict:
+    """The operator fields that a layer document and a runtime config document
+    share, as keyword arguments of `LayerDescriptor` and `RuntimeConfig`:
+    `filters` >= 0, `kernel` and `stride` (3 integers >= 1), `padding`
+    (6 integers >= 0), `groups` >= 1, `type` a string and `broadcast` a
+    boolean, each checked by `strict`. An absent field takes its default.
+    `where` prefixes each field name in an error."""
+    get = doc.get
+    return {
+        "filters": strict(get("filters", 0), int, f"{where}'filters'", error, least=0),
+        "kernel": strict(get("kernel", (1, 1, 1)), int, f"{where}'kernel'", error, 3, 1),
+        "stride": strict(get("stride", (1, 1, 1)), int, f"{where}'stride'", error, 3, 1),
+        "padding": strict(get("padding", (0,) * 6), int, f"{where}'padding'", error, 6, 0),
+        "groups": strict(get("groups", 1), int, f"{where}'groups'", error, least=1),
+        "op_type": strict(get("type", ""), str, f"{where}'type'", error),
+        "broadcast": strict(get("broadcast", False), bool, f"{where}'broadcast'", error),
+    }
 
 
 def hash_once(cls):
@@ -228,13 +255,11 @@ def _validate_layer(layer: LayerDescriptor):
     if layer.kind == "Conv3D":
         c_in = layer.primary_in.c
         gr = layer.groups
-        if gr < 1 or c_in % gr or layer.filters % gr:
+        if c_in % gr or layer.filters % gr:
             raise ModelError(
                 f"layer '{lid}': groups {gr} must divide channels {c_in} and filters "
                 f"{layer.filters}"
             )
-    if min(layer.kernel) < 1 or min(layer.stride) < 1 or min(layer.padding) < 0:
-        raise ModelError(f"layer '{lid}': invalid kernel/stride/padding")
     declared = layer.shape_out
     inferred = infer_output_shape(layer)
     if inferred != declared:
@@ -264,22 +289,8 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
         raise ModelError(f"layer '{lid}': missing shape_out")
     shape_out = TensorShape.from_list(entry["shape_out"])
 
-    def integer(key, default, length=None):
-        return strict(entry.get(key, default), int, f"layer '{lid}': '{key}'", length=length)
-
-    return LayerDescriptor(
-        id=lid,
-        kind=kind,
-        shape_in=shape_in,
-        shape_out=shape_out,
-        filters=integer("filters", 0),
-        kernel=integer("kernel", (1, 1, 1), 3),
-        stride=integer("stride", (1, 1, 1), 3),
-        padding=integer("padding", (0, 0, 0, 0, 0, 0), 6),
-        groups=integer("groups", 1),
-        op_type=entry.get("type", ""),
-        broadcast=strict(entry.get("broadcast", False), bool, f"layer '{lid}': 'broadcast'"),
-    )
+    return LayerDescriptor(id=lid, kind=kind, shape_in=shape_in, shape_out=shape_out,
+                           **operator_fields(entry, f"layer '{lid}': "))
 
 
 def _check_graph_structure(model: ModelGraph) -> list:

@@ -81,11 +81,11 @@ class AnnealingParams:
         if not (0 < self.cooling < 1):
             raise ValueError("cooling rate must be in (0, 1)")
         strict(self.seed, int, "seed", ValueError)
-        for name, low in (("iterations_per_temperature", 1), ("separate_layers", 1),
-                          ("combine_nodes", 2), ("warm_start_samples", 0)):
-            value = strict(getattr(self, name), int, name, ValueError)
-            if value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        strict(self.iterations_per_temperature, int, "iterations_per_temperature", ValueError,
+               least=1)
+        strict(self.separate_layers, int, "separate_layers", ValueError, least=1)
+        strict(self.combine_nodes, int, "combine_nodes", ValueError, least=2)
+        strict(self.warm_start_samples, int, "warm_start_samples", ValueError, least=0)
 
     @property
     def mode(self) -> str:

@@ -13,7 +13,7 @@ chain that reuses it from the chain's memo, so it is scored once per chain.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import LAYER_KINDS, TensorShape, hash_once, strict
+from .model_ir import LAYER_KINDS, TensorShape, hash_once, operator_fields, strict
 
 
 class PerfModelError(ValueError):
@@ -79,37 +79,22 @@ class RuntimeConfig:
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
         """The config of a schedule.json config document, every field checked:
-        `type` is a string, folds, groups, kernel and stride are at least 1,
-        filters and padding at least 0, so no latency term divides by zero or
-        counts negative work."""
-        get, error = doc.get, PerfModelError
+        the operator fields by `model_ir.operator_fields`, and the folds at
+        least 1, so no latency term divides by zero or counts negative work."""
+        error = PerfModelError
         if doc["kind"] not in LAYER_KINDS:
             raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, "
                         f"got {doc['kind']!r}")
-        if type(get("type", "")) is not str:
-            raise error(f"config 'type' must be a string, got {get('type')!r}")
-
-        def count(name, default, least, length=None):
-            value = strict(get(name, default), int, f"config '{name}'", error, length)
-            if min(value if length else (value,)) < least:
-                raise error(f"config '{name}' must be at least {least}, got {get(name)!r}")
-            return value
-
         return cls(
             kind=doc["kind"],
             shape_in=TensorShape.from_list(doc["shape_in"]),
             shape_out=TensorShape.from_list(doc["shape_out"]),
-            filters=count("filters", 0, 0),
-            kernel=count("kernel", (1, 1, 1), 1, 3),
-            stride=count("stride", (1, 1, 1), 1, 3),
-            padding=count("padding", (0, 0, 0, 0, 0, 0), 0, 6),
-            groups=count("groups", 1, 1),
-            op_type=get("type", ""),
-            broadcast=strict(get("broadcast", False), bool, "config 'broadcast'", error),
-            coarse_in=count("coarse_in", 1, 1),
-            coarse_out=count("coarse_out", 1, 1),
-            fine=count("fine", 1, 1),
-            accumulate_psum=strict(get("accumulate_psum", False), bool,
+            **operator_fields(doc, "config ", error),
+            coarse_in=strict(doc.get("coarse_in", 1), int, "config 'coarse_in'", error, least=1),
+            coarse_out=strict(doc.get("coarse_out", 1), int, "config 'coarse_out'", error,
+                              least=1),
+            fine=strict(doc.get("fine", 1), int, "config 'fine'", error, least=1),
+            accumulate_psum=strict(doc.get("accumulate_psum", False), bool,
                                    "config 'accumulate_psum'", error),
         )
 

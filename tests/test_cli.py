@@ -331,6 +331,13 @@ def _multishape_search(workdir, **params):
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_kind(w, "Pool3D", type=3),
                "--design", str(_design(w, lambda d: None))],
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, dsp_total=2.5)),
+    lambda w: _search(w, "optimize", "--device", _bad_device(w, clock_mhz=True)),
+    lambda w: _search(w, "pareto", "--budgets", "0,64"),
+    lambda w: _search(w, "pareto", "--budgets", "-5,64"),
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(filters_max=0))],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["model"]["layers"][0].update(type=[1]))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -361,7 +368,9 @@ def _multishape_search(workdir, **params):
         "report-schedule-configs-not-list", "report-schedule-unknown-layer",
         "report-schedule-repeated-entry", "report-schedule-wrong-node",
         "report-schedule-missing-entry", "report-schedule-old-layout",
-        "report-schedule-config-not-the-designs", "report-schedule-type-not-string"])
+        "report-schedule-config-not-the-designs", "report-schedule-type-not-string",
+        "device-dsp-float", "device-clock-bool", "budgets-zero", "budgets-negative",
+        "schedule-conv-no-filters", "schedule-model-type-not-string"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1

@@ -14,10 +14,6 @@ from harflow.device import (
 
 
 def test_resource_vector_arithmetic():
-    a = ResourceVector(dsp=1, bram=2, lut=3, ff=4)
-    b = ResourceVector(dsp=10, bram=20, lut=30, ff=40)
-    assert a + b == ResourceVector(11, 22, 33, 44)
-    assert a.scaled(3) == ResourceVector(3, 6, 9, 12)
     with pytest.raises(DeviceError):
         ResourceVector(dsp=-1)
 
@@ -39,9 +35,12 @@ def test_zcu102_budget_values():
 
 
 def test_profile_round_trip():
-    dev = load_bundled_profile("zc706")
-    again = load_profile(json.dumps(dev.to_dict()))
-    assert again == dev
+    """Every bundled profile loads again from its `to_dict` form, the `device` of
+    a design.json: `clock_mhz` a float (200.0), bandwidths strings ("8")."""
+    for name in bundled_profile_names():
+        dev = load_bundled_profile(name)
+        again = load_profile(json.dumps(dev.to_dict()))
+        assert again == dev
 
 
 def test_bandwidth_accepts_fraction_strings():
@@ -73,6 +72,15 @@ def test_non_object_document_rejected(document):
     ("bw_in_words_per_cycle", "x"),
     ("dma_overhead", [1]),
     ("dma_overhead", {"foo": 1}),
+    # budgets and overheads are JSON integers and the clock a JSON number:
+    # none is truncated or coerced
+    ("dsp_total", 2.5),
+    ("dsp_total", True),
+    ("dsp_total", "12"),
+    ("clock_mhz", True),
+    ("clock_mhz", "200"),
+    ("dma_overhead", {"bram": 2.7}),
+    ("dma_overhead", {"lut": True}),
 ])
 def test_malformed_field_rejected(field, value):
     doc = dict(load_bundled_profile("zcu102").to_dict(), **{field: value})

@@ -110,6 +110,7 @@ def _schedule(tmp_path, design):
 
 @GATE
 @given(mutation=mutations(MODEL))
+@example(mutation=("swap", ("layers", 0, "type"), [1]))
 def test_mutated_model_parses_or_fails_in_one_line(tmp_path_factory, mutation):
     doc = _mutated(MODEL, mutation)
     tmp_path = tmp_path_factory.mktemp("model")

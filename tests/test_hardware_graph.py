@@ -318,3 +318,24 @@ def test_from_dict_rejects_layer_ids_that_are_not_strings(toy, edit):
     edit(doc)
     with pytest.raises(HardwareGraphError, match="must be strings"):
         HardwareGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("coarse_in", 0, "'coarse_in' must be an integer >= 1"),
+    ("coarse_out", -2, "'coarse_out' must be an integer >= 1"),
+    ("fine", 0, "'fine' must be an integer >= 1"),
+    ("shape_in_max", [4, 0, 16, 3], "'shape_in_max' must be 4 integers >= 1"),
+    ("shape_out_max", [4, 16, 16, 0], "'shape_out_max' must be 4 integers >= 1"),
+    ("kernel_max", [3, 0, 3], "'kernel_max' must be 3 integers >= 1"),
+    ("filters_max", 0, "'filters_max' must be an integer >= 1"),
+    ("supports_types", "max", "'supports_types' must be an array of strings"),
+    ("supports_types", [1], "'supports_types' must be an array of strings"),
+])
+def test_capability_reader_rejects_an_empty_or_malformed_node(toy, field, value, match):
+    """A node document is checked where it is read: no fold, shape dimension or
+    kernel size below 1, no Conv/FC node without filters, and no
+    `supports_types` but an array of strings (a string is not read as the set
+    of its letters)."""
+    doc = initial_mapping(toy).nodes["conv_0"].to_dict()
+    with pytest.raises(HardwareGraphError, match=match):
+        NodeCapability.from_dict(dict(doc, **{field: value}))

@@ -127,6 +127,8 @@ def test_parse_serialize_round_trip():
         (lambda d: d["layers"][0].update(filters=True), "'filters' must be an integer, got True"),
         (lambda d: d["layers"][0].update(kernel=[3, 3.0, 3]), r"3 integers, got \[3, 3.0, 3\]"),
         (lambda d: d["layers"][1].update(broadcast="false"), "'broadcast' must be true or false"),
+        (lambda d: d["layers"][0].update(type=5), "'type' must be a string, got 5"),
+        (lambda d: d["layers"][0].update(type=["relu"]), r"'type' must be a string, got \['relu'"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, match):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import fuse_activations, initial_mapping
-from harflow.model_ir import TensorShape, parse_model
+from harflow.model_ir import ModelError, TensorShape, parse_model
 from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
 from harflow.perf_model import (
     PerfModelError,
@@ -94,6 +95,26 @@ def test_zero_fold_rejected():
 def test_non_string_type_rejected():
     with pytest.raises(PerfModelError, match="'type' must be a string"):
         RuntimeConfig.from_dict(dict(_conv().to_dict(), type=3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel", [0, 1, 1]),
+    ("stride", [1, True, 1]),
+    ("padding", [-1, 0, 0, 0, 0, 0]),
+    ("groups", 0),
+    ("filters", -1),
+    ("type", 3),
+    ("broadcast", "false"),
+])
+def test_layer_and_config_readers_share_the_operator_field_rule(field, value):
+    """A bad operator field is rejected, by name, in a model's layer and in a
+    schedule's config alike: both documents are read by one rule."""
+    model = json.loads(bundled_model_text("toy"))
+    model["layers"][0][field] = value
+    with pytest.raises(ModelError, match=f"layer 'conv': '{field}' must be"):
+        parse_model(json.dumps(model))
+    with pytest.raises(PerfModelError, match=f"config '{field}' must be"):
+        RuntimeConfig.from_dict(dict(_conv().to_dict(), **{field: value}))
 
 
 def test_config_hashes_as_its_value_however_built():

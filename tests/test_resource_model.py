@@ -188,8 +188,8 @@ def test_graph_resources_are_node_sum_plus_overheads():
     dev = load_bundled_profile("zcu102")
     graph = initial_mapping(model)
     total = graph_resources(graph, dev)
-    expect = ResourceVector()
-    for cap in graph.nodes.values():
-        expect = expect + node_resources(cap)
-    expect = expect + dev.dma_overhead + dev.xbar_overhead.scaled(2)
-    assert total == expect
+    nodes = [node_resources(cap) for cap in graph.nodes.values()]
+    assert total == ResourceVector(**{
+        name: sum(getattr(r, name) for r in nodes) + getattr(dev.dma_overhead, name)
+        + 2 * getattr(dev.xbar_overhead, name)
+        for name in ("dsp", "bram", "lut", "ff")})
