@@ -46,20 +46,27 @@ def _setup_logging():
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(message)s")
 
 
+def _read_text(path, what) -> str:
+    """The UTF-8 text of file `path`; a file that is missing, cannot be read
+    or is not UTF-8 text ends in a one-line error naming the `what` file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise click.ClickException(f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.ClickException(f"{what} file {path}: cannot read: {exc}")
+
+
 def _load_model_text(spec: str) -> str:
     if spec in generators.bundled_model_names() and not Path(spec).exists():
         return generators.bundled_model_text(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise click.ClickException(f"model file not found: {spec}")
-    return path.read_text()
+    return _read_text(spec, "model")
 
 
 def _load_device(spec: str):
-    path = Path(spec)
     try:
-        if path.exists():
-            return device_mod.load_profile(path.read_text())
+        if Path(spec).exists():
+            return device_mod.load_profile(_read_text(spec, "device"))
         if spec in device_mod.bundled_profile_names():
             return device_mod.load_bundled_profile(spec)
     except device_mod.DeviceError as exc:
@@ -162,12 +169,10 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
 
 
 def _read_json_object(path, what):
-    """The JSON object in file `path`; a missing file, invalid JSON or any other
-    JSON value ends in a one-line error naming the `what` file."""
+    """The JSON object in file `path` (see `_read_text`); invalid JSON or any
+    other JSON value ends in a one-line error naming the `what` file."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise click.ClickException(f"{what} file not found: {path}")
+        doc = json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{what} file {path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):

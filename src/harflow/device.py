@@ -28,11 +28,6 @@ class ResourceVector:
     lut: int = 0
     ff: int = 0
 
-    def __post_init__(self):
-        for v in (self.dsp, self.bram, self.lut, self.ff):
-            if v < 0:
-                raise DeviceError(f"resource components must be >= 0, got {self}")
-
     def to_dict(self):
         return {"dsp": self.dsp, "bram": self.bram, "lut": self.lut, "ff": self.ff}
 
@@ -45,8 +40,8 @@ class DeviceProfile:
     lut_total: int
     ff_total: int
     clock_hz: int
-    bw_in_words_per_cycle: Fraction = Fraction(DEFAULT_BW_WORDS_PER_CYCLE)
-    bw_out_words_per_cycle: Fraction = Fraction(DEFAULT_BW_WORDS_PER_CYCLE)
+    bw_in_words_per_cycle: Fraction = DEFAULT_BW_WORDS_PER_CYCLE  # an int when whole
+    bw_out_words_per_cycle: Fraction = DEFAULT_BW_WORDS_PER_CYCLE
     dma_overhead: ResourceVector = field(
         default_factory=lambda: ResourceVector(**DEFAULT_DMA_OVERHEAD)
     )
@@ -97,7 +92,16 @@ def _hz(mhz) -> int:
     return int(round(float(mhz) * 1e6))
 
 
+def _bandwidth(value):
+    """A bandwidth as an int when it is whole, which hashes much faster than an
+    equal Fraction in the `invocation_latency` cache; else as a Fraction."""
+    bw = Fraction(str(value))
+    return bw.numerator if bw.denominator == 1 else bw
+
+
 def _overhead(name, doc, key, default) -> ResourceVector:
+    """The overhead `key` of the profile: `default` with the given values, each
+    an integer >= 0, so every resource sum of a design is >= 0."""
     given = doc.get(key, {})
     if type(given) is not dict or not given.keys() <= default.keys():
         raise DeviceError(
@@ -105,7 +109,7 @@ def _overhead(name, doc, key, default) -> ResourceVector:
             f"got {given!r}"
         )
     return ResourceVector(**{
-        k: strict(given.get(k, v), int, f"device '{name}': '{key}.{k}'", DeviceError)
+        k: strict(given.get(k, v), int, f"device '{name}': '{key}.{k}'", DeviceError, least=0)
         for k, v in default.items()})
 
 
@@ -123,8 +127,7 @@ def load_profile(document: str) -> DeviceProfile:
             raise DeviceError(f"device '{name}': missing field '{key}'")
 
     def bandwidth(key):
-        return _number(name, key, doc.get(key, DEFAULT_BW_WORDS_PER_CYCLE),
-                       lambda v: Fraction(str(v)))
+        return _number(name, key, doc.get(key, DEFAULT_BW_WORDS_PER_CYCLE), _bandwidth)
 
     budgets = {key: strict(doc[key], int, f"device '{name}': '{key}'", DeviceError)
                for key in ("dsp_total", "bram_total", "lut_total", "ff_total")}

@@ -2,13 +2,15 @@
 the combine/separate/fuse structural edits.
 
 Graphs are immutable values: every edit returns a new graph, so candidate
-states in concurrent search chains never alias mutable state.
+states in concurrent search chains never alias mutable state. A graph read
+from a design is checked once, by `from_dict` and `validate_cover`; the edits
+keep what they check, so the search checks nothing again.
 """
 
 import math
 from dataclasses import dataclass, field, fields
 
-from .model_ir import ModelGraph, TensorShape, hash_once, strict
+from .model_ir import LAYER_KINDS, ModelGraph, TensorShape, hash_once, strict
 
 
 class HardwareGraphError(ValueError):
@@ -38,37 +40,11 @@ class NodeCapability:
     fine: int = 1
     supports_types: frozenset = frozenset()
 
-    def __post_init__(self):
-        if self.kind in ("Conv3D", "FullyConnected"):
-            if self.shape_in_max.c % self.coarse_in:
-                raise HardwareGraphError(
-                    f"coarse_in {self.coarse_in} must divide max channels "
-                    f"{self.shape_in_max.c}"
-                )
-            if self.filters_max % self.coarse_out:
-                raise HardwareGraphError(
-                    f"coarse_out {self.coarse_out} must divide max filters "
-                    f"{self.filters_max}"
-                )
-        else:
-            if self.coarse_in != self.coarse_out:
-                raise HardwareGraphError("non-Conv/FC nodes use a single coarse fold")
-            if self.shape_in_max.c % self.coarse_in:
-                raise HardwareGraphError(
-                    f"coarse fold {self.coarse_in} must divide max channels "
-                    f"{self.shape_in_max.c}"
-                )
-        kvol = self.kernel_max[0] * self.kernel_max[1] * self.kernel_max[2]
-        if self.kind == "Conv3D":
-            if kvol % self.fine:
-                raise HardwareGraphError(f"fine {self.fine} must divide |K| = {kvol}")
-        elif self.fine != 1:
-            raise HardwareGraphError("fine folding applies to Conv3D only")
-
     def refit(self, **changes) -> "NodeCapability":
         """Copy with `changes` applied and each fold cut to `legal_fold` of its
         preferred value. Outside Conv/FC the output fold is the input fold;
-        outside Conv3D the fine fold is 1. The copy hashes its own fields."""
+        outside Conv3D the fine fold is 1. It is the only path that sets folds.
+        The copy hashes its own fields."""
         f = {x.name: getattr(self, x.name) for x in fields(self)}
         f.update(changes)
         kd, kh, kw = f["kernel_max"]
@@ -96,15 +72,19 @@ class NodeCapability:
     @classmethod
     def from_dict(cls, doc) -> "NodeCapability":
         """The capability of a design.json node document, every field checked:
-        shape dimensions, kernel sizes and folds at least 1, `filters_max` at
-        least 1 on a Conv/FC node (else 0), `supports_types` an array of
-        strings. So every node tiles a layer into non-empty tiles."""
+        `kind` a layer kind; shape dimensions, kernel sizes and folds at least
+        1; `filters_max` at least 1 on a Conv/FC node (else 0);
+        `supports_types` an array of strings; and the folds as `refit` leaves
+        them. So every node tiles a layer into non-empty tiles."""
         error, kind = HardwareGraphError, doc["kind"]
+        if kind not in LAYER_KINDS:
+            raise error(f"node capability 'kind' must be one of {', '.join(LAYER_KINDS)}, "
+                        f"got {kind!r}")
         types = doc.get("supports_types", [])
         if type(types) is not list or not all(type(t) is str for t in types):
             raise error(f"node capability 'supports_types' must be an array of strings, "
                         f"got {types!r}")
-        return cls(
+        cap = cls(
             kind=kind,
             shape_in_max=TensorShape(*strict(
                 doc["shape_in_max"], int, "node capability 'shape_in_max'", error, 4, 1)),
@@ -121,6 +101,15 @@ class NodeCapability:
             fine=strict(doc.get("fine", 1), int, "node capability 'fine'", error, least=1),
             supports_types=frozenset(types),
         )
+        fit = cap.refit()
+        if fit != cap:
+            kd, kh, kw = cap.kernel_max
+            raise error(f"{kind} node folds (coarse_in, coarse_out, fine) "
+                        f"{cap.coarse_in, cap.coarse_out, cap.fine} must divide max channels "
+                        f"{cap.shape_in_max.c}, max filters {cap.filters_max} and |K| "
+                        f"{kd * kh * kw}, with coarse_out = coarse_in outside Conv/FC and fine "
+                        f"1 outside Conv3D: legal are {fit.coarse_in, fit.coarse_out, fit.fine}")
+        return cap
 
 
 def _shape_max(shapes) -> TensorShape:
@@ -133,11 +122,7 @@ def _shape_max(shapes) -> TensorShape:
 
 
 def capability_for_layers(kind, layers) -> NodeCapability:
-    """Derive a maximal capability covering every given layer of one kind."""
-    if not layers:
-        raise HardwareGraphError("cannot derive a capability from zero layers")
-    if any(l.kind != kind for l in layers):
-        raise HardwareGraphError("layers of mixed kinds cannot share a node")
+    """Derive a maximal capability covering `layers`, one or more layers of `kind`."""
     if kind == "FullyConnected":
         shape_in = TensorShape(1, 1, 1, max(l.fc_features for l in layers))
         shape_out = TensorShape(1, 1, 1, max(l.filters for l in layers))
@@ -182,8 +167,9 @@ class HardwareGraph:
         )
 
     def validate_cover(self, model: ModelGraph):
-        """Disjoint-cover invariant: every non-fused layer mapped exactly once, and
-        every fused layer an activation absorbed into its single fusible producer."""
+        """Disjoint-cover invariant: every non-fused layer mapped exactly once, to
+        a node of its kind whose kernel and types fit it, and every fused layer
+        an activation absorbed into its single fusible producer."""
         for lid, producer in self.fused.items():
             layer = model.layers.get(lid)
             if layer is None or layer.kind != "Activation":
@@ -212,13 +198,21 @@ class HardwareGraph:
         for node_id, layer_ids in self.mapping.items():
             if node_id not in self.nodes:
                 raise HardwareGraphError(f"mapping names unknown node '{node_id}'")
-            kind = self.nodes[node_id].kind
+            cap = self.nodes[node_id]
             for lid in layer_ids:
-                if model.layers[lid].kind != kind:
+                layer = model.layers[lid]
+                if layer.kind != cap.kind:
                     raise HardwareGraphError(
-                        f"layer '{lid}' ({model.layers[lid].kind}) mapped to "
-                        f"'{node_id}' ({kind})"
-                    )
+                        f"layer '{lid}' ({layer.kind}) mapped to '{node_id}' ({cap.kind})")
+                if layer.kind in ("Conv3D", "Pool3D") and any(
+                        k > m for k, m in zip(layer.kernel, cap.kernel_max)):
+                    raise HardwareGraphError(
+                        f"layer '{lid}' kernel {layer.kernel} exceeds node '{node_id}' "
+                        f"kernel_max {cap.kernel_max}")
+                if layer.op_type and layer.op_type not in cap.supports_types:
+                    raise HardwareGraphError(
+                        f"layer '{lid}' type '{layer.op_type}' is not supported by node "
+                        f"'{node_id}'")
 
     def to_dict(self):
         return {
@@ -229,15 +223,22 @@ class HardwareGraph:
 
     @classmethod
     def from_dict(cls, doc) -> "HardwareGraph":
-        mapping = {nid: tuple(lids) for nid, lids in doc["mapping"].items()}
-        fused = dict(doc.get("fused", {}))
+        """The graph of a design.json `graph` document, every field checked;
+        whether it covers a model is `validate_cover`'s check."""
+        error = HardwareGraphError
+        nodes, mapping, fused = doc.get("nodes"), doc.get("mapping"), doc.get("fused", {})
+        for key, value in (("nodes", nodes), ("mapping", mapping), ("fused", fused)):
+            if type(value) is not dict:
+                raise error(f"graph '{key}' must be an object, got {value!r}")
+        if not all(type(lids) is list for lids in mapping.values()):
+            raise error("graph 'mapping' values must be arrays of layer ids")
         names = [lid for lids in mapping.values() for lid in lids] + [*fused, *fused.values()]
         if not all(isinstance(name, str) for name in names):
-            raise HardwareGraphError("mapping entries and fused layer ids must be strings")
+            raise error("graph 'mapping' entries and 'fused' layer ids must be strings")
         return cls(
-            nodes={nid: NodeCapability.from_dict(d) for nid, d in doc["nodes"].items()},
-            mapping=mapping,
-            fused=fused,
+            nodes={nid: NodeCapability.from_dict(d) for nid, d in nodes.items()},
+            mapping={nid: tuple(lids) for nid, lids in mapping.items()},
+            fused=dict(fused),
         )
 
 

@@ -159,13 +159,9 @@ def schedule_latency(schedule, dev=None) -> int:
     Each part of the schedule keeps its cycles with the bandwidths they were
     scored at, so a layer plan reused from a chain's memo is not scored
     again at the same bandwidths; one schedule may be scored at two devices.
-    A whole bandwidth is passed on as an int, which hashes much faster than
-    an equal Fraction in the cache lookup.
     """
-    bw = (None, None)
-    if dev is not None:
-        bw = tuple(int(b) if b == int(b) else b
-                   for b in (dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle))
+    bw = (None, None) if dev is None else (dev.bw_in_words_per_cycle,
+                                           dev.bw_out_words_per_cycle)
     bw_in, bw_out = bw
     total = 0
     for part in schedule.parts:

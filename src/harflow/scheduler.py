@@ -169,27 +169,6 @@ class _Groups:
         self.scored = self.no_output = None
 
 
-def _check_capability(layer, node_id, cap):
-    if layer.kind != cap.kind:
-        raise InfeasibleScheduleError(layer.id, node_id, f"kind mismatch ({cap.kind})")
-    if layer.kind in ("Conv3D", "Pool3D"):
-        if any(layer.kernel[i] > cap.kernel_max[i] for i in range(3)):
-            raise InfeasibleScheduleError(
-                layer.id, node_id, f"kernel {layer.kernel} exceeds {cap.kernel_max}"
-            )
-    if layer.op_type and layer.op_type not in cap.supports_types:
-        raise InfeasibleScheduleError(
-            layer.id, node_id, f"type '{layer.op_type}' not supported"
-        )
-    if layer.kind == "Conv3D" and layer.groups > 1:
-        # grouped convolutions are never channel/filter tiled: splitting would
-        # break group alignment
-        if cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters:
-            raise InfeasibleScheduleError(
-                layer.id, node_id, "grouped convolution cannot be channel-tiled"
-            )
-
-
 def _axis_count(full: int, tile: int) -> int:
     """Number of tiles of `tile` covering `full`; an empty axis has one empty tile."""
     return max(1, -(-full // tile))
@@ -407,9 +386,14 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     The tiling is taken from `memo` when it holds the layer at the node's
     tile shape; then each config is built from its parts and the node's
     folds, once per distinct parts. Distinct parts give distinct configs, so
-    groups are counted on the parts.
+    groups are counted on the parts. A grouped conv is never channel or
+    filter tiled, as tiles would cut across groups: a reshape can make that
+    so, the only capability check a search move can fail.
     """
-    _check_capability(layer, node_id, cap)
+    if layer.kind == "Conv3D" and layer.groups > 1 and (
+            cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters):
+        raise InfeasibleScheduleError(
+            layer.id, node_id, "grouped convolution cannot be channel-tiled")
     ld, lh, lw, lc = _layer_input_dims(layer)
     nd, nh, nw, nc = _node_tile_dims(cap)
     if layer.kind in ("Conv3D", "FullyConnected"):
@@ -435,21 +419,21 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
     """Tile every schedulable layer, in `model.order`, and count its
     invocations per config.
 
+    `g` is a valid cover of `model` (see `HardwareGraph.validate_cover`):
+    the design reader checks a graph read from a file, and the search's
+    edits keep it. `mode` is MODE_RUNTIME or MODE_PADDED.
+
     `memo` holds the plans, tilings and configs of earlier schedules of the
     same model in the same mode: a layer whose (layer id, node id,
     capability) it holds takes that plan, and every plan, tiling and config
     built is added to it.
     """
-    if mode not in (MODE_RUNTIME, MODE_PADDED):
-        raise ValueError(f"unknown schedule mode '{mode}'")
     memo = ChainMemo() if memo is None else memo
     inv = g.inverse_mapping()
     plans = []
     for lid in model.order:
         if lid in g.fused:
             continue
-        if lid not in inv:
-            raise InfeasibleScheduleError(lid, "<none>", "layer not mapped")
         node_id = inv[lid]
         cap = g.nodes[node_id]
         key = (lid, node_id, cap)

@@ -182,6 +182,13 @@ def _schedule_file(workdir, design=None):
     return str(out)
 
 
+def _undecodable(workdir):
+    """A file holding the bytes ff fe, which are not UTF-8 text."""
+    path = workdir / "undecodable.json"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
 def _bad_model(workdir, edit):
     doc = json.loads(bundled_model_text("toy"))
     edit(doc)
@@ -338,6 +345,26 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(filters_max=0))],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: d["model"]["layers"][0].update(type=[1]))],
+    # a directory or a file that is not UTF-8 text, as each input file
+    lambda w: ["parse", str(w)],
+    lambda w: ["parse", _undecodable(w)],
+    lambda w: ["schedule", "--design", str(w)],
+    lambda w: ["schedule", "--design", _undecodable(w)],
+    lambda w: ["optimize", "--model", "toy", "--device", str(w), "--out", str(w / "out")],
+    lambda w: ["optimize", "--model", "toy", "--device", _undecodable(w),
+               "--out", str(w / "out")],
+    lambda w: _search(w, "optimize", "--params", str(w)),
+    lambda w: _search(w, "optimize", "--params", _undecodable(w)),
+    lambda w: ["report", "--schedule", str(w), "--design", str(_design(w, lambda d: None))],
+    lambda w: ["report", "--schedule", _undecodable(w),
+               "--design", str(_design(w, lambda d: None))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d["graph"].update(mapping=[1]))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d["graph"].update(nodes=[1]))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d["graph"].update(fused=[1]))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(kind="Bogus"))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(coarse_in=2))],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["graph"]["nodes"]["pool_0"].update(supports_types=[]))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -370,7 +397,13 @@ def _multishape_search(workdir, **params):
         "report-schedule-missing-entry", "report-schedule-old-layout",
         "report-schedule-config-not-the-designs", "report-schedule-type-not-string",
         "device-dsp-float", "device-clock-bool", "budgets-zero", "budgets-negative",
-        "schedule-conv-no-filters", "schedule-model-type-not-string"])
+        "schedule-conv-no-filters", "schedule-model-type-not-string",
+        "model-directory", "model-not-utf8", "schedule-design-directory",
+        "schedule-design-not-utf8", "device-directory", "device-not-utf8",
+        "params-directory", "params-not-utf8", "report-schedule-directory",
+        "report-schedule-not-utf8", "schedule-mapping-not-object",
+        "schedule-nodes-not-object", "schedule-fused-not-object", "schedule-node-kind-unknown",
+        "schedule-fold-not-divisor", "schedule-type-not-supported"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -378,6 +411,19 @@ def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["graph"].update(mapping=[1]), "graph 'mapping' must be an object, got [1]"),
+    (lambda d: _conv_node(d).update(kind="Bogus"), "node capability 'kind' must be one of"),
+    (lambda d: _conv_node(d).update(coarse_in=2),
+     "Conv3D node folds (coarse_in, coarse_out, fine) (2, 1, 1) must divide max channels 3"),
+    (lambda d: _conv_node(d).update(kernel_max=[3, 1, 3]),
+     "layer 'conv' kernel (3, 3, 3) exceeds node 'conv_0' kernel_max (3, 1, 3)"),
+], ids=["mapping-not-object", "node-kind-unknown", "fold-not-divisor", "kernel-exceeds-node"])
+def test_design_reader_names_the_bad_field(runner, workdir, edit, message):
+    result = runner.invoke(main, ["schedule", "--design", _bad_design(workdir, edit)])
+    assert result.exit_code == 1 and message in result.output, result.output
 
 
 def _tiled_conv_design(workdir):

@@ -13,11 +13,6 @@ from harflow.device import (
 )
 
 
-def test_resource_vector_arithmetic():
-    with pytest.raises(DeviceError):
-        ResourceVector(dsp=-1)
-
-
 def test_bundled_profiles_load():
     names = bundled_profile_names()
     assert "zcu102" in names and "vc709" in names
@@ -32,6 +27,9 @@ def test_zcu102_budget_values():
     assert dev.dsp_total == 2520
     assert dev.clock_hz == 200_000_000
     assert dev.bw_in_words_per_cycle == Fraction(8)
+    # a whole bandwidth is read as an int, and written back as "8"
+    assert type(dev.bw_in_words_per_cycle) is int
+    assert dev.to_dict()["bw_in_words_per_cycle"] == "8"
 
 
 def test_profile_round_trip():
@@ -50,6 +48,7 @@ def test_bandwidth_accepts_fraction_strings():
     })
     dev = load_profile(doc)
     assert dev.bw_in_words_per_cycle == Fraction(15, 2)
+    assert type(dev.bw_out_words_per_cycle) is int
 
 
 def test_missing_field_rejected():
@@ -81,6 +80,9 @@ def test_non_object_document_rejected(document):
     ("clock_mhz", "200"),
     ("dma_overhead", {"bram": 2.7}),
     ("dma_overhead", {"lut": True}),
+    # overheads are read as integers >= 0, so no resource sum is negative
+    ("dma_overhead", {"bram": -1}),
+    ("xbar_overhead", {"lut": -5}),
 ])
 def test_malformed_field_rejected(field, value):
     doc = dict(load_bundled_profile("zcu102").to_dict(), **{field: value})

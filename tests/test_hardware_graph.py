@@ -1,9 +1,12 @@
 import random
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from harflow.generators import bundled_model_text
+from harflow import optimizer
+from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
     HardwareGraph,
     HardwareGraphError,
@@ -16,6 +19,7 @@ from harflow.hardware_graph import (
     separate_node,
 )
 from harflow.model_ir import TensorShape, parse_model
+from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
 from harflow.resource_model import graph_resources, node_dsp
 from harflow.device import load_bundled_profile
 
@@ -42,32 +46,27 @@ def test_legal_fold_is_common_divisor():
     assert legal_fold(5, 0) == 1
 
 
+def _node_doc(kind, shape_in, shape_out, **fields):
+    return dict(kind=kind, shape_in_max=shape_in, shape_out_max=shape_out, **fields)
+
+
 def test_capability_validates_fold_divisibility():
-    with pytest.raises(HardwareGraphError, match="coarse_in"):
-        NodeCapability(
-            kind="Conv3D",
-            shape_in_max=TensorShape(2, 2, 2, 6),
-            shape_out_max=TensorShape(2, 2, 2, 8),
-            filters_max=8,
-            coarse_in=4,
-        )
-    with pytest.raises(HardwareGraphError, match="fine"):
-        NodeCapability(
-            kind="Conv3D",
-            shape_in_max=TensorShape(2, 2, 2, 4),
-            shape_out_max=TensorShape(2, 2, 2, 4),
-            filters_max=4,
-            kernel_max=(3, 3, 3),
-            fine=5,
-        )
-    with pytest.raises(HardwareGraphError, match="single coarse fold"):
-        NodeCapability(
-            kind="Pool3D",
-            shape_in_max=TensorShape(2, 2, 2, 4),
-            shape_out_max=TensorShape(1, 1, 1, 4),
-            coarse_in=2,
-            coarse_out=4,
-        )
+    """The reader rejects a node whose folds `refit` would change, naming the
+    folds, the extents they must divide and the legal folds."""
+    with pytest.raises(HardwareGraphError, match=re.escape(
+            "Conv3D node folds (coarse_in, coarse_out, fine) (4, 1, 1) must divide max "
+            "channels 6, max filters 8 and |K| 1")):
+        NodeCapability.from_dict(_node_doc(
+            "Conv3D", [2, 2, 2, 6], [2, 2, 2, 8], filters_max=8, coarse_in=4))
+    with pytest.raises(HardwareGraphError, match=re.escape(
+            "(1, 1, 5) must divide max channels 4, max filters 4 and |K| 27")):
+        NodeCapability.from_dict(_node_doc(
+            "Conv3D", [2, 2, 2, 4], [2, 2, 2, 4], filters_max=4, kernel_max=[3, 3, 3], fine=5))
+    with pytest.raises(HardwareGraphError, match=re.escape(
+            "coarse_out = coarse_in outside Conv/FC and fine 1 outside Conv3D: "
+            "legal are (2, 2, 1)")):
+        NodeCapability.from_dict(_node_doc(
+            "Pool3D", [2, 2, 2, 4], [1, 1, 1, 4], coarse_in=2, coarse_out=4))
 
 
 def test_capability_for_layers_takes_elementwise_max(c3d):
@@ -156,7 +155,7 @@ def test_separate_never_decreases_total_dsp(c3d):
         assert after >= before
 
 
-def test_random_edit_sequences_preserve_cover(multishape):
+def test_random_edit_sequences_preserve_cover(multishape, monkeypatch):
     rng = random.Random(7)
     graph = initial_mapping(multishape)
     for _ in range(60):
@@ -179,6 +178,38 @@ def test_random_edit_sequences_preserve_cover(multishape):
         inv = graph.inverse_mapping()
         for nid, lids in graph.mapping.items():
             assert all(inv[lid] == nid for lid in lids)
+
+    # The search edits graphs with `_sample_capabilities` and the five moves of
+    # `random_transformation`, and schedules them unchecked: every graph they
+    # build must pass the checks the design reader makes.
+    def assert_valid(graph, model):
+        graph.validate_cover(model)
+        assert all(cap.refit() == cap for cap in graph.nodes.values())
+        again = HardwareGraph.from_dict(graph.to_dict())
+        assert again.nodes == graph.nodes and again.mapping == graph.mapping
+
+    walked = Counter()
+
+    def counted(name, move):
+        def counting(*args):
+            walked[name] += 1
+            return move(*args)
+        return counting
+
+    moves = ("_reshape", "_coarse_fold", "_fine_fold", "_combine", "_separate")
+    for name in moves:
+        monkeypatch.setattr(optimizer, name, counted(name, getattr(optimizer, name)))
+    for name in bundled_model_names():
+        model = parse_model(bundled_model_text(name))
+        rng = random.Random(name)
+        for base in (initial_mapping(model), fuse_activations(initial_mapping(model), model)):
+            for params in (AnnealingParams(), AnnealingParams(separate_layers=3, combine_nodes=3)):
+                graph = _sample_capabilities(base, model, rng)
+                assert_valid(graph, model)
+                for _ in range(60):
+                    graph = random_transformation(model, graph, rng, params)
+                    assert_valid(graph, model)
+    assert set(walked) == set(moves) and min(walked.values()) > 50, walked
 
 
 def test_fuse_activations_rules(c3d, multishape):
@@ -217,7 +248,7 @@ def test_refit_cuts_each_fold_to_a_legal_divisor(c3d, multishape):
                 folds = {k: rng.randint(1, 64) for k in ("coarse_in", "coarse_out", "fine")}
                 new = cap.refit(shape_in_max=shape, filters_max=filters, kernel_max=kernel,
                                 **folds)
-                new.__post_init__()
+                assert NodeCapability.from_dict(new.to_dict()) == new
                 assert (new.shape_in_max, new.filters_max, new.kernel_max) == (
                     shape, filters, kernel)
                 assert new.coarse_in == legal_fold(folds["coarse_in"], shape.c)
@@ -330,6 +361,9 @@ def test_from_dict_rejects_layer_ids_that_are_not_strings(toy, edit):
     ("filters_max", 0, "'filters_max' must be an integer >= 1"),
     ("supports_types", "max", "'supports_types' must be an array of strings"),
     ("supports_types", [1], "'supports_types' must be an array of strings"),
+    # checked first: an unknown kind is not read as a node with a single coarse fold
+    ("kind", "Bogus", "'kind' must be one of Conv3D, .*, got 'Bogus'"),
+    ("kind", ["Conv3D"], "'kind' must be one of"),
 ])
 def test_capability_reader_rejects_an_empty_or_malformed_node(toy, field, value, match):
     """A node document is checked where it is read: no fold, shape dimension or
@@ -339,3 +373,19 @@ def test_capability_reader_rejects_an_empty_or_malformed_node(toy, field, value,
     doc = initial_mapping(toy).nodes["conv_0"].to_dict()
     with pytest.raises(HardwareGraphError, match=match):
         NodeCapability.from_dict(dict(doc, **{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", [1]), ("mapping", [1]), ("fused", ["relu"]), ("nodes", None), ("mapping", None),
+])
+def test_graph_reader_rejects_a_field_that_is_not_an_object(toy, field, value):
+    doc = dict(initial_mapping(toy).to_dict(), **{field: value})
+    with pytest.raises(HardwareGraphError, match=f"graph '{field}' must be an object"):
+        HardwareGraph.from_dict(doc)
+
+
+def test_graph_reader_rejects_a_mapping_value_that_is_not_an_array(toy):
+    doc = initial_mapping(toy).to_dict()
+    doc["mapping"]["conv_0"] = "conv"
+    with pytest.raises(HardwareGraphError, match="graph 'mapping' values must be arrays"):
+        HardwareGraph.from_dict(doc)

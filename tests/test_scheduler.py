@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
     HardwareGraph,
+    HardwareGraphError,
     NodeCapability,
     capability_for_layers,
     fuse_activations,
@@ -171,27 +173,35 @@ def test_schedule_determinism(multishape):
 
 
 def test_unmapped_layer_rejected(toy):
+    """`build_schedule` takes a valid cover: the cover check rejects a graph
+    that leaves a layer unmapped."""
     graph = initial_mapping(toy)
     nid = next(n for n, cap in graph.nodes.items() if cap.kind == "Pool3D")
     mapping = {n: lids for n, lids in graph.mapping.items() if n != nid}
     bad = type(graph)(nodes=dict(graph.nodes), mapping=mapping, fused={})
-    with pytest.raises(InfeasibleScheduleError, match="not mapped"):
-        build_schedule(toy, bad, MODE_RUNTIME)
+    with pytest.raises(HardwareGraphError, match=r"missing \['pool'\]"):
+        bad.validate_cover(toy)
 
 
 def test_kernel_larger_than_capability_rejected(toy):
+    """`build_schedule` takes a valid cover: the cover check rejects a node
+    whose kernel is smaller than a layer's along any axis."""
     graph = initial_mapping(toy)
-    nid = next(n for n, cap in graph.nodes.items() if cap.kind == "Conv3D")
-    cap = graph.nodes[nid]
-    graph.nodes[nid] = NodeCapability(
-        kind="Conv3D",
-        shape_in_max=cap.shape_in_max,
-        shape_out_max=cap.shape_out_max,
-        filters_max=cap.filters_max,
-        kernel_max=(1, 1, 1),
-    )
-    with pytest.raises(InfeasibleScheduleError, match="kernel"):
-        build_schedule(toy, graph, MODE_RUNTIME)
+    cap = graph.nodes["conv_0"]
+    for kernel in ((1, 1, 1), (3, 2, 3)):
+        bad = graph.with_node("conv_0", replace(cap, kernel_max=kernel))
+        with pytest.raises(HardwareGraphError, match=re.escape(
+                f"layer 'conv' kernel (3, 3, 3) exceeds node 'conv_0' kernel_max {kernel}")):
+            bad.validate_cover(toy)
+
+
+def test_unsupported_type_rejected(toy):
+    """The cover check rejects a node that lacks the type of a layer mapped to it."""
+    graph = initial_mapping(toy)
+    bad = graph.with_node("pool_0", replace(graph.nodes["pool_0"], supports_types=frozenset()))
+    with pytest.raises(HardwareGraphError,
+                       match="layer 'pool' type 'max' is not supported by node 'pool_0'"):
+        bad.validate_cover(toy)
 
 
 def test_coverage_oracle_flags_duplicates_and_gaps(toy):
