@@ -9,6 +9,7 @@ Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
 import csv
+import io
 import json
 import logging
 import os
@@ -55,6 +56,21 @@ def _read_text(path, what) -> str:
         raise click.ClickException(f"{what} file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"{what} file {path}: cannot read: {exc}")
+
+
+def _write_text(path, text, what):
+    """Write `text` to file `path` as UTF-8; a path that cannot be written
+    ends in a one-line error naming the `what` file."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.ClickException(f"{what} file {path}: cannot write: {exc}")
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 def _load_model_text(spec: str) -> str:
@@ -116,17 +132,6 @@ def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):
         raise click.ClickException(f"invalid annealing params: {exc}")
 
 
-def _write_trace(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "tau", "current_cycles", "best_cycles", "feasible"])
-        for row in trace:
-            writer.writerow(
-                [row.iteration, f"{row.tau:.9g}", row.current_cycles,
-                 row.best_cycles, int(row.feasible)]
-            )
-
-
 @main.command("optimize")
 @click.option("--model", "model_file", required=True)
 @click.option("--device", "device_spec", required=True)
@@ -159,9 +164,12 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
         "latency_ms": best.latency_cycles * 1e3 / dev.clock_hz,
         "resources": best.resources.to_dict(),
     }
-    Path(out_file).write_text(json.dumps(design, indent=2) + "\n")
+    _write_text(out_file, json.dumps(design, indent=2) + "\n", "design")
     if trace_file:
-        _write_trace(trace_file, trace)
+        _write_text(trace_file, _csv_text(
+            [["iter", "tau", "current_cycles", "best_cycles", "feasible"]]
+            + [[row.iteration, f"{row.tau:.9g}", row.current_cycles, row.best_cycles,
+                int(row.feasible)] for row in trace]), "trace")
     click.echo(
         f"best latency: {design['latency_ms']:.3f} ms "
         f"({best.latency_cycles} cycles), dsp={best.resources.dsp}"
@@ -238,7 +246,7 @@ def schedule_cmd(design_file, out_file):
     total = schedule_latency(schedule, dev)
     total_ms = total * 1e3 / dev.clock_hz
     head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
-    Path(out_file).write_text(schedule_json(head, schedule))
+    _write_text(out_file, schedule_json(head, schedule), "schedule")
     click.echo(
         f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
         f"{total_ms:.3f} ms"
@@ -269,7 +277,7 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
             f"schedule file {schedule_file}: total latency is {latency} cycles; nothing to report")
     resources = graph_resources(graph, dev)
     report = build_report(model, dev, schedule, resources, latency)
-    Path(out_file).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_text(out_file, json.dumps(report.to_dict(), indent=2) + "\n", "report")
     click.echo(
         f"{report.gops_per_s:.2f} GOps/s, {report.gops_per_s_per_dsp:.3f} GOps/s/DSP, "
         f"{report.op_per_dsp_per_cycle:.3f} Op/DSP/cycle"
@@ -297,11 +305,8 @@ def pareto_cmd(model_file, device_spec, budgets, seed, params_file, out_file):
             f"--budgets must be ascending comma-separated integers >= 1, got '{budgets}'"
         )
     points = pareto_sweep(model, dev, params, caps)
-    with open(out_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dsp", "bram", "latency_ms"])
-        for p in points:
-            writer.writerow([p.dsp, p.bram, f"{p.latency_ms:.6f}"])
+    _write_text(out_file, _csv_text([["dsp", "bram", "latency_ms"]] + [
+        [p.dsp, p.bram, f"{p.latency_ms:.6f}"] for p in points]), "pareto")
     click.echo(f"pareto points: {len(points)}")
 
 

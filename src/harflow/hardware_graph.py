@@ -10,18 +10,13 @@ keep what they check, so the search checks nothing again.
 import math
 from dataclasses import dataclass, field, fields
 
-from .model_ir import LAYER_KINDS, ModelGraph, TensorShape, hash_once, strict
+from .model_ir import (
+    FILTER_KINDS, KIND_FIELDS, LAYER_KINDS, ModelGraph, TensorShape, hash_once, strict,
+)
 
 
 class HardwareGraphError(ValueError):
     pass
-
-
-def legal_fold(preferred: int, total: int) -> int:
-    """Largest divisor of `total` that also divides `preferred` (>= 1)."""
-    if total <= 0:
-        return 1
-    return max(1, math.gcd(preferred, total))
 
 
 @hash_once
@@ -41,19 +36,20 @@ class NodeCapability:
     supports_types: frozenset = frozenset()
 
     def refit(self, **changes) -> "NodeCapability":
-        """Copy with `changes` applied and each fold cut to `legal_fold` of its
-        preferred value. Outside Conv/FC the output fold is the input fold;
-        outside Conv3D the fine fold is 1. It is the only path that sets folds.
-        The copy hashes its own fields."""
+        """Copy with `changes` applied and each fold cut to the largest divisor
+        of its extent that divides its preferred value (their gcd; every
+        extent is at least 1). Outside Conv/FC the output fold is the input
+        fold; outside Conv3D the fine fold is 1. It is the only path that sets
+        folds. The copy hashes its own fields."""
         f = {x.name: getattr(self, x.name) for x in fields(self)}
         f.update(changes)
         kd, kh, kw = f["kernel_max"]
-        f["coarse_in"] = legal_fold(f["coarse_in"], f["shape_in_max"].c)
-        if self.kind in ("Conv3D", "FullyConnected"):
-            f["coarse_out"] = legal_fold(f["coarse_out"], f["filters_max"])
+        f["coarse_in"] = math.gcd(f["coarse_in"], f["shape_in_max"].c)
+        if self.kind in FILTER_KINDS:
+            f["coarse_out"] = math.gcd(f["coarse_out"], f["filters_max"])
         else:
             f["coarse_out"] = f["coarse_in"]
-        f["fine"] = legal_fold(f["fine"], kd * kh * kw) if self.kind == "Conv3D" else 1
+        f["fine"] = math.gcd(f["fine"], kd * kh * kw) if self.kind == "Conv3D" else 1
         return NodeCapability(**f)
 
     def to_dict(self):
@@ -72,11 +68,19 @@ class NodeCapability:
     @classmethod
     def from_dict(cls, doc) -> "NodeCapability":
         """The capability of a design.json node document, every field checked:
-        `kind` a layer kind; shape dimensions, kernel sizes and folds at least
-        1; `filters_max` at least 1 on a Conv/FC node (else 0);
-        `supports_types` an array of strings; and the folds as `refit` leaves
-        them. So every node tiles a layer into non-empty tiles."""
-        error, kind = HardwareGraphError, doc["kind"]
+        an object with `kind` (a layer kind), `shape_in_max` and
+        `shape_out_max`; shape dimensions, kernel sizes and folds at least 1;
+        `filters_max` at least 1 on a Conv/FC node; `supports_types` an array
+        of strings; the three at their defaults on a kind that takes no
+        filters, kernel or type (`model_ir.KIND_FIELDS`); and the folds as
+        `refit` leaves them. So every node tiles a layer into non-empty tiles."""
+        error = HardwareGraphError
+        if type(doc) is not dict:
+            raise error(f"node capability must be an object, got {doc!r}")
+        for key in ("kind", "shape_in_max", "shape_out_max"):
+            if key not in doc:
+                raise error(f"node capability lacks '{key}'")
+        kind = doc["kind"]
         if kind not in LAYER_KINDS:
             raise error(f"node capability 'kind' must be one of {', '.join(LAYER_KINDS)}, "
                         f"got {kind!r}")
@@ -91,7 +95,7 @@ class NodeCapability:
             shape_out_max=TensorShape(*strict(
                 doc["shape_out_max"], int, "node capability 'shape_out_max'", error, 4, 1)),
             filters_max=strict(doc.get("filters_max", 0), int, "node capability 'filters_max'",
-                               error, least=int(kind in ("Conv3D", "FullyConnected"))),
+                               error, least=int(kind in FILTER_KINDS)),
             kernel_max=strict(doc.get("kernel_max", (1, 1, 1)), int,
                               "node capability 'kernel_max'", error, 3, 1),
             coarse_in=strict(doc.get("coarse_in", 1), int, "node capability 'coarse_in'",
@@ -101,6 +105,11 @@ class NodeCapability:
             fine=strict(doc.get("fine", 1), int, "node capability 'fine'", error, least=1),
             supports_types=frozenset(types),
         )
+        takes = KIND_FIELDS[kind]
+        for key, field in (("filters_max", "filters"), ("kernel_max", "kernel"),
+                           ("supports_types", "type")):
+            if field not in takes and getattr(cap, key) != getattr(cls, key):
+                raise error(f"node capability: {kind} takes no '{key}', got {doc[key]!r}")
         fit = cap.refit()
         if fit != cap:
             kd, kh, kw = cap.kernel_max
@@ -122,26 +131,16 @@ def _shape_max(shapes) -> TensorShape:
 
 
 def capability_for_layers(kind, layers) -> NodeCapability:
-    """Derive a maximal capability covering `layers`, one or more layers of `kind`."""
-    if kind == "FullyConnected":
-        shape_in = TensorShape(1, 1, 1, max(l.fc_features for l in layers))
-        shape_out = TensorShape(1, 1, 1, max(l.filters for l in layers))
-    else:
-        shape_in = _shape_max([l.primary_in for l in layers])
-        shape_out = _shape_max([l.shape_out for l in layers])
-    filters_max = max((l.filters for l in layers), default=0)
-    if kind in ("Conv3D", "Pool3D"):
-        kernel_max = tuple(max(l.kernel[i] for l in layers) for i in range(3))
-    else:
-        kernel_max = (1, 1, 1)
-    supports = frozenset(l.op_type for l in layers if l.op_type)
+    """Derive a maximal capability covering `layers`, one or more layers of
+    `kind`: the elementwise max of their tiled input shapes, output shapes,
+    filters and kernels, and the union of their types."""
     return NodeCapability(
         kind=kind,
-        shape_in_max=shape_in,
-        shape_out_max=shape_out,
-        filters_max=filters_max,
-        kernel_max=kernel_max,
-        supports_types=supports,
+        shape_in_max=_shape_max([l.tiled_shape_in for l in layers]),
+        shape_out_max=_shape_max([l.shape_out for l in layers]),
+        filters_max=max(l.filters for l in layers),
+        kernel_max=tuple(max(l.kernel[i] for l in layers) for i in range(3)),
+        supports_types=frozenset(l.op_type for l in layers if l.op_type),
     )
 
 
@@ -204,8 +203,7 @@ class HardwareGraph:
                 if layer.kind != cap.kind:
                     raise HardwareGraphError(
                         f"layer '{lid}' ({layer.kind}) mapped to '{node_id}' ({cap.kind})")
-                if layer.kind in ("Conv3D", "Pool3D") and any(
-                        k > m for k, m in zip(layer.kernel, cap.kernel_max)):
+                if any(k > m for k, m in zip(layer.kernel, cap.kernel_max)):
                     raise HardwareGraphError(
                         f"layer '{lid}' kernel {layer.kernel} exceeds node '{node_id}' "
                         f"kernel_max {cap.kernel_max}")
@@ -226,6 +224,8 @@ class HardwareGraph:
         """The graph of a design.json `graph` document, every field checked;
         whether it covers a model is `validate_cover`'s check."""
         error = HardwareGraphError
+        if type(doc) is not dict:
+            raise error(f"graph must be an object, got {doc!r}")
         nodes, mapping, fused = doc.get("nodes"), doc.get("mapping"), doc.get("fused", {})
         for key, value in (("nodes", nodes), ("mapping", mapping), ("fused", fused)):
             if type(value) is not dict:

@@ -8,14 +8,20 @@ dimension and C the channel dimension.
 import json
 from dataclasses import dataclass, field
 
-LAYER_KINDS = (
-    "Conv3D",
-    "FullyConnected",
-    "Pool3D",
-    "Activation",
-    "GlobalAvgPool",
-    "ElementWise",
-)
+# The kind table of docs/model-schema.md: the operator fields each layer kind
+# takes, in document order. A field that its kind does not take holds its
+# default, so every reader and writer copies fields without asking the kind.
+KIND_FIELDS = {
+    "Conv3D": ("filters", "kernel", "stride", "padding", "groups"),
+    "FullyConnected": ("filters",),
+    "Pool3D": ("kernel", "stride", "padding", "type"),
+    "Activation": ("type",),
+    "GlobalAvgPool": (),
+    "ElementWise": ("type", "broadcast"),
+}
+LAYER_KINDS = tuple(KIND_FIELDS)
+FILTER_KINDS = tuple(k for k, f in KIND_FIELDS.items() if "filters" in f)  # Conv3D, FC
+WINDOWED_KINDS = tuple(k for k, f in KIND_FIELDS.items() if "kernel" in f)  # Conv3D, Pool3D
 
 POOL_TYPES = ("max", "avg")
 ACT_TYPES = ("relu", "sigmoid", "swish")
@@ -52,23 +58,35 @@ def strict(value, kind, what, error=ModelError, length=None, least=None):
     raise error(f"{what} must be {noun}, got {value!r}")
 
 
-def operator_fields(doc, where, error=ModelError) -> dict:
-    """The operator fields that a layer document and a runtime config document
-    share, as keyword arguments of `LayerDescriptor` and `RuntimeConfig`:
-    `filters` >= 0, `kernel` and `stride` (3 integers >= 1), `padding`
-    (6 integers >= 0), `groups` >= 1, `type` a string and `broadcast` a
-    boolean, each checked by `strict`. An absent field takes its default.
-    `where` prefixes each field name in an error."""
-    get = doc.get
-    return {
-        "filters": strict(get("filters", 0), int, f"{where}'filters'", error, least=0),
-        "kernel": strict(get("kernel", (1, 1, 1)), int, f"{where}'kernel'", error, 3, 1),
-        "stride": strict(get("stride", (1, 1, 1)), int, f"{where}'stride'", error, 3, 1),
-        "padding": strict(get("padding", (0,) * 6), int, f"{where}'padding'", error, 6, 0),
-        "groups": strict(get("groups", 1), int, f"{where}'groups'", error, least=1),
-        "op_type": strict(get("type", ""), str, f"{where}'type'", error),
-        "broadcast": strict(get("broadcast", False), bool, f"{where}'broadcast'", error),
-    }
+# Each operator field of a layer or runtime config document: its attribute,
+# its default and the `strict` rule of its value (type, array length, least).
+_OPERATOR_FIELDS = {
+    "filters": ("filters", 0, int, None, 0),
+    "kernel": ("kernel", (1, 1, 1), int, 3, 1),
+    "stride": ("stride", (1, 1, 1), int, 3, 1),
+    "padding": ("padding", (0,) * 6, int, 6, 0),
+    "groups": ("groups", 1, int, None, 1),
+    "type": ("op_type", "", str, None, None),
+    "broadcast": ("broadcast", False, bool, None, None),
+}
+
+
+def operator_fields(doc, kind, where, error=ModelError) -> dict:
+    """The operator fields of a layer or runtime config document of layer kind
+    `kind`, as keyword arguments of `LayerDescriptor` and `RuntimeConfig`, each
+    checked by `strict` (see `_OPERATOR_FIELDS`). An absent field takes its
+    default; a field that `kind` does not take (see `KIND_FIELDS`) must hold
+    it. `where` prefixes each field name in an error."""
+    takes = KIND_FIELDS[kind]
+    fields = {}
+    for key, (attr, default, type_, length, least) in _OPERATOR_FIELDS.items():
+        value = doc.get(key, default)
+        if value is not default:
+            value = strict(value, type_, f"{where}'{key}'", error, length, least)
+            if key not in takes and value != default:
+                raise error(f"{where}{kind} takes no '{key}'")
+        fields[attr] = value
+    return fields
 
 
 def hash_once(cls):
@@ -131,16 +149,15 @@ class LayerDescriptor:
     kind: str
     shape_in: tuple  # tuple of TensorShape; more than one entry only for ElementWise
     shape_out: TensorShape
-    # Conv3D / FullyConnected
-    filters: int = 0
-    # Conv3D / Pool3D; kernel and stride are (D, H, W), padding is
+    # the operator fields; each kind takes those of its `KIND_FIELDS` row.
+    # kernel and stride are (D, H, W), padding is
     # (D_start, D_end, H_start, H_end, W_start, W_end)
+    filters: int = 0
     kernel: tuple = (1, 1, 1)
     stride: tuple = (1, 1, 1)
     padding: tuple = (0, 0, 0, 0, 0, 0)
     groups: int = 1
-    # Pool3D / Activation / ElementWise type selector
-    op_type: str = ""
+    op_type: str = ""  # the document's `type`
     broadcast: bool = False
 
     @property
@@ -157,45 +174,46 @@ class LayerDescriptor:
         """Input feature count of a FullyConnected layer (flattened input)."""
         return self.primary_in.numel
 
+    @property
+    def tiled_shape_in(self) -> TensorShape:
+        """The input space the scheduler tiles: a FullyConnected input is
+        flattened to (1, 1, 1, features), so FC runs as a 1x1x1 conv."""
+        if self.kind == "FullyConnected":
+            return TensorShape(1, 1, 1, self.fc_features)
+        return self.primary_in
+
 
 def _windowed_axis(x_in: int, k: int, j: int, p_start: int, p_end: int) -> int:
     return (x_in + p_start + p_end - k) // j + 1
 
 
 def infer_output_shape(layer: LayerDescriptor) -> TensorShape:
-    """Output shape from the layer's own parameters (floor convention)."""
-    kind = layer.kind
-    s = layer.primary_in
-    if kind in ("Conv3D", "Pool3D"):
-        kd, kh, kw = layer.kernel
-        jd, jh, jw = layer.stride
-        pds, pde, phs, phe, pws, pwe = layer.padding
-        d = _windowed_axis(s.d, kd, jd, pds, pde)
-        h = _windowed_axis(s.h, kh, jh, phs, phe)
-        w = _windowed_axis(s.w, kw, jw, pws, pwe)
-        if min(d, h, w) < 1:
-            raise ModelError(
-                f"layer '{layer.id}': kernel {layer.kernel} larger than padded input {s}"
-            )
-        c = layer.filters if kind == "Conv3D" else s.c
-        return TensorShape(d, h, w, c)
-    if kind == "FullyConnected":
-        return TensorShape(1, 1, 1, layer.filters)
-    if kind == "GlobalAvgPool":
+    """Output shape from the layer's own parameters (floor convention). Every
+    kind but GlobalAvgPool slides its window over its tiled input; a kind
+    that takes no kernel has the unit window, so FC yields (1, 1, 1, filters)
+    and Activation and ElementWise keep their input shape."""
+    s = layer.tiled_shape_in
+    if layer.kind == "GlobalAvgPool":
         return TensorShape(1, 1, 1, s.c)
-    if kind in ("Activation", "ElementWise"):
-        return s
-    raise ModelError(f"layer '{layer.id}': unknown kind '{kind}'")
+    kd, kh, kw = layer.kernel
+    jd, jh, jw = layer.stride
+    pds, pde, phs, phe, pws, pwe = layer.padding
+    d = _windowed_axis(s.d, kd, jd, pds, pde)
+    h = _windowed_axis(s.h, kh, jh, phs, phe)
+    w = _windowed_axis(s.w, kw, jw, pws, pwe)
+    if min(d, h, w) < 1:
+        raise ModelError(f"layer '{layer.id}': kernel {layer.kernel} larger than padded input {s}")
+    return TensorShape(d, h, w, layer.filters if layer.kind in FILTER_KINDS else s.c)
 
 
 def layer_workload_macs(layer: LayerDescriptor) -> int:
-    """Multiply-accumulate count of a layer; zero for non-MAC kinds."""
-    if layer.kind == "Conv3D":
+    """Multiply-accumulate count of a layer; zero for non-MAC kinds. FC is
+    counted as a 1x1x1 conv over its flattened input."""
+    if layer.kind in FILTER_KINDS:
         out = layer.shape_out
-        macs = out.d * out.h * out.w * layer.primary_in.c * layer.filters * layer.kernel_volume
+        macs = (out.d * out.h * out.w * layer.tiled_shape_in.c * layer.filters
+                * layer.kernel_volume)
         return macs // layer.groups
-    if layer.kind == "FullyConnected":
-        return layer.fc_features * layer.filters
     return 0
 
 
@@ -223,8 +241,6 @@ class ModelGraph:
 
 def _validate_layer(layer: LayerDescriptor):
     lid = layer.id
-    if layer.kind not in LAYER_KINDS:
-        raise ModelError(f"layer '{lid}': unknown layer kind '{layer.kind}'")
     for s in layer.shape_in:
         _require_positive(s, lid, "input")
     _require_positive(layer.shape_out, lid, "output")
@@ -250,7 +266,7 @@ def _validate_layer(layer: LayerDescriptor):
         raise ModelError(f"layer '{lid}': unknown activation '{layer.op_type}'")
     if layer.kind == "Pool3D" and layer.op_type not in POOL_TYPES:
         raise ModelError(f"layer '{lid}': unknown pool type '{layer.op_type}'")
-    if layer.kind in ("Conv3D", "FullyConnected") and layer.filters < 1:
+    if layer.kind in FILTER_KINDS and layer.filters < 1:
         raise ModelError(f"layer '{lid}': filters must be >= 1")
     if layer.kind == "Conv3D":
         c_in = layer.primary_in.c
@@ -278,6 +294,8 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
         raise ModelError(f"layer entry missing 'id' or 'kind': {entry}")
     lid = str(entry["id"])
     kind = entry["kind"]
+    if kind not in LAYER_KINDS:
+        raise ModelError(f"layer '{lid}': unknown layer kind '{kind}'")
     raw_in = entry.get("shape_in")
     if not raw_in or not isinstance(raw_in, list):
         raise ModelError(f"layer '{lid}': missing or malformed shape_in")
@@ -290,7 +308,7 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
     shape_out = TensorShape.from_list(entry["shape_out"])
 
     return LayerDescriptor(id=lid, kind=kind, shape_in=shape_in, shape_out=shape_out,
-                           **operator_fields(entry, f"layer '{lid}': "))
+                           **operator_fields(entry, kind, f"layer '{lid}': "))
 
 
 def _check_graph_structure(model: ModelGraph) -> list:
@@ -378,18 +396,8 @@ def serialize_model(model: ModelGraph) -> str:
             else layer.primary_in.to_list(),
             "shape_out": layer.shape_out.to_list(),
         }
-        if layer.kind in ("Conv3D", "FullyConnected"):
-            entry["filters"] = layer.filters
-        if layer.kind in ("Conv3D", "Pool3D"):
-            entry["kernel"] = list(layer.kernel)
-            entry["stride"] = list(layer.stride)
-            entry["padding"] = list(layer.padding)
-        if layer.kind == "Conv3D":
-            entry["groups"] = layer.groups
-        if layer.op_type:
-            entry["type"] = layer.op_type
-        if layer.kind == "ElementWise":
-            entry["broadcast"] = layer.broadcast
+        for key in KIND_FIELDS[layer.kind]:  # json.dumps writes tuples as arrays
+            entry[key] = getattr(layer, _OPERATOR_FIELDS[key][0])
         layers.append(entry)
     doc = {"name": model.name, "layers": layers, "edges": [list(e) for e in model.edges]}
     return json.dumps(doc, indent=2)

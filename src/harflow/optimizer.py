@@ -37,7 +37,7 @@ from .hardware_graph import (
     initial_mapping,
     separate_node,
 )
-from .model_ir import ModelGraph, TensorShape, strict
+from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, strict
 from .perf_model import compute_latency, schedule_latency
 from .resource_model import default_regression_models, graph_resources, node_dsp
 from .scheduler import (
@@ -222,7 +222,7 @@ def _reshape(graph, model, node_id, rng):
 
 def _coarse_fold(graph, model, node_id, rng):
     cap = graph.nodes[node_id]
-    if cap.kind in ("Conv3D", "FullyConnected"):
+    if cap.kind in FILTER_KINDS:
         new_cap = cap.refit(
             coarse_in=rng.choice(_divisors(cap.shape_in_max.c)),
             coarse_out=rng.choice(_divisors(cap.filters_max)),
@@ -347,10 +347,10 @@ def _fold_neighbours(cap, dsp_headroom):
     combinations whose DSP increase exceeds `dsp_headroom` are pruned before
     evaluation. Other kinds step the single coarse fold up one divisor.
     """
-    if cap.kind in ("Conv3D", "FullyConnected"):
+    if cap.kind in FILTER_KINDS:
         current = cap.coarse_in * cap.coarse_out * cap.fine
         kvol = cap.kernel_max[0] * cap.kernel_max[1] * cap.kernel_max[2]
-        fines = _divisors(kvol) if cap.kind == "Conv3D" else [1]
+        fines = _divisors(kvol)  # (1,) on an FC node, whose kernel is 1x1x1
         out = []
         for c_in in _divisors(cap.shape_in_max.c):
             for c_out in _divisors(cap.filters_max):

@@ -13,7 +13,9 @@ chain that reuses it from the chain's memo, so it is scored once per chain.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import LAYER_KINDS, TensorShape, hash_once, operator_fields, strict
+from .model_ir import (
+    FILTER_KINDS, LAYER_KINDS, WINDOWED_KINDS, TensorShape, hash_once, operator_fields, strict,
+)
 
 
 class PerfModelError(ValueError):
@@ -60,10 +62,10 @@ class RuntimeConfig:
             "coarse_in": self.coarse_in,
             "coarse_out": self.coarse_out,
         }
-        if self.kind in ("Conv3D", "FullyConnected"):
+        if self.kind in FILTER_KINDS:
             d["filters"] = self.filters
             d["accumulate_psum"] = self.accumulate_psum
-        if self.kind in ("Conv3D", "Pool3D"):
+        if self.kind in WINDOWED_KINDS:
             d["kernel"] = list(self.kernel)
             d["stride"] = list(self.stride)
             d["padding"] = list(self.padding)
@@ -79,17 +81,17 @@ class RuntimeConfig:
     @classmethod
     def from_dict(cls, doc) -> "RuntimeConfig":
         """The config of a schedule.json config document, every field checked:
-        the operator fields by `model_ir.operator_fields`, and the folds at
-        least 1, so no latency term divides by zero or counts negative work."""
-        error = PerfModelError
-        if doc["kind"] not in LAYER_KINDS:
-            raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, "
-                        f"got {doc['kind']!r}")
+        the kind first, the operator fields by `model_ir.operator_fields`
+        (so none that the kind does not take), and the folds at least 1, so
+        no latency term divides by zero or counts negative work."""
+        error, kind = PerfModelError, doc["kind"]
+        if kind not in LAYER_KINDS:
+            raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, got {kind!r}")
         return cls(
-            kind=doc["kind"],
+            kind=kind,
             shape_in=TensorShape.from_list(doc["shape_in"]),
             shape_out=TensorShape.from_list(doc["shape_out"]),
-            **operator_fields(doc, "config ", error),
+            **operator_fields(doc, kind, "config ", error),
             coarse_in=strict(doc.get("coarse_in", 1), int, "config 'coarse_in'", error, least=1),
             coarse_out=strict(doc.get("coarse_out", 1), int, "config 'coarse_out'", error,
                               least=1),
@@ -111,13 +113,12 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def compute_latency(cfg: RuntimeConfig) -> int:
-    """Cycles assuming unlimited memory bandwidth, rounded up to integers."""
-    if cfg.kind == "Conv3D":
+    """Cycles assuming unlimited memory bandwidth, rounded up to integers. An
+    FC config is scored as a 1x1x1 conv over its flattened input (1, 1, 1, C)."""
+    if cfg.kind in FILTER_KINDS:
         out = cfg.shape_out
         work = out.d * out.h * out.w * cfg.shape_in.c * cfg.filters * cfg.kernel_volume
         return _ceil_div(work, cfg.groups * cfg.coarse_in * cfg.coarse_out * cfg.fine)
-    if cfg.kind == "FullyConnected":
-        return _ceil_div(cfg.shape_in.c * cfg.filters, cfg.coarse_in * cfg.coarse_out)
     # Pool3D / Activation / ElementWise / GlobalAvgPool stream one element per
     # cycle per stream
     return _ceil_div(cfg.shape_in.numel, cfg.coarse_in)

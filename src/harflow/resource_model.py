@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .device import ResourceVector
-from .model_ir import LAYER_KINDS
+from .model_ir import FILTER_KINDS, LAYER_KINDS
 
 
 class ResourceModelError(ValueError):
@@ -25,17 +25,14 @@ def bram_blocks(depth: int, words: int) -> int:
 
 
 def node_dsp(cap) -> int:
-    if cap.kind == "Conv3D":
-        return cap.coarse_in * cap.coarse_out * cap.fine
-    if cap.kind == "FullyConnected":
-        return cap.coarse_in * cap.coarse_out
-    return 0
+    """One DSP per MAC lane: coarse_in * coarse_out * fine on a filter kind
+    (an FC node has fine 1), none on any other."""
+    return cap.coarse_in * cap.coarse_out * cap.fine if cap.kind in FILTER_KINDS else 0
 
 
 def sliding_window_bram(cap) -> int:
-    """Line/plane/volume buffers of the sliding window, sized at compile time."""
-    if cap.kind not in ("Conv3D", "Pool3D"):
-        return 0
+    """Line/plane/volume buffers of the sliding window, sized at compile time;
+    none for the unit window of a kind that takes no kernel."""
     s = cap.shape_in_max
     kd, kh, kw = cap.kernel_max
     c_in = cap.coarse_in
@@ -48,17 +45,11 @@ def sliding_window_bram(cap) -> int:
 
 
 def weights_bram(cap) -> int:
-    if cap.kind == "Conv3D":
-        kd, kh, kw = cap.kernel_max
-        total = cap.shape_in_max.c * cap.filters_max * kd * kh * kw
-        folds = cap.coarse_in * cap.coarse_out * cap.fine
-    elif cap.kind == "FullyConnected":
-        total = cap.shape_in_max.c * cap.filters_max
-        folds = cap.coarse_in * cap.coarse_out
-    else:
-        return 0
-    if total == 0:
-        return 0
+    """Weight buffers, `folds` words wide; none on a kind without filters,
+    whose `filters_max` is 0. FC weights are a 1x1x1 conv's."""
+    kd, kh, kw = cap.kernel_max
+    total = cap.shape_in_max.c * cap.filters_max * kd * kh * kw
+    folds = cap.coarse_in * cap.coarse_out * cap.fine
     return bram_blocks(math.ceil(total / folds), folds)
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hardware_graph import HardwareGraph
-from .model_ir import ModelGraph, TensorShape, _windowed_axis, strict
+from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, strict
 from .perf_model import RuntimeConfig
 
 MODE_RUNTIME = "runtime_configurable"
@@ -181,29 +181,28 @@ def _axis_tiles(full: int, tile: int):
 
 def _tile_config(layer, cap, parts, configs):
     """Runtime config of the tiles whose per-axis parts (see `_axis_parts`) are
-    `parts`: their own shape and border padding, folds cut to fit. `configs`
+    `parts`: their own shape and border padding, the layer's other operator
+    fields, folds cut to fit (a node's `fine` is 1 outside Conv3D). `configs`
     maps (layer id, parts, folds) to the config built for them."""
     (th, ph0, ph1, oh), (tw, pw0, pw1, ow), (td, pd0, pd1, od), (tc, psum), tf = parts
-    kind = layer.kind
-    macs = kind in ("Conv3D", "FullyConnected")
+    macs = layer.kind in FILTER_KINDS
     c_in = math.gcd(tc, cap.coarse_in)
     c_out = math.gcd(tf, cap.coarse_out) if macs else c_in
-    fine = math.gcd(layer.kernel_volume, cap.fine) if kind == "Conv3D" else 1
+    fine = math.gcd(layer.kernel_volume, cap.fine)
     key = (layer.id, parts, c_in, c_out, fine)
     cfg = configs.get(key)
     if cfg is None:
-        windowed = kind in ("Conv3D", "Pool3D")
         cfg = configs[key] = RuntimeConfig(
-            kind=kind,
+            kind=layer.kind,
             shape_in=TensorShape(td, th, tw, tc),
             shape_out=TensorShape(od, oh, ow, tf if macs else tc),
             filters=tf,  # a layer without filters has one empty filter tile
-            kernel=layer.kernel if windowed else (1, 1, 1),
-            stride=layer.stride if windowed else (1, 1, 1),
+            kernel=layer.kernel,
+            stride=layer.stride,
             padding=(pd0, pd1, ph0, ph1, pw0, pw1),
-            groups=layer.groups if kind == "Conv3D" else 1,
-            op_type="" if macs else layer.op_type,
-            broadcast=layer.broadcast and not (macs or windowed),
+            groups=layer.groups,
+            op_type=layer.op_type,
+            broadcast=layer.broadcast,
             coarse_in=c_in,
             coarse_out=c_out,
             fine=fine,
@@ -213,38 +212,24 @@ def _tile_config(layer, cap, parts, configs):
 
 
 def _padded_config(layer, cap, parts):
-    """Non-runtime-configurable execution: the node runs at full compile-time size.
+    """Non-runtime-configurable execution: the node runs at full compile-time
+    size, so `filters` and `kernel` are the node's, and the other operator
+    fields the layer's but `padding` and `groups`, which keep their defaults.
     Of the per-axis parts only the partial-sum flag is left."""
-    psum = parts[3]
-    macs = cap.kind in ("Conv3D", "FullyConnected")
-    windowed = cap.kind in ("Conv3D", "Pool3D")
     return RuntimeConfig(
         kind=cap.kind,
         shape_in=cap.shape_in_max,
         shape_out=cap.shape_out_max,
-        filters=cap.filters_max if macs else 0,
-        kernel=cap.kernel_max if windowed else (1, 1, 1),
-        stride=layer.stride if windowed else (1, 1, 1),
-        op_type="" if macs else layer.op_type,
-        broadcast=layer.broadcast and not (macs or windowed),
+        filters=cap.filters_max,
+        kernel=cap.kernel_max,
+        stride=layer.stride,
+        op_type=layer.op_type,
+        broadcast=layer.broadcast,
         coarse_in=cap.coarse_in,
         coarse_out=cap.coarse_out,
         fine=cap.fine,
-        accumulate_psum=psum,
+        accumulate_psum=parts[3],
     )
-
-
-def _layer_input_dims(layer):
-    """Input space tiled by the scheduler; FC inputs are flattened."""
-    if layer.kind == "FullyConnected":
-        return 1, 1, 1, layer.fc_features
-    s = layer.primary_in
-    return s.d, s.h, s.w, s.c
-
-
-def _node_tile_dims(cap):
-    s = cap.shape_in_max
-    return s.d, s.h, s.w, s.c
 
 
 def _axis_classes(full: int, tile: int) -> dict:
@@ -268,9 +253,8 @@ def _axis_parts(layer, axes, mode) -> list:
     accumulated; on F the filter count. A padded tile runs at its node's
     full size, so only the partial-sum flag is left.
     """
-    kind = layer.kind
-    macs = kind in ("Conv3D", "FullyConnected")
-    windowed = kind in ("Conv3D", "Pool3D")
+    macs = layer.kind in FILTER_KINDS
+    reduced = layer.kind == "GlobalAvgPool"  # one output per channel
     runtime = mode == MODE_RUNTIME
     per_axis = []
     for axis, (full, tile) in enumerate(axes):
@@ -283,14 +267,13 @@ def _axis_parts(layer, axes, mode) -> list:
                 part = None
             elif axis == 4:
                 part = x
-            elif windowed:
+            else:  # a kind that takes no kernel has the unit window and no padding
                 i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
                 start = layer.padding[2 * i] if first else 0
                 end = layer.padding[2 * i + 1] if last else 0
-                out = _windowed_axis(x, layer.kernel[i], layer.stride[i], start, end)
+                out = 1 if reduced else _windowed_axis(
+                    x, layer.kernel[i], layer.stride[i], start, end)
                 part = (x, start, end, max(0, out))
-            else:
-                part = (x, 0, 0, 1 if kind in ("FullyConnected", "GlobalAvgPool") else x)
             parts.append(((first, last), part, n))
         per_axis.append(parts)
     return per_axis
@@ -390,17 +373,16 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     filter tiled, as tiles would cut across groups: a reshape can make that
     so, the only capability check a search move can fail.
     """
-    if layer.kind == "Conv3D" and layer.groups > 1 and (
+    if layer.groups > 1 and (
             cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters):
         raise InfeasibleScheduleError(
             layer.id, node_id, "grouped convolution cannot be channel-tiled")
-    ld, lh, lw, lc = _layer_input_dims(layer)
-    nd, nh, nw, nc = _node_tile_dims(cap)
-    if layer.kind in ("Conv3D", "FullyConnected"):
+    s, n = layer.tiled_shape_in, cap.shape_in_max
+    if layer.kind in FILTER_KINDS:
         filters = (layer.filters, cap.filters_max)
     else:
         filters = (0, 1)  # no filter axis: one empty tile
-    axes = ((lh, nh), (lw, nw), (ld, nd), (lc, nc), filters)
+    axes = ((s.h, n.h), (s.w, n.w), (s.d, n.d), (s.c, n.c), filters)
     key = (layer.id, axes)
     tiling = memo.tilings.get(key)
     if tiling is None:
@@ -474,7 +456,7 @@ def coverage_oracle(schedule: Schedule, model: ModelGraph, fused=(),
         if lid in fused:
             continue
         entries = by_layer.get(lid, [])
-        ld, lh, lw, lc = _layer_input_dims(layer)
+        ld, lh, lw, lc = layer.tiled_shape_in.to_list()
         with_filters = layer.kind in ("Conv3D", "FullyConnected")
         nf = layer.filters if with_filters else 1
         if ld * lh * lw * lc * nf > cell_cap:

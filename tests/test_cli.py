@@ -9,7 +9,7 @@ from harflow.cli import main
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import initial_mapping
-from harflow.model_ir import parse_model
+from harflow.model_ir import KIND_FIELDS, parse_model
 from harflow.perf_model import RuntimeConfig
 
 QUICK_PARAMS = {"tau_start": 1.0, "tau_min": 0.05, "cooling": 0.9,
@@ -207,6 +207,12 @@ def _search(workdir, cmd, *extra):
     return [cmd, "--model", "toy", "--device", "zcu102", "--out", str(workdir / "out"), *extra]
 
 
+def _quick(workdir, cmd, *extra):
+    """`cmd` on toy at the quick params, with `extra` options such as --out."""
+    return [cmd, "--model", "toy", "--device", "zcu102",
+            "--params", str(workdir / "params.json"), *extra]
+
+
 def _multishape_search(workdir, **params):
     """optimize on multishape, whose combine and separate moves have candidates."""
     return ["optimize", "--model", "multishape", "--device", "zcu102",
@@ -365,6 +371,18 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(coarse_in=2))],
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: d["graph"]["nodes"]["pool_0"].update(supports_types=[]))],
+    # an output path that is a directory, as each output file
+    lambda w: _quick(w, "optimize", "--out", str(w)),
+    lambda w: _quick(w, "optimize", "--out", str(w / "design.json"), "--trace", str(w)),
+    lambda w: ["schedule", "--design", str(_design(w, lambda d: None)), "--out", str(w)],
+    lambda w: ["report", "--schedule", _schedule_file(w),
+               "--design", str(_design(w, lambda d: None)), "--out", str(w)],
+    lambda w: _quick(w, "pareto", "--budgets", "64", "--out", str(w)),
+    # a graph or node document that is not an object, a node without its kind
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: d.update(graph=[1]))],
+    lambda w: ["schedule", "--design", _bad_design(
+        w, lambda d: d["graph"]["nodes"].update(conv_0=1))],
+    lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).pop("kind"))],
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -403,7 +421,10 @@ def _multishape_search(workdir, **params):
         "params-directory", "params-not-utf8", "report-schedule-directory",
         "report-schedule-not-utf8", "schedule-mapping-not-object",
         "schedule-nodes-not-object", "schedule-fused-not-object", "schedule-node-kind-unknown",
-        "schedule-fold-not-divisor", "schedule-type-not-supported"])
+        "schedule-fold-not-divisor", "schedule-type-not-supported",
+        "optimize-out-directory", "optimize-trace-directory", "schedule-out-directory",
+        "report-out-directory", "pareto-out-directory", "schedule-graph-not-object",
+        "schedule-node-not-object", "schedule-node-without-kind"])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -415,12 +436,16 @@ def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["graph"].update(mapping=[1]), "graph 'mapping' must be an object, got [1]"),
+    (lambda d: d.update(graph=[1]), "graph must be an object, got [1]"),
+    (lambda d: d["graph"]["nodes"].update(conv_0=1), "node capability must be an object, got 1"),
+    (lambda d: _conv_node(d).pop("kind"), "node capability lacks 'kind'"),
     (lambda d: _conv_node(d).update(kind="Bogus"), "node capability 'kind' must be one of"),
     (lambda d: _conv_node(d).update(coarse_in=2),
      "Conv3D node folds (coarse_in, coarse_out, fine) (2, 1, 1) must divide max channels 3"),
     (lambda d: _conv_node(d).update(kernel_max=[3, 1, 3]),
      "layer 'conv' kernel (3, 3, 3) exceeds node 'conv_0' kernel_max (3, 1, 3)"),
-], ids=["mapping-not-object", "node-kind-unknown", "fold-not-divisor", "kernel-exceeds-node"])
+], ids=["mapping-not-object", "graph-not-object", "node-not-object", "node-without-kind",
+        "node-kind-unknown", "fold-not-divisor", "kernel-exceeds-node"])
 def test_design_reader_names_the_bad_field(runner, workdir, edit, message):
     result = runner.invoke(main, ["schedule", "--design", _bad_design(workdir, edit)])
     assert result.exit_code == 1 and message in result.output, result.output
@@ -568,3 +593,71 @@ def test_pareto_writes_monotone_csv(runner, workdir):
     lats = [float(r["latency_ms"]) for r in rows]
     assert dsps == sorted(dsps)
     assert lats == sorted(lats, reverse=True)
+
+
+# a non-default value of each operator field, and of each node field that
+# bounds one
+FOREIGN_VALUES = {"filters": 4, "kernel": [1, 1, 2], "stride": [1, 1, 2],
+                  "padding": [0, 0, 0, 0, 0, 1], "groups": 2, "type": "relu",
+                  "broadcast": True}
+NODE_FIELDS = {"filters_max": ("filters", 4), "kernel_max": ("kernel", [1, 1, 2]),
+               "supports_types": ("type", ["relu"])}
+FOREIGN_FIELDS = (
+    [(doc, kind, field) for doc in ("layer", "config") for kind, takes in KIND_FIELDS.items()
+     for field in FOREIGN_VALUES if field not in takes]
+    + [("node", kind, field) for kind, takes in KIND_FIELDS.items()
+       for field, (bounds, _) in NODE_FIELDS.items() if bounds not in takes])
+
+
+@pytest.fixture(scope="module")
+def multishape_files(tmp_path_factory):
+    """(design.json, schedule.json) of the unfused multishape initial mapping:
+    a node, and configs, of every layer kind."""
+    work = tmp_path_factory.mktemp("multishape")
+    text = bundled_model_text("multishape")
+    design, schedule = work / "design.json", work / "schedule.json"
+    design.write_text(json.dumps({
+        "model": json.loads(text),
+        "device": load_bundled_profile("zcu102").to_dict(),
+        "mode": "runtime_configurable",
+        "graph": initial_mapping(parse_model(text)).to_dict(),
+    }))
+    main.main(["schedule", "--design", str(design), "--out", str(schedule)],
+              standalone_mode=False)
+    return design, schedule
+
+
+@pytest.mark.parametrize("document, kind, field", FOREIGN_FIELDS,
+                         ids=["-".join(case) for case in FOREIGN_FIELDS])
+def test_a_field_its_kind_does_not_take_is_one_error_line(runner, workdir, multishape_files,
+                                                          document, kind, field):
+    """Each reader enforces the kind table (`model_ir.KIND_FIELDS`): a layer
+    document, a schedule.json config or a design.json node with a field that
+    its kind does not take, at a value other than its default, ends in one
+    `Error:` line that names the kind and the field."""
+    design, schedule = multishape_files
+    edited = workdir / "edited.json"
+    if document == "layer":
+        doc = json.loads(bundled_model_text("multishape"))
+        layer = next(l for l in doc["layers"] if l["kind"] == kind)
+        layer[field] = FOREIGN_VALUES[field]
+        argv = ["parse", str(edited)]
+        message = f"layer '{layer['id']}': {kind} takes no '{field}'"
+    elif document == "config":
+        doc = json.loads(schedule.read_text())
+        next(c for c in doc["configs"] if c["kind"] == kind)[field] = FOREIGN_VALUES[field]
+        argv = ["report", "--design", str(design), "--schedule", str(edited),
+                "--out", str(workdir / "report.json")]
+        message = f"config {kind} takes no '{field}'"
+    else:
+        doc = json.loads(design.read_text())
+        node = next(n for n in doc["graph"]["nodes"].values() if n["kind"] == kind)
+        node[field] = NODE_FIELDS[field][1]
+        argv = ["schedule", "--design", str(edited), "--out", str(workdir / "schedule.json")]
+        message = f"node capability: {kind} takes no '{field}'"
+    edited.write_text(json.dumps(doc))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert message in lines[0], result.output

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -15,13 +16,15 @@ from harflow.hardware_graph import (
     combine_nodes,
     fuse_activations,
     initial_mapping,
-    legal_fold,
     separate_node,
 )
 from harflow.model_ir import TensorShape, parse_model
 from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
 from harflow.resource_model import graph_resources, node_dsp
 from harflow.device import load_bundled_profile
+from harflow.scheduler import MODE_RUNTIME, ChainMemo, build_schedule
+
+DROP = object()  # a parameter value that stands for a key left out
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +40,6 @@ def multishape():
 @pytest.fixture(scope="module")
 def toy():
     return parse_model(bundled_model_text("toy"))
-
-
-def test_legal_fold_is_common_divisor():
-    assert legal_fold(8, 32) == 8
-    assert legal_fold(8, 12) == 4
-    assert legal_fold(7, 12) == 1
-    assert legal_fold(5, 0) == 1
 
 
 def _node_doc(kind, shape_in, shape_out, **fields):
@@ -181,12 +177,20 @@ def test_random_edit_sequences_preserve_cover(multishape, monkeypatch):
 
     # The search edits graphs with `_sample_capabilities` and the five moves of
     # `random_transformation`, and schedules them unchecked: every graph they
-    # build must pass the checks the design reader makes.
-    def assert_valid(graph, model):
+    # build must pass the checks the design reader makes, the kind rule of
+    # each node included. And the scheduler copies a layer's kernel, stride,
+    # groups, type and broadcast into each runtime config, so those must be
+    # the layer's, whatever its kind.
+    def assert_valid(graph, model, memo):
         graph.validate_cover(model)
-        assert all(cap.refit() == cap for cap in graph.nodes.values())
+        for cap in graph.nodes.values():
+            assert cap.refit() == cap and NodeCapability.from_dict(cap.to_dict()) == cap
         again = HardwareGraph.from_dict(graph.to_dict())
         assert again.nodes == graph.nodes and again.mapping == graph.mapping
+        for _, lid, cfg, _ in build_schedule(model, graph, MODE_RUNTIME, memo).groups:
+            layer = model.layers[lid]
+            assert (cfg.kernel, cfg.stride, cfg.groups, cfg.op_type, cfg.broadcast) == (
+                layer.kernel, layer.stride, layer.groups, layer.op_type, layer.broadcast)
 
     walked = Counter()
 
@@ -202,13 +206,14 @@ def test_random_edit_sequences_preserve_cover(multishape, monkeypatch):
     for name in bundled_model_names():
         model = parse_model(bundled_model_text(name))
         rng = random.Random(name)
+        memo = ChainMemo()
         for base in (initial_mapping(model), fuse_activations(initial_mapping(model), model)):
             for params in (AnnealingParams(), AnnealingParams(separate_layers=3, combine_nodes=3)):
                 graph = _sample_capabilities(base, model, rng)
-                assert_valid(graph, model)
+                assert_valid(graph, model, memo)
                 for _ in range(60):
                     graph = random_transformation(model, graph, rng, params)
-                    assert_valid(graph, model)
+                    assert_valid(graph, model, memo)
     assert set(walked) == set(moves) and min(walked.values()) > 50, walked
 
 
@@ -251,13 +256,13 @@ def test_refit_cuts_each_fold_to_a_legal_divisor(c3d, multishape):
                 assert NodeCapability.from_dict(new.to_dict()) == new
                 assert (new.shape_in_max, new.filters_max, new.kernel_max) == (
                     shape, filters, kernel)
-                assert new.coarse_in == legal_fold(folds["coarse_in"], shape.c)
+                assert new.coarse_in == math.gcd(folds["coarse_in"], shape.c)
                 assert new.coarse_out == (
-                    legal_fold(folds["coarse_out"], filters) if macs else new.coarse_in
+                    math.gcd(folds["coarse_out"], filters) if macs else new.coarse_in
                 )
                 kvol = kernel[0] * kernel[1] * kernel[2]
                 assert new.fine == (
-                    legal_fold(folds["fine"], kvol) if cap.kind == "Conv3D" else 1
+                    math.gcd(folds["fine"], kvol) if cap.kind == "Conv3D" else 1
                 )
 
 
@@ -272,8 +277,9 @@ def test_capability_hashes_as_its_value_however_built(c3d, multishape):
             same = [NodeCapability(**fields), NodeCapability.from_dict(cap.to_dict()),
                     cap.refit(), replace(cap)]
             deeper = replace(cap.shape_in_max, d=cap.shape_in_max.d + 1)
+            wider = replace(cap.shape_out_max, w=cap.shape_out_max.w + 1)
             changed = [cap.refit(coarse_in=1), cap.refit(shape_in_max=deeper),
-                       replace(cap, supports_types=frozenset({"nosuch"}))]
+                       replace(cap, shape_out_max=wider)]
             for other in same:
                 assert other == cap and hash(other) == hash(cap)
             for other in changed:
@@ -364,23 +370,38 @@ def test_from_dict_rejects_layer_ids_that_are_not_strings(toy, edit):
     # checked first: an unknown kind is not read as a node with a single coarse fold
     ("kind", "Bogus", "'kind' must be one of Conv3D, .*, got 'Bogus'"),
     ("kind", ["Conv3D"], "'kind' must be one of"),
+    ("kind", DROP, "node capability lacks 'kind'"),
+    ("shape_in_max", DROP, "node capability lacks 'shape_in_max'"),
+    ("shape_out_max", DROP, "node capability lacks 'shape_out_max'"),
 ])
 def test_capability_reader_rejects_an_empty_or_malformed_node(toy, field, value, match):
-    """A node document is checked where it is read: no fold, shape dimension or
-    kernel size below 1, no Conv/FC node without filters, and no
-    `supports_types` but an array of strings (a string is not read as the set
-    of its letters)."""
+    """A node document is checked where it is read: no required key missing,
+    no fold, shape dimension or kernel size below 1, no Conv/FC node without
+    filters, and no `supports_types` but an array of strings (a string is not
+    read as the set of its letters)."""
     doc = initial_mapping(toy).nodes["conv_0"].to_dict()
+    if value is DROP:
+        del doc[field]
+    else:
+        doc[field] = value
     with pytest.raises(HardwareGraphError, match=match):
-        NodeCapability.from_dict(dict(doc, **{field: value}))
+        NodeCapability.from_dict(doc)
 
 
 @pytest.mark.parametrize("field, value", [
     ("nodes", [1]), ("mapping", [1]), ("fused", ["relu"]), ("nodes", None), ("mapping", None),
+    (None, [1]),  # the graph document itself
+    ("conv_0", 1),  # a node document
 ])
 def test_graph_reader_rejects_a_field_that_is_not_an_object(toy, field, value):
-    doc = dict(initial_mapping(toy).to_dict(), **{field: value})
-    with pytest.raises(HardwareGraphError, match=f"graph '{field}' must be an object"):
+    doc = initial_mapping(toy).to_dict()
+    if field is None:
+        doc, match = value, re.escape("graph must be an object, got [1]")
+    elif field in doc:
+        doc[field], match = value, f"graph '{field}' must be an object"
+    else:
+        doc["nodes"][field], match = value, "node capability must be an object, got 1"
+    with pytest.raises(HardwareGraphError, match=match):
         HardwareGraph.from_dict(doc)
 
 

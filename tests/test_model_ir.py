@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from harflow.generators import bundled_model_text
+from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.model_ir import (
     LayerDescriptor,
     ModelError,
@@ -103,6 +103,23 @@ def test_parse_serialize_round_trip():
     again = parse_model(serialize_model(model))
     assert serialize_model(model) == serialize_model(again)
     assert list(again.layers) == ["conv", "relu"]
+
+
+def test_a_field_at_its_default_is_accepted_on_any_kind():
+    """A field that a kind does not take may be written at its default: each
+    bundled model, with all seven operator fields written on every layer at
+    the layer's values, parses to the same layers and serializes as before."""
+    for name in bundled_model_names():
+        doc = json.loads(bundled_model_text(name))
+        model = parse_model(json.dumps(doc))
+        for entry in doc["layers"]:
+            layer = model.layers[entry["id"]]
+            entry.update(filters=layer.filters, kernel=list(layer.kernel),
+                         stride=list(layer.stride), padding=list(layer.padding),
+                         groups=layer.groups, type=layer.op_type, broadcast=layer.broadcast)
+        again = parse_model(json.dumps(doc))
+        assert again.layers == model.layers
+        assert serialize_model(again) == serialize_model(model)
 
 
 @pytest.mark.parametrize(
