@@ -20,7 +20,7 @@ import click
 
 from . import device as device_mod
 from . import generators
-from .model_ir import ModelError, parse_model, serialize_model
+from .model_ir import ModelError, parse_model, require_keys, serialize_model
 from .optimizer import (
     AnnealingParams,
     OptimizerError,
@@ -29,7 +29,7 @@ from .optimizer import (
 )
 from .perf_model import RuntimeConfig, schedule_latency
 from .reporting import build_report
-from .resource_model import graph_resources
+from .resource_model import default_regression_models, graph_resources
 from .scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
@@ -211,14 +211,19 @@ def _load_design(design_file):
 
 
 def _load_schedule(schedule_file):
+    """The schedule of a schedule.json file: an object whose `configs` and
+    `entries` are arrays, each element checked by its reader, so a
+    malformed file ends in one error line naming the bad field."""
     doc = _read_json_object(schedule_file, "schedule")
     try:
-        if type(doc["configs"]) is not list:
-            raise TypeError(f"'configs' must be an array, got {type(doc['configs']).__name__}")
+        require_keys(doc, ("configs", "entries"), "document", ValueError)
+        for key in ("configs", "entries"):
+            if type(doc[key]) is not list:
+                raise ValueError(f"'{key}' must be an array, got {type(doc[key]).__name__}")
         configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
         return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc!r}")
+    except ValueError as exc:
+        raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
 
 
 def _design_schedule(doc, model, graph):
@@ -275,12 +280,12 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     if latency <= 0:
         raise click.ClickException(
             f"schedule file {schedule_file}: total latency is {latency} cycles; nothing to report")
-    resources = graph_resources(graph, dev)
+    resources = graph_resources(graph, dev, *default_regression_models())
     report = build_report(model, dev, schedule, resources, latency)
-    _write_text(out_file, json.dumps(report.to_dict(), indent=2) + "\n", "report")
+    _write_text(out_file, json.dumps(report, indent=2) + "\n", "report")
     click.echo(
-        f"{report.gops_per_s:.2f} GOps/s, {report.gops_per_s_per_dsp:.3f} GOps/s/DSP, "
-        f"{report.op_per_dsp_per_cycle:.3f} Op/DSP/cycle"
+        f"{report['gops_per_s']:.2f} GOps/s, {report['gops_per_s_per_dsp']:.3f} GOps/s/DSP, "
+        f"{report['op_per_dsp_per_cycle']:.3f} Op/DSP/cycle"
     )
 
 

@@ -1,7 +1,7 @@
 """FPGA device profiles: resource budgets, clock, DMA bandwidth and fixed overheads."""
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .model_ir import strict
@@ -29,7 +29,10 @@ class ResourceVector:
     ff: int = 0
 
     def to_dict(self):
-        return {"dsp": self.dsp, "bram": self.bram, "lut": self.lut, "ff": self.ff}
+        return {name: getattr(self, name) for name in RESOURCES}
+
+
+RESOURCES = tuple(f.name for f in fields(ResourceVector))  # dsp, bram, lut, ff
 
 
 @dataclass(frozen=True)

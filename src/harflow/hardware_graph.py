@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .model_ir import (
-    FILTER_KINDS, KIND_FIELDS, LAYER_KINDS, ModelGraph, TensorShape, hash_once, strict,
+    FILTER_KINDS, KIND_FIELDS, LAYER_KINDS, ModelGraph, TensorShape, hash_once, require_keys,
+    strict,
 )
 
 
@@ -75,12 +76,8 @@ class NodeCapability:
         filters, kernel or type (`model_ir.KIND_FIELDS`); and the folds as
         `refit` leaves them. So every node tiles a layer into non-empty tiles."""
         error = HardwareGraphError
-        if type(doc) is not dict:
-            raise error(f"node capability must be an object, got {doc!r}")
-        for key in ("kind", "shape_in_max", "shape_out_max"):
-            if key not in doc:
-                raise error(f"node capability lacks '{key}'")
-        kind = doc["kind"]
+        kind = require_keys(doc, ("kind", "shape_in_max", "shape_out_max"), "node capability",
+                            error)["kind"]
         if kind not in LAYER_KINDS:
             raise error(f"node capability 'kind' must be one of {', '.join(LAYER_KINDS)}, "
                         f"got {kind!r}")

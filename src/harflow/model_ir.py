@@ -58,6 +58,17 @@ def strict(value, kind, what, error=ModelError, length=None, least=None):
     raise error(f"{what} must be {noun}, got {value!r}")
 
 
+def require_keys(doc, keys, what, error=ModelError):
+    """`doc` when it is a JSON object holding each of `keys`; anything else
+    raises `error` naming `what` and the first key it lacks."""
+    if type(doc) is not dict:
+        raise error(f"{what} must be an object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"{what} lacks '{key}'")
+    return doc
+
+
 # Each operator field of a layer or runtime config document: its attribute,
 # its default and the `strict` rule of its value (type, array length, least).
 _OPERATOR_FIELDS = {

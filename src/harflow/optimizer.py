@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .device import DeviceProfile
+from .device import RESOURCES, DeviceProfile
 from .hardware_graph import (
     HardwareGraph,
     combine_nodes,
@@ -116,8 +116,7 @@ def _budget_violations(resources, dev: DeviceProfile) -> list:
     """One line per resource budget that `resources` exceed."""
     budgets = dev.budgets
     return [f"{name} over budget: {getattr(resources, name)} > {getattr(budgets, name)}"
-            for name in ("dsp", "bram", "lut", "ff")
-            if getattr(resources, name) > getattr(budgets, name)]
+            for name in RESOURCES if getattr(resources, name) > getattr(budgets, name)]
 
 
 def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
@@ -142,7 +141,7 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
 
 def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: str,
-             lut_model=None, ff_model=None, memo: ChainMemo = None) -> CandidateState:
+             memo: ChainMemo = None) -> CandidateState:
     """Cost, then schedule, measure and constraint-check one hardware graph.
 
     The budgets come first. A graph over any resource budget is rejected
@@ -154,10 +153,8 @@ def evaluate(model: ModelGraph, graph: HardwareGraph, dev: DeviceProfile, mode: 
     `memo` is the memo of the search chain the graph belongs to; the
     result equals the one without it.
     """
-    if lut_model is None or ff_model is None:
-        lut_model, ff_model = default_regression_models()
     memo = ChainMemo() if memo is None else memo
-    resources = graph_resources(graph, dev, lut_model, ff_model, memo.costs)
+    resources = graph_resources(graph, dev, *default_regression_models(), memo.costs)
     violations = _budget_violations(resources, dev)
     if not violations:
         try:
@@ -307,7 +304,7 @@ def _sample_capabilities(graph, model, rng):
 
 
 def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
-               rng: random.Random, lut_model=None, ff_model=None, memo: ChainMemo = None):
+               rng: random.Random, memo: ChainMemo = None):
     """Initial per-kind mapping with the best feasible of R random fold samplings.
     `memo` is the memo of the chain it starts; without one, the samples share
     a memo of their own."""
@@ -323,7 +320,7 @@ def warm_start(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams,
         _sample_capabilities(base, model, rng) for _ in range(params.warm_start_samples)
     ]
     for graph in candidates:
-        state = evaluate(model, graph, dev, mode, lut_model, ff_model, memo)
+        state = evaluate(model, graph, dev, mode, memo)
         last = state
         feasible += state.feasible
         if state.feasible and (best is None or state.latency_cycles < best.latency_cycles):
@@ -369,7 +366,7 @@ def _fold_neighbours(cap, dsp_headroom):
 
 
 def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mode: str,
-               lut_model=None, ff_model=None, memo: ChainMemo = None) -> CandidateState:
+               memo: ChainMemo = None) -> CandidateState:
     """Greedy post-search pass: repack folds while feasible and improving.
 
     SA's random divisor proposals leave parallelism on the table near the
@@ -383,8 +380,7 @@ def fold_climb(model: ModelGraph, dev: DeviceProfile, state: CandidateState, mod
         for nid in sorted(best.graph.nodes):
             headroom = dev.dsp_total - best.resources.dsp
             for cap in _fold_neighbours(best.graph.nodes[nid], headroom):
-                cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode,
-                                lut_model, ff_model, memo)
+                cand = evaluate(model, best.graph.with_node(nid, cap), dev, mode, memo)
                 if cand.feasible and cand.latency_cycles < best.latency_cycles:
                     best = cand
                     improved = True
@@ -400,9 +396,8 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
     schedule is meaningful across devices.
     """
     rng = random.Random(params.seed)
-    lut_model, ff_model = default_regression_models()
     memo = ChainMemo()  # dropped with the chain
-    current, mode = warm_start(model, dev, params, rng, lut_model, ff_model, memo)
+    current, mode = warm_start(model, dev, params, rng, memo)
     best = current
     trace = []
     tau = params.tau_start
@@ -418,7 +413,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             accepted, logged = 0, iteration
         for _ in range(params.iterations_per_temperature):
             new_graph = random_transformation(model, current.graph, rng, params)
-            state = evaluate(model, new_graph, dev, mode, lut_model, ff_model, memo)
+            state = evaluate(model, new_graph, dev, mode, memo)
             if state.feasible:
                 delta_ms = (state.latency_cycles - current.latency_cycles) * ms
                 if delta_ms <= 0 or rng.random() < math.exp(-delta_ms / tau):
@@ -437,7 +432,7 @@ def anneal(model: ModelGraph, dev: DeviceProfile, params: AnnealingParams):
             )
             iteration += 1
         tau *= params.cooling
-    polished = fold_climb(model, dev, best, mode, lut_model, ff_model, memo)
+    polished = fold_climb(model, dev, best, mode, memo)
     log.info("fold_climb: %d -> %d cycles", best.latency_cycles, polished.latency_cycles)
     if polished.latency_cycles < best.latency_cycles:
         best = polished
@@ -462,16 +457,18 @@ class ParetoPoint:
 
 
 def pareto_filter(points) -> list:
-    """Non-dominated subset under (dsp, latency) minimisation."""
+    """Non-dominated subset under (dsp, latency) minimisation, with the first
+    of equal (dsp, latency) points only."""
     kept = []
     for p in points:
-        if any(
+        dominated = any(
             (q.dsp <= p.dsp and q.latency_cycles <= p.latency_cycles)
             and (q.dsp < p.dsp or q.latency_cycles < p.latency_cycles)
             for q in points
-        ):
-            continue
-        kept.append(p)
+        )
+        repeated = any((q.dsp, q.latency_cycles) == (p.dsp, p.latency_cycles) for q in kept)
+        if not (dominated or repeated):
+            kept.append(p)
     kept.sort(key=lambda p: p.dsp)
     return kept
 

@@ -1,36 +1,7 @@
 """Derived metrics and report assembly for optimized designs."""
 
-from dataclasses import dataclass, field
-
+from .device import RESOURCES
 from .perf_model import invocation_latency
-
-
-@dataclass
-class Report:
-    model_name: str
-    device_name: str
-    latency_cycles: int
-    latency_ms: float
-    workload_gmacs: float
-    gops_per_s: float
-    gops_per_s_per_dsp: float
-    op_per_dsp_per_cycle: float
-    utilization: dict = field(default_factory=dict)
-    per_layer: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "model": self.model_name,
-            "device": self.device_name,
-            "latency_cycles": self.latency_cycles,
-            "latency_ms": self.latency_ms,
-            "workload_gmacs": self.workload_gmacs,
-            "gops_per_s": self.gops_per_s,
-            "gops_per_s_per_dsp": self.gops_per_s_per_dsp,
-            "op_per_dsp_per_cycle": self.op_per_dsp_per_cycle,
-            "utilization_percent": self.utilization,
-            "per_layer": self.per_layer,
-        }
 
 
 def derive_metrics(workload_gmacs: float, latency_ms: float, dsp_total: int,
@@ -49,10 +20,8 @@ def derive_metrics(workload_gmacs: float, latency_ms: float, dsp_total: int,
 
 def utilization_percent(resources, dev) -> dict:
     budgets = dev.budgets
-    return {
-        name: 100.0 * getattr(resources, name) / getattr(budgets, name)
-        for name in ("dsp", "bram", "lut", "ff")
-    }
+    return {name: 100.0 * getattr(resources, name) / getattr(budgets, name)
+            for name in RESOURCES}
 
 
 def per_layer_latency(schedule, dev) -> list:
@@ -77,19 +46,17 @@ def per_layer_latency(schedule, dev) -> list:
     return out
 
 
-def build_report(model, dev, schedule, resources, latency_cycles: int) -> Report:
+def build_report(model, dev, schedule, resources, latency_cycles: int) -> dict:
+    """The report.json document of a scheduled design, keys in document order."""
     workload_gmacs = model.workload_macs() / 1e9
     latency_ms = latency_cycles * 1e3 / dev.clock_hz
-    metrics = derive_metrics(workload_gmacs, latency_ms, dev.dsp_total, dev.clock_hz)
-    return Report(
-        model_name=model.name,
-        device_name=dev.name,
-        latency_cycles=latency_cycles,
-        latency_ms=latency_ms,
-        workload_gmacs=workload_gmacs,
-        gops_per_s=metrics["gops_per_s"],
-        gops_per_s_per_dsp=metrics["gops_per_s_per_dsp"],
-        op_per_dsp_per_cycle=metrics["op_per_dsp_per_cycle"],
-        utilization=utilization_percent(resources, dev),
-        per_layer=per_layer_latency(schedule, dev),
-    )
+    return {
+        "model": model.name,
+        "device": dev.name,
+        "latency_cycles": latency_cycles,
+        "latency_ms": latency_ms,
+        "workload_gmacs": workload_gmacs,
+        **derive_metrics(workload_gmacs, latency_ms, dev.dsp_total, dev.clock_hz),
+        "utilization_percent": utilization_percent(resources, dev),
+        "per_layer": per_layer_latency(schedule, dev),
+    }

@@ -1,13 +1,16 @@
 """Per-node and whole-graph resource estimation (DSP, BRAM, LUT, FF).
 
 DSP and BRAM are analytical; LUT and FF come from a linear regression fitted
-on a calibration dataset. The bundled default model is the fit of the
-bundled dataset by `tools/fit_resources.py`.
+on a calibration dataset. The bundled default pair is the fit of the
+bundled dataset by `tools/fit_resources.py`; `default_regression_models`
+reads it once per process. `optimizer.evaluate` and `cli.report_cmd` are its
+readers, and pass it to `graph_resources`.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .device import ResourceVector
 from .model_ir import FILTER_KINDS, LAYER_KINDS
@@ -112,30 +115,18 @@ class RegressionModel:
         )
 
 
-_default_models_cache = None
-
-
+@cache
 def default_regression_models():
     """(lut_model, ff_model) fitted from the bundled calibration dataset."""
-    global _default_models_cache
-    if _default_models_cache is None:
-        from importlib import resources
+    from importlib import resources
 
-        doc = json.loads(
-            resources.files("harflow")
-            .joinpath("data/regression/default_model.json")
-            .read_text()
-        )
-        _default_models_cache = (
-            RegressionModel.from_dict(doc["lut"]),
-            RegressionModel.from_dict(doc["ff"]),
-        )
-    return _default_models_cache
+    doc = json.loads(
+        resources.files("harflow").joinpath("data/regression/default_model.json").read_text()
+    )
+    return RegressionModel.from_dict(doc["lut"]), RegressionModel.from_dict(doc["ff"])
 
 
-def node_resources(cap, lut_model=None, ff_model=None) -> ResourceVector:
-    if lut_model is None or ff_model is None:
-        lut_model, ff_model = default_regression_models()
+def node_resources(cap, lut_model, ff_model) -> ResourceVector:
     return ResourceVector(
         dsp=node_dsp(cap),
         bram=node_bram(cap),
@@ -144,15 +135,13 @@ def node_resources(cap, lut_model=None, ff_model=None) -> ResourceVector:
     )
 
 
-def graph_resources(graph, dev, lut_model=None, ff_model=None, costs=None) -> ResourceVector:
+def graph_resources(graph, dev, lut_model, ff_model, costs=None) -> ResourceVector:
     """Total estimate: node sum plus one DMA pair and two crossbars.
 
     `costs`, if given, maps capabilities to the node resources costed with
     these estimators (a search chain's memo): a node whose capability it
     holds is not costed again, and every node costed is added to it.
     """
-    if lut_model is None or ff_model is None:
-        lut_model, ff_model = default_regression_models()
     costs = {} if costs is None else costs
     dma, xbar = dev.dma_overhead, dev.xbar_overhead
     dsp, bram = dma.dsp + 2 * xbar.dsp, dma.bram + 2 * xbar.bram

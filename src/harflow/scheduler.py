@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hardware_graph import HardwareGraph
-from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, strict
+from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
 from .perf_model import RuntimeConfig
 
 MODE_RUNTIME = "runtime_configurable"
@@ -48,6 +48,11 @@ class InfeasibleScheduleError(ValueError):
         self.layer_id = layer_id
         self.node_id = node_id
         super().__init__(f"layer '{layer_id}' cannot run on node '{node_id}': {reason}")
+
+
+# the keys of a schedule.json entry document, in `ScheduleEntry.to_dict` order
+_ENTRY_KEYS = ("node", "layer", "tile_index", "tile_origin", "tile_shape", "filter_origin",
+               "filter_count", "config")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +85,7 @@ class ScheduleEntry:
     def from_dict(cls, doc, configs: list) -> "ScheduleEntry":
         """The entry of a schedule.json entry document, every field checked;
         its 'config' is a JSON integer index into `configs`, the decoded table."""
+        require_keys(doc, _ENTRY_KEYS, "entry", ValueError)
         node, layer, index = doc["node"], doc["layer"], doc["config"]
         if type(node) is not str or type(layer) is not str:
             raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
@@ -286,9 +292,8 @@ class ChainMemo:
     `resource_model.graph_resources`); `plans` maps (layer id, node id,
     capability) to a layer plan; `tilings` maps (layer id, axes) to a
     layer's tiling (see `_plan_layer`); and `configs` maps (layer id, parts,
-    folds) to a runtime config. No key names the model, the schedule mode,
-    the device or the LUT/FF estimators, so a memo serves one chain: one
-    model, mode, device and estimator pair."""
+    folds) to a runtime config. No key names the model, the schedule mode
+    or the device, so a memo serves one chain: one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)

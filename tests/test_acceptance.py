@@ -371,7 +371,7 @@ def test_criterion_7_pareto_validity(capsys, c3d, zcu102):
     ok = (
         len(points) >= 1
         and dsps == sorted(dsps)
-        and lats == sorted(lats, reverse=True)
+        and all(a > b for a, b in zip(lats, lats[1:]))  # strictly falling: each point once
         and non_dominated
     )
     assert _verdict(capsys, 7, "pareto validity", ok, f"{len(points)} points")

@@ -168,6 +168,29 @@ def _old_layout(doc):
         entry["config"] = configs[entry["config"]]
 
 
+# edits of the toy design's schedule.json document, each with the error it ends in
+SCHEDULE_EDITS = [
+    (lambda d: d["configs"][0].pop("kind"), "config lacks 'kind'"),
+    (lambda d: d["configs"][0].pop("shape_in"), "config lacks 'shape_in'"),
+    (lambda d: d["configs"][0].update(shape_out=[1, 1, 1]),
+     "config 'shape_out' must be 4 integers, got [1, 1, 1]"),
+    (lambda d: d["configs"].__setitem__(0, 1), "config must be an object, got 1"),
+    (lambda d: d["entries"].__setitem__(0, 1), "entry must be an object, got 1"),
+    (lambda d: d["entries"][0].pop("node"), "entry lacks 'node'"),
+    (lambda d: d.update(entries=5), "'entries' must be an array, got int"),
+    (lambda d: d.pop("configs"), "document lacks 'configs'"),
+]
+SCHEDULE_EDIT_IDS = ["config-without-kind", "config-without-shape-in", "config-shape-short",
+                     "config-not-object", "entry-not-object", "entry-without-node",
+                     "entries-not-array", "no-configs"]
+
+
+def _report_edited(workdir, edit):
+    """report argv for the toy design with its schedule.json edited by `edit`."""
+    return ["report", "--schedule", _edited_doc(workdir, edit),
+            "--design", str(_design(workdir, lambda d: None))]
+
+
 def _bad_schedule(workdir, text):
     path = workdir / "bad_schedule.json"
     path.write_text(text)
@@ -383,6 +406,8 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(
         w, lambda d: d["graph"]["nodes"].update(conv_0=1))],
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).pop("kind"))],
+    # a schedule config or entry that is not an object or lacks a key, entries not an array
+    *(lambda w, edit=edit: _report_edited(w, edit) for edit, _ in SCHEDULE_EDITS),
 ], ids=["budget-not-int", "budgets-unsorted", "params-unknown-key", "params-missing",
         "params-out-of-range", "params-bad-json", "params-not-object", "schedule-infeasible",
         "model-filters-not-int", "model-shape-not-int", "model-one-element-edge",
@@ -424,7 +449,8 @@ def _multishape_search(workdir, **params):
         "schedule-fold-not-divisor", "schedule-type-not-supported",
         "optimize-out-directory", "optimize-trace-directory", "schedule-out-directory",
         "report-out-directory", "pareto-out-directory", "schedule-graph-not-object",
-        "schedule-node-not-object", "schedule-node-without-kind"])
+        "schedule-node-not-object", "schedule-node-without-kind",
+        *(f"report-{name}" for name in SCHEDULE_EDIT_IDS)])
 def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
     result = runner.invoke(main, argv(workdir))
     assert result.exit_code == 1
@@ -449,6 +475,14 @@ def test_malformed_input_exits_with_one_error_line(runner, workdir, argv):
 def test_design_reader_names_the_bad_field(runner, workdir, edit, message):
     result = runner.invoke(main, ["schedule", "--design", _bad_design(workdir, edit)])
     assert result.exit_code == 1 and message in result.output, result.output
+
+
+@pytest.mark.parametrize("edit, message", SCHEDULE_EDITS, ids=SCHEDULE_EDIT_IDS)
+def test_schedule_reader_names_the_bad_field(runner, workdir, edit, message):
+    result = runner.invoke(main, _report_edited(workdir, edit))
+    path = workdir / "bad_schedule.json"
+    assert result.exit_code == 1
+    assert result.output == f"Error: schedule file {path}: invalid schedule: {message}\n"
 
 
 def _tiled_conv_design(workdir):
@@ -554,6 +588,22 @@ def test_optimize_schedule_report_pipeline(runner, workdir):
         assert row["configs"] == len({config(e) for e in layer})
 
 
+def test_report_writes_its_keys_in_document_order(runner, workdir):
+    out = workdir / "report.json"
+    result = runner.invoke(main, ["report", "--schedule", _schedule_file(workdir),
+                                  "--design", str(_design(workdir, lambda d: None)),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert list(doc) == [
+        "model", "device", "latency_cycles", "latency_ms", "workload_gmacs", "gops_per_s",
+        "gops_per_s_per_dsp", "op_per_dsp_per_cycle", "utilization_percent", "per_layer"]
+    assert list(doc["utilization_percent"]) == ["dsp", "bram", "lut", "ff"]
+    assert result.output == (f"{doc['gops_per_s']:.2f} GOps/s, "
+                             f"{doc['gops_per_s_per_dsp']:.3f} GOps/s/DSP, "
+                             f"{doc['op_per_dsp_per_cycle']:.3f} Op/DSP/cycle\n")
+
+
 def test_optimize_accepts_model_file_path(runner, workdir):
     from harflow.generators import bundled_model_text
 
@@ -592,7 +642,7 @@ def test_pareto_writes_monotone_csv(runner, workdir):
     dsps = [int(r["dsp"]) for r in rows]
     lats = [float(r["latency_ms"]) for r in rows]
     assert dsps == sorted(dsps)
-    assert lats == sorted(lats, reverse=True)
+    assert all(a > b for a, b in zip(lats, lats[1:]))  # strictly falling: each point once
 
 
 # a non-default value of each operator field, and of each node field that

@@ -1,12 +1,13 @@
 """Mutation gate: a bundled document with one key dropped, or one value swapped
 for a value of another JSON type, either parses or raises the loader's typed
-error, and the CLI ends in exit code 0 or in exit code 1 with one `Error:` line.
-The documents are the toy model, the zcu102 profile, the toy design and the
-toy design's schedule file.
+error, and the CLI ends in exit code 0 or in exit code 1 with one `Error:` line
+that holds no Python exception repr. The documents are the toy model, the
+zcu102 profile, the toy design and the toy design's schedule file.
 """
 
 import copy
 import json
+import re
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -48,6 +49,7 @@ SCHEDULE = _toy_schedule()
 # one value per JSON type; bool and int, and int and float, are told apart
 # because Python's loaders treat them differently
 SAMPLES = [None, True, 0, 3, -1, 2.5, "", "x", [], [1], {}, {"x": 1}]
+EXCEPTION_REPR = re.compile(r"\b\w+(Error|Exception)\(")
 
 
 def _kind(value):
@@ -99,6 +101,8 @@ def _assert_one_line_outcome(argv):
             repr(result.exception))
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+        # the line says what is wrong in words, not in a Python exception repr
+        assert not EXCEPTION_REPR.search(lines[0]), result.output
 
 
 def _schedule(tmp_path, design):

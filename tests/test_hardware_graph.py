@@ -20,7 +20,7 @@ from harflow.hardware_graph import (
 )
 from harflow.model_ir import TensorShape, parse_model
 from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
-from harflow.resource_model import graph_resources, node_dsp
+from harflow.resource_model import default_regression_models, graph_resources, node_dsp
 from harflow.device import load_bundled_profile
 from harflow.scheduler import MODE_RUNTIME, ChainMemo, build_schedule
 
@@ -238,7 +238,8 @@ def test_graph_dict_round_trip(c3d):
     assert again.nodes == graph.nodes
     assert again.mapping == graph.mapping
     assert again.fused == graph.fused
-    assert graph_resources(again, dev) == graph_resources(graph, dev)
+    pair = default_regression_models()
+    assert graph_resources(again, dev, *pair) == graph_resources(graph, dev, *pair)
 
 
 def test_refit_cuts_each_fold_to_a_legal_divisor(c3d, multishape):

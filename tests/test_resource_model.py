@@ -187,8 +187,9 @@ def test_graph_resources_are_node_sum_plus_overheads():
     model = parse_model(bundled_model_text("toy"))
     dev = load_bundled_profile("zcu102")
     graph = initial_mapping(model)
-    total = graph_resources(graph, dev)
-    nodes = [node_resources(cap) for cap in graph.nodes.values()]
+    pair = default_regression_models()
+    total = graph_resources(graph, dev, *pair)
+    nodes = [node_resources(cap, *pair) for cap in graph.nodes.values()]
     assert total == ResourceVector(**{
         name: sum(getattr(r, name) for r in nodes) + getattr(dev.dma_overhead, name)
         + 2 * getattr(dev.xbar_overhead, name)
