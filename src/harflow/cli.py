@@ -2,9 +2,8 @@
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
 schedule.json holds each runtime config once, in a `configs` table that its
-entries index, so `harflow report` decodes each config once. The report also
-checks the file's invocations per (node, layer, config) against the design's
-own schedule.
+entries index, so `harflow report` decodes each config once and counts each
+entry into its group. It checks those counts against the design's own schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -34,9 +33,8 @@ from .scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
     InfeasibleScheduleError,
-    Schedule,
-    ScheduleEntry,
     build_schedule,
+    read_entries,
     schedule_json,
 )
 from .hardware_graph import HardwareGraph, HardwareGraphError
@@ -203,8 +201,6 @@ def _load_design(design_file):
         graph.validate_cover(model)
     except HardwareGraphError as exc:
         raise click.ClickException(f"design file {design_file}: {exc}")
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"design file {design_file}: invalid graph: {exc!r}")
     if doc.get("mode", MODE_RUNTIME) not in (MODE_RUNTIME, MODE_PADDED):
         raise click.ClickException(f"design file {design_file}: unknown mode {doc['mode']!r}")
     return doc, model, dev, graph
@@ -213,7 +209,8 @@ def _load_design(design_file):
 def _load_schedule(schedule_file):
     """The schedule of a schedule.json file: an object whose `configs` and
     `entries` are arrays, each element checked by its reader, so a
-    malformed file ends in one error line naming the bad field."""
+    malformed file ends in one error line naming the bad field. Entries are
+    counted into groups, not kept (`scheduler.read_entries`)."""
     doc = _read_json_object(schedule_file, "schedule")
     try:
         require_keys(doc, ("configs", "entries"), "document", ValueError)
@@ -221,7 +218,7 @@ def _load_schedule(schedule_file):
             if type(doc[key]) is not list:
                 raise ValueError(f"'{key}' must be an array, got {type(doc[key]).__name__}")
         configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
-        return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]])
+        return read_entries(doc["entries"], configs)
     except ValueError as exc:
         raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
 

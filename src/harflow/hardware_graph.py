@@ -42,7 +42,7 @@ class NodeCapability:
         extent is at least 1). Outside Conv/FC the output fold is the input
         fold; outside Conv3D the fine fold is 1. It is the only path that sets
         folds. The copy hashes its own fields."""
-        f = {x.name: getattr(self, x.name) for x in fields(self)}
+        f = {name: getattr(self, name) for name in _CAPABILITY_FIELDS}
         f.update(changes)
         kd, kh, kw = f["kernel_max"]
         f["coarse_in"] = math.gcd(f["coarse_in"], f["shape_in_max"].c)
@@ -116,6 +116,10 @@ class NodeCapability:
                         f"{kd * kh * kw}, with coarse_out = coarse_in outside Conv/FC and fine "
                         f"1 outside Conv3D: legal are {fit.coarse_in, fit.coarse_out, fit.fine}")
         return cap
+
+
+# the fields `refit` copies, named once: `fields()` costs microseconds a call
+_CAPABILITY_FIELDS = tuple(f.name for f in fields(NodeCapability))
 
 
 def _shape_max(shapes) -> TensorShape:

@@ -18,10 +18,11 @@ shape), so a move that changes only folds re-tiles nothing. At runtime it
 also holds every config built, keyed on (layer id, parts, folds), so plans
 that share a config share one object.
 
-`schedule_json` writes a schedule as schedule.json text: a `configs` table
-holds each config object once, and each entry names its config by index into
-it. `ScheduleEntry.from_dict` reads an entry back against the decoded table,
-checking every field.
+`schedule_json` formats each invocation's row, as its layer plan yields it,
+into schedule.json text: a `configs` table holds each config object once,
+and each entry names its config by index into it. `read_entries` checks
+each decoded entry (`entry_key`) and counts it into its group; no
+`ScheduleEntry` is built on either path unless `Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -34,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
@@ -50,7 +52,7 @@ class InfeasibleScheduleError(ValueError):
         super().__init__(f"layer '{layer_id}' cannot run on node '{node_id}': {reason}")
 
 
-# the keys of a schedule.json entry document, in `ScheduleEntry.to_dict` order
+# the keys of a schedule.json entry document, in `ScheduleEntry` field order
 _ENTRY_KEYS = ("node", "layer", "tile_index", "tile_origin", "tile_shape", "filter_origin",
                "filter_count", "config")
 
@@ -83,25 +85,43 @@ class ScheduleEntry:
 
     @classmethod
     def from_dict(cls, doc, configs: list) -> "ScheduleEntry":
-        """The entry of a schedule.json entry document, every field checked;
-        its 'config' is a JSON integer index into `configs`, the decoded table."""
-        require_keys(doc, _ENTRY_KEYS, "entry", ValueError)
+        """The entry of a schedule.json entry document, checked by `entry_key`."""
+        node, layer, index = entry_key(doc, configs)
+        return cls(node, layer, tuple(doc["tile_index"]), tuple(doc["tile_origin"]),
+                   tuple(doc["tile_shape"]), doc["filter_origin"], doc["filter_count"],
+                   configs[index])
+
+
+_ENTRY_ROW = attrgetter(*ScheduleEntry.__slots__)  # an entry's row: its fields, in order
+
+
+def entry_key(doc, configs: list) -> tuple:
+    """(node id, layer id, config index) of a schedule.json entry document:
+    string ids, a JSON integer index into `configs`, the decoded table, and
+    integer tile and filter fields. Else ValueError names the first bad field."""
+    try:
         node, layer, index = doc["node"], doc["layer"], doc["config"]
-        if type(node) is not str or type(layer) is not str:
-            raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
-        if type(index) is not int or not 0 <= index < len(configs):
-            raise ValueError(f"entry 'config' must be an integer index into the "
-                             f"{len(configs)} configs, got {index!r}")
-        return cls(
-            node_id=node,
-            layer_id=layer,
-            tile_index=strict(doc["tile_index"], int, "entry 'tile_index'", ValueError, 5),
-            tile_origin=strict(doc["tile_origin"], int, "entry 'tile_origin'", ValueError, 4),
-            tile_shape=strict(doc["tile_shape"], int, "entry 'tile_shape'", ValueError, 4),
-            filter_origin=strict(doc["filter_origin"], int, "entry 'filter_origin'", ValueError),
-            filter_count=strict(doc["filter_count"], int, "entry 'filter_count'", ValueError),
-            config=configs[index],
-        )
+        arrays = doc["tile_index"], doc["tile_origin"], doc["tile_shape"]
+        (i0, i1, i2, i3, i4), (o0, o1, o2, o3), (s0, s1, s2, s3) = arrays
+        if (type(node) is type(layer) is str and type(index) is int
+                and 0 <= index < len(configs) and set(map(type, arrays)) == {list}
+                and {type(i0), type(i1), type(i2), type(i3), type(i4), type(o0), type(o1),
+                     type(o2), type(o3), type(s0), type(s1), type(s2), type(s3),
+                     type(doc["filter_origin"]), type(doc["filter_count"])} == {int}):
+            return node, layer, index
+    except (KeyError, TypeError, ValueError):  # no object, a key missing or a length wrong
+        pass
+    # the checks that name the first bad field; a tuple, as `to_dict` holds, passes them
+    require_keys(doc, _ENTRY_KEYS, "entry", ValueError)
+    node, layer, index = doc["node"], doc["layer"], doc["config"]
+    if type(node) is not str or type(layer) is not str:
+        raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
+    if type(index) is not int or not 0 <= index < len(configs):
+        raise ValueError(f"entry 'config' must be an integer index into the "
+                         f"{len(configs)} configs, got {index!r}")
+    for key, length in zip(_ENTRY_KEYS[2:7], (5, 4, 4, None, None)):
+        strict(doc[key], int, f"entry '{key}'", ValueError, length)
+    return node, layer, index
 
 
 class Schedule:
@@ -111,24 +131,20 @@ class Schedule:
     of each layer, in schedule order; latency and constraint checks read
     only these. `parts` partitions the groups into units that
     `perf_model.schedule_latency` scores once and keeps: one per layer plan
-    of a built schedule, one for all groups of `Schedule(entries)`.
-    `entries` lists every invocation: `Schedule(entries)` counts them into
-    groups, while `build_schedule` passes its per-layer tiling plans, in
-    schedule order, which are expanded on first access. `groups` and the
-    length are worked out when first asked for; an empty schedule has no
-    parts.
+    of a built schedule, one for all groups of `Schedule(entries)` or of a
+    read schedule (see `read_entries`). `rows()` streams every invocation
+    from the parts; `entries` lists them as `ScheduleEntry` objects, kept
+    when given and built on first access otherwise. `groups` and the length
+    are worked out when first asked for; an empty schedule has no parts.
     """
 
     def __init__(self, entries=(), plans=None):
+        self._entries = None
         if plans is None:
-            self._entries = list(entries)
-            self.parts = []
-            if self._entries:
-                counts = Counter((e.node_id, e.layer_id, e.config) for e in self._entries)
-                self.parts.append(_Groups([(*key, n) for key, n in counts.items()]))
-        else:
-            self._entries = None
-            self.parts = plans
+            entries = self._entries = list(entries)
+            plans = [_Groups(Counter((e.node_id, e.layer_id, e.config) for e in entries),
+                             lambda: map(_ENTRY_ROW, entries))] if entries else []
+        self.parts = plans
 
     @cached_property
     def groups(self) -> list:
@@ -138,40 +154,69 @@ class Schedule:
     def _len(self) -> int:
         return sum(n for part in self.parts for *_, n in part.groups)
 
+    def rows(self):
+        """Each invocation's row, in schedule order: the fields of its
+        `ScheduleEntry`, in order, as a plain tuple."""
+        return itertools.chain.from_iterable(part.rows() for part in self.parts)
+
     @property
     def entries(self) -> list:
         if self._entries is None:
-            self._entries = []
-            for plan in self.parts:
-                self._entries.extend(plan.entries())
+            self._entries = list(itertools.starmap(ScheduleEntry, self.rows()))
         return self._entries
 
     def __len__(self):
         return self._len
 
 
+def read_entries(docs: list, configs: list) -> Schedule:
+    """The schedule of the schedule.json entry documents `docs`, each checked
+    (`entry_key`) and counted under (node id, layer id, config index), the
+    counts folded into groups in first-seen order, equal configs into one."""
+    groups = Counter()
+    for (node, layer, index), n in Counter(entry_key(doc, configs) for doc in docs).items():
+        groups[node, layer, configs[index]] += n
+    return Schedule(plans=[_Groups(groups, lambda: (
+        _ENTRY_ROW(ScheduleEntry.from_dict(doc, configs)) for doc in docs))] if groups else [])
+
+
+# the text `json.dumps` writes for an entry document past its ids, each "%d" one integer
+_ENTRY_TEXT = ('[%d, %d, %d, %d, %d], "tile_origin": [%d, %d, %d, %d], "tile_shape": '
+               '[%d, %d, %d, %d], "filter_origin": %d, "filter_count": %d, "config": %d}')
+
+
 def schedule_json(head: dict, schedule: Schedule) -> str:
     """schedule.json text: `head`, then `configs`, each config object of the
     schedule once in first-use order, then `entries`, each naming its config
-    by index into `configs`."""
-    index, configs, entries = {}, [], []  # index: id(config) -> position in configs
-    for e in schedule.entries:
-        i = index.get(id(e.config))
+    by index into `configs`: what `json.dumps` writes, each entry formatted
+    from its row and each (node, layer) pair of ids encoded once."""
+    index, configs = {}, []  # index: id(config) -> position in configs
+    heads, entries = {}, []  # heads: (node id, layer id) -> entry text up to 'tile_index'
+    for node, layer, tile_index, origin, shape, f_origin, f_count, cfg in schedule.rows():
+        i = index.get(id(cfg))
         if i is None:
-            i = index[id(e.config)] = len(configs)
-            configs.append(e.config.to_dict())
-        entries.append(e.to_dict(i))
-    return json.dumps(dict(head, configs=configs, entries=entries)) + "\n"
+            i = index[id(cfg)] = len(configs)
+            configs.append(cfg.to_dict())
+        start = heads.get((node, layer))
+        if start is None:
+            start = heads[node, layer] = (
+                f'{{"node": {json.dumps(node)}, "layer": {json.dumps(layer)}, "tile_index": ')
+        entries.append(start + _ENTRY_TEXT % (*tile_index, *origin, *shape, f_origin, f_count, i))
+    text = json.dumps(dict(head, configs=configs, entries=[]))  # ends in '"entries": []}'
+    return f"{text[:-2]}{', '.join(entries)}]}}\n"
 
 
 class _Groups:
-    """Counted groups scored and checked as one unit. `scored` is (bandwidths,
-    cycles) once scored; `no_output` is kept by `optimizer.check_constraints`."""
+    """Counted groups, from `counts` of (node id, layer id, config), scored and
+    checked as one unit; `rows()` gives their invocations' rows. `scored` is
+    (bandwidths, cycles) once scored; `no_output` is kept by
+    `optimizer.check_constraints`."""
 
-    __slots__ = ("groups", "scored", "no_output")
+    __slots__ = ("groups", "rows", "scored", "no_output")
 
-    def __init__(self, groups):
-        self.groups = groups
+    def __init__(self, counts, rows):
+        self.groups = [(*key, n) for key, n in counts.items()]
+        self.rows = rows
         self.scored = self.no_output = None
 
 
@@ -340,9 +385,10 @@ class _LayerPlan:
     scored: tuple = None
     no_output: list = None
 
-    def entries(self) -> list:
-        """Every invocation of the layer, channels fastest, filters innermost.
-        The tile classes and their parts are derived again from the axes."""
+    def rows(self):
+        """Each invocation's row (see `Schedule.rows`), channels fastest,
+        filters innermost. The tile classes and their parts are derived again
+        from the axes."""
         def indexed(axis, classes):
             part = {cls: p for cls, p, _ in classes}
             tiles = _axis_tiles(*axis)
@@ -354,18 +400,14 @@ class _LayerPlan:
         h, w, d, c, f = map(indexed, tiling.axes, per_axis)
         node_id, layer_id = self.node_id, self.layer.id
         configs = dict(zip(tiling.counts, (cfg for _, _, cfg, _ in self.groups)))
-        out = []
         for ih, oh, th, ph in h:
             for iw, ow, tw, pw in w:
                 for i_d, od, td, pd in d:
                     for ic, oc, tc, pc in c:
                         origin, shape = (od, oh, ow, oc), (td, th, tw, tc)
                         for i_f, of, tf, pf in f:
-                            out.append(ScheduleEntry(
-                                node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
-                                of, tf, configs[ph, pw, pd, pc, pf],
-                            ))
-        return out
+                            yield (node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
+                                   of, tf, configs[ph, pw, pd, pc, pf])
 
 
 def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:

@@ -179,10 +179,17 @@ SCHEDULE_EDITS = [
     (lambda d: d["entries"][0].pop("node"), "entry lacks 'node'"),
     (lambda d: d.update(entries=5), "'entries' must be an array, got int"),
     (lambda d: d.pop("configs"), "document lacks 'configs'"),
+    (lambda d: d["entries"][0]["tile_index"].__setitem__(1, True),
+     "entry 'tile_index' must be 5 integers, got [0, True, 0, 0, 0]"),
+    (lambda d: d["entries"][0].update(filter_count=1.0),
+     "entry 'filter_count' must be an integer, got 1.0"),
+    (lambda d: d["entries"][0].update(config=len(d["configs"])),
+     "entry 'config' must be an integer index into the 4 configs, got 4"),
 ]
 SCHEDULE_EDIT_IDS = ["config-without-kind", "config-without-shape-in", "config-shape-short",
                      "config-not-object", "entry-not-object", "entry-without-node",
-                     "entries-not-array", "no-configs"]
+                     "entries-not-array", "no-configs", "tile-index-holds-true",
+                     "filter-count-float", "config-index-past-table"]
 
 
 def _report_edited(workdir, edit):

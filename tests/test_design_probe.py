@@ -101,5 +101,5 @@ def test_stage_profile_of_toy_seed_0():
     assert entries > encoded
     export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
                      for line in lines[7:]]
-    assert export_stages == ["build + expand", "encode + write", "read + decode",
-                             "count + score + report", "load design"]
+    assert export_stages == ["build", "expand + encode + write", "read + decode",
+                             "check + count", "score + report", "load design"]

@@ -10,15 +10,19 @@ import json
 import re
 from pathlib import Path
 
+import click
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harflow.cli import main
+from harflow.cli import _load_schedule, main
 from harflow.device import DeviceError, load_bundled_profile, load_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import initial_mapping
 from harflow.model_ir import ModelError, parse_model
+from harflow.perf_model import RuntimeConfig
+from harflow.scheduler import Schedule, ScheduleEntry
 
 # bounded and derandomized, so every run draws the same examples; the whole
 # single-mutation space of the three documents is about 3,300 examples
@@ -162,3 +166,53 @@ def test_mutated_schedule_reports_or_fails_in_one_line(tmp_path_factory, mutatio
     schedule.write_text(json.dumps(_mutated(SCHEDULE, mutation)))
     _assert_one_line_outcome(["report", "--design", str(design), "--schedule", str(schedule),
                               "--out", str(tmp_path / "report.json")])
+
+
+def _entry_mutations():
+    """Every mutation that `mutations` can draw on the schedule's first entry,
+    as the schedule gate above draws them, then in-type values no swap draws:
+    rejected ones, and accepted ones that move an entry to another group."""
+    for path in _paths(SCHEDULE):
+        if path[:2] != ("entries", 0):
+            continue
+        if isinstance(_get(SCHEDULE, path[:-1]), dict):
+            yield ("drop", path, None)
+        for value in SAMPLES:
+            if _kind(value) != _kind(_get(SCHEDULE, path)):
+                yield ("swap", path, value)
+    yield ("swap", ("entries", 0, "tile_index", 1), True)
+    yield ("swap", ("entries", 0, "filter_count"), 1.0)
+    yield ("swap", ("entries", 0, "config"), len(SCHEDULE["configs"]))
+    yield ("swap", ("entries", 0, "config"), -1)
+    yield ("swap", ("entries", 0, "config"), 1)
+    yield ("swap", ("entries", 3, "config"), 0)
+    yield ("swap", ("entries", 0, "node"), "x")
+    yield ("swap", ("entries", 0, "tile_origin", 0), -1)
+
+
+def _read_as_entries(path, doc):
+    """The groups of a schedule document read as one `ScheduleEntry` per
+    entry, or the error line of the first bad field."""
+    try:
+        configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
+        return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]]).groups
+    except ValueError as exc:
+        return f"schedule file {path}: invalid schedule: {exc}"
+
+
+@pytest.mark.parametrize("mutation", list(_entry_mutations()), ids=repr)
+def test_counting_reader_agrees_with_the_entry_reader(tmp_path, mutation):
+    doc = _mutated(SCHEDULE, mutation)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc))
+    try:
+        schedule = _load_schedule(str(path))
+    except click.ClickException as exc:
+        assert exc.message == _read_as_entries(path, doc)
+        return
+    assert schedule.groups == _read_as_entries(path, doc)
+    for e in schedule.entries:  # what the reader accepts has the JSON types of the format
+        assert type(e.node_id) is type(e.layer_id) is str
+        assert tuple(map(len, (e.tile_index, e.tile_origin, e.tile_shape))) == (5, 4, 4)
+        assert {*map(type, (*e.tile_index, *e.tile_origin, *e.tile_shape)),
+                type(e.filter_origin), type(e.filter_count)} == {int}

@@ -401,3 +401,34 @@ def test_schedule_json_reads_back_as_its_entries(tmp_path):
         assert doc["configs"] == [cfg.to_dict() for cfg in first_use.values()], name
         path.write_text(text)
         assert _load_schedule(str(path)).entries == schedule.entries, name
+
+
+def _dumped_schedule_json(head, schedule):
+    """schedule.json text as `json.dumps` writes the whole document, one entry
+    dict per invocation: the reference for `schedule_json`'s streamed text."""
+    index, configs = {}, []  # index: id(config) -> position in configs
+    for e in schedule.entries:
+        if id(e.config) not in index:
+            index[id(e.config)] = len(configs)
+            configs.append(e.config.to_dict())
+    entries = [e.to_dict(index[id(e.config)]) for e in schedule.entries]
+    return json.dumps(dict(head, configs=configs, entries=entries)) + "\n"
+
+
+def test_schedule_json_writes_the_text_json_dumps_writes(tmp_path):
+    cases = list(_pinned_schedules())  # both modes
+    cases += [("empty", Schedule()), ("escaped ids", _escaped_ids_schedule())]
+    for name in bundled_model_names():
+        model = parse_model(bundled_model_text(name))
+        for mode in (MODE_RUNTIME, MODE_PADDED):
+            cases.append((f"{name}/{mode}/initial",
+                          build_schedule(model, initial_mapping(model), mode)))
+    head = {"model": "toy \"é\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
+    path = tmp_path / "schedule.json"
+    for name, schedule in cases:
+        text = schedule_json(head, schedule)
+        assert text == _dumped_schedule_json(head, schedule), name
+        # a schedule of entries, and one read back, stream the same rows
+        path.write_text(text)
+        for again in (Schedule(schedule.entries), _load_schedule(str(path))):
+            assert schedule_json(head, again) == text, name

@@ -22,14 +22,17 @@ decoded (`RuntimeConfig.from_dict` calls; both are the size of the schedule
 file's config table), and the seconds summed over the designs of each export
 stage:
 
-- build + expand: `build_schedule` in both commands (`harflow report` checks
-  the file's invocation counts against it) and the expansion of its entries;
-- encode + write: the rest of `harflow schedule`, past loading the design
-  and scoring the schedule;
-- read + decode: `harflow report` reading and decoding the schedule file,
-  without counting its entries into groups;
-- count + score + report: that count, `schedule_latency` in both commands
-  and the rest of `harflow report`;
+- build: `build_schedule` in both commands (`harflow report` checks the
+  file's invocation counts against it);
+- expand + encode + write: the rest of `harflow schedule`, past loading the
+  design and scoring the schedule: `schedule_json` formats each invocation's
+  row as its layer plan yields it, then the text is written;
+- read + decode: `harflow report` reading the schedule file, decoding its
+  JSON and its config table;
+- check + count: `scheduler.read_entries`, checking each entry and counting
+  it into its group;
+- score + report: `schedule_latency` in both commands and the rest of
+  `harflow report`;
 - load design: `cli._load_design` in both commands.
 
 The counts are deterministic per seed; the seconds are wall time of this
@@ -133,7 +136,7 @@ def export_profile(model_name, seeds, padded=False):
     Seeds whose warm start finds no feasible design (`OptimizerError`) are
     skipped and counted.
     """
-    from harflow import cli, optimizer, perf_model, scheduler
+    from harflow import cli, optimizer, perf_model
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
     from harflow.model_ir import parse_model, serialize_model
@@ -141,13 +144,11 @@ def export_profile(model_name, seeds, padded=False):
 
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
-    names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule", "Schedule")
+    names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule",
+             "read_entries")
     timers = {name: [0, 0.0] for name in names}
-    timers["expand"] = [0, 0.0]
     encoded, decoded = [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
-    patched[scheduler._LayerPlan, "entries"] = _timed(scheduler._LayerPlan.entries,
-                                                      timers["expand"])
     patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
     patched[RuntimeConfig, "from_dict"] = classmethod(
         _counted(RuntimeConfig.from_dict.__func__, decoded))
@@ -163,8 +164,8 @@ def export_profile(model_name, seeds, padded=False):
         wall = time.perf_counter() - start
         return wall, {name: t[1] - before[name] for name, t in timers.items()}
 
-    stages = dict.fromkeys(("build + expand", "encode + write", "read + decode",
-                            "count + score + report", "load design"), 0.0)
+    stages = dict.fromkeys(("build", "expand + encode + write", "read + decode",
+                            "check + count", "score + report", "load design"), 0.0)
     counts = dict(designs=0, infeasible=0, entries=0)
     try:
         for (owner, name), fn in patched.items():
@@ -187,14 +188,13 @@ def export_profile(model_name, seeds, padded=False):
                 ws, ts = command("schedule", "--design", design, "--out", schedule)
                 wr, tr = command("report", "--design", design, "--schedule", schedule,
                                  "--out", report)
-                build = ts["build_schedule"] + ts["expand"]
-                stages["build + expand"] += build + tr["build_schedule"]
-                stages["encode + write"] += (ws - ts["_load_design"] - build
-                                             - ts["schedule_latency"])
-                stages["read + decode"] += tr["_load_schedule"] - tr["Schedule"]
-                stages["count + score + report"] += (
-                    wr - tr["_load_design"] - tr["_load_schedule"] + tr["Schedule"]
-                    - tr["build_schedule"] + ts["schedule_latency"])
+                stages["build"] += ts["build_schedule"] + tr["build_schedule"]
+                stages["expand + encode + write"] += (
+                    ws - ts["_load_design"] - ts["build_schedule"] - ts["schedule_latency"])
+                stages["read + decode"] += tr["_load_schedule"] - tr["read_entries"]
+                stages["check + count"] += tr["read_entries"]
+                stages["score + report"] += (wr - tr["_load_design"] - tr["_load_schedule"]
+                                             - tr["build_schedule"] + ts["schedule_latency"])
                 stages["load design"] += ts["_load_design"] + tr["_load_design"]
                 counts["designs"] += 1
                 counts["entries"] += len(state.schedule)
