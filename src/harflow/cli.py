@@ -3,7 +3,8 @@
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
 schedule.json holds each runtime config once, in a `configs` table that its
 entries index, so `harflow report` decodes each config once and counts each
-entry into its group. It checks those counts against the design's own schedule.
+entry under its (node, layer, config). It checks those counts against the
+design's own schedule, and scores and reports that schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -207,10 +208,10 @@ def _load_design(design_file):
 
 
 def _load_schedule(schedule_file):
-    """The schedule of a schedule.json file: an object whose `configs` and
-    `entries` are arrays, each element checked by its reader, so a
-    malformed file ends in one error line naming the bad field. Entries are
-    counted into groups, not kept (`scheduler.read_entries`)."""
+    """Invocations per (node id, layer id, config) of a schedule.json file: an
+    object whose `configs` and `entries` are arrays, each element checked by
+    its reader, so a malformed file ends in one error line naming the bad
+    field. Entries are counted, not kept (`scheduler.read_entries`)."""
     doc = _read_json_object(schedule_file, "schedule")
     try:
         require_keys(doc, ("configs", "entries"), "document", ValueError)
@@ -265,9 +266,9 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     doc, model, dev, graph = _load_design(design_file)
     if device_spec:
         dev = _load_device(device_spec)
-    schedule = _load_schedule(schedule_file)
-    found = _invocation_counts(schedule)
-    expected = _invocation_counts(_design_schedule(doc, model, graph))
+    found = _load_schedule(schedule_file)
+    schedule = _design_schedule(doc, model, graph)
+    expected = _invocation_counts(schedule)
     if found != expected:
         node, layer = min(k[:2] for k in found.keys() | expected.keys() if found[k] != expected[k])
         raise click.ClickException(

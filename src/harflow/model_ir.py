@@ -299,11 +299,8 @@ def _validate_layer(layer: LayerDescriptor):
 
 
 def _layer_from_json(entry: dict) -> LayerDescriptor:
-    if not isinstance(entry, dict):
-        raise ModelError(f"layer entry must be an object, got {entry!r}")
-    if "id" not in entry or "kind" not in entry:
-        raise ModelError(f"layer entry missing 'id' or 'kind': {entry}")
-    lid = str(entry["id"])
+    require_keys(entry, ("id", "kind"), "layer entry")
+    lid = strict(entry["id"], str, "layer 'id'")
     kind = entry["kind"]
     if kind not in LAYER_KINDS:
         raise ModelError(f"layer '{lid}': unknown layer kind '{kind}'")
@@ -378,7 +375,7 @@ def parse_model(document: str) -> ModelGraph:
         raise ModelError("document must be an object with a 'layers' array")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise ModelError("model has no layers")
-    model = ModelGraph(name=str(doc.get("name", "model")))
+    model = ModelGraph(name=strict(doc.get("name", "model"), str, "model 'name'"))
     for entry in doc["layers"]:
         layer = _layer_from_json(entry)
         if layer.id in model.layers:
@@ -390,7 +387,8 @@ def parse_model(document: str) -> ModelGraph:
         isinstance(e, list) and len(e) == 2 for e in raw_edges
     ):
         raise ModelError("'edges' must be an array of [source, target] pairs")
-    model.edges = [(str(s), str(t)) for s, t in raw_edges]
+    model.edges = [(strict(s, str, "edge source"), strict(t, str, "edge target"))
+                   for s, t in raw_edges]
     model.order = _check_graph_structure(model)
     return model
 

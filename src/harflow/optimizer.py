@@ -13,14 +13,14 @@ A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
 it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
 node resource vector, layer plan (with its scored cycles and no-output
-verdicts), layer tiling and runtime config that the chain has computed. A
-node whose capability the chain has costed before is not costed again, and a
-layer whose (layer, node, capability) the chain has planned before is not
+verdicts) and layer tiling that the chain has computed. A node whose
+capability the chain has costed before is not costed again, and a layer
+whose (layer, node, capability) the chain has planned before is not
 re-tiled, re-scored or re-checked. A layer whose tile shape the chain has
 tiled before is not re-tiled, so a move that changes only folds (coarse,
-fine or a `fold_climb` step) re-tiles nothing; at runtime it builds only the
-configs new to the chain. The memo lives only as long as its chain. The
-result equals an evaluation from scratch.
+fine or a `fold_climb` step) re-tiles nothing and only builds the configs
+of its new plans. The memo lives only as long as its chain. The result
+equals an evaluation from scratch.
 """
 
 import logging

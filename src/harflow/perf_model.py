@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model_ir import (
-    FILTER_KINDS, LAYER_KINDS, WINDOWED_KINDS, TensorShape, hash_once, operator_fields,
-    require_keys, strict,
+    FILTER_KINDS, LAYER_KINDS, WINDOWED_KINDS, TensorShape, operator_fields, require_keys,
+    strict,
 )
 
 
@@ -23,14 +23,12 @@ class PerfModelError(ValueError):
     pass
 
 
-@hash_once
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Per-invocation parameters of a computation node.
 
     FullyConnected invocations use the flattened form: shape_in = (1,1,1,C)
-    where C is the feature count processed by the invocation. Its hash is
-    computed once per object (see `model_ir.hash_once`).
+    where C is the feature count processed by the invocation.
     """
 
     kind: str

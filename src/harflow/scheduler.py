@@ -14,15 +14,15 @@ A search chain passes `build_schedule` its `ChainMemo`; the chain's model and
 mode are fixed. It holds every plan built, keyed on (layer id, node id,
 capability): a layer whose key it holds takes that plan, with the cycles
 already scored for it. It holds every tiling, keyed on (layer id, tile
-shape), so a move that changes only folds re-tiles nothing. At runtime it
-also holds every config built, keyed on (layer id, parts, folds), so plans
-that share a config share one object.
+shape), so a move that changes only folds re-tiles nothing; a new plan
+builds its configs afresh.
 
 `schedule_json` formats each invocation's row, as its layer plan yields it,
 into schedule.json text: a `configs` table holds each config object once,
 and each entry names its config by index into it. `read_entries` checks
-each decoded entry (`entry_key`) and counts it into its group; no
-`ScheduleEntry` is built on either path unless `Schedule.entries` is read.
+each decoded entry (`entry_key`) and counts it under its (node, layer,
+config); no `ScheduleEntry` is built on either path unless
+`Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -68,29 +68,6 @@ class ScheduleEntry:
     filter_count: int
     config: RuntimeConfig
 
-    def to_dict(self, config):
-        """The entry document for `json.dumps`, which writes its tuples as
-        arrays, with `config` as its 'config' field: in schedule.json, the
-        index of the entry's config in the `configs` table."""
-        return {
-            "node": self.node_id,
-            "layer": self.layer_id,
-            "tile_index": self.tile_index,
-            "tile_origin": self.tile_origin,
-            "tile_shape": self.tile_shape,
-            "filter_origin": self.filter_origin,
-            "filter_count": self.filter_count,
-            "config": config,
-        }
-
-    @classmethod
-    def from_dict(cls, doc, configs: list) -> "ScheduleEntry":
-        """The entry of a schedule.json entry document, checked by `entry_key`."""
-        node, layer, index = entry_key(doc, configs)
-        return cls(node, layer, tuple(doc["tile_index"]), tuple(doc["tile_origin"]),
-                   tuple(doc["tile_shape"]), doc["filter_origin"], doc["filter_count"],
-                   configs[index])
-
 
 _ENTRY_ROW = attrgetter(*ScheduleEntry.__slots__)  # an entry's row: its fields, in order
 
@@ -111,7 +88,7 @@ def entry_key(doc, configs: list) -> tuple:
             return node, layer, index
     except (KeyError, TypeError, ValueError):  # no object, a key missing or a length wrong
         pass
-    # the checks that name the first bad field; a tuple, as `to_dict` holds, passes them
+    # the checks that name the first bad field
     require_keys(doc, _ENTRY_KEYS, "entry", ValueError)
     node, layer, index = doc["node"], doc["layer"], doc["config"]
     if type(node) is not str or type(layer) is not str:
@@ -131,11 +108,11 @@ class Schedule:
     of each layer, in schedule order; latency and constraint checks read
     only these. `parts` partitions the groups into units that
     `perf_model.schedule_latency` scores once and keeps: one per layer plan
-    of a built schedule, one for all groups of `Schedule(entries)` or of a
-    read schedule (see `read_entries`). `rows()` streams every invocation
-    from the parts; `entries` lists them as `ScheduleEntry` objects, kept
-    when given and built on first access otherwise. `groups` and the length
-    are worked out when first asked for; an empty schedule has no parts.
+    of a built schedule, one for all groups of `Schedule(entries)`. `rows()`
+    streams every invocation from the parts; `entries` lists them as
+    `ScheduleEntry` objects, kept when given and built on first access
+    otherwise. `groups` and the length are worked out when first asked for;
+    an empty schedule has no parts.
     """
 
     def __init__(self, entries=(), plans=None):
@@ -169,15 +146,14 @@ class Schedule:
         return self._len
 
 
-def read_entries(docs: list, configs: list) -> Schedule:
-    """The schedule of the schedule.json entry documents `docs`, each checked
-    (`entry_key`) and counted under (node id, layer id, config index), the
-    counts folded into groups in first-seen order, equal configs into one."""
-    groups = Counter()
+def read_entries(docs: list, configs: list) -> Counter:
+    """Invocations per (node id, layer id, config) of the schedule.json entry
+    documents `docs`, each checked (`entry_key`) and counted under (node id,
+    layer id, config index), equal configs at two indices then folded into one."""
+    counts = Counter()
     for (node, layer, index), n in Counter(entry_key(doc, configs) for doc in docs).items():
-        groups[node, layer, configs[index]] += n
-    return Schedule(plans=[_Groups(groups, lambda: (
-        _ENTRY_ROW(ScheduleEntry.from_dict(doc, configs)) for doc in docs))] if groups else [])
+        counts[node, layer, configs[index]] += n
+    return counts
 
 
 # the text `json.dumps` writes for an entry document past its ids, each "%d" one integer
@@ -230,36 +206,29 @@ def _axis_tiles(full: int, tile: int):
     return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
-def _tile_config(layer, cap, parts, configs):
+def _tile_config(layer, cap, parts):
     """Runtime config of the tiles whose per-axis parts (see `_axis_parts`) are
     `parts`: their own shape and border padding, the layer's other operator
-    fields, folds cut to fit (a node's `fine` is 1 outside Conv3D). `configs`
-    maps (layer id, parts, folds) to the config built for them."""
+    fields, folds cut to fit (a node's `fine` is 1 outside Conv3D)."""
     (th, ph0, ph1, oh), (tw, pw0, pw1, ow), (td, pd0, pd1, od), (tc, psum), tf = parts
     macs = layer.kind in FILTER_KINDS
     c_in = math.gcd(tc, cap.coarse_in)
-    c_out = math.gcd(tf, cap.coarse_out) if macs else c_in
-    fine = math.gcd(layer.kernel_volume, cap.fine)
-    key = (layer.id, parts, c_in, c_out, fine)
-    cfg = configs.get(key)
-    if cfg is None:
-        cfg = configs[key] = RuntimeConfig(
-            kind=layer.kind,
-            shape_in=TensorShape(td, th, tw, tc),
-            shape_out=TensorShape(od, oh, ow, tf if macs else tc),
-            filters=tf,  # a layer without filters has one empty filter tile
-            kernel=layer.kernel,
-            stride=layer.stride,
-            padding=(pd0, pd1, ph0, ph1, pw0, pw1),
-            groups=layer.groups,
-            op_type=layer.op_type,
-            broadcast=layer.broadcast,
-            coarse_in=c_in,
-            coarse_out=c_out,
-            fine=fine,
-            accumulate_psum=psum,
-        )
-    return cfg
+    return RuntimeConfig(
+        kind=layer.kind,
+        shape_in=TensorShape(td, th, tw, tc),
+        shape_out=TensorShape(od, oh, ow, tf if macs else tc),
+        filters=tf,  # a layer without filters has one empty filter tile
+        kernel=layer.kernel,
+        stride=layer.stride,
+        padding=(pd0, pd1, ph0, ph1, pw0, pw1),
+        groups=layer.groups,
+        op_type=layer.op_type,
+        broadcast=layer.broadcast,
+        coarse_in=c_in,
+        coarse_out=math.gcd(tf, cap.coarse_out) if macs else c_in,
+        fine=math.gcd(layer.kernel_volume, cap.fine),
+        accumulate_psum=psum,
+    )
 
 
 def _padded_config(layer, cap, parts):
@@ -335,15 +304,16 @@ class ChainMemo:
     """Everything one search chain has computed that its later moves reuse:
     `costs` maps a node capability to its resources (see
     `resource_model.graph_resources`); `plans` maps (layer id, node id,
-    capability) to a layer plan; `tilings` maps (layer id, axes) to a
-    layer's tiling (see `_plan_layer`); and `configs` maps (layer id, parts,
-    folds) to a runtime config. No key names the model, the schedule mode
-    or the device, so a memo serves one chain: one model, mode and device."""
+    capability) to a layer plan, with its scored cycles and no-output
+    verdict; and `tilings` maps (layer id, axes) to a layer's tiling (see
+    `_plan_layer`). Configs are not kept: a plan builds each of its own
+    once, and few configs recur in a new plan. No key names the model, the
+    schedule mode or the device, so a memo serves one chain: one model,
+    mode and device."""
 
     costs: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
     tilings: dict = field(default_factory=dict)
-    configs: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False, slots=True)
@@ -434,12 +404,9 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     tiling = memo.tilings.get(key)
     if tiling is None:
         tiling = memo.tilings[key] = _tile_layer(layer, axes, mode)
-    if mode == MODE_PADDED:
-        groups = [(node_id, layer.id, _padded_config(layer, cap, parts), n)
-                  for parts, n in tiling.counts.items()]
-    else:
-        groups = [(node_id, layer.id, _tile_config(layer, cap, parts, memo.configs), n)
-                  for parts, n in tiling.counts.items()]
+    config = _padded_config if mode == MODE_PADDED else _tile_config
+    groups = [(node_id, layer.id, config(layer, cap, parts), n)
+              for parts, n in tiling.counts.items()]
     return _LayerPlan(layer, node_id, tiling, groups)
 
 
@@ -452,10 +419,9 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
     the design reader checks a graph read from a file, and the search's
     edits keep it. `mode` is MODE_RUNTIME or MODE_PADDED.
 
-    `memo` holds the plans, tilings and configs of earlier schedules of the
-    same model in the same mode: a layer whose (layer id, node id,
-    capability) it holds takes that plan, and every plan, tiling and config
-    built is added to it.
+    `memo` holds the plans and tilings of earlier schedules of the same
+    model in the same mode: a layer whose (layer id, node id, capability) it
+    holds takes that plan, and every plan and tiling built is added to it.
     """
     memo = ChainMemo() if memo is None else memo
     inv = g.inverse_mapping()

@@ -319,6 +319,14 @@ def _multishape_search(workdir, **params):
     lambda w: ["schedule", "--design", _bad_design(w, lambda d: _conv_node(d).update(coarse_in=True))],
     lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(filters=8.7))],
     lambda w: ["parse", _bad_model(w, lambda d: d["layers"][0].update(broadcast="false"))],
+    # ids and names that would match or print only when coerced to strings
+    lambda w: ["parse", _bad_model(w, lambda d: (d["layers"][0].update(id=None),
+                                                 d["edges"][0].__setitem__(0, "None")))],
+    lambda w: ["parse", _bad_model(w, lambda d: (d["layers"][0].update(id=3),
+                                                 d["edges"][0].__setitem__(0, "3")))],
+    lambda w: ["parse", _bad_model(w, lambda d: (d["layers"][0].update(id="3"),
+                                                 d["edges"][0].__setitem__(0, 3)))],
+    lambda w: ["parse", _bad_model(w, lambda d: d.update(name=5))],
     lambda w: ["report", "--schedule", _edited_schedule(w, accumulate_psum="false"),
                "--design", str(_design(w, lambda d: None))],
     lambda w: ["report", "--schedule", _edited_schedule(w, kernel=["3", 3, 3]),
@@ -433,7 +441,8 @@ def _multishape_search(workdir, **params):
         "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
         "schedule-fused-not-activation", "schedule-mapped-id-not-string",
         "schedule-shape-not-int", "schedule-fold-bool", "model-filters-float",
-        "model-broadcast-string", "report-schedule-psum-string",
+        "model-broadcast-string", "model-layer-id-null", "model-layer-id-int",
+        "model-edge-source-int", "model-name-int", "report-schedule-psum-string",
         "report-schedule-kernel-string", "report-schedule-node-not-string",
         "report-schedule-layer-not-string", "report-schedule-kind-unknown",
         "report-schedule-kind-null", "report-schedule-tile-index-not-int",

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import random
 import re
@@ -11,6 +12,7 @@ from harflow.generators import bundled_model_text
 from harflow.hardware_graph import HardwareGraph
 from harflow.model_ir import parse_model
 from harflow.optimizer import AnnealingParams, OptimizerError, anneal, evaluate, warm_start
+from harflow.reporting import build_report
 from harflow.scheduler import MODE_RUNTIME, build_schedule
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -45,6 +47,14 @@ def test_design_probe_digest_of_toy_seed_0(tmp_path):
     schedule = build_schedule(model, graph, MODE_RUNTIME)
     assert digest["schedule_stdout"].startswith(f"schedule: {len(schedule)} invocations")
     assert digest["schedule_bytes"] > 0 and len(digest["schedule_sha256"]) == 64
+    # the report of the design's own schedule
+    report = build_report(model, dev, schedule, state.resources, state.latency_cycles)
+    text = json.dumps(report, indent=2) + "\n"
+    assert digest["report_exit"] == 0
+    assert digest["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert digest["report_stdout"] == (
+        f"{report['gops_per_s']:.2f} GOps/s, {report['gops_per_s_per_dsp']:.3f} GOps/s/DSP, "
+        f"{report['op_per_dsp_per_cycle']:.3f} Op/DSP/cycle\n")
 
 
 def test_design_probe_lists_the_thirty_runs():

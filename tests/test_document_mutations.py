@@ -8,6 +8,7 @@ zcu102 profile, the toy design and the toy design's schedule file.
 import copy
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -15,14 +16,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_scheduler import entries_of_doc
 
 from harflow.cli import _load_schedule, main
 from harflow.device import DeviceError, load_bundled_profile, load_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import initial_mapping
 from harflow.model_ir import ModelError, parse_model
-from harflow.perf_model import RuntimeConfig
-from harflow.scheduler import Schedule, ScheduleEntry
 
 # bounded and derandomized, so every run draws the same examples; the whole
 # single-mutation space of the three documents is about 3,300 examples
@@ -191,11 +191,10 @@ def _entry_mutations():
 
 
 def _read_as_entries(path, doc):
-    """The groups of a schedule document read as one `ScheduleEntry` per
-    entry, or the error line of the first bad field."""
+    """A schedule document read as one `ScheduleEntry` per entry by the
+    reference reader, or the error line of the first bad field."""
     try:
-        configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
-        return Schedule([ScheduleEntry.from_dict(e, configs) for e in doc["entries"]]).groups
+        return entries_of_doc(doc)
     except ValueError as exc:
         return f"schedule file {path}: invalid schedule: {exc}"
 
@@ -205,13 +204,17 @@ def test_counting_reader_agrees_with_the_entry_reader(tmp_path, mutation):
     doc = _mutated(SCHEDULE, mutation)
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(doc))
+    entries = _read_as_entries(path, doc)
     try:
-        schedule = _load_schedule(str(path))
+        counts = _load_schedule(str(path))
     except click.ClickException as exc:
-        assert exc.message == _read_as_entries(path, doc)
+        assert exc.message == entries
         return
-    assert schedule.groups == _read_as_entries(path, doc)
-    for e in schedule.entries:  # what the reader accepts has the JSON types of the format
+    assert type(entries) is list, entries
+    # the same invocations per (node, layer, config), in first-seen order
+    assert list(counts.items()) == list(
+        Counter((e.node_id, e.layer_id, e.config) for e in entries).items())
+    for e in entries:  # what the readers accept has the JSON types of the format
         assert type(e.node_id) is type(e.layer_id) is str
         assert tuple(map(len, (e.tile_index, e.tile_origin, e.tile_shape))) == (5, 4, 4)
         assert {*map(type, (*e.tile_index, *e.tile_origin, *e.tile_shape)),

@@ -98,6 +98,13 @@ def _toy_doc():
     }
 
 
+def _renamed_conv(doc, layer_id, edge_id):
+    """The toy document with its conv layer named `layer_id` and its edge
+    naming it `edge_id`: ids that match only when coerced to strings."""
+    doc["layers"][0]["id"] = layer_id
+    doc["edges"][0][0] = edge_id
+
+
 def test_parse_serialize_round_trip():
     model = parse_model(json.dumps(_toy_doc()))
     again = parse_model(serialize_model(model))
@@ -146,6 +153,14 @@ def test_a_field_at_its_default_is_accepted_on_any_kind():
         (lambda d: d["layers"][1].update(broadcast="false"), "'broadcast' must be true or false"),
         (lambda d: d["layers"][0].update(type=5), "'type' must be a string, got 5"),
         (lambda d: d["layers"][0].update(type=["relu"]), r"'type' must be a string, got \['relu'"),
+        (lambda d: _renamed_conv(d, None, "None"), "layer 'id' must be a string, got None"),
+        (lambda d: _renamed_conv(d, 3, "3"), "layer 'id' must be a string, got 3"),
+        (lambda d: _renamed_conv(d, "3", 3), "edge source must be a string, got 3"),
+        (lambda d: d["edges"][0].__setitem__(1, None), "edge target must be a string, got None"),
+        (lambda d: d.update(name=5), "model 'name' must be a string, got 5"),
+        (lambda d: d.update(name=None), "model 'name' must be a string, got None"),
+        (lambda d: d["layers"][0].pop("kind"), "layer entry lacks 'kind'"),
+        (lambda d: d["layers"][1].pop("id"), "layer entry lacks 'id'"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, match):
@@ -153,6 +168,12 @@ def test_parse_rejects_malformed_documents(mutate, match):
     mutate(doc)
     with pytest.raises(ModelError, match=match):
         parse_model(json.dumps(doc))
+
+
+def test_a_model_without_a_name_is_named_model():
+    doc = _toy_doc()
+    del doc["name"]
+    assert parse_model(json.dumps(doc)).name == "model"
 
 
 @pytest.mark.parametrize("dims", [[True, 8, 8, 3], [4, -1, 8, 3], [4, 8, 2.0, 3], [4, 8, 8],

@@ -361,8 +361,8 @@ def _memo_walk(model, dev, mode, rng, steps, built):
     walk's memo and from scratch. `built` counts the node costings ("costs"),
     layer plannings ("plans") and layer tilings ("tilings") made. Returns
     counts of: node costs and layer plans taken from the memo, new plans that
-    took their tiling from it, configs of new plans taken from it, moves that
-    changed the node set, the resources, and the no-output violations."""
+    took their tiling from it, moves that changed the node set, the
+    resources, and the no-output violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
@@ -378,7 +378,7 @@ def _memo_walk(model, dev, mode, rng, steps, built):
         else:
             graph = random_transformation(model, state.graph, rng, params)
         costs, plans, tilings = dict(memo.costs), dict(memo.plans), dict(memo.tilings)
-        configs, before = dict(memo.configs), built.copy()
+        before = built.copy()
         child = evaluate(model, graph, dev, mode, memo=memo)
         # only capabilities new to the memo are costed, only layers new to it
         # planned, and only (layer, axes) new to it tiled
@@ -398,12 +398,6 @@ def _memo_walk(model, dev, mode, rng, steps, built):
                 counts["tilings"] += 1
             if tiling_key in tilings:
                 assert plan.tiling is tilings[tiling_key]
-            # at runtime, a config the memo holds under (layer id, parts, folds) is its own
-            for tile_parts, (*_, cfg, _) in zip(plan.tiling.counts, plan.groups):
-                config_key = (plan.layer.id, tile_parts, cfg.coarse_in, cfg.coarse_out, cfg.fine)
-                if config_key in configs:
-                    assert cfg is configs[config_key]
-                    counts["configs"] += key not in plans
             # the plan's groups are those of the layer planned from scratch
             scratch_plan = _plan_layer(plan.layer, plan.node_id, key[2], mode, ChainMemo())
             assert plan.groups == scratch_plan.groups
@@ -444,7 +438,6 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
     # from the memo, made combine/separate moves and changed resources;
     # padded tiles run at the node's full shape, so only runtime tiles lack output
     assert counts["costs"] > 0 and counts["plans"] > 0 and counts["tilings"] > 0
-    assert (counts["configs"] > 0) == (mode == MODE_RUNTIME)  # padded configs are not kept
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 

@@ -22,7 +22,7 @@ from harflow.hardware_graph import (
 )
 from harflow.model_ir import TensorShape, parse_model
 from harflow.optimizer import _sample_capabilities, check_constraints, evaluate
-from harflow.perf_model import invocation_latency, schedule_latency
+from harflow.perf_model import RuntimeConfig, invocation_latency, schedule_latency
 from harflow.reporting import per_layer_latency
 from harflow.scheduler import (
     MODE_PADDED,
@@ -33,6 +33,7 @@ from harflow.scheduler import (
     _axis_count,
     build_schedule,
     coverage_oracle,
+    entry_key,
     schedule_json,
     schedule_latency_oracle,
 )
@@ -217,11 +218,44 @@ def test_coverage_oracle_flags_duplicates_and_gaps(toy):
     assert any(kind == "gap" for _, kind, _ in report.failures)
 
 
+def entry_doc(entry, config):
+    """The schedule.json entry document of `entry` for `json.dumps`, which
+    writes its tuples as arrays, with `config` as its 'config' field: in
+    schedule.json, the index of its config in the `configs` table. The
+    reference writer of one entry."""
+    return {
+        "node": entry.node_id,
+        "layer": entry.layer_id,
+        "tile_index": entry.tile_index,
+        "tile_origin": entry.tile_origin,
+        "tile_shape": entry.tile_shape,
+        "filter_origin": entry.filter_origin,
+        "filter_count": entry.filter_count,
+        "config": config,
+    }
+
+
+def entry_of_doc(doc, configs):
+    """The entry of a schedule.json entry document, checked by `entry_key`:
+    the reference reader of one entry."""
+    node, layer, index = entry_key(doc, configs)
+    return ScheduleEntry(node, layer, tuple(doc["tile_index"]), tuple(doc["tile_origin"]),
+                         tuple(doc["tile_shape"]), doc["filter_origin"], doc["filter_count"],
+                         configs[index])
+
+
+def entries_of_doc(doc):
+    """The entries of a decoded schedule.json document, one `ScheduleEntry`
+    per entry document, by the reference reader."""
+    configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
+    return [entry_of_doc(e, configs) for e in doc["entries"]]
+
+
 def test_schedule_entry_round_trip(toy):
     graph = initial_mapping(toy)
     schedule = build_schedule(toy, graph, MODE_RUNTIME)
     for e in schedule.entries:
-        assert ScheduleEntry.from_dict(e.to_dict(0), [e.config]) == e
+        assert entry_of_doc(entry_doc(e, 0), [e.config]) == e
 
 
 def test_oracle_latency_matches_analytical_on_random_shrinks(toy):
@@ -326,7 +360,7 @@ def test_plans_build_each_distinct_config_once(mode):
 
 
 def _entries_digest(schedule):
-    doc = json.dumps([e.to_dict(e.config.to_dict()) for e in schedule.entries])
+    doc = json.dumps([entry_doc(e, e.config.to_dict()) for e in schedule.entries])
     return len(schedule.entries), hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -399,8 +433,12 @@ def test_schedule_json_reads_back_as_its_entries(tmp_path):
         # one table element per config object, in first-use order
         first_use = {id(e.config): e.config for e in schedule.entries}
         assert doc["configs"] == [cfg.to_dict() for cfg in first_use.values()], name
+        assert doc == json.loads(_dumped_schedule_json(head, schedule)), name
+        assert entries_of_doc(doc) == schedule.entries, name
+        # the counting reader gives each (node, layer, config) its invocations
         path.write_text(text)
-        assert _load_schedule(str(path)).entries == schedule.entries, name
+        counts = Counter((e.node_id, e.layer_id, e.config) for e in schedule.entries)
+        assert list(_load_schedule(str(path)).items()) == list(counts.items()), name
 
 
 def _dumped_schedule_json(head, schedule):
@@ -411,11 +449,11 @@ def _dumped_schedule_json(head, schedule):
         if id(e.config) not in index:
             index[id(e.config)] = len(configs)
             configs.append(e.config.to_dict())
-    entries = [e.to_dict(index[id(e.config)]) for e in schedule.entries]
+    entries = [entry_doc(e, index[id(e.config)]) for e in schedule.entries]
     return json.dumps(dict(head, configs=configs, entries=entries)) + "\n"
 
 
-def test_schedule_json_writes_the_text_json_dumps_writes(tmp_path):
+def test_schedule_json_writes_the_text_json_dumps_writes():
     cases = list(_pinned_schedules())  # both modes
     cases += [("empty", Schedule()), ("escaped ids", _escaped_ids_schedule())]
     for name in bundled_model_names():
@@ -424,11 +462,9 @@ def test_schedule_json_writes_the_text_json_dumps_writes(tmp_path):
             cases.append((f"{name}/{mode}/initial",
                           build_schedule(model, initial_mapping(model), mode)))
     head = {"model": "toy \"é\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
-    path = tmp_path / "schedule.json"
     for name, schedule in cases:
         text = schedule_json(head, schedule)
         assert text == _dumped_schedule_json(head, schedule), name
         # a schedule of entries, and one read back, stream the same rows
-        path.write_text(text)
-        for again in (Schedule(schedule.entries), _load_schedule(str(path))):
-            assert schedule_json(head, again) == text, name
+        for entries in (schedule.entries, entries_of_doc(json.loads(text))):
+            assert schedule_json(head, Schedule(entries)) == text, name

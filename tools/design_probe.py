@@ -1,12 +1,14 @@
 """Design-equivalence probe: fixed-seed searches whose outputs two trees must share.
 
-Runs `harflow optimize` and then `harflow schedule` on zcu102 at a short
-annealing parameter set, for a fixed list of (model, mode, seed) runs, and
-writes one digest file per run into OUT_DIR:
+Runs `harflow optimize`, `harflow schedule` and then `harflow report` on
+zcu102 at a short annealing parameter set, for a fixed list of (model, mode,
+seed) runs, and writes one digest file per run into OUT_DIR:
 
 - the best design's `graph`, `latency_cycles` and `resources`;
 - every trace row;
 - the sha256 and size of the `harflow schedule` file, and its stdout;
+- the exit code and stdout of `harflow report` on that file, and the
+  sha256 of its report.json;
 - or, for a run that cannot start, the exit code and the error line.
 
 A change that must not alter designs is checked by running the probe on both
@@ -43,9 +45,9 @@ def run_name(model, mode, seed):
 
 
 def probe(main, runner, model, mode, seed, work: Path) -> dict:
-    """Digest of one optimize + schedule run through the CLI."""
+    """Digest of one optimize + schedule + report run through the CLI."""
     params, design = work / "params.json", work / "design.json"
-    trace, schedule = work / "trace.csv", work / "schedule.json"
+    trace, schedule, report = work / "trace.csv", work / "schedule.json", work / "report.json"
     params.write_text(json.dumps(PARAMS))
     argv = ["optimize", "--model", model, "--device", DEVICE, "--seed", str(seed),
             "--params", str(params), "--out", str(design), "--trace", str(trace)]
@@ -71,6 +73,16 @@ def probe(main, runner, model, mode, seed, work: Path) -> dict:
         schedule_stdout=result.output,
         schedule_sha256=hashlib.sha256(data).hexdigest(),
         schedule_bytes=len(data),
+    )
+    if result.exit_code != 0:
+        return digest
+    result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(schedule),
+                                  "--out", str(report)], env=QUIET)
+    data = report.read_bytes() if result.exit_code == 0 else b""
+    digest.update(
+        report_exit=result.exit_code,
+        report_stdout=result.output,
+        report_sha256=hashlib.sha256(data).hexdigest(),
     )
     return digest
 

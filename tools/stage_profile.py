@@ -23,16 +23,17 @@ file's config table), and the seconds summed over the designs of each export
 stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
-  file's invocation counts against it);
+  file's invocation counts against the design's schedule, then scores and
+  reports that schedule);
 - expand + encode + write: the rest of `harflow schedule`, past loading the
   design and scoring the schedule: `schedule_json` formats each invocation's
   row as its layer plan yields it, then the text is written;
 - read + decode: `harflow report` reading the schedule file, decoding its
   JSON and its config table;
 - check + count: `scheduler.read_entries`, checking each entry and counting
-  it into its group;
+  it under its (node, layer, config);
 - score + report: `schedule_latency` in both commands and the rest of
-  `harflow report`;
+  `harflow report`: the count comparison, the scoring and the report;
 - load design: `cli._load_design` in both commands.
 
 The counts are deterministic per seed; the seconds are wall time of this
