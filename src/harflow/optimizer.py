@@ -18,9 +18,12 @@ capability the chain has costed before is not costed again, and a layer
 whose (layer, node, capability) the chain has planned before is not
 re-tiled, re-scored or re-checked. A layer whose tile shape the chain has
 tiled before is not re-tiled, so a move that changes only folds (coarse,
-fine or a `fold_climb` step) re-tiles nothing and only builds the configs
-of its new plans. The memo lives only as long as its chain. The result
-equals an evaluation from scratch.
+fine or a `fold_climb` step) re-tiles nothing and only cuts its new plans'
+folds into the tiling's roofline terms. A runtime plan is scored and
+checked from those terms: the search builds no `RuntimeConfig`, and a
+plan builds its configs only when its groups are read, on export or in a
+report. The memo lives only as long as its chain. The result equals an
+evaluation from scratch.
 """
 
 import logging
@@ -38,7 +41,7 @@ from .hardware_graph import (
     separate_node,
 )
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, strict
-from .perf_model import compute_latency, schedule_latency
+from .perf_model import schedule_latency
 from .resource_model import default_regression_models, graph_resources, node_dsp
 from .scheduler import (
     MODE_PADDED,
@@ -124,16 +127,16 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
     The four resource budgets, plus every (node, layer) with a tile whose
     configuration yields no output (a border tile smaller than the kernel
-    window); the roofline gives such a tile 0 cycles.
+    window): its work is 0, and the roofline gives it 0 cycles.
     """
     violations = _budget_violations(state.resources, dev)
-    # groups are unique per (node, layer, config), and each part of the schedule
-    # (a layer plan, possibly reused from the chain's memo) is checked once
+    # each part of the schedule (a layer plan, possibly reused from the chain's
+    # memo) is checked once, on the roofline terms of its groups
     empty = []
     for part in state.schedule.parts:
         if part.no_output is None:
-            part.no_output = [(node_id, layer_id) for node_id, layer_id, cfg, _ in part.groups
-                              if compute_latency(cfg) == 0]
+            part.no_output = [(node_id, layer_id) for node_id, layer_id, work, *_ in part.terms
+                              if work == 0]
         empty += part.no_output
     for node_id, layer_id in sorted(set(empty)):
         violations.append(f"layer {layer_id} on {node_id}: tile yields no output")

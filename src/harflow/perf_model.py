@@ -1,13 +1,18 @@
 """Analytical latency model: compute cycles and the bandwidth roofline.
 
-The roofline is computed in integers: a rational DMA bandwidth enters as its
-numerator and denominator, and memory terms are compared by
+One `roofline` scores an invocation from four integers: its work (MACs, or
+elements streamed), the lanes that share it per cycle, and the words it
+reads and writes. It is computed in integers: a rational DMA bandwidth
+enters as its numerator and denominator, and memory terms are compared by
 cross-multiplication, so the model can be checked against brute-force cycle
-counters with exact integer equality.
+counters with exact integer equality. `compute_latency` and
+`invocation_latency` score a `RuntimeConfig` through it (`config_terms`).
 
-`schedule_latency` keeps each part's cycles on the part, with the bandwidths
-they were scored at. A layer plan is shared by every schedule of a search
-chain that reuses it from the chain's memo, so it is scored once per chain.
+`schedule_latency` scores the roofline terms each part of a schedule lists;
+a layer plan lists them from its tiling, without building its configs. It
+keeps each part's cycles on the part, with the bandwidths they were scored
+at. A layer plan is shared by every schedule of a search chain that reuses
+it from the chain's memo, so it is scored once per chain.
 """
 
 from dataclasses import dataclass
@@ -113,16 +118,37 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def work_terms(kind, shape_in, shape_out, filters, kernel_volume) -> tuple:
+    """(work, words_in, words_out) of one invocation over (d, h, w, c) shapes,
+    before folding. The work of a filter kind is its MACs, an FC invocation
+    counted as a 1x1x1 conv over its flattened input (1, 1, 1, C); any other
+    kind streams its input elements."""
+    d, h, w, c = shape_in
+    od, oh, ow, oc = shape_out
+    words_in = d * h * w * c
+    work = od * oh * ow * c * filters * kernel_volume if kind in FILTER_KINDS else words_in
+    return work, words_in, od * oh * ow * oc
+
+
+def fold_lanes(kind, groups, coarse_in, coarse_out, fine) -> int:
+    """Work done per cycle: a filter kind's folds times its groups, else one
+    element per cycle per input stream."""
+    return groups * coarse_in * coarse_out * fine if kind in FILTER_KINDS else coarse_in
+
+
+def config_terms(cfg: RuntimeConfig) -> tuple:
+    """(work, lanes, words_in, words_out) of one invocation of `cfg`."""
+    work, words_in, words_out = work_terms(cfg.kind, cfg.shape_in.to_list(),
+                                           cfg.shape_out.to_list(), cfg.filters,
+                                           cfg.kernel_volume)
+    lanes = fold_lanes(cfg.kind, cfg.groups, cfg.coarse_in, cfg.coarse_out, cfg.fine)
+    return work, lanes, words_in, words_out
+
+
 def compute_latency(cfg: RuntimeConfig) -> int:
-    """Cycles assuming unlimited memory bandwidth, rounded up to integers. An
-    FC config is scored as a 1x1x1 conv over its flattened input (1, 1, 1, C)."""
-    if cfg.kind in FILTER_KINDS:
-        out = cfg.shape_out
-        work = out.d * out.h * out.w * cfg.shape_in.c * cfg.filters * cfg.kernel_volume
-        return _ceil_div(work, cfg.groups * cfg.coarse_in * cfg.coarse_out * cfg.fine)
-    # Pool3D / Activation / ElementWise / GlobalAvgPool stream one element per
-    # cycle per stream
-    return _ceil_div(cfg.shape_in.numel, cfg.coarse_in)
+    """Cycles assuming unlimited memory bandwidth, rounded up to integers."""
+    work, lanes, _, _ = config_terms(cfg)
+    return _ceil_div(work, lanes)
 
 
 def _transfer(words: int, bw):
@@ -133,34 +159,40 @@ def _transfer(words: int, bw):
     return words * den, num
 
 
-@lru_cache(maxsize=1 << 16)
-def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBreakdown:
-    """Roofline latency of one invocation (cached; configs repeat across tiles).
+def roofline(work, lanes, words_in, words_out, bw_in=None, bw_out=None) -> tuple:
+    """(compute cycles, bound, total cycles) of one invocation: the total is
+    max(work / lanes, words_in / bw_in, words_out / bw_out) rounded up.
 
     bw_in / bw_out are DMA caps in words/cycle (int, Fraction or None for
-    unlimited). The total is max(compute, words_in / bw_in, words_out / bw_out)
-    rounded up. The bound names the term that sets it: compute wins every tie
-    and memory_in wins a tie with memory_out. A config without compute (a tile
-    that yields no output) takes 0 cycles.
+    unlimited). The bound names the term that sets the total: compute wins
+    every tie and memory_in wins a tie with memory_out. An invocation without
+    work (a tile that yields no output) takes 0 cycles.
     """
-    cycles = compute_latency(cfg)
+    cycles = _ceil_div(work, lanes)
     if cycles == 0:
-        return LatencyBreakdown(0, "compute", 0)
-    a, b = _transfer(cfg.shape_in.numel, bw_in)  # T_in = a / b
-    c, d = _transfer(cfg.shape_out.numel, bw_out)  # T_out = c / d
+        return 0, "compute", 0
+    a, b = _transfer(words_in, bw_in)  # T_in = a / b
+    c, d = _transfer(words_out, bw_out)  # T_out = c / d
     if a > cycles * b and a * d >= c * b:
-        return LatencyBreakdown(cycles, "memory_in", _ceil_div(a, b))
+        return cycles, "memory_in", _ceil_div(a, b)
     if c > cycles * d and c * b > a * d:
-        return LatencyBreakdown(cycles, "memory_out", _ceil_div(c, d))
-    return LatencyBreakdown(cycles, "compute", cycles)
+        return cycles, "memory_out", _ceil_div(c, d)
+    return cycles, "compute", cycles
+
+
+@lru_cache(maxsize=1 << 16)
+def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBreakdown:
+    """`roofline` of one invocation of `cfg` (cached; configs repeat across tiles)."""
+    return LatencyBreakdown(*roofline(*config_terms(cfg), bw_in, bw_out))
 
 
 def schedule_latency(schedule, dev=None) -> int:
-    """Total cycles of a schedule: sum of per-invocation roofline latencies.
+    """Total cycles of a schedule: each group's `roofline` cycles times its
+    invocations, from the roofline terms each part of the schedule lists.
 
-    Each part of the schedule keeps its cycles with the bandwidths they were
-    scored at, so a layer plan reused from a chain's memo is not scored
-    again at the same bandwidths; one schedule may be scored at two devices.
+    Each part keeps its cycles with the bandwidths they were scored at, so a
+    layer plan reused from a chain's memo is not scored again at the same
+    bandwidths; one schedule may be scored at two devices.
     """
     bw = (None, None) if dev is None else (dev.bw_in_words_per_cycle,
                                            dev.bw_out_words_per_cycle)
@@ -170,8 +202,8 @@ def schedule_latency(schedule, dev=None) -> int:
         scored = part.scored
         if scored is None or scored[0] != bw:
             part.scored = scored = (bw, sum(
-                invocation_latency(cfg, bw_in, bw_out).total_cycles * n
-                for _, _, cfg, n in part.groups
+                roofline(work, lanes, words_in, words_out, bw_in, bw_out)[2] * n
+                for _, _, work, lanes, words_in, words_out, n in part.terms
             ))
         total += scored[1]
     return total

@@ -7,15 +7,17 @@ configuration; the invocation list itself is expanded on demand.
 
 A layer is planned in two steps. Its tiling depends only on the layer, its
 node's tile shape and the schedule mode: the per-axis parts of its tile
-classes and the invocations of each combination of parts. The fold pass then
-builds the config of each combination from the parts and the node's folds.
+classes, the invocations of each combination of parts and, at runtime, each
+combination's fold-free roofline terms (work, words in and out). The fold
+pass then cuts the node's folds per combination (`_folds`) into the lanes
+that score it; a plan builds its configs only when its `groups` are first
+read (export, reports, tests), never in a search.
 
 A search chain passes `build_schedule` its `ChainMemo`; the chain's model and
 mode are fixed. It holds every plan built, keyed on (layer id, node id,
 capability): a layer whose key it holds takes that plan, with the cycles
 already scored for it. It holds every tiling, keyed on (layer id, tile
-shape), so a move that changes only folds re-tiles nothing; a new plan
-builds its configs afresh.
+shape), so a move that changes only folds re-tiles nothing.
 
 `schedule_json` formats each invocation's row, as its layer plan yields it,
 into schedule.json text: a `configs` table holds each config object once,
@@ -39,7 +41,7 @@ from operator import attrgetter
 
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
-from .perf_model import RuntimeConfig
+from .perf_model import RuntimeConfig, config_terms, fold_lanes, work_terms
 
 MODE_RUNTIME = "runtime_configurable"
 MODE_PADDED = "padded_baseline"
@@ -105,12 +107,14 @@ class Schedule:
     """Ordered invocation list of a model, held as counted groups.
 
     `groups` has one (node_id, layer_id, config, count) per distinct config
-    of each layer, in schedule order; latency and constraint checks read
-    only these. `parts` partitions the groups into units that
-    `perf_model.schedule_latency` scores once and keeps: one per layer plan
-    of a built schedule, one for all groups of `Schedule(entries)`. `rows()`
-    streams every invocation from the parts; `entries` lists them as
-    `ScheduleEntry` objects, kept when given and built on first access
+    of each layer, in schedule order. `parts` partitions the groups into
+    units that `perf_model.schedule_latency` scores once and keeps: one per
+    layer plan of a built schedule, one for all groups of `Schedule(entries)`.
+    Each part lists the roofline terms of its groups in `terms`; latency,
+    constraint checks and the length read only these, so a built schedule's
+    configs are made only when `groups`, `rows()` or `entries` is read.
+    `rows()` streams every invocation from the parts; `entries` lists them
+    as `ScheduleEntry` objects, kept when given and built on first access
     otherwise. `groups` and the length are worked out when first asked for;
     an empty schedule has no parts.
     """
@@ -129,7 +133,7 @@ class Schedule:
 
     @cached_property
     def _len(self) -> int:
-        return sum(n for part in self.parts for *_, n in part.groups)
+        return sum(n for part in self.parts for *_, n in part.terms)
 
     def rows(self):
         """Each invocation's row, in schedule order: the fields of its
@@ -184,14 +188,16 @@ def schedule_json(head: dict, schedule: Schedule) -> str:
 
 class _Groups:
     """Counted groups, from `counts` of (node id, layer id, config), scored and
-    checked as one unit; `rows()` gives their invocations' rows. `scored` is
-    (bandwidths, cycles) once scored; `no_output` is kept by
-    `optimizer.check_constraints`."""
+    checked as one unit; `rows()` gives their invocations' rows. `terms` has
+    each group's (node id, layer id, work, lanes, words in, words out, count)
+    (see `perf_model.config_terms`). `scored` is (bandwidths, cycles) once
+    scored; `no_output` is kept by `optimizer.check_constraints`."""
 
-    __slots__ = ("groups", "rows", "scored", "no_output")
+    __slots__ = ("groups", "terms", "rows", "scored", "no_output")
 
     def __init__(self, counts, rows):
         self.groups = [(*key, n) for key, n in counts.items()]
+        self.terms = [(node, layer, *config_terms(cfg), n) for node, layer, cfg, n in self.groups]
         self.rows = rows
         self.scored = self.no_output = None
 
@@ -206,17 +212,34 @@ def _axis_tiles(full: int, tile: int):
     return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
-def _tile_config(layer, cap, parts):
-    """Runtime config of the tiles whose per-axis parts (see `_axis_parts`) are
-    `parts`: their own shape and border padding, the layer's other operator
-    fields, folds cut to fit (a node's `fine` is 1 outside Conv3D)."""
-    (th, ph0, ph1, oh), (tw, pw0, pw1, ow), (td, pd0, pd1, od), (tc, psum), tf = parts
-    macs = layer.kind in FILTER_KINDS
+def _tile_shapes(layer, parts) -> tuple:
+    """(shape_in, shape_out), each (d, h, w, c), of the tiles whose per-axis
+    parts (see `_axis_parts`) are runtime `parts`."""
+    (th, _, _, oh), (tw, _, _, ow), (td, _, _, od), (tc, _), tf = parts
+    return (td, th, tw, tc), (od, oh, ow, tf if layer.kind in FILTER_KINDS else tc)
+
+
+def _folds(layer, cap, tc, tf) -> tuple:
+    """(coarse_in, coarse_out, fine) of a runtime tile of `tc` channels and
+    `tf` filters on `cap`: each of the node's folds cut to divide what it
+    folds (a node's `fine` is 1 outside Conv3D; a kind without filters
+    folds its output as its input)."""
     c_in = math.gcd(tc, cap.coarse_in)
+    c_out = math.gcd(tf, cap.coarse_out) if layer.kind in FILTER_KINDS else c_in
+    return c_in, c_out, math.gcd(layer.kernel_volume, cap.fine)
+
+
+def _tile_config(layer, cap, parts):
+    """Runtime config of the tiles whose per-axis parts are `parts`: their own
+    shape and border padding, the layer's other operator fields, folds cut
+    to fit (`_folds`)."""
+    (_, ph0, ph1, _), (_, pw0, pw1, _), (_, pd0, pd1, _), (tc, psum), tf = parts
+    shape_in, shape_out = _tile_shapes(layer, parts)
+    coarse_in, coarse_out, fine = _folds(layer, cap, tc, tf)
     return RuntimeConfig(
         kind=layer.kind,
-        shape_in=TensorShape(td, th, tw, tc),
-        shape_out=TensorShape(od, oh, ow, tf if macs else tc),
+        shape_in=TensorShape(*shape_in),
+        shape_out=TensorShape(*shape_out),
         filters=tf,  # a layer without filters has one empty filter tile
         kernel=layer.kernel,
         stride=layer.stride,
@@ -224,9 +247,9 @@ def _tile_config(layer, cap, parts):
         groups=layer.groups,
         op_type=layer.op_type,
         broadcast=layer.broadcast,
-        coarse_in=c_in,
-        coarse_out=math.gcd(tf, cap.coarse_out) if macs else c_in,
-        fine=math.gcd(layer.kernel_volume, cap.fine),
+        coarse_in=coarse_in,
+        coarse_out=coarse_out,
+        fine=fine,
         accumulate_psum=psum,
     )
 
@@ -306,10 +329,10 @@ class ChainMemo:
     `resource_model.graph_resources`); `plans` maps (layer id, node id,
     capability) to a layer plan, with its scored cycles and no-output
     verdict; and `tilings` maps (layer id, axes) to a layer's tiling (see
-    `_plan_layer`). Configs are not kept: a plan builds each of its own
-    once, and few configs recur in a new plan. No key names the model, the
-    schedule mode or the device, so a memo serves one chain: one model,
-    mode and device."""
+    `_plan_layer`). A plan is scored from its tiling's roofline terms; it
+    builds its configs only when its `groups` are first read, which no
+    search step does. No key names the model, the schedule mode or the
+    device, so a memo serves one chain: one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
@@ -321,74 +344,103 @@ class _Tiling:
     """A layer's tiling over one tile shape in one mode, the same for every
     fold: (full, tile) per axis (H, W, D, C, F) in `axes`, and the
     invocations of each combination of per-axis parts (see `_axis_parts`) in
-    `counts`, in schedule order."""
+    `counts`, in schedule order. `slots` has, per combination of per-axis
+    tile classes in product order, the position of its parts in `counts`.
+    At runtime `terms` has, per combination of parts in that order, its
+    fold-free terms: (work, words in, words out, channels, filters,
+    invocations) (see `perf_model.work_terms`)."""
 
     axes: tuple
     mode: str
     counts: dict
+    slots: list
+    terms: list
 
 
 def _tile_layer(layer, axes, mode) -> _Tiling:
     """The tiling of `layer` over `axes`. Per axis a layer has at most three
     tile classes (first, interior, last), so its combinations of parts and
     their counts are a product over classes."""
-    counts = {}
+    counts, slot, slots = {}, {}, []
     for (_, ph, kh), (_, pw, kw), (_, pd, kd), (_, pc, kc), (_, pf, kf) in (
         itertools.product(*_axis_parts(layer, axes, mode))
     ):
         parts = (ph, pw, pd, pc, pf)
         counts[parts] = counts.get(parts, 0) + kh * kw * kd * kc * kf
-    return _Tiling(axes, mode, counts)
+        slots.append(slot.setdefault(parts, len(slot)))
+    terms = [] if mode == MODE_PADDED else [
+        (*work_terms(layer.kind, *_tile_shapes(layer, parts), parts[4], layer.kernel_volume),
+         parts[3][0], parts[4], n)
+        for parts, n in counts.items()]
+    return _Tiling(axes, mode, counts, slots, terms)
 
 
 @dataclass(eq=False, slots=True)
 class _LayerPlan:
-    """One layer's tiling on its node and its counted groups, one per
-    combination of parts of the tiling, in its order. `scored` is kept by
-    `perf_model.schedule_latency` and `no_output` by
+    """One layer's tiling on its node `cap`. Per combination of parts of the
+    tiling, in its order, `terms` has (node id, layer id, work, lanes, words
+    in, words out, count), which the plan is scored from, and `groups` has
+    (node id, layer id, config, count), built on first read and then kept.
+    `scored` is kept by `perf_model.schedule_latency` and `no_output` by
     `optimizer.check_constraints`."""
 
     layer: object
     node_id: str
+    cap: object
     tiling: _Tiling
-    groups: list
+    terms: list = None
     scored: tuple = None
     no_output: list = None
+    built: list = None  # `groups`, once read
+
+    @property
+    def groups(self) -> list:
+        if self.built is None:
+            config = _padded_config if self.tiling.mode == MODE_PADDED else _tile_config
+            self.built = [(self.node_id, self.layer.id, config(self.layer, self.cap, parts), n)
+                          for parts, n in self.tiling.counts.items()]
+        return self.built
 
     def rows(self):
         """Each invocation's row (see `Schedule.rows`), channels fastest,
-        filters innermost. The tile classes and their parts are derived again
-        from the axes."""
-        def indexed(axis, classes):
-            part = {cls: p for cls, p, _ in classes}
+        filters innermost. A row's config is found by the position of its
+        combination of tile classes in the tiling's product of classes
+        (`_Tiling.slots`), worked out one loop level at a time."""
+        def indexed(axis):
+            index = {cls: k for k, cls in enumerate(_axis_classes(*axis))}
             tiles = _axis_tiles(*axis)
             n = len(tiles)
-            return [(i, o, x, part[i == 0, i == n - 1]) for i, (o, x) in enumerate(tiles)]
+            return len(index), [(i, o, x, index[i == 0, i == n - 1])
+                                for i, (o, x) in enumerate(tiles)]
 
-        tiling = self.tiling
-        per_axis = _axis_parts(self.layer, tiling.axes, tiling.mode)
-        h, w, d, c, f = map(indexed, tiling.axes, per_axis)
+        tiling, groups = self.tiling, self.groups
+        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(indexed, tiling.axes)
         node_id, layer_id = self.node_id, self.layer.id
-        configs = dict(zip(tiling.counts, (cfg for _, _, cfg, _ in self.groups)))
-        for ih, oh, th, ph in h:
-            for iw, ow, tw, pw in w:
-                for i_d, od, td, pd in d:
-                    for ic, oc, tc, pc in c:
+        configs = [groups[slot][2] for slot in tiling.slots]
+        for ih, oh, th, kh in h:
+            for iw, ow, tw, kw in w:
+                at_w = (kh * nw + kw) * nd
+                for i_d, od, td, kd in d:
+                    at_d = (at_w + kd) * nc
+                    for ic, oc, tc, kc in c:
+                        at_c = (at_d + kc) * nf
                         origin, shape = (od, oh, ow, oc), (td, th, tw, tc)
-                        for i_f, of, tf, pf in f:
+                        for i_f, of, tf, kf in f:
                             yield (node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
-                                   of, tf, configs[ph, pw, pd, pc, pf])
+                                   of, tf, configs[at_c + kf])
 
 
 def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     """Tile one layer over its node and count its invocations per config.
 
     The tiling is taken from `memo` when it holds the layer at the node's
-    tile shape; then each config is built from its parts and the node's
-    folds, once per distinct parts. Distinct parts give distinct configs, so
-    groups are counted on the parts. A grouped conv is never channel or
-    filter tiled, as tiles would cut across groups: a reshape can make that
-    so, the only capability check a search move can fail.
+    tile shape. A runtime plan's terms are the tiling's, with the node's
+    folds cut per combination of parts (`_folds`); a padded plan's configs
+    differ only in the partial-sum flag, and it takes its terms from them.
+    Distinct parts give distinct configs, so groups are counted on the
+    parts. A grouped conv is never channel or filter tiled, as tiles would
+    cut across groups: a reshape can make that so, the only capability
+    check a search move can fail.
     """
     if layer.groups > 1 and (
             cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters):
@@ -404,10 +456,15 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     tiling = memo.tilings.get(key)
     if tiling is None:
         tiling = memo.tilings[key] = _tile_layer(layer, axes, mode)
-    config = _padded_config if mode == MODE_PADDED else _tile_config
-    groups = [(node_id, layer.id, config(layer, cap, parts), n)
-              for parts, n in tiling.counts.items()]
-    return _LayerPlan(layer, node_id, tiling, groups)
+    plan = _LayerPlan(layer, node_id, cap, tiling)
+    if mode == MODE_PADDED:
+        plan.terms = [(node_id, layer.id, *config_terms(cfg), n) for _, _, cfg, n in plan.groups]
+    else:
+        kind, groups = layer.kind, layer.groups
+        plan.terms = [
+            (node_id, layer.id, work, fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)),
+             words_in, words_out, n) for work, words_in, words_out, tc, tf, n in tiling.terms]
+    return plan
 
 
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,

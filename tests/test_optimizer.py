@@ -4,6 +4,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from test_acceptance import _random_chain_model
@@ -44,6 +45,7 @@ from harflow.scheduler import (
 )
 
 QUICK = dict(tau_start=1.0, tau_min=0.05, cooling=0.9, warm_start_samples=8)
+PROBE = dict(tau_start=1.0, tau_min=0.01, cooling=0.93, warm_start_samples=16)  # design_probe's
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +442,86 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
     assert counts["costs"] > 0 and counts["plans"] > 0 and counts["tilings"] > 0
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
+
+
+def _grouped_toy():
+    """toy with a 3-group conv in front of its conv. The grouped conv runs
+    only on a node at least 3 channels and filters wide, so some reshapes
+    schedule it and some make the state infeasible."""
+    doc = json.loads(bundled_model_text("toy"))
+    conv = doc["layers"][0]
+    doc["layers"].insert(0, dict(conv, id="gconv", shape_out=[4, 16, 16, 3], filters=3,
+                                 groups=3))
+    doc["edges"].insert(0, ["gconv", "conv"])
+    return parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_plans_score_as_their_configs(mode):
+    """A warm start and random moves on one memo, over every bundled model and
+    a toy with a grouped conv. Each schedule built is scored from its plans'
+    terms at two devices before any of its groups is read; that equals the
+    sum of `invocation_latency` over its groups, and its no-output verdicts
+    are those of `compute_latency` over its groups."""
+    zcu102 = load_bundled_profile("zcu102")
+    slow = replace(zcu102, bw_in_words_per_cycle=Fraction(1, 2),
+                   bw_out_words_per_cycle=Fraction(1, 2))
+    params = AnnealingParams(**QUICK, enable_runtime_reconfig=mode == MODE_RUNTIME)
+    models = [parse_model(bundled_model_text(name)) for name in bundled_model_names()]
+    counts = Counter()
+    for model in models + [_grouped_toy()]:
+        rng = random.Random(19)
+        memo = ChainMemo()
+        state, _ = warm_start(model, zcu102, params, rng, memo)
+        states = [state]
+        for _ in range(200):
+            child = evaluate(model, random_transformation(model, state.graph, rng, params),
+                             zcu102, mode, memo)
+            if child.schedule.parts:  # scheduled: within budget and schedulable
+                states.append(child)
+                state = child
+        # every schedule is scored before any group is read
+        scored = [[schedule_latency(s.schedule, dev) for dev in (zcu102, slow)] for s in states]
+        for state, cycles_at in zip(states, scored):
+            schedule = state.schedule
+            for dev, cycles in zip((zcu102, slow), cycles_at):
+                brk = [(invocation_latency(cfg, dev.bw_in_words_per_cycle,
+                                           dev.bw_out_words_per_cycle), n)
+                       for _, _, cfg, n in schedule.groups]
+                assert cycles == sum(b.total_cycles * n for b, n in brk)
+                counts[dev is slow, "memory"] += any(b.bound != "compute" for b, _ in brk)
+            assert state.latency_cycles == cycles_at[0]
+            assert len(schedule) == sum(n for *_, n in schedule.groups)
+            empty = sorted({(node, layer) for node, layer, cfg, _ in schedule.groups
+                            if compute_latency(cfg) == 0})
+            assert _no_output(state) == [f"layer {layer} on {node}: tile yields no output"
+                                         for node, layer in empty]
+            counts["no_output"] += bool(empty)
+            counts["grouped"] += any(layer == "gconv" for _, layer, _, _ in schedule.groups)
+            counts["scheduled"] += 1
+    assert counts["scheduled"] > 500 and counts["grouped"] > 20
+    assert counts[True, "memory"] > counts[False, "memory"]
+    # padded tiles run at the node's full shape, so only runtime tiles lack output
+    assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
+
+
+@pytest.mark.parametrize("name", ["toy", "multishape"])
+def test_search_builds_no_config(name, monkeypatch):
+    """A runtime chain scores and checks its plans from their tilings' terms:
+    `anneal` builds no config, nor do the length and constraint check of its
+    best state. Reading the groups builds each config once."""
+    built = Counter()
+    for fn in ("_tile_config", "_padded_config"):
+        def counted(*args, _fn=getattr(scheduler, fn), _name=fn):
+            built[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(scheduler, fn, counted)
+    dev = load_bundled_profile("zcu102")
+    best, _ = anneal(parse_model(bundled_model_text(name)), dev, AnnealingParams(**PROBE))
+    assert len(best.schedule) > 0 and check_constraints(best, dev) == best.violations == []
+    assert not built
+    groups = best.schedule.groups
+    assert built == {"_tile_config": len(groups)}
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])

@@ -5,10 +5,11 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
 
 - per chain: its wall time, best latency, the `scheduler._plan_layer` calls,
   the layer tilings made (`scheduler._tile_layer` calls; a plan whose tiling
-  the chain's memo holds makes none), the runtime configs the scheduler
-  built, the `invocation_latency` cache hits and misses (the cache is
-  cleared before each chain), and the evaluations rejected on budget, which
-  `evaluate` returns before building a schedule;
+  the chain's memo holds makes none), the combinations of parts scored
+  (`perf_model.roofline` calls), the runtime configs the scheduler built
+  (none in a runtime chain: a plan is scored from its tiling's terms, and
+  builds its configs only when its groups are read), and the evaluations
+  rejected on budget, which `evaluate` returns before building a schedule;
 - per `evaluate` stage, summed over the chains: the calls and seconds spent in
   `build_schedule`, `schedule_latency`, `graph_resources` and
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
@@ -19,8 +20,9 @@ inputs of the c3d-export benchmark workload) through `harflow schedule` and
 cache is cleared before each command), and prints the
 entries written, the configs encoded (`RuntimeConfig.to_dict` calls) and
 decoded (`RuntimeConfig.from_dict` calls; both are the size of the schedule
-file's config table), and the seconds summed over the designs of each export
-stage:
+file's config table), the `invocation_latency` cache hits and misses of the
+report's per-layer rows, and the seconds summed over the designs of each
+export stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
   file's invocation counts against the design's schedule, then scores and
@@ -100,11 +102,12 @@ def profile(model_name, seeds, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     stages = {name: [0, 0.0] for name in STAGES}
-    plans, tilings, configs, rejected = [0], [0], [0], [0]
+    plans, tilings, scored, configs, rejected = [0], [0], [0], [0], [0]
     patched = {(optimizer, name): _timed(getattr(optimizer, name), stages[name])
                for name in STAGES}
     patched[scheduler, "_plan_layer"] = _counted(scheduler._plan_layer, plans)
     patched[scheduler, "_tile_layer"] = _counted(scheduler._tile_layer, tilings)
+    patched[perf_model, "roofline"] = _counted(perf_model.roofline, scored)
     patched[scheduler, "RuntimeConfig"] = _counted(scheduler.RuntimeConfig, configs)
     patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate, rejected)
     saved = {key: getattr(*key) for key in patched}
@@ -115,16 +118,14 @@ def profile(model_name, seeds, padded=False):
         for seed in seeds:
             params = optimizer.AnnealingParams(
                 seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
-            perf_model.invocation_latency.cache_clear()
-            before = plans[0], tilings[0], configs[0], rejected[0]
+            before = plans[0], tilings[0], scored[0], configs[0], rejected[0]
             start = time.perf_counter()
             best, _ = optimizer.anneal(model, dev, params)
             wall = time.perf_counter() - start
-            cache = perf_model.invocation_latency.cache_info()
             rows.append(dict(seed=seed, wall_s=wall, best_cycles=best.latency_cycles,
                              plan_layer=plans[0] - before[0], tilings=tilings[0] - before[1],
-                             configs=configs[0] - before[2], hits=cache.hits,
-                             misses=cache.misses, rejected=rejected[0] - before[3]))
+                             scored=scored[0] - before[2], configs=configs[0] - before[3],
+                             rejected=rejected[0] - before[4]))
     finally:
         for (module, name), fn in saved.items():
             setattr(module, name, fn)
@@ -163,11 +164,14 @@ def export_profile(model_name, seeds, padded=False):
         with redirect_stdout(io.StringIO()):
             cli.main.main(list(argv), standalone_mode=False)
         wall = time.perf_counter() - start
+        cache = perf_model.invocation_latency.cache_info()
+        counts["hits"] += cache.hits
+        counts["misses"] += cache.misses
         return wall, {name: t[1] - before[name] for name, t in timers.items()}
 
     stages = dict.fromkeys(("build", "expand + encode + write", "read + decode",
                             "check + count", "score + report", "load design"), 0.0)
-    counts = dict(designs=0, infeasible=0, entries=0)
+    counts = dict(designs=0, infeasible=0, entries=0, hits=0, misses=0)
     try:
         for (owner, name), fn in patched.items():
             setattr(owner, name, fn)
@@ -222,8 +226,7 @@ def main(argv=None):
     print(f"{args.model}/{DEVICE} {mode}, params {PARAMS}")
     for row in rows:
         print("seed {seed}: {wall_s:.3f} s, best {best_cycles} cycles, _plan_layer {plan_layer}, "
-              "tilings {tilings}, configs built {configs}, "
-              "invocation_latency hits {hits} misses {misses}, "
+              "tilings {tilings}, combinations scored {scored}, configs built {configs}, "
               "rejected on budget {rejected}"
               .format(**row))
     for name, (calls, seconds) in stages.items():
@@ -231,7 +234,8 @@ def main(argv=None):
     stages, counts = export_profile(args.model, EXPORT_SEEDS, args.padded)
     print(f"export: {counts['designs']} warm-start designs of seeds {list(EXPORT_SEEDS)} "
           f"({counts['infeasible']} infeasible), {counts['entries']} entries written, "
-          f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded")
+          f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
+          f"invocation_latency hits {counts['hits']} misses {counts['misses']}")
     for name, seconds in stages.items():
         print(f"export {name}: {seconds:.3f} s")
     return 0
