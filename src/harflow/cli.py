@@ -231,14 +231,6 @@ def _design_schedule(doc, model, graph):
         raise click.ClickException(str(exc))
 
 
-def _invocation_counts(schedule) -> Counter:
-    """Invocations per (node id, layer id, config), counted over the schedule's groups."""
-    counts = Counter()
-    for node_id, layer_id, cfg, n in schedule.groups:
-        counts[node_id, layer_id, cfg] += n
-    return counts
-
-
 @main.command("schedule")
 @click.option("--design", "design_file", required=True)
 @click.option("--out", "out_file", default="schedule.json")
@@ -268,7 +260,8 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
         dev = _load_device(device_spec)
     found = _load_schedule(schedule_file)
     schedule = _design_schedule(doc, model, graph)
-    expected = _invocation_counts(schedule)
+    # the groups hold one count per (node id, layer id, config)
+    expected = Counter({(node, layer, cfg): n for node, layer, cfg, n in schedule.groups})
     if found != expected:
         node, layer = min(k[:2] for k in found.keys() | expected.keys() if found[k] != expected[k])
         raise click.ClickException(

@@ -96,8 +96,8 @@ def _hz(mhz) -> int:
 
 
 def _bandwidth(value):
-    """A bandwidth as an int when it is whole, which hashes much faster than an
-    equal Fraction in the `invocation_latency` cache; else as a Fraction."""
+    """A bandwidth as an int when whole, which `perf_model.roofline` splits and
+    `schedule_latency` compares much faster than a Fraction; else a Fraction."""
     bw = Fraction(str(value))
     return bw.numerator if bw.denominator == 1 else bw
 

@@ -12,18 +12,18 @@ it is tiled and scored.
 A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
 it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
-node resource vector, layer plan (with its scored cycles and no-output
-verdicts) and layer tiling that the chain has computed. A node whose
-capability the chain has costed before is not costed again, and a layer
-whose (layer, node, capability) the chain has planned before is not
-re-tiled, re-scored or re-checked. A layer whose tile shape the chain has
-tiled before is not re-tiled, so a move that changes only folds (coarse,
-fine or a `fold_climb` step) re-tiles nothing and only cuts its new plans'
-folds into the tiling's roofline terms. A runtime plan is scored and
-checked from those terms: the search builds no `RuntimeConfig`, and a
-plan builds its configs only when its groups are read, on export or in a
-report. The memo lives only as long as its chain. The result equals an
-evaluation from scratch.
+node resource vector, layer plan (with its scored cycles and the no-output
+verdicts the scheduler made) and layer tiling that the chain has computed.
+A node whose capability the chain has costed before is not costed again,
+and a layer whose (layer, node, capability) the chain has planned before is
+not re-tiled, re-scored or re-checked. A layer whose tile shape the chain
+has tiled before is not re-tiled, so a move that changes only folds
+(coarse, fine or a `fold_climb` step) re-tiles nothing and only cuts its
+new plans' folds into the tiling's roofline terms. A runtime plan is scored
+from those terms, and its verdict made from them: the search builds no
+`RuntimeConfig`, and a plan builds its configs only when its groups are
+read, on export or in a report's count check. The memo lives only as long
+as its chain. The result equals an evaluation from scratch.
 """
 
 import logging
@@ -127,16 +127,11 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
     The four resource budgets, plus every (node, layer) with a tile whose
     configuration yields no output (a border tile smaller than the kernel
-    window): its work is 0, and the roofline gives it 0 cycles.
+    window): its work is 0, a verdict the scheduler made with each part's terms.
     """
     violations = _budget_violations(state.resources, dev)
-    # each part of the schedule (a layer plan, possibly reused from the chain's
-    # memo) is checked once, on the roofline terms of its groups
     empty = []
     for part in state.schedule.parts:
-        if part.no_output is None:
-            part.no_output = [(node_id, layer_id) for node_id, layer_id, work, *_ in part.terms
-                              if work == 0]
         empty += part.no_output
     for node_id, layer_id in sorted(set(empty)):
         violations.append(f"layer {layer_id} on {node_id}: tile yields no output")

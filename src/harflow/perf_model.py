@@ -6,13 +6,14 @@ reads and writes. It is computed in integers: a rational DMA bandwidth
 enters as its numerator and denominator, and memory terms are compared by
 cross-multiplication, so the model can be checked against brute-force cycle
 counters with exact integer equality. `compute_latency` and
-`invocation_latency` score a `RuntimeConfig` through it (`config_terms`).
+`invocation_latency` score one `RuntimeConfig` through it (`config_terms`),
+for checks that hold a config; no harflow command calls them.
 
-`schedule_latency` scores the roofline terms each part of a schedule lists;
-a layer plan lists them from its tiling, without building its configs. It
-keeps each part's cycles on the part, with the bandwidths they were scored
-at. A layer plan is shared by every schedule of a search chain that reuses
-it from the chain's memo, so it is scored once per chain.
+`schedule_latency` scores the roofline terms each part of a schedule lists,
+as `reporting.per_layer_latency` does per layer; a layer plan lists them
+from its tiling, without building its configs. Each part keeps its cycles
+with the bandwidths they were scored at, so a plan that a search chain's
+memo shares among its schedules is scored once per chain.
 """
 
 from dataclasses import dataclass
@@ -182,7 +183,7 @@ def roofline(work, lanes, words_in, words_out, bw_in=None, bw_out=None) -> tuple
 
 @lru_cache(maxsize=1 << 16)
 def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBreakdown:
-    """`roofline` of one invocation of `cfg` (cached; configs repeat across tiles)."""
+    """`roofline` of one invocation of `cfg`, cached per (config, bandwidths)."""
     return LatencyBreakdown(*roofline(*config_terms(cfg), bw_in, bw_out))
 
 

@@ -1,7 +1,8 @@
-"""Derived metrics and report assembly for optimized designs."""
+"""Derived metrics and report assembly for optimized designs; the per-layer
+rows are scored from the roofline terms the schedule's latency is scored from."""
 
 from .device import RESOURCES
-from .perf_model import invocation_latency
+from .perf_model import roofline
 
 
 def derive_metrics(workload_gmacs: float, latency_ms: float, dsp_total: int,
@@ -25,19 +26,19 @@ def utilization_percent(resources, dev) -> dict:
 
 
 def per_layer_latency(schedule, dev) -> list:
-    """Aggregate invocation counts, cycles, distinct configs and bound tags per layer."""
+    """Invocations, distinct configs, cycles and bound tags per layer, scored
+    from each group's roofline terms as `perf_model.schedule_latency` is."""
+    bw_in, bw_out = dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle
     rows = {}
-    for node_id, layer_id, cfg, n in schedule.groups:
-        brk = invocation_latency(cfg, dev.bw_in_words_per_cycle, dev.bw_out_words_per_cycle)
-        row = rows.setdefault(
-            layer_id,
-            {"layer": layer_id, "node": node_id, "invocations": 0, "configs": 0,
-             "cycles": 0, "bounds": set()},
-        )
-        row["invocations"] += n
-        row["configs"] += 1
-        row["cycles"] += brk.total_cycles * n
-        row["bounds"].add(brk.bound)
+    for part in schedule.parts:
+        for node_id, layer_id, work, lanes, words_in, words_out, n in part.terms:
+            _, bound, cycles = roofline(work, lanes, words_in, words_out, bw_in, bw_out)
+            row = rows.setdefault(layer_id, {"layer": layer_id, "node": node_id, "invocations": 0,
+                                             "configs": 0, "cycles": 0, "bounds": set()})
+            row["invocations"] += n
+            row["configs"] += 1
+            row["cycles"] += cycles * n
+            row["bounds"].add(bound)
     out = []
     for row in rows.values():
         row["bounds"] = sorted(row["bounds"])

@@ -110,9 +110,10 @@ class Schedule:
     of each layer, in schedule order. `parts` partitions the groups into
     units that `perf_model.schedule_latency` scores once and keeps: one per
     layer plan of a built schedule, one for all groups of `Schedule(entries)`.
-    Each part lists the roofline terms of its groups in `terms`; latency,
-    constraint checks and the length read only these, so a built schedule's
-    configs are made only when `groups`, `rows()` or `entries` is read.
+    Each part lists its groups' roofline terms in `terms` and no-output
+    verdict in `no_output`; latency, report rows, constraint checks and the
+    length read only these, so a built schedule's configs are made only
+    when `groups`, `rows()` or `entries` is read.
     `rows()` streams every invocation from the parts; `entries` lists them
     as `ScheduleEntry` objects, kept when given and built on first access
     otherwise. `groups` and the length are worked out when first asked for;
@@ -190,16 +191,22 @@ class _Groups:
     """Counted groups, from `counts` of (node id, layer id, config), scored and
     checked as one unit; `rows()` gives their invocations' rows. `terms` has
     each group's (node id, layer id, work, lanes, words in, words out, count)
-    (see `perf_model.config_terms`). `scored` is (bandwidths, cycles) once
-    scored; `no_output` is kept by `optimizer.check_constraints`."""
+    (see `perf_model.config_terms`), and `no_output` its verdict
+    (`_no_output`). `scored` is kept by `perf_model.schedule_latency`."""
 
-    __slots__ = ("groups", "terms", "rows", "scored", "no_output")
+    __slots__ = ("groups", "terms", "no_output", "rows", "scored")
 
     def __init__(self, counts, rows):
         self.groups = [(*key, n) for key, n in counts.items()]
         self.terms = [(node, layer, *config_terms(cfg), n) for node, layer, cfg, n in self.groups]
+        self.no_output = _no_output(self.terms)
         self.rows = rows
-        self.scored = self.no_output = None
+        self.scored = None
+
+
+def _no_output(terms) -> list:
+    """(node id, layer id) of each of `terms` without work: tiles without output."""
+    return [(node_id, layer_id) for node_id, layer_id, work, *_ in terms if work == 0]
 
 
 def _axis_count(full: int, tile: int) -> int:
@@ -329,10 +336,10 @@ class ChainMemo:
     `resource_model.graph_resources`); `plans` maps (layer id, node id,
     capability) to a layer plan, with its scored cycles and no-output
     verdict; and `tilings` maps (layer id, axes) to a layer's tiling (see
-    `_plan_layer`). A plan is scored from its tiling's roofline terms; it
-    builds its configs only when its `groups` are first read, which no
-    search step does. No key names the model, the schedule mode or the
-    device, so a memo serves one chain: one model, mode and device."""
+    `_plan_layer`). A plan is scored and its verdict made from its tiling's
+    roofline terms; it builds its configs only when its `groups` are first
+    read, which no search step does. No key names the model, the schedule
+    mode or the device, so a memo serves one chain: one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
@@ -381,8 +388,8 @@ class _LayerPlan:
     tiling, in its order, `terms` has (node id, layer id, work, lanes, words
     in, words out, count), which the plan is scored from, and `groups` has
     (node id, layer id, config, count), built on first read and then kept.
-    `scored` is kept by `perf_model.schedule_latency` and `no_output` by
-    `optimizer.check_constraints`."""
+    `_plan_layer` sets `terms` and, from them, `no_output` (`_no_output`);
+    `scored` is kept by `perf_model.schedule_latency`."""
 
     layer: object
     node_id: str
@@ -464,6 +471,7 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
         plan.terms = [
             (node_id, layer.id, work, fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)),
              words_in, words_out, n) for work, words_in, words_out, tc, tf, n in tiling.terms]
+    plan.no_output = _no_output(plan.terms)
     return plan
 
 

@@ -5,12 +5,16 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
+import harflow.scheduler as scheduler
 from harflow.cli import main
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
-from harflow.hardware_graph import initial_mapping
+from harflow.hardware_graph import HardwareGraph, initial_mapping
 from harflow.model_ir import KIND_FIELDS, parse_model
-from harflow.perf_model import RuntimeConfig
+from harflow.optimizer import check_constraints, evaluate
+from harflow.perf_model import RuntimeConfig, invocation_latency
+from harflow.reporting import per_layer_latency
+from harflow.scheduler import MODE_RUNTIME
 
 QUICK_PARAMS = {"tau_start": 1.0, "tau_min": 0.05, "cooling": 0.9,
                 "warm_start_samples": 8}
@@ -542,6 +546,35 @@ def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
     assert result.exit_code == 0, result.output
     assert len(doc["entries"]) > 20 * len(doc["configs"])
     assert decoded == doc["configs"]
+
+
+def test_reports_and_checks_read_only_the_plans_terms(runner, workdir, monkeypatch):
+    """The per-layer rows and the constraint check of a built runtime schedule
+    read its plans' roofline terms and no-output verdicts: they build no
+    config and never call `invocation_latency`, nor does `harflow report`."""
+    design = _tiled_conv_design(workdir)
+    schedule = _schedule_file(workdir, str(design))
+    toy = parse_model(bundled_model_text("toy"))
+    dev = load_bundled_profile("zcu102")
+    graph = HardwareGraph.from_dict(json.loads(design.read_text())["graph"])
+    state = evaluate(toy, graph, dev, MODE_RUNTIME)
+    invocation_latency.cache_clear()
+
+    def no_config(*args):
+        raise AssertionError("a config was built")
+    with monkeypatch.context() as patch:
+        patch.setattr(scheduler, "_tile_config", no_config)
+        rows = per_layer_latency(state.schedule, dev)
+        assert check_constraints(state, dev) == state.violations == [
+            "layer conv on conv_0: tile yields no output"]
+    assert sum(row["cycles"] for row in rows) == state.latency_cycles
+    assert sum(row["invocations"] for row in rows) == len(state.schedule) > len(rows)
+    result = runner.invoke(main, ["report", "--design", str(design), "--schedule", schedule,
+                                  "--out", str(workdir / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((workdir / "report.json").read_text())["per_layer"] == rows
+    cache = invocation_latency.cache_info()
+    assert cache.hits == cache.misses == 0
 
 
 def test_unknown_device_fails(runner, workdir):

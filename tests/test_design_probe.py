@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from harflow.device import load_bundled_profile
@@ -12,6 +14,7 @@ from harflow.generators import bundled_model_text
 from harflow.hardware_graph import HardwareGraph
 from harflow.model_ir import parse_model
 from harflow.optimizer import AnnealingParams, OptimizerError, anneal, evaluate, warm_start
+from harflow.perf_model import schedule_latency
 from harflow.reporting import build_report
 from harflow.scheduler import MODE_RUNTIME, build_schedule
 
@@ -52,9 +55,22 @@ def test_design_probe_digest_of_toy_seed_0(tmp_path):
     text = json.dumps(report, indent=2) + "\n"
     assert digest["report_exit"] == 0
     assert digest["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
-    assert digest["report_stdout"] == (
-        f"{report['gops_per_s']:.2f} GOps/s, {report['gops_per_s_per_dsp']:.3f} GOps/s/DSP, "
-        f"{report['op_per_dsp_per_cycle']:.3f} Op/DSP/cycle\n")
+    assert digest["report_stdout"] == _report_line(report)
+    # the report at a copy of the device with slower, rational DMA bandwidths
+    slow = replace(dev, name="zcu102-slow-dma", bw_in_words_per_cycle=Fraction(1, 2),
+                   bw_out_words_per_cycle=Fraction(1, 3))
+    report = build_report(model, slow, schedule, state.resources,
+                          schedule_latency(schedule, slow))
+    assert any(row["bounds"] != ["compute"] for row in report["per_layer"])
+    text = json.dumps(report, indent=2) + "\n"
+    assert digest["slow_dma_report_exit"] == 0
+    assert digest["slow_dma_report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert digest["slow_dma_report_stdout"] == _report_line(report)
+
+
+def _report_line(report):
+    return (f"{report['gops_per_s']:.2f} GOps/s, {report['gops_per_s_per_dsp']:.3f} GOps/s/DSP, "
+            f"{report['op_per_dsp_per_cycle']:.3f} Op/DSP/cycle\n")
 
 
 def test_design_probe_lists_the_thirty_runs():
@@ -94,7 +110,7 @@ def test_stage_profile_of_toy_seed_0():
     export = re.fullmatch(
         r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "
         r"\((\d+) infeasible\), (\d+) entries written, (\d+) configs encoded, "
-        r"(\d+) configs decoded, invocation_latency hits (\d+) misses (\d+)", lines[6])
+        r"(\d+) configs decoded, (\d+) groups scored", lines[6])
     designs = infeasible = entries = encoded = 0
     for seed in range(8):
         params = AnnealingParams(seed=seed, **ast.literal_eval(params_text))
@@ -107,10 +123,11 @@ def test_stage_profile_of_toy_seed_0():
         designs += 1
         entries += len(warm.schedule)
         encoded += len(warm.schedule.groups)  # one config object per group
-    *counts, hits, misses = map(int, export.groups())
+    *counts, scored = map(int, export.groups())
     assert counts == [designs, infeasible, entries, encoded, encoded]
-    # only the report's per-layer rows score configs, each group once
-    assert hits + misses == encoded and misses > 0
+    # each group is scored by `schedule_latency` in both commands and by the
+    # report's per-layer rows
+    assert scored == 3 * encoded
     assert entries > encoded
     export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
                      for line in lines[7:]]

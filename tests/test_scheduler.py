@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from test_acceptance import _random_chain_model, _randomly_shrunk
@@ -296,7 +297,10 @@ def _counted_schedule_cases(mode):
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
 def test_counted_schedule_equals_its_expanded_entries(mode):
     dev = load_bundled_profile("zcu102")
+    half = replace(dev, bw_in_words_per_cycle=Fraction(1, 2),
+                   bw_out_words_per_cycle=Fraction(1, 2))
     scheduled = 0
+    memory_rows = Counter()  # rows with a memory bound, at zcu102 (False) and `half` (True)
     for model, graph, oracle in _counted_schedule_cases(mode):
         try:
             schedule = build_schedule(model, graph, mode)
@@ -323,19 +327,26 @@ def test_counted_schedule_equals_its_expanded_entries(mode):
                 )
         state = evaluate(model, graph, dev, mode)
         assert check_constraints(replace(state, schedule=recounted), dev) == state.violations
-        rows = per_layer_latency(schedule, dev)
-        assert rows == per_layer_latency(recounted, dev)
-        assert sum(row["invocations"] for row in rows) == n
-        for row in rows:
-            layer = [e for e in entries if e.layer_id == row["layer"]]
-            assert row["invocations"] == len(layer)
-            assert row["configs"] == len({e.config for e in layer})
-            assert row["cycles"] == sum(
-                invocation_latency(e.config, dev.bw_in_words_per_cycle,
-                                   dev.bw_out_words_per_cycle).total_cycles
-                for e in layer
-            )
+        by_layer = {}
+        for e in entries:
+            by_layer.setdefault(e.layer_id, []).append(e)
+        for device in (dev, half):
+            rows = per_layer_latency(schedule, device)
+            assert rows == per_layer_latency(recounted, device)
+            assert sum(row["invocations"] for row in rows) == n
+            assert sum(row["cycles"] for row in rows) == schedule_latency(schedule, device)
+            for row in rows:
+                layer = by_layer[row["layer"]]
+                assert row["invocations"] == len(layer)
+                assert row["configs"] == len({e.config for e in layer})
+                brk = [invocation_latency(e.config, device.bw_in_words_per_cycle,
+                                          device.bw_out_words_per_cycle) for e in layer]
+                assert row["cycles"] == sum(b.total_cycles for b in brk)
+                assert row["bounds"] == sorted({b.bound for b in brk})
+                memory_rows[device is half] += row["bounds"] != ["compute"]
     assert scheduled >= 30
+    # the slower device makes more rows memory-bound
+    assert memory_rows[True] > memory_rows[False]
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])

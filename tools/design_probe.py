@@ -9,6 +9,9 @@ seed) runs, and writes one digest file per run into OUT_DIR:
 - the sha256 and size of the `harflow schedule` file, and its stdout;
 - the exit code and stdout of `harflow report` on that file, and the
   sha256 of its report.json;
+- the same of `harflow report --device` at a copy of zcu102 whose DMA
+  bandwidths are 1/2 and 1/3 words per cycle (`SLOW_DMA`), so memory-bound
+  rows and rational bandwidths are compared too;
 - or, for a run that cannot start, the exit code and the error line.
 
 A change that must not alter designs is checked by running the probe on both
@@ -31,6 +34,8 @@ from pathlib import Path
 
 PARAMS = dict(tau_start=1.0, tau_min=0.01, cooling=0.93, warm_start_samples=16)
 DEVICE = "zcu102"
+SLOW_DMA = {"name": f"{DEVICE}-slow-dma", "bw_in_words_per_cycle": "1/2",
+            "bw_out_words_per_cycle": "1/3"}
 QUIET = {"HARFLOW_LOG": "error"}  # digests compare designs, not log lines
 RUNS = (
     [("c3d", "runtime", seed) for seed in (0, 1, 2, 18)]
@@ -48,6 +53,7 @@ def probe(main, runner, model, mode, seed, work: Path) -> dict:
     """Digest of one optimize + schedule + report run through the CLI."""
     params, design = work / "params.json", work / "design.json"
     trace, schedule, report = work / "trace.csv", work / "schedule.json", work / "report.json"
+    slow_device, slow_report = work / "slow_device.json", work / "slow_report.json"
     params.write_text(json.dumps(PARAMS))
     argv = ["optimize", "--model", model, "--device", DEVICE, "--seed", str(seed),
             "--params", str(params), "--out", str(design), "--trace", str(trace)]
@@ -76,14 +82,17 @@ def probe(main, runner, model, mode, seed, work: Path) -> dict:
     )
     if result.exit_code != 0:
         return digest
-    result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(schedule),
-                                  "--out", str(report)], env=QUIET)
-    data = report.read_bytes() if result.exit_code == 0 else b""
-    digest.update(
-        report_exit=result.exit_code,
-        report_stdout=result.output,
-        report_sha256=hashlib.sha256(data).hexdigest(),
-    )
+    from harflow.device import load_bundled_profile
+
+    slow_device.write_text(json.dumps(dict(load_bundled_profile(DEVICE).to_dict(), **SLOW_DMA)))
+    for prefix, out, device in (("report", report, []),
+                                ("slow_dma_report", slow_report, ["--device", str(slow_device)])):
+        result = runner.invoke(main, ["report", "--design", str(design), "--schedule",
+                                      str(schedule), "--out", str(out), *device], env=QUIET)
+        data = out.read_bytes() if result.exit_code == 0 else b""
+        digest[f"{prefix}_exit"] = result.exit_code
+        digest[f"{prefix}_stdout"] = result.output
+        digest[f"{prefix}_sha256"] = hashlib.sha256(data).hexdigest()
     return digest
 
 

@@ -16,13 +16,13 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
 
 Then it exports the warm-start design of each of the seeds 0-7 (for C3D, the
 inputs of the c3d-export benchmark workload) through `harflow schedule` and
-`harflow report`, as separate processes would (the `invocation_latency`
-cache is cleared before each command), and prints the
-entries written, the configs encoded (`RuntimeConfig.to_dict` calls) and
-decoded (`RuntimeConfig.from_dict` calls; both are the size of the schedule
-file's config table), the `invocation_latency` cache hits and misses of the
-report's per-layer rows, and the seconds summed over the designs of each
-export stage:
+`harflow report`, and prints the entries written, the configs encoded
+(`RuntimeConfig.to_dict` calls) and decoded (`RuntimeConfig.from_dict`
+calls; both are the size of the schedule file's config table), the groups
+scored (`perf_model.roofline` calls in both commands: each group is scored
+by `schedule_latency` in each command and once more for the report's
+per-layer rows), and the seconds summed over the designs of each export
+stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
   file's invocation counts against the design's schedule, then scores and
@@ -138,7 +138,7 @@ def export_profile(model_name, seeds, padded=False):
     Seeds whose warm start finds no feasible design (`OptimizerError`) are
     skipped and counted.
     """
-    from harflow import cli, optimizer, perf_model
+    from harflow import cli, optimizer, perf_model, reporting
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
     from harflow.model_ir import parse_model, serialize_model
@@ -149,29 +149,29 @@ def export_profile(model_name, seeds, padded=False):
     names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule",
              "read_entries")
     timers = {name: [0, 0.0] for name in names}
-    encoded, decoded = [0], [0]
+    encoded, decoded, scored = [0], [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
     patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
     patched[RuntimeConfig, "from_dict"] = classmethod(
         _counted(RuntimeConfig.from_dict.__func__, decoded))
+    for module in (perf_model, reporting):
+        patched[module, "roofline"] = _counted(perf_model.roofline, scored)
     saved = {key: vars(key[0])[key[1]] for key in patched}
 
     def command(*argv):
         """Seconds of one CLI command, and the seconds each timer took of them."""
         before = {name: t[1] for name, t in timers.items()}
-        perf_model.invocation_latency.cache_clear()  # as in a fresh process
+        first = scored[0]  # the warm starts score groups too; count only the commands'
         start = time.perf_counter()
         with redirect_stdout(io.StringIO()):
             cli.main.main(list(argv), standalone_mode=False)
         wall = time.perf_counter() - start
-        cache = perf_model.invocation_latency.cache_info()
-        counts["hits"] += cache.hits
-        counts["misses"] += cache.misses
+        counts["scored"] += scored[0] - first
         return wall, {name: t[1] - before[name] for name, t in timers.items()}
 
     stages = dict.fromkeys(("build", "expand + encode + write", "read + decode",
                             "check + count", "score + report", "load design"), 0.0)
-    counts = dict(designs=0, infeasible=0, entries=0, hits=0, misses=0)
+    counts = dict(designs=0, infeasible=0, entries=0, scored=0)
     try:
         for (owner, name), fn in patched.items():
             setattr(owner, name, fn)
@@ -235,7 +235,7 @@ def main(argv=None):
     print(f"export: {counts['designs']} warm-start designs of seeds {list(EXPORT_SEEDS)} "
           f"({counts['infeasible']} infeasible), {counts['entries']} entries written, "
           f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
-          f"invocation_latency hits {counts['hits']} misses {counts['misses']}")
+          f"{counts['scored']} groups scored")
     for name, seconds in stages.items():
         print(f"export {name}: {seconds:.3f} s")
     return 0
