@@ -153,13 +153,6 @@ class HardwareGraph:
     mapping: dict  # node id -> tuple of layer ids
     fused: dict = field(default_factory=dict)  # activation layer id -> producer layer id
 
-    def inverse_mapping(self) -> dict:
-        inv = {}
-        for node_id, layer_ids in self.mapping.items():
-            for lid in layer_ids:
-                inv[lid] = node_id
-        return inv
-
     def with_node(self, node_id: str, cap: NodeCapability) -> "HardwareGraph":
         """Copy with one node's capability replaced."""
         return HardwareGraph(

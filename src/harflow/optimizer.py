@@ -13,15 +13,18 @@ A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
 it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
 node resource vector, layer plan (with its scored cycles and the no-output
-verdicts the scheduler made) and layer tiling that the chain has computed.
-A node whose capability the chain has costed before is not costed again,
-and a layer whose (layer, node, capability) the chain has planned before is
-not re-tiled, re-scored or re-checked. A layer whose tile shape the chain
-has tiled before is not re-tiled, so a move that changes only folds
+verdicts the scheduler made), layer tiling and axis tiling that the chain
+has computed. A node whose capability the chain has costed before is not
+costed again. A node whose (node, capability, layers) the chain has planned
+before takes its plans in one lookup, and a layer whose (layer, node,
+capability) it has planned before takes that plan: neither is re-tiled,
+re-scored or re-checked. A layer whose tile shape, cut to the layer, the
+chain has tiled before is not re-tiled, so a move that changes only folds
 (coarse, fine or a `fold_climb` step) re-tiles nothing and only cuts its
-new plans' folds into the tiling's roofline terms. A runtime plan is scored
-from those terms, and its verdict made from them: the search builds no
-`RuntimeConfig`, and a plan builds its configs only when its groups are
+new plans' folds into the tiling's roofline terms; a new tile shape derives
+only the axes the chain has not tiled at that size. A runtime plan is
+scored from those terms, and its verdict made from them: the search builds
+no `RuntimeConfig`, and a plan builds its configs only when its groups are
 read, on export or in a report's count check. The memo lives only as long
 as its chain. The result equals an evaluation from scratch.
 """
@@ -117,6 +120,10 @@ class TraceRow:
 
 def _budget_violations(resources, dev: DeviceProfile) -> list:
     """One line per resource budget that `resources` exceed."""
+    # most states are within budget: compare before building any vector or message
+    if (resources.dsp <= dev.dsp_total and resources.bram <= dev.bram_total
+            and resources.lut <= dev.lut_total and resources.ff <= dev.ff_total):
+        return []
     budgets = dev.budgets
     return [f"{name} over budget: {getattr(resources, name)} > {getattr(budgets, name)}"
             for name in RESOURCES if getattr(resources, name) > getattr(budgets, name)]

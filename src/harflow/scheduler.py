@@ -6,18 +6,22 @@ innermost for Conv/FC) and counts the invocations of each distinct runtime
 configuration; the invocation list itself is expanded on demand.
 
 A layer is planned in two steps. Its tiling depends only on the layer, its
-node's tile shape and the schedule mode: the per-axis parts of its tile
-classes, the invocations of each combination of parts and, at runtime, each
-combination's fold-free roofline terms (work, words in and out). The fold
-pass then cuts the node's folds per combination (`_folds`) into the lanes
-that score it; a plan builds its configs only when its `groups` are first
+node's tile shape cut to the layer's extents and the schedule mode: the
+per-axis parts of its tile classes, the invocations of each combination of
+parts and, at runtime, each combination's fold-free roofline terms (work,
+words in and out). The fold pass then cuts the node's folds per distinct
+(channels, filters) of the combinations (`_folds`) into the lanes that
+score them; a plan builds its configs only when its `groups` are first
 read (export, reports, tests), never in a search.
 
 A search chain passes `build_schedule` its `ChainMemo`; the chain's model and
-mode are fixed. It holds every plan built, keyed on (layer id, node id,
-capability): a layer whose key it holds takes that plan, with the cycles
-already scored for it. It holds every tiling, keyed on (layer id, tile
-shape), so a move that changes only folds re-tiles nothing.
+mode are fixed. It holds each node's plans, keyed on (node id, capability,
+layer ids): a node whose key it holds takes its plans, with the cycles
+already scored for them. Below that it holds every plan built, keyed on
+(layer id, node id, capability); every tiling, keyed on (layer id, cut
+tile shape), so a move that changes only folds re-tiles nothing; and each
+axis's parts, keyed on (layer id, axis, extent, tile), so a new tile shape
+derives only the axes it changed.
 
 `schedule_json` formats each invocation's row, as its layer plan yields it,
 into schedule.json text: a `configs` table holds each config object once,
@@ -110,14 +114,15 @@ class Schedule:
     of each layer, in schedule order. `parts` partitions the groups into
     units that `perf_model.schedule_latency` scores once and keeps: one per
     layer plan of a built schedule, one for all groups of `Schedule(entries)`.
-    Each part lists its groups' roofline terms in `terms` and no-output
-    verdict in `no_output`; latency, report rows, constraint checks and the
-    length read only these, so a built schedule's configs are made only
-    when `groups`, `rows()` or `entries` is read.
+    Each part lists its groups' roofline terms in `terms`, no-output
+    verdict in `no_output` and invocations in `invocations`; latency,
+    report rows, constraint checks and the length read only these, so a
+    built schedule's configs are made only when `groups`, `rows()` or
+    `entries` is read.
     `rows()` streams every invocation from the parts; `entries` lists them
     as `ScheduleEntry` objects, kept when given and built on first access
-    otherwise. `groups` and the length are worked out when first asked for;
-    an empty schedule has no parts.
+    otherwise. `groups` is worked out when first asked for; an empty
+    schedule has no parts.
     """
 
     def __init__(self, entries=(), plans=None):
@@ -132,10 +137,6 @@ class Schedule:
     def groups(self) -> list:
         return [g for part in self.parts for g in part.groups]
 
-    @cached_property
-    def _len(self) -> int:
-        return sum(n for part in self.parts for *_, n in part.terms)
-
     def rows(self):
         """Each invocation's row, in schedule order: the fields of its
         `ScheduleEntry`, in order, as a plain tuple."""
@@ -148,7 +149,7 @@ class Schedule:
         return self._entries
 
     def __len__(self):
-        return self._len
+        return sum(part.invocations for part in self.parts)
 
 
 def read_entries(docs: list, configs: list) -> Counter:
@@ -191,13 +192,15 @@ class _Groups:
     """Counted groups, from `counts` of (node id, layer id, config), scored and
     checked as one unit; `rows()` gives their invocations' rows. `terms` has
     each group's (node id, layer id, work, lanes, words in, words out, count)
-    (see `perf_model.config_terms`), and `no_output` its verdict
-    (`_no_output`). `scored` is kept by `perf_model.schedule_latency`."""
+    (see `perf_model.config_terms`), `no_output` its verdict (`_no_output`)
+    and `invocations` their count. `scored` is kept by
+    `perf_model.schedule_latency`."""
 
-    __slots__ = ("groups", "terms", "no_output", "rows", "scored")
+    __slots__ = ("groups", "terms", "no_output", "rows", "scored", "invocations")
 
     def __init__(self, counts, rows):
         self.groups = [(*key, n) for key, n in counts.items()]
+        self.invocations = counts.total()
         self.terms = [(node, layer, *config_terms(cfg), n) for node, layer, cfg, n in self.groups]
         self.no_output = _no_output(self.terms)
         self.rows = rows
@@ -294,8 +297,9 @@ def _axis_classes(full: int, tile: int) -> dict:
     return classes
 
 
-def _axis_parts(layer, axes, mode) -> list:
-    """Per axis (H, W, D, C, F), [(tile class, part, count)] over its tile classes.
+def _axis_parts(layer, axis, full, tile, mode) -> list:
+    """[(part, count)] over the tile classes (see `_axis_classes`) of `tile`
+    on axis `axis` (0-4: H, W, D, C, F) of extent `full`.
 
     A part is all that tiles of the class contribute to their config. At
     runtime that is, on H, W and D, the extent, the border padding and the
@@ -303,47 +307,47 @@ def _axis_parts(layer, axes, mode) -> list:
     accumulated; on F the filter count. A padded tile runs at its node's
     full size, so only the partial-sum flag is left.
     """
-    macs = layer.kind in FILTER_KINDS
-    reduced = layer.kind == "GlobalAvgPool"  # one output per channel
     runtime = mode == MODE_RUNTIME
-    per_axis = []
-    for axis, (full, tile) in enumerate(axes):
-        parts = []
-        for (first, last), (x, n) in _axis_classes(full, tile).items():
-            if axis == 3:
-                psum = macs and not last
-                part = (x, psum) if runtime else psum
-            elif not runtime:
-                part = None
-            elif axis == 4:
-                part = x
-            else:  # a kind that takes no kernel has the unit window and no padding
-                i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
-                start = layer.padding[2 * i] if first else 0
-                end = layer.padding[2 * i + 1] if last else 0
-                out = 1 if reduced else _windowed_axis(
-                    x, layer.kernel[i], layer.stride[i], start, end)
-                part = (x, start, end, max(0, out))
-            parts.append(((first, last), part, n))
-        per_axis.append(parts)
-    return per_axis
+    parts = []
+    for (first, last), (x, n) in _axis_classes(full, tile).items():
+        if axis == 3:
+            psum = layer.kind in FILTER_KINDS and not last
+            part = (x, psum) if runtime else psum
+        elif not runtime:
+            part = None
+        elif axis == 4:
+            part = x
+        else:  # a kind that takes no kernel has the unit window and no padding
+            i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
+            start = layer.padding[2 * i] if first else 0
+            end = layer.padding[2 * i + 1] if last else 0
+            out = 1 if layer.kind == "GlobalAvgPool" else _windowed_axis(  # one per channel
+                x, layer.kernel[i], layer.stride[i], start, end)
+            part = (x, start, end, max(0, out))
+        parts.append((part, n))
+    return parts
 
 
 @dataclass
 class ChainMemo:
     """Everything one search chain has computed that its later moves reuse:
     `costs` maps a node capability to its resources (see
-    `resource_model.graph_resources`); `plans` maps (layer id, node id,
-    capability) to a layer plan, with its scored cycles and no-output
-    verdict; and `tilings` maps (layer id, axes) to a layer's tiling (see
-    `_plan_layer`). A plan is scored and its verdict made from its tiling's
-    roofline terms; it builds its configs only when its `groups` are first
-    read, which no search step does. No key names the model, the schedule
-    mode or the device, so a memo serves one chain: one model, mode and device."""
+    `resource_model.graph_resources`); `nodes` maps (node id, capability,
+    layer ids) to the node's layer plans, by layer id; `plans` maps (layer
+    id, node id, capability) to a layer plan, with its scored cycles and
+    no-output verdict; `tilings` maps (layer id, axes) to a layer's tiling
+    (see `_plan_layer`); and `axes` maps (layer id, axis, full, tile) to the
+    parts of one axis (see `_axis_parts`). A plan is scored and its verdict
+    made from its tiling's roofline terms; it builds its configs only when
+    its `groups` are first read, which no search step does. No key names
+    the model, the schedule mode or the device, so a memo serves one chain:
+    one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
+    nodes: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
     tilings: dict = field(default_factory=dict)
+    axes: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False, slots=True)
@@ -351,35 +355,46 @@ class _Tiling:
     """A layer's tiling over one tile shape in one mode, the same for every
     fold: (full, tile) per axis (H, W, D, C, F) in `axes`, and the
     invocations of each combination of per-axis parts (see `_axis_parts`) in
-    `counts`, in schedule order. `slots` has, per combination of per-axis
-    tile classes in product order, the position of its parts in `counts`.
-    At runtime `terms` has, per combination of parts in that order, its
-    fold-free terms: (work, words in, words out, channels, filters,
+    `counts`, in schedule order, `invocations` in all. `slots` has, per
+    combination of per-axis tile classes in product order, the position of
+    its parts in `counts`. At runtime `widths` has each distinct (channels,
+    filters) of the combinations, which fix their folds (`_folds`), and
+    `terms` has, per combination of parts in `counts` order, its fold-free
+    terms: (work, words in, words out, position of its width in `widths`,
     invocations) (see `perf_model.work_terms`)."""
 
     axes: tuple
     mode: str
     counts: dict
     slots: list
+    widths: list
     terms: list
+    invocations: int
 
 
-def _tile_layer(layer, axes, mode) -> _Tiling:
+def _tile_layer(layer, axes, mode, memo: ChainMemo) -> _Tiling:
     """The tiling of `layer` over `axes`. Per axis a layer has at most three
     tile classes (first, interior, last), so its combinations of parts and
-    their counts are a product over classes."""
+    their counts are a product over classes. An axis's parts are taken from
+    `memo` when it holds them."""
+    per_axis = []
+    for axis, (full, tile) in enumerate(axes):
+        key = (layer.id, axis, full, tile)
+        parts = memo.axes.get(key)
+        if parts is None:
+            parts = memo.axes[key] = _axis_parts(layer, axis, full, tile, mode)
+        per_axis.append(parts)
     counts, slot, slots = {}, {}, []
-    for (_, ph, kh), (_, pw, kw), (_, pd, kd), (_, pc, kc), (_, pf, kf) in (
-        itertools.product(*_axis_parts(layer, axes, mode))
-    ):
+    for (ph, kh), (pw, kw), (pd, kd), (pc, kc), (pf, kf) in itertools.product(*per_axis):
         parts = (ph, pw, pd, pc, pf)
         counts[parts] = counts.get(parts, 0) + kh * kw * kd * kc * kf
         slots.append(slot.setdefault(parts, len(slot)))
+    widths = {}
     terms = [] if mode == MODE_PADDED else [
         (*work_terms(layer.kind, *_tile_shapes(layer, parts), parts[4], layer.kernel_volume),
-         parts[3][0], parts[4], n)
+         widths.setdefault((parts[3][0], parts[4]), len(widths)), n)
         for parts, n in counts.items()]
-    return _Tiling(axes, mode, counts, slots, terms)
+    return _Tiling(axes, mode, counts, slots, list(widths), terms, sum(counts.values()))
 
 
 @dataclass(eq=False, slots=True)
@@ -395,6 +410,7 @@ class _LayerPlan:
     node_id: str
     cap: object
     tiling: _Tiling
+    invocations: int  # the tiling's
     terms: list = None
     scored: tuple = None
     no_output: list = None
@@ -440,14 +456,16 @@ class _LayerPlan:
 def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     """Tile one layer over its node and count its invocations per config.
 
-    The tiling is taken from `memo` when it holds the layer at the node's
-    tile shape. A runtime plan's terms are the tiling's, with the node's
-    folds cut per combination of parts (`_folds`); a padded plan's configs
-    differ only in the partial-sum flag, and it takes its terms from them.
-    Distinct parts give distinct configs, so groups are counted on the
-    parts. A grouped conv is never channel or filter tiled, as tiles would
-    cut across groups: a reshape can make that so, the only capability
-    check a search move can fail.
+    Each axis's tile is first cut to the axis (a tile at least as large as
+    its axis is one tile of the whole axis), so node shapes that tile the
+    layer alike share one tiling, taken from `memo` when it holds it. A
+    runtime plan's terms are the tiling's, with the node's folds cut per
+    width of the tiling (`_folds`); a padded plan's configs differ only in
+    the partial-sum flag, and it takes its terms from them. Distinct parts
+    give distinct configs, so groups are counted on the parts. A grouped
+    conv is never channel or filter tiled, as tiles would cut across
+    groups: a reshape can make that so, the only capability check a search
+    move can fail.
     """
     if layer.groups > 1 and (
             cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters):
@@ -455,22 +473,23 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
             layer.id, node_id, "grouped convolution cannot be channel-tiled")
     s, n = layer.tiled_shape_in, cap.shape_in_max
     if layer.kind in FILTER_KINDS:
-        filters = (layer.filters, cap.filters_max)
+        filters = (layer.filters, min(cap.filters_max, layer.filters))
     else:
         filters = (0, 1)  # no filter axis: one empty tile
-    axes = ((s.h, n.h), (s.w, n.w), (s.d, n.d), (s.c, n.c), filters)
+    axes = ((s.h, min(n.h, s.h)), (s.w, min(n.w, s.w)), (s.d, min(n.d, s.d)),
+            (s.c, min(n.c, s.c)), filters)
     key = (layer.id, axes)
     tiling = memo.tilings.get(key)
     if tiling is None:
-        tiling = memo.tilings[key] = _tile_layer(layer, axes, mode)
-    plan = _LayerPlan(layer, node_id, cap, tiling)
+        tiling = memo.tilings[key] = _tile_layer(layer, axes, mode, memo)
+    plan = _LayerPlan(layer, node_id, cap, tiling, tiling.invocations)
     if mode == MODE_PADDED:
         plan.terms = [(node_id, layer.id, *config_terms(cfg), n) for _, _, cfg, n in plan.groups]
     else:
         kind, groups = layer.kind, layer.groups
-        plan.terms = [
-            (node_id, layer.id, work, fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)),
-             words_in, words_out, n) for work, words_in, words_out, tc, tf, n in tiling.terms]
+        lanes = [fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)) for tc, tf in tiling.widths]
+        plan.terms = [(node_id, layer.id, work, lanes[k], words_in, words_out, n)
+                      for work, words_in, words_out, k, n in tiling.terms]
     plan.no_output = _no_output(plan.terms)
     return plan
 
@@ -485,23 +504,39 @@ def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME
     edits keep it. `mode` is MODE_RUNTIME or MODE_PADDED.
 
     `memo` holds the plans and tilings of earlier schedules of the same
-    model in the same mode: a layer whose (layer id, node id, capability) it
-    holds takes that plan, and every plan and tiling built is added to it.
+    model in the same mode: a node whose (node id, capability, layer ids) it
+    holds takes those plans. The layers of any other node are planned in
+    `model.order`, so an infeasible schedule names its first layer that
+    cannot be planned; each takes the plan of its (layer id, node id,
+    capability) if the memo holds it. Every plan and tiling built is added
+    to the memo.
     """
     memo = ChainMemo() if memo is None else memo
-    inv = g.inverse_mapping()
-    plans = []
+    held, missed = {}, {}  # layer id -> its plan; layer id -> its node's key, if not held
+    for node_id, layer_ids in g.mapping.items():
+        key = (node_id, g.nodes[node_id], layer_ids)
+        plans = memo.nodes.get(key)
+        if plans is None:
+            missed.update(dict.fromkeys(layer_ids, key))
+        else:
+            held.update(plans)
+    parts = []
     for lid in model.order:
-        if lid in g.fused:
-            continue
-        node_id = inv[lid]
-        cap = g.nodes[node_id]
-        key = (lid, node_id, cap)
-        plan = memo.plans.get(key)
+        plan = held.get(lid)
         if plan is None:
-            plan = memo.plans[key] = _plan_layer(model.layers[lid], node_id, cap, mode, memo)
-        plans.append(plan)
-    return Schedule(plans=plans)
+            key = missed.get(lid)
+            if key is None:  # fused
+                continue
+            node_id, cap, _ = key
+            plan = memo.plans.get((lid, node_id, cap))
+            if plan is None:
+                plan = memo.plans[lid, node_id, cap] = _plan_layer(
+                    model.layers[lid], node_id, cap, mode, memo)
+            held[lid] = plan
+        parts.append(plan)
+    for key in set(missed.values()):
+        memo.nodes[key] = {lid: held[lid] for lid in key[2]}
+    return Schedule(plans=parts)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,17 @@ def test_stage_profile_of_toy_seed_0():
     assert head == "toy/zcu102 runtime"
     chain = re.fullmatch(
         r"seed 0: [\d.]+ s, best (\d+) cycles, _plan_layer (\d+), tilings (\d+), "
-        r"combinations scored (\d+), configs built (\d+), rejected on budget (\d+)", lines[1])
-    best, plans, tilings, scored, configs, rejected = map(int, chain.groups())
+        r"axes derived (\d+), combinations scored (\d+), configs built (\d+), "
+        r"rejected on budget (\d+)", lines[1])
+    best, plans, tilings, axes, scored, configs, rejected = map(int, chain.groups())
     model = parse_model(bundled_model_text("toy"))
     params = AnnealingParams(seed=0, **ast.literal_eval(params_text))
     state, _ = anneal(model, load_bundled_profile("zcu102"), params)
     assert best == state.latency_cycles
     # a runtime chain scores its plans from their tilings' terms: it builds no config
     assert configs == 0 and scored >= plans >= tilings > 0
+    # each tiling derives at most its five axes, and the first of each layer all five
+    assert 5 * tilings >= axes >= 5 * len(state.schedule.parts)
     stages = dict(re.fullmatch(r"(\w+): (\d+) calls, [\d.]+ s", line).group(1, 2)
                   for line in lines[2:6])
     assert list(stages) == ["build_schedule", "schedule_latency", "graph_resources",

@@ -171,9 +171,12 @@ def test_random_edit_sequences_preserve_cover(multishape, monkeypatch):
                 ids = rng.choice(sorted(mergeable))
                 graph = combine_nodes(graph, rng.sample(sorted(ids), 2), multishape)
         graph.validate_cover(multishape)
-        inv = graph.inverse_mapping()
+        # every unfused layer on exactly one node, of its own kind
+        owners = Counter(lid for lids in graph.mapping.values() for lid in lids)
+        assert set(owners) == set(multishape.layers) - set(graph.fused)
+        assert set(owners.values()) == {1}
         for nid, lids in graph.mapping.items():
-            assert all(inv[lid] == nid for lid in lids)
+            assert all(multishape.layers[lid].kind == graph.nodes[nid].kind for lid in lids)
 
     # The search edits graphs with `_sample_capabilities` and the five moves of
     # `random_transformation`, and schedules them unchecked: every graph they

@@ -15,8 +15,14 @@ import harflow.scheduler as scheduler
 
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
-from harflow.hardware_graph import NodeCapability, fuse_activations, initial_mapping
-from harflow.model_ir import parse_model
+from harflow.hardware_graph import (
+    HardwareGraph,
+    NodeCapability,
+    fuse_activations,
+    initial_mapping,
+    separate_node,
+)
+from harflow.model_ir import FILTER_KINDS, parse_model
 from harflow.optimizer import (
     AnnealingParams,
     ChainMemo,
@@ -361,10 +367,12 @@ def _no_output(state):
 def _memo_walk(model, dev, mode, rng, steps, built):
     """Random annealing moves and fold_climb candidates, each evaluated with the
     walk's memo and from scratch. `built` counts the node costings ("costs"),
-    layer plannings ("plans") and layer tilings ("tilings") made. Returns
-    counts of: node costs and layer plans taken from the memo, new plans that
-    took their tiling from it, moves that changed the node set, the
-    resources, and the no-output violations."""
+    layer plannings ("plans"), layer tilings ("tilings") and axes derived
+    ("axes") made. Returns counts of: node costs, node plans and layer plans
+    taken from the memo, new plans that took their tiling from it, new
+    tilings that took an axis from it, new tilings over a tile cut to the
+    layer, moves that changed the node set, the resources, and the no-output
+    violations."""
     params = AnnealingParams(**QUICK)
     graph = initial_mapping(model)
     if rng.random() < 0.5:
@@ -379,11 +387,13 @@ def _memo_walk(model, dev, mode, rng, steps, built):
             graph = state.graph.with_node(nid, rng.choice(neighbours))
         else:
             graph = random_transformation(model, state.graph, rng, params)
-        costs, plans, tilings = dict(memo.costs), dict(memo.plans), dict(memo.tilings)
+        costs, nodes, plans = dict(memo.costs), dict(memo.nodes), dict(memo.plans)
+        tilings, axes = dict(memo.tilings), dict(memo.axes)
         before = built.copy()
         child = evaluate(model, graph, dev, mode, memo=memo)
         # only capabilities new to the memo are costed, only layers new to it
-        # planned, and only (layer, axes) new to it tiled
+        # planned, only (layer, axes) new to it tiled, and only (layer, axis,
+        # full, tile) new to it derived
         caps = set(graph.nodes.values())
         assert built["costs"] - before["costs"] == len(caps - costs.keys())
         counts["costs"] += len(caps & costs.keys())
@@ -392,6 +402,26 @@ def _memo_walk(model, dev, mode, rng, steps, built):
         assert built["plans"] - before["plans"] == sum(key not in plans for key in keys)
         tiled = [(p.layer.id, p.tiling.axes) for p in parts]
         assert built["tilings"] - before["tilings"] == sum(key not in tilings for key in tiled)
+        derived = {(lid, axis, full, tile) for lid, cut in tiled if (lid, cut) not in tilings
+                   for axis, (full, tile) in enumerate(cut)}
+        assert built["axes"] - before["axes"] == len(derived - axes.keys())
+        counts["axes"] += len(derived & axes.keys())
+        assert len(child.schedule) == sum(n for *_, n in child.schedule.groups)
+        if parts:  # scheduled: each node's plans are held under its (id, capability, layers)
+            held = {(nid, graph.nodes[nid], lids) for nid, lids in graph.mapping.items()}
+            counts["nodes"] += len(held & nodes.keys())
+            by_layer = {p.layer.id: p for p in parts}
+            for nid, cap, lids in held:
+                assert memo.nodes[nid, cap, lids] == {lid: by_layer[lid] for lid in lids}
+        for (lid, _, cap), (_, cut), plan in zip(keys, tiled, parts):
+            # a tiling is keyed on the node's tile shape cut to the layer; a
+            # kind without filters has one empty filter tile
+            layer, s, n = plan.layer, plan.layer.tiled_shape_in, cap.shape_in_max
+            filters = (layer.filters, cap.filters_max) if layer.kind in FILTER_KINDS else (0, 1)
+            raw = ((s.h, n.h), (s.w, n.w), (s.d, n.d), (s.c, n.c), filters)
+            assert cut == tuple((full, min(full, tile)) if full else (full, tile)
+                                for full, tile in raw)
+            counts["cut"] += (lid, cut) not in tilings and cut != raw
         for key, tiling_key, plan in zip(keys, tiled, parts):
             if key in plans:
                 assert plan is plans[key]
@@ -427,6 +457,7 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
     counted(resource_model, "node_resources", "costs")
     counted(scheduler, "_plan_layer", "plans")
     counted(scheduler, "_tile_layer", "tilings")
+    counted(scheduler, "_axis_parts", "axes")
     dev = load_bundled_profile("zcu102")
     rng = random.Random(40)
     counts = Counter()
@@ -436,10 +467,12 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
                              built=built)
     for _ in range(30):
         counts += _memo_walk(_random_chain_model(rng), dev, mode, rng, steps=10, built=built)
-    # the walks did take node costs, layer plans and, for new plans, tilings
-    # from the memo, made combine/separate moves and changed resources;
-    # padded tiles run at the node's full shape, so only runtime tiles lack output
+    # the walks did take node costs, node plans, layer plans, for new plans
+    # tilings and for new tilings axes from the memo, tiled over tiles cut to
+    # the layer, made combine/separate moves and changed resources; padded
+    # tiles run at the node's full shape, so only runtime tiles lack output
     assert counts["costs"] > 0 and counts["plans"] > 0 and counts["tilings"] > 0
+    assert counts["nodes"] > 0 and counts["axes"] > 0 and counts["cut"] > 0
     assert counts["structural"] > 0 and counts["resources"] > 0
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 
@@ -454,6 +487,47 @@ def _grouped_toy():
                                  groups=3))
     doc["edges"].insert(0, ["gconv", "conv"])
     return parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_infeasible_schedule_names_its_first_layer_in_model_order(mode, zcu102):
+    """toy with two 3-group convs in a row, each on its own node, the node of
+    the second listed first in the mapping. Cut to 2 channels, a node cannot
+    run its grouped conv: the state names the first such layer in
+    `model.order`, with a fresh memo and with one that holds the plans of
+    the feasible design."""
+    doc = json.loads(bundled_model_text("toy"))
+    conv = doc["layers"][0]
+    doc["layers"][:0] = [dict(conv, id=lid, shape_out=[4, 16, 16, 3], filters=3, groups=3)
+                         for lid in ("gconv_a", "gconv_b")]
+    doc["edges"][:0] = [["gconv_a", "gconv_b"], ["gconv_b", "conv"]]
+    model = parse_model(json.dumps(doc))
+    assert model.order.index("gconv_a") < model.order.index("gconv_b")
+    base = initial_mapping(model)
+    conv_node = next(nid for nid, lids in base.mapping.items() if "gconv_b" in lids)
+    base = separate_node(base, conv_node, ["gconv_b"], model)
+    b_node = next(nid for nid, lids in base.mapping.items() if lids == ("gconv_b",))
+    base = HardwareGraph(nodes=base.nodes, fused=base.fused, mapping={
+        b_node: base.mapping[b_node],
+        **{nid: lids for nid, lids in base.mapping.items() if nid != b_node}})
+
+    def cut(graph, *node_ids):
+        nodes = dict(graph.nodes)
+        for nid in node_ids:
+            nodes[nid] = nodes[nid].refit(shape_in_max=replace(nodes[nid].shape_in_max, c=2))
+        return HardwareGraph(nodes=nodes, mapping=graph.mapping, fused=graph.fused)
+
+    def message(lid, nid):
+        return (f"layer '{lid}' cannot run on node '{nid}': "
+                "grouped convolution cannot be channel-tiled")
+
+    memo = ChainMemo()
+    assert evaluate(model, base, zcu102, mode, memo).feasible
+    for held in (ChainMemo(), memo):
+        assert evaluate(model, cut(base, b_node), zcu102, mode, held).violations == [
+            message("gconv_b", b_node)]
+        assert evaluate(model, cut(base, conv_node, b_node), zcu102, mode, held).violations == [
+            message("gconv_a", conv_node)]
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])

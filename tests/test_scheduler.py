@@ -21,17 +21,20 @@ from harflow.hardware_graph import (
     fuse_activations,
     initial_mapping,
 )
-from harflow.model_ir import TensorShape, parse_model
+from harflow.model_ir import FILTER_KINDS, TensorShape, parse_model
 from harflow.optimizer import _sample_capabilities, check_constraints, evaluate
 from harflow.perf_model import RuntimeConfig, invocation_latency, schedule_latency
 from harflow.reporting import per_layer_latency
 from harflow.scheduler import (
     MODE_PADDED,
     MODE_RUNTIME,
+    ChainMemo,
     InfeasibleScheduleError,
     Schedule,
     ScheduleEntry,
     _axis_count,
+    _LayerPlan,
+    _tile_layer,
     build_schedule,
     coverage_oracle,
     entry_key,
@@ -368,6 +371,47 @@ def test_plans_build_each_distinct_config_once(mode):
             if mode == MODE_PADDED:  # only the partial-sum flag varies
                 assert len(configs) <= 2
     assert plans >= 100
+
+
+@pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])
+def test_tiles_cut_to_the_layer_tile_it_alike(mode):
+    """A tile at least as large as its axis is one tile of the whole axis, so
+    `_plan_layer` keys a tiling on the node's tiles cut to the layer. Over
+    the layers of every bundled model and of random chains, and random tile
+    shapes, the tiling over the raw tiles and over the cut ones have equal
+    counts, tile-class slots, widths, terms and invocations, and a plan on
+    each yields the same rows. The layers include FC's flattened input,
+    kinds without filters (whose filter axis is one empty tile, whatever the
+    node's filter tile), stride > 1 and padding."""
+    rng = random.Random(21)
+    models = [parse_model(bundled_model_text(name)) for name in bundled_model_names()]
+    models += [_random_chain_model(rng) for _ in range(20)]
+    seen = Counter()
+    for layer in (layer for model in models for layer in model.layers.values()):
+        s, filters = layer.tiled_shape_in, layer.kind in FILTER_KINDS
+        fulls = (s.h, s.w, s.d, s.c, layer.filters if filters else 0)
+        for _ in range(3):
+            tiles = [rng.randint(-(-full // 3), 2 * full + 1) for full in fulls[:4]]
+            tiles.append(rng.randint(-(-fulls[4] // 3), 2 * fulls[4] + 1) if filters
+                         else rng.randint(1, 4))
+            raw = tuple(zip(fulls, tiles))
+            cut = tuple((full, min(full, tile)) for full, tile in raw[:4]) + (
+                (fulls[4], min(fulls[4], tiles[4])) if filters else (0, 1),)
+            a, b = (_tile_layer(layer, axes, mode, ChainMemo()) for axes in (raw, cut))
+            assert (a.counts, a.slots, a.widths, a.terms, a.invocations) == (
+                b.counts, b.slots, b.widths, b.terms, b.invocations)
+            th, tw, td, tc, tf = tiles
+            cap = capability_for_layers(layer.kind, [layer]).refit(
+                shape_in_max=TensorShape(td, th, tw, tc), filters_max=tf if filters else 0,
+                coarse_in=rng.randint(1, 4), coarse_out=rng.randint(1, 4), fine=rng.randint(1, 9))
+            rows = [list(_LayerPlan(layer, "node", cap, t, t.invocations).rows()) for t in (a, b)]
+            assert rows[0] == rows[1] and len(rows[0]) == a.invocations
+            seen["cut"] += raw != cut
+            seen["fc"] += layer.kind == "FullyConnected" and layer.primary_in != s
+            seen["no filters"] += not filters and tiles[4] > 1
+            seen["stride"] += max(layer.stride) > 1
+            seen["padding"] += any(layer.padding)
+    assert len(seen) == 5 and min(seen.values()) >= 5, seen
 
 
 def _entries_digest(schedule):

@@ -5,7 +5,9 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
 
 - per chain: its wall time, best latency, the `scheduler._plan_layer` calls,
   the layer tilings made (`scheduler._tile_layer` calls; a plan whose tiling
-  the chain's memo holds makes none), the combinations of parts scored
+  the chain's memo holds makes none), the axes derived for them
+  (`scheduler._axis_parts` calls; a tiling takes each axis the memo holds
+  at its tile from it), the combinations of parts scored
   (`perf_model.roofline` calls), the runtime configs the scheduler built
   (none in a runtime chain: a plan is scored from its tiling's terms, and
   builds its configs only when its groups are read), and the evaluations
@@ -102,11 +104,12 @@ def profile(model_name, seeds, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     stages = {name: [0, 0.0] for name in STAGES}
-    plans, tilings, scored, configs, rejected = [0], [0], [0], [0], [0]
+    plans, tilings, axes, scored, configs, rejected = [0], [0], [0], [0], [0], [0]
     patched = {(optimizer, name): _timed(getattr(optimizer, name), stages[name])
                for name in STAGES}
     patched[scheduler, "_plan_layer"] = _counted(scheduler._plan_layer, plans)
     patched[scheduler, "_tile_layer"] = _counted(scheduler._tile_layer, tilings)
+    patched[scheduler, "_axis_parts"] = _counted(scheduler._axis_parts, axes)
     patched[perf_model, "roofline"] = _counted(perf_model.roofline, scored)
     patched[scheduler, "RuntimeConfig"] = _counted(scheduler.RuntimeConfig, configs)
     patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate, rejected)
@@ -118,14 +121,14 @@ def profile(model_name, seeds, padded=False):
         for seed in seeds:
             params = optimizer.AnnealingParams(
                 seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
-            before = plans[0], tilings[0], scored[0], configs[0], rejected[0]
+            before = plans[0], tilings[0], axes[0], scored[0], configs[0], rejected[0]
             start = time.perf_counter()
             best, _ = optimizer.anneal(model, dev, params)
             wall = time.perf_counter() - start
             rows.append(dict(seed=seed, wall_s=wall, best_cycles=best.latency_cycles,
                              plan_layer=plans[0] - before[0], tilings=tilings[0] - before[1],
-                             scored=scored[0] - before[2], configs=configs[0] - before[3],
-                             rejected=rejected[0] - before[4]))
+                             axes=axes[0] - before[2], scored=scored[0] - before[3],
+                             configs=configs[0] - before[4], rejected=rejected[0] - before[5]))
     finally:
         for (module, name), fn in saved.items():
             setattr(module, name, fn)
@@ -226,8 +229,8 @@ def main(argv=None):
     print(f"{args.model}/{DEVICE} {mode}, params {PARAMS}")
     for row in rows:
         print("seed {seed}: {wall_s:.3f} s, best {best_cycles} cycles, _plan_layer {plan_layer}, "
-              "tilings {tilings}, combinations scored {scored}, configs built {configs}, "
-              "rejected on budget {rejected}"
+              "tilings {tilings}, axes derived {axes}, combinations scored {scored}, "
+              "configs built {configs}, rejected on budget {rejected}"
               .format(**row))
     for name, (calls, seconds) in stages.items():
         print(f"{name}: {calls} calls, {seconds:.3f} s")
