@@ -8,7 +8,7 @@ keep what they check, so the search checks nothing again.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .model_ir import (
     FILTER_KINDS, KIND_FIELDS, LAYER_KINDS, ModelGraph, TensorShape, hash_once, require_keys,
@@ -41,8 +41,10 @@ class NodeCapability:
         of its extent that divides its preferred value (their gcd; every
         extent is at least 1). Outside Conv/FC the output fold is the input
         fold; outside Conv3D the fine fold is 1. It is the only path that sets
-        folds. The copy hashes its own fields."""
-        f = {name: getattr(self, name) for name in _CAPABILITY_FIELDS}
+        folds. The copy is made from the object's field values, not through
+        `__init__`, and hashes its own fields."""
+        f = self.__dict__.copy()
+        f.pop("_hash", None)  # set by `hash_once` once hashed
         f.update(changes)
         kd, kh, kw = f["kernel_max"]
         f["coarse_in"] = math.gcd(f["coarse_in"], f["shape_in_max"].c)
@@ -51,7 +53,9 @@ class NodeCapability:
         else:
             f["coarse_out"] = f["coarse_in"]
         f["fine"] = math.gcd(f["fine"], kd * kh * kw) if self.kind == "Conv3D" else 1
-        return NodeCapability(**f)
+        copy = object.__new__(NodeCapability)
+        copy.__dict__.update(f)
+        return copy
 
     def to_dict(self):
         return {
@@ -118,10 +122,6 @@ class NodeCapability:
         return cap
 
 
-# the fields `refit` copies, named once: `fields()` costs microseconds a call
-_CAPABILITY_FIELDS = tuple(f.name for f in fields(NodeCapability))
-
-
 def _shape_max(shapes) -> TensorShape:
     return TensorShape(
         max(s.d for s in shapes),
@@ -143,6 +143,12 @@ def capability_for_layers(kind, layers) -> NodeCapability:
         kernel_max=tuple(max(l.kernel[i] for l in layers) for i in range(3)),
         supports_types=frozenset(l.op_type for l in layers if l.op_type),
     )
+
+
+def _layers_capability(model: ModelGraph, layer_ids: tuple) -> NodeCapability:
+    """`capability_for_layers` of the layers `layer_ids` of `model`, all of one kind."""
+    layers = [model.layers[lid] for lid in layer_ids]
+    return capability_for_layers(layers[0].kind, layers)
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ def separate_node(g: HardwareGraph, node_id: str, layer_ids, model: ModelGraph) 
             raise HardwareGraphError(f"layer '{lid}' is not mapped to node '{node_id}'")
     source = g.nodes[node_id]
     remaining = tuple(lid for lid in assigned if lid not in detach)
-    new_cap = capability_for_layers(source.kind, [model.layers[lid] for lid in detach]).refit(
+    new_cap = model.derive(_layers_capability, tuple(sorted(detach))).refit(
         coarse_in=source.coarse_in, coarse_out=source.coarse_out, fine=source.fine
     )
     nodes = dict(g.nodes)

@@ -236,6 +236,19 @@ class ModelGraph:
     layers: dict = field(default_factory=dict)  # id -> LayerDescriptor, insertion ordered
     edges: list = field(default_factory=list)  # list of (src_id, dst_id)
     order: list = field(default_factory=list)  # `topological_order`, set by parse_model
+    # facts that depend only on the model and a tuple of its layer ids, by
+    # (the function that derives one, layer ids); see `derive`
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def derive(self, fn, layer_ids: tuple):
+        """`fn(self, layer_ids)`, computed on the first call with these
+        arguments and kept in `derived`: a search move asks for the same
+        fact of the same layers again and again."""
+        key = (fn, layer_ids)
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = fn(self, layer_ids)
+        return value
 
     def predecessors(self, layer_id: str) -> list:
         return [s for s, t in self.edges if t == layer_id]

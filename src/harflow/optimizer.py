@@ -12,21 +12,26 @@ it is tiled and scored.
 A move changes one node, or a few for combine and separate, of a state that
 is already scored. So `anneal` keeps one `ChainMemo` for its chain and passes
 it to `warm_start`, to every `evaluate` and to `fold_climb`. It holds every
-node resource vector, layer plan (with its scored cycles and the no-output
-verdicts the scheduler made), layer tiling and axis tiling that the chain
-has computed. A node whose capability the chain has costed before is not
-costed again. A node whose (node, capability, layers) the chain has planned
-before takes its plans in one lookup, and a layer whose (layer, node,
-capability) it has planned before takes that plan: neither is re-tiled,
-re-scored or re-checked. A layer whose tile shape, cut to the layer, the
-chain has tiled before is not re-tiled, so a move that changes only folds
-(coarse, fine or a `fold_climb` step) re-tiles nothing and only cuts its
-new plans' folds into the tiling's roofline terms; a new tile shape derives
-only the axes the chain has not tiled at that size. A runtime plan is
-scored from those terms, and its verdict made from them: the search builds
-no `RuntimeConfig`, and a plan builds its configs only when its groups are
+node resource vector, node record, layer plan, layer tiling and axis tiling
+that the chain has computed. A node whose capability the chain has costed
+before is not costed again. A node whose (node, capability, layers) the
+chain has scheduled before takes its record in one lookup, with its
+invocations, no-output verdicts and cycles: the schedule's length, latency
+and constraint check read one record per node. Only the other nodes have
+their layers planned, and a layer whose (layer, node, capability) the chain
+has planned before takes that plan. A layer whose tile shape, cut to the
+layer, the chain has tiled before is not re-tiled, so a move that changes
+only folds (coarse, fine or a `fold_climb` step) re-tiles nothing and only
+cuts its new plans' folds into lanes; plans whose lanes the tiling has
+scored before take that score. A new tile shape derives only the axes the
+chain has not tiled at that size. The search builds no `RuntimeConfig` and
+calls no `roofline`: a plan builds its configs only when its groups are
 read, on export or in a report's count check. The memo lives only as long
 as its chain. The result equals an evaluation from scratch.
+
+What a move draws from is derived once per model and set of layers
+(`ModelGraph.derive`): a reshape's extents and channel divisors, and the
+capability `separate_node` derives for the layers it detaches.
 """
 
 import logging
@@ -134,12 +139,12 @@ def check_constraints(state: CandidateState, dev: DeviceProfile) -> list:
 
     The four resource budgets, plus every (node, layer) with a tile whose
     configuration yields no output (a border tile smaller than the kernel
-    window): its work is 0, a verdict the scheduler made with each part's terms.
+    window): its work is 0, a verdict the scheduler made per node record.
     """
     violations = _budget_violations(state.resources, dev)
     empty = []
-    for part in state.schedule.parts:
-        empty += part.no_output
+    for node in state.schedule.nodes:
+        empty += node.no_output
     for node_id, layer_id in sorted(set(empty)):
         violations.append(f"layer {layer_id} on {node_id}: tile yields no output")
     return violations
@@ -196,27 +201,31 @@ def _divisors(n: int) -> tuple:
     return tuple(sorted(divs))
 
 
-def _node_layers(graph, model, node_id):
-    return [model.layers[lid] for lid in graph.mapping[node_id]]
+def _reshape_choices(model, layer_ids) -> tuple:
+    """What a reshape of the node running `layer_ids` draws from: on an FC
+    node, the divisors of the layers' feature counts; else the largest input
+    depth, width and height of the layers, and the divisors of their
+    channels. It depends only on the layers, so `_reshape` derives it once
+    per chain's model (`ModelGraph.derive`)."""
+    layers = [model.layers[lid] for lid in layer_ids]
+    if layers[0].kind == "FullyConnected":
+        return sorted({d for c in {l.fc_features for l in layers} for d in _divisors(c)})
+    shapes = [l.primary_in for l in layers]
+    return (max(s.d for s in shapes), max(s.w for s in shapes), max(s.h for s in shapes),
+            sorted({d for s in shapes for d in _divisors(s.c)}))
 
 
 def _reshape(graph, model, node_id, rng):
     cap = graph.nodes[node_id]
-    layers = _node_layers(graph, model, node_id)
+    choices = model.derive(_reshape_choices, graph.mapping[node_id])
+    s = cap.shape_in_max
     if cap.kind == "FullyConnected":
-        features = sorted({l.fc_features for l in layers})
-        choices = sorted({d for c in features for d in _divisors(c)})
-        new_c = rng.choice(choices)
-        new_shape = replace(cap.shape_in_max, c=new_c)
+        new_shape = TensorShape(s.d, s.h, s.w, rng.choice(choices))
     else:
-        shapes = [l.primary_in for l in layers]
-        kd, kh, kw = cap.kernel_max
-        d_max = max(s.d for s in shapes)
-        w_max = max(s.w for s in shapes)
-        h_max = max(s.h for s in shapes)
+        d_max, w_max, h_max, c_choices = choices
+        kd, _, kw = cap.kernel_max
         new_d = rng.randint(min(kd, d_max), d_max)
         new_w = rng.randint(min(kw, w_max), w_max)
-        c_choices = sorted({d for s in shapes for d in _divisors(s.c)})
         new_c = rng.choice(c_choices)
         new_shape = TensorShape(new_d, h_max, new_w, new_c)
     return graph.with_node(node_id, cap.refit(shape_in_max=new_shape))

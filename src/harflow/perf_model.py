@@ -5,15 +5,19 @@ elements streamed), the lanes that share it per cycle, and the words it
 reads and writes. It is computed in integers: a rational DMA bandwidth
 enters as its numerator and denominator, and memory terms are compared by
 cross-multiplication, so the model can be checked against brute-force cycle
-counters with exact integer equality. `compute_latency` and
+counters with exact integer equality. Its total is max(⌈work / lanes⌉,
+`memory_cycles`), the memory term the larger of the two transfers' ceilings;
+docs/perf-model.md states the model. `compute_latency` and
 `invocation_latency` score one `RuntimeConfig` through it (`config_terms`),
 for checks that hold a config; no harflow command calls them.
 
-`schedule_latency` scores the roofline terms each part of a schedule lists,
-as `reporting.per_layer_latency` does per layer; a layer plan lists them
-from its tiling, without building its configs. Each part keeps its cycles
-with the bandwidths they were scored at, so a plan that a search chain's
-memo shares among its schedules is scored once per chain.
+`schedule_latency` sums the cycles of a schedule's nodes. A search scores a
+layer plan with `lane_cycles`: the same total per invocation, from its
+tiling's fold-free terms, the lanes its node's folds give each width, and
+memory cycles the tiling keeps per bandwidth pair; no `roofline` call and
+no config. Each node of a schedule keeps its cycles per bandwidth pair, so
+a node that a search chain's memo shares among its schedules is scored once
+per chain and device.
 """
 
 from dataclasses import dataclass
@@ -160,9 +164,18 @@ def _transfer(words: int, bw):
     return words * den, num
 
 
+def memory_cycles(words_in, words_out, bw_in=None, bw_out=None) -> int:
+    """max(⌈words_in / bw_in⌉, ⌈words_out / bw_out⌉): the memory term of an
+    invocation's roofline, which no fold enters; 0 at unlimited bandwidth."""
+    a, b = _transfer(words_in, bw_in)
+    c, d = _transfer(words_out, bw_out)
+    return max(_ceil_div(a, b), _ceil_div(c, d))
+
+
 def roofline(work, lanes, words_in, words_out, bw_in=None, bw_out=None) -> tuple:
     """(compute cycles, bound, total cycles) of one invocation: the total is
-    max(work / lanes, words_in / bw_in, words_out / bw_out) rounded up.
+    max(⌈work / lanes⌉, `memory_cycles`), the ceiling of the largest of
+    work / lanes, words_in / bw_in and words_out / bw_out.
 
     bw_in / bw_out are DMA caps in words/cycle (int, Fraction or None for
     unlimited). The bound names the term that sets the total: compute wins
@@ -172,13 +185,23 @@ def roofline(work, lanes, words_in, words_out, bw_in=None, bw_out=None) -> tuple
     cycles = _ceil_div(work, lanes)
     if cycles == 0:
         return 0, "compute", 0
+    total = max(cycles, memory_cycles(words_in, words_out, bw_in, bw_out))
     a, b = _transfer(words_in, bw_in)  # T_in = a / b
     c, d = _transfer(words_out, bw_out)  # T_out = c / d
     if a > cycles * b and a * d >= c * b:
-        return cycles, "memory_in", _ceil_div(a, b)
+        return cycles, "memory_in", total
     if c > cycles * d and c * b > a * d:
-        return cycles, "memory_out", _ceil_div(c, d)
-    return cycles, "compute", cycles
+        return cycles, "memory_out", total
+    return cycles, "compute", total
+
+
+def lane_cycles(terms, lanes, memory) -> int:
+    """Cycles of the invocations of one layer plan: Σ n·max(⌈work / lanes⌉,
+    mem) over its fold-free `terms`, each (work, words in, words out, width,
+    n), at `lanes[width]` lanes and `memory` cycles each (`memory_cycles`,
+    taken as 0 for a term without work). Per term it is `roofline`'s total."""
+    return sum(n * max(-(-work // lanes[k]), mem)
+               for (work, _, _, k, n), mem in zip(terms, memory))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -188,23 +211,20 @@ def invocation_latency(cfg: RuntimeConfig, bw_in=None, bw_out=None) -> LatencyBr
 
 
 def schedule_latency(schedule, dev=None) -> int:
-    """Total cycles of a schedule: each group's `roofline` cycles times its
-    invocations, from the roofline terms each part of the schedule lists.
+    """Total cycles of a schedule: the sum of its nodes' cycles (see
+    `Schedule.nodes`), each scored by its `score` at the device's
+    bandwidths.
 
-    Each part keeps its cycles with the bandwidths they were scored at, so a
-    layer plan reused from a chain's memo is not scored again at the same
-    bandwidths; one schedule may be scored at two devices.
+    Each node keeps its cycles per bandwidth pair, so a node reused from a
+    chain's memo is not scored again at the same bandwidths; one schedule
+    may be scored at two devices.
     """
     bw = (None, None) if dev is None else (dev.bw_in_words_per_cycle,
                                            dev.bw_out_words_per_cycle)
-    bw_in, bw_out = bw
     total = 0
-    for part in schedule.parts:
-        scored = part.scored
-        if scored is None or scored[0] != bw:
-            part.scored = scored = (bw, sum(
-                roofline(work, lanes, words_in, words_out, bw_in, bw_out)[2] * n
-                for _, _, work, lanes, words_in, words_out, n in part.terms
-            ))
-        total += scored[1]
+    for node in schedule.nodes:
+        cycles = node.cycles.get(bw)
+        if cycles is None:
+            cycles = node.cycles[bw] = node.score(bw)
+        total += cycles
     return total

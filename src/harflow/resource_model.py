@@ -10,7 +10,7 @@ readers, and pass it to `graph_resources`.
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .device import ResourceVector
 from .model_ir import FILTER_KINDS, LAYER_KINDS
@@ -94,8 +94,22 @@ class RegressionModel:
         value = self.intercept + sum(c * x for c, x in zip(self.coefficients, features))
         return max(0, int(round(value)))
 
+    @cached_property
+    def _kind_coefficients(self) -> dict:
+        """The coefficient of each kind's one-hot feature, by kind."""
+        return dict(zip(LAYER_KINDS, self.coefficients[len(NUMERIC_FEATURES):]))
+
     def predict(self, cap) -> int:
-        return self.predict_features(capability_features(cap))
+        """`predict_features(capability_features(cap))`, without building the
+        features: the numeric features' products summed in order, then the
+        coefficient of the node's kind. The one-hot's other products are
+        zeros, which leave the float sum unchanged, so the value is the same."""
+        c_in, c_out, fine, kvol, smax = self.coefficients[:len(NUMERIC_FEATURES)]
+        kd, kh, kw = cap.kernel_max
+        value = (c_in * cap.coarse_in + c_out * cap.coarse_out + fine * cap.fine
+                 + kvol * (kd * kh * kw) + smax * cap.shape_in_max.numel)
+        value += self._kind_coefficients.get(cap.kind, 0.0)
+        return max(0, int(round(self.intercept + value)))
 
     def to_dict(self):
         return {

@@ -9,19 +9,30 @@ A layer is planned in two steps. Its tiling depends only on the layer, its
 node's tile shape cut to the layer's extents and the schedule mode: the
 per-axis parts of its tile classes, the invocations of each combination of
 parts and, at runtime, each combination's fold-free roofline terms (work,
-words in and out). The fold pass then cuts the node's folds per distinct
-(channels, filters) of the combinations (`_folds`) into the lanes that
-score them; a plan builds its configs only when its `groups` are first
-read (export, reports, tests), never in a search.
+words in and out) and whether one has no work. The fold pass then cuts the
+node's folds per distinct (channels, filters) of the combinations
+(`_folds`) into one lane count each: a runtime plan is its tiling and
+those lanes. A padded plan takes its terms and lanes from its node, which
+runs every tile at full size. A plan derives its roofline terms only when
+a report reads them, and builds its configs only when its `groups` are
+first read (export, reports, tests), never in a search.
+
+A built schedule is one record per node (`_NodeRecord`): its plans, its
+invocations, its no-output verdicts and its cycles per bandwidth pair. So
+its length, latency and constraint check cost O(nodes); the plans in model
+order (`Schedule.parts`) are listed only when rows, groups or terms are
+read. A plan's cycles come from its tiling, which keeps its memory cycles
+per bandwidth pair (no fold enters them) and its score per (lanes,
+bandwidths), shared by every plan whose folds cut to those lanes.
 
 A search chain passes `build_schedule` its `ChainMemo`; the chain's model and
-mode are fixed. It holds each node's plans, keyed on (node id, capability,
-layer ids): a node whose key it holds takes its plans, with the cycles
-already scored for them. Below that it holds every plan built, keyed on
-(layer id, node id, capability); every tiling, keyed on (layer id, cut
-tile shape), so a move that changes only folds re-tiles nothing; and each
-axis's parts, keyed on (layer id, axis, extent, tile), so a new tile shape
-derives only the axes it changed.
+mode are fixed. It holds each node's record, keyed on (node id, capability,
+layer ids): a node whose key it holds takes that record, already scored.
+Below that it holds every plan built, keyed on (layer id, node id,
+capability); every tiling, keyed on (layer id, cut tile shape), so a move
+that changes only folds re-tiles nothing; and each axis's parts, keyed on
+(layer id, axis, extent, tile), so a new tile shape derives only the axes
+it changed.
 
 `schedule_json` formats each invocation's row, as its layer plan yields it,
 into schedule.json text: a `configs` table holds each config object once,
@@ -45,7 +56,9 @@ from operator import attrgetter
 
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
-from .perf_model import RuntimeConfig, config_terms, fold_lanes, work_terms
+from .perf_model import (
+    RuntimeConfig, config_terms, fold_lanes, lane_cycles, memory_cycles, roofline, work_terms,
+)
 
 MODE_RUNTIME = "runtime_configurable"
 MODE_PADDED = "padded_baseline"
@@ -110,28 +123,42 @@ def entry_key(doc, configs: list) -> tuple:
 class Schedule:
     """Ordered invocation list of a model, held as counted groups.
 
-    `groups` has one (node_id, layer_id, config, count) per distinct config
-    of each layer, in schedule order. `parts` partitions the groups into
-    units that `perf_model.schedule_latency` scores once and keeps: one per
-    layer plan of a built schedule, one for all groups of `Schedule(entries)`.
-    Each part lists its groups' roofline terms in `terms`, no-output
-    verdict in `no_output` and invocations in `invocations`; latency,
-    report rows, constraint checks and the length read only these, so a
-    built schedule's configs are made only when `groups`, `rows()` or
-    `entries` is read.
-    `rows()` streams every invocation from the parts; `entries` lists them
-    as `ScheduleEntry` objects, kept when given and built on first access
-    otherwise. `groups` is worked out when first asked for; an empty
-    schedule has no parts.
+    `nodes` holds what latency, constraint checks and the length read, one
+    unit per node of a built schedule (`_NodeRecord`), one for all groups of
+    `Schedule(entries)` (`_Groups`). Each unit has its invocations in
+    `invocations`, its (node id, layer id) pairs with a tile without output
+    in `no_output`, and its cycles per bandwidth pair in `cycles`, which
+    `perf_model.schedule_latency` fills through its `score`. So a search
+    reads O(nodes) per schedule.
+
+    `parts` lists the units that rows and terms are read from: a built
+    schedule's layer plans in `model.order`, made on first read; the one
+    `_Groups` of `Schedule(entries)`. `groups` has one (node_id, layer_id,
+    config, count) per distinct config of each layer, in schedule order,
+    worked out when first asked for, and a built schedule's configs are
+    made only then or when `rows()` or `entries` is read. `rows()` streams
+    every invocation from the parts; `entries` lists them as
+    `ScheduleEntry` objects, kept when given and built on first access
+    otherwise. An empty schedule has no nodes.
     """
 
-    def __init__(self, entries=(), plans=None):
+    def __init__(self, entries=(), nodes=None, order=None):
         self._entries = None
-        if plans is None:
+        if nodes is None:
             entries = self._entries = list(entries)
-            plans = [_Groups(Counter((e.node_id, e.layer_id, e.config) for e in entries),
+            nodes = [_Groups(Counter((e.node_id, e.layer_id, e.config) for e in entries),
                              lambda: map(_ENTRY_ROW, entries))] if entries else []
-        self.parts = plans
+        self.nodes = nodes
+        self._order = order  # a built schedule's layer order; None when its nodes are its parts
+
+    @cached_property
+    def parts(self) -> list:
+        if self._order is None:
+            return self.nodes
+        plans = {}
+        for node in self.nodes:
+            plans.update(node.plans)
+        return [plans[lid] for lid in self._order if lid in plans]
 
     @cached_property
     def groups(self) -> list:
@@ -149,7 +176,7 @@ class Schedule:
         return self._entries
 
     def __len__(self):
-        return sum(part.invocations for part in self.parts)
+        return sum(node.invocations for node in self.nodes)
 
 
 def read_entries(docs: list, configs: list) -> Counter:
@@ -189,27 +216,27 @@ def schedule_json(head: dict, schedule: Schedule) -> str:
 
 
 class _Groups:
-    """Counted groups, from `counts` of (node id, layer id, config), scored and
-    checked as one unit; `rows()` gives their invocations' rows. `terms` has
-    each group's (node id, layer id, work, lanes, words in, words out, count)
-    (see `perf_model.config_terms`), `no_output` its verdict (`_no_output`)
-    and `invocations` their count. `scored` is kept by
-    `perf_model.schedule_latency`."""
+    """Counted groups, from `counts` of (node id, layer id, config): the one
+    node and part of `Schedule(entries)`. `rows()` gives their invocations'
+    rows. `terms` has each group's (node id, layer id, work, lanes, words
+    in, words out, count) (see `perf_model.config_terms`), `no_output` the
+    (node id, layer id) of each group without work, `invocations` their
+    count and `cycles` their cycles per bandwidth pair, which `score` gives
+    through `perf_model.roofline`."""
 
-    __slots__ = ("groups", "terms", "no_output", "rows", "scored", "invocations")
+    __slots__ = ("groups", "terms", "no_output", "rows", "cycles", "invocations")
 
     def __init__(self, counts, rows):
         self.groups = [(*key, n) for key, n in counts.items()]
         self.invocations = counts.total()
         self.terms = [(node, layer, *config_terms(cfg), n) for node, layer, cfg, n in self.groups]
-        self.no_output = _no_output(self.terms)
+        self.no_output = [(node, layer) for node, layer, work, *_ in self.terms if work == 0]
         self.rows = rows
-        self.scored = None
+        self.cycles = {}
 
-
-def _no_output(terms) -> list:
-    """(node id, layer id) of each of `terms` without work: tiles without output."""
-    return [(node_id, layer_id) for node_id, layer_id, work, *_ in terms if work == 0]
+    def score(self, bw) -> int:
+        return sum(roofline(work, lanes, words_in, words_out, *bw)[2] * n
+                   for _, _, work, lanes, words_in, words_out, n in self.terms)
 
 
 def _axis_count(full: int, tile: int) -> int:
@@ -333,21 +360,28 @@ class ChainMemo:
     """Everything one search chain has computed that its later moves reuse:
     `costs` maps a node capability to its resources (see
     `resource_model.graph_resources`); `nodes` maps (node id, capability,
-    layer ids) to the node's layer plans, by layer id; `plans` maps (layer
-    id, node id, capability) to a layer plan, with its scored cycles and
-    no-output verdict; `tilings` maps (layer id, axes) to a layer's tiling
-    (see `_plan_layer`); and `axes` maps (layer id, axis, full, tile) to the
-    parts of one axis (see `_axis_parts`). A plan is scored and its verdict
-    made from its tiling's roofline terms; it builds its configs only when
-    its `groups` are first read, which no search step does. No key names
-    the model, the schedule mode or the device, so a memo serves one chain:
-    one model, mode and device."""
+    layer ids) to the node's record (`_NodeRecord`: its layer plans,
+    invocations, no-output verdicts and cycles per bandwidth pair); `plans`
+    maps (layer id, node id, capability) to a layer plan; `tilings` maps
+    (layer id, axes) to a layer's tiling (see `_plan_layer`), which keeps
+    its plans' scores per (lanes, bandwidths); and `axes` maps (layer id,
+    axis, full, tile) to the parts of one axis (see `_axis_parts`). No
+    search step builds a config. No key names the model, the schedule mode
+    or the device, so a memo serves one chain: one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
     nodes: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
     tilings: dict = field(default_factory=dict)
     axes: dict = field(default_factory=dict)
+
+
+def _memory(terms, bw) -> list:
+    """`perf_model.memory_cycles` of each of the fold-free `terms` at
+    bandwidths `bw`, 0 for a term without work: a tile without output takes
+    no cycles."""
+    return [memory_cycles(words_in, words_out, *bw) if work else 0
+            for work, words_in, words_out, _, _ in terms]
 
 
 @dataclass(eq=False, slots=True)
@@ -358,10 +392,15 @@ class _Tiling:
     `counts`, in schedule order, `invocations` in all. `slots` has, per
     combination of per-axis tile classes in product order, the position of
     its parts in `counts`. At runtime `widths` has each distinct (channels,
-    filters) of the combinations, which fix their folds (`_folds`), and
-    `terms` has, per combination of parts in `counts` order, its fold-free
-    terms: (work, words in, words out, position of its width in `widths`,
-    invocations) (see `perf_model.work_terms`)."""
+    filters) of the combinations, which fix their folds (`_folds`); `terms`
+    has, per combination of parts in `counts` order, its fold-free terms:
+    (work, words in, words out, position of its width in `widths`,
+    invocations) (see `perf_model.work_terms`); and `no_output` says whether
+    a combination has no work, a tile without output, whatever the folds.
+    No fold enters a term's memory cycles either: `memory` keeps them per
+    bandwidth pair (`_memory`), and `scores` keeps the cycles of the
+    tiling's invocations per (lanes per width, bandwidth pair), shared by
+    every plan whose folds cut to those lanes (`score`)."""
 
     axes: tuple
     mode: str
@@ -370,6 +409,21 @@ class _Tiling:
     widths: list
     terms: list
     invocations: int
+    no_output: bool = False
+    memory: dict = field(default_factory=dict)
+    scores: dict = field(default_factory=dict)
+
+    def score(self, lanes, bw) -> int:
+        """Cycles of the invocations at `lanes` per width and bandwidths `bw`
+        (`perf_model.lane_cycles`), computed once per (lanes, bw)."""
+        key = (lanes, bw)
+        cycles = self.scores.get(key)
+        if cycles is None:
+            memory = self.memory.get(bw)
+            if memory is None:
+                memory = self.memory[bw] = _memory(self.terms, bw)
+            cycles = self.scores[key] = lane_cycles(self.terms, lanes, memory)
+        return cycles
 
 
 def _tile_layer(layer, axes, mode, memo: ChainMemo) -> _Tiling:
@@ -394,27 +448,66 @@ def _tile_layer(layer, axes, mode, memo: ChainMemo) -> _Tiling:
         (*work_terms(layer.kind, *_tile_shapes(layer, parts), parts[4], layer.kernel_volume),
          widths.setdefault((parts[3][0], parts[4]), len(widths)), n)
         for parts, n in counts.items()]
-    return _Tiling(axes, mode, counts, slots, list(widths), terms, sum(counts.values()))
+    return _Tiling(axes, mode, counts, slots, list(widths), terms, sum(counts.values()),
+                   any(work == 0 for work, *_ in terms))
+
+
+def _padded_terms(cap) -> tuple:
+    """(work, lanes, words in, words out) of a padded invocation on `cap`:
+    the node runs at its full compile-time size (`_padded_config`), so they
+    are the node's, whatever the layer and the partial-sum flag."""
+    kd, kh, kw = cap.kernel_max
+    work, words_in, words_out = work_terms(cap.kind, cap.shape_in_max.to_list(),
+                                           cap.shape_out_max.to_list(), cap.filters_max,
+                                           kd * kh * kw)
+    lanes = fold_lanes(cap.kind, 1, cap.coarse_in, cap.coarse_out, cap.fine)  # groups: 1
+    return work, lanes, words_in, words_out
 
 
 @dataclass(eq=False, slots=True)
 class _LayerPlan:
-    """One layer's tiling on its node `cap`. Per combination of parts of the
-    tiling, in its order, `terms` has (node id, layer id, work, lanes, words
-    in, words out, count), which the plan is scored from, and `groups` has
-    (node id, layer id, config, count), built on first read and then kept.
-    `_plan_layer` sets `terms` and, from them, `no_output` (`_no_output`);
-    `scored` is kept by `perf_model.schedule_latency`."""
+    """One layer's tiling on its node `cap`: `lanes` has the lanes of each
+    width of the tiling, which the node's folds cut (`_folds`); a padded
+    plan has one width, the node's. `no_output` is the verdict that a tile
+    yields no output. `score` gives the plan's cycles, `terms` its groups'
+    roofline terms, derived when read (the report's rows), and `groups`
+    has (node id, layer id, config, count) per combination of parts of the
+    tiling, in its order, built on first read and then kept."""
 
     layer: object
     node_id: str
     cap: object
     tiling: _Tiling
-    invocations: int  # the tiling's
-    terms: list = None
-    scored: tuple = None
-    no_output: list = None
+    lanes: tuple = ()
+    no_output: bool = False
     built: list = None  # `groups`, once read
+
+    @property
+    def fold_free(self) -> list:
+        """(work, words in, words out, width, count) per combination of parts:
+        the tiling's at runtime; a padded plan's are its node's
+        (`_padded_terms`), with the count of each partial-sum flag."""
+        tiling = self.tiling
+        if tiling.mode == MODE_RUNTIME:
+            return tiling.terms
+        work, _, words_in, words_out = _padded_terms(self.cap)
+        return [(work, words_in, words_out, 0, n) for n in tiling.counts.values()]
+
+    @property
+    def terms(self) -> list:
+        """(node id, layer id, work, lanes, words in, words out, count) per
+        combination of parts, in the tiling's order."""
+        node_id, layer_id, lanes = self.node_id, self.layer.id, self.lanes
+        return [(node_id, layer_id, work, lanes[k], words_in, words_out, n)
+                for work, words_in, words_out, k, n in self.fold_free]
+
+    def score(self, bw) -> int:
+        """Cycles of the plan's invocations at bandwidths `bw` = (in, out):
+        a runtime plan's are kept by its tiling (`_Tiling.score`)."""
+        if self.tiling.mode == MODE_RUNTIME:
+            return self.tiling.score(self.lanes, bw)
+        terms = self.fold_free
+        return lane_cycles(terms, self.lanes, _memory(terms, bw))
 
     @property
     def groups(self) -> list:
@@ -454,18 +547,17 @@ class _LayerPlan:
 
 
 def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
-    """Tile one layer over its node and count its invocations per config.
+    """Tile one layer over its node and cut the node's folds into its lanes.
 
     Each axis's tile is first cut to the axis (a tile at least as large as
     its axis is one tile of the whole axis), so node shapes that tile the
     layer alike share one tiling, taken from `memo` when it holds it. A
-    runtime plan's terms are the tiling's, with the node's folds cut per
-    width of the tiling (`_folds`); a padded plan's configs differ only in
-    the partial-sum flag, and it takes its terms from them. Distinct parts
-    give distinct configs, so groups are counted on the parts. A grouped
-    conv is never channel or filter tiled, as tiles would cut across
-    groups: a reshape can make that so, the only capability check a search
-    move can fail.
+    runtime plan cuts the node's folds once per width of the tiling
+    (`_folds`) into its lanes, and takes the tiling's no-output verdict; a
+    padded plan takes its lanes and verdict from the node
+    (`_padded_terms`). A grouped conv is never channel or filter tiled, as
+    tiles would cut across groups: a reshape can make that so, the only
+    capability check a search move can fail.
     """
     if layer.groups > 1 and (
             cap.shape_in_max.c < layer.primary_in.c or cap.filters_max < layer.filters):
@@ -482,61 +574,80 @@ def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:
     tiling = memo.tilings.get(key)
     if tiling is None:
         tiling = memo.tilings[key] = _tile_layer(layer, axes, mode, memo)
-    plan = _LayerPlan(layer, node_id, cap, tiling, tiling.invocations)
     if mode == MODE_PADDED:
-        plan.terms = [(node_id, layer.id, *config_terms(cfg), n) for _, _, cfg, n in plan.groups]
-    else:
-        kind, groups = layer.kind, layer.groups
-        lanes = [fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)) for tc, tf in tiling.widths]
-        plan.terms = [(node_id, layer.id, work, lanes[k], words_in, words_out, n)
-                      for work, words_in, words_out, k, n in tiling.terms]
-    plan.no_output = _no_output(plan.terms)
-    return plan
+        work, lanes, _, _ = _padded_terms(cap)
+        return _LayerPlan(layer, node_id, cap, tiling, (lanes,), work == 0)
+    kind, groups = layer.kind, layer.groups
+    lanes = tuple(fold_lanes(kind, groups, *_folds(layer, cap, tc, tf)) for tc, tf in tiling.widths)
+    return _LayerPlan(layer, node_id, cap, tiling, lanes, tiling.no_output)
+
+
+class _NodeRecord:
+    """One node's part of a built schedule: its layer plans by layer id, in
+    the node's layer order, in `plans`; their invocations in `invocations`;
+    the (node id, layer id) of each plan with a tile without output in
+    `no_output`; and its cycles per bandwidth pair in `cycles`, filled by
+    `perf_model.schedule_latency` through `score`."""
+
+    __slots__ = ("plans", "invocations", "no_output", "cycles")
+
+    def __init__(self, node_id, plans):
+        self.plans = plans
+        self.invocations = sum(plan.tiling.invocations for plan in plans.values())
+        self.no_output = [(node_id, lid) for lid, plan in plans.items() if plan.no_output]
+        self.cycles = {}
+
+    def score(self, bw) -> int:
+        return sum(plan.score(bw) for plan in self.plans.values())
+
+
+def _in_model_order(model: ModelGraph, layer_ids: tuple) -> list:
+    """`layer_ids`, sorted by their position in `model.order`."""
+    rank = {lid: i for i, lid in enumerate(model.order)}
+    return sorted(layer_ids, key=rank.__getitem__)
 
 
 def build_schedule(model: ModelGraph, g: HardwareGraph, mode: str = MODE_RUNTIME,
                    memo: ChainMemo = None) -> Schedule:
-    """Tile every schedulable layer, in `model.order`, and count its
-    invocations per config.
+    """The schedule of every schedulable layer, in `model.order`: one record
+    per node, with its layers' plans.
 
     `g` is a valid cover of `model` (see `HardwareGraph.validate_cover`):
     the design reader checks a graph read from a file, and the search's
     edits keep it. `mode` is MODE_RUNTIME or MODE_PADDED.
 
-    `memo` holds the plans and tilings of earlier schedules of the same
-    model in the same mode: a node whose (node id, capability, layer ids) it
-    holds takes those plans. The layers of any other node are planned in
-    `model.order`, so an infeasible schedule names its first layer that
-    cannot be planned; each takes the plan of its (layer id, node id,
-    capability) if the memo holds it. Every plan and tiling built is added
-    to the memo.
+    `memo` holds the node records, plans and tilings of earlier schedules of
+    the same model in the same mode: a node whose (node id, capability,
+    layer ids) it holds takes that record. The layers of every other node
+    are planned in `model.order` (`_in_model_order`, derived once per model
+    and set of layers), so an infeasible schedule names its first layer
+    that cannot be planned; each takes the plan of its (layer id,
+    node id, capability) if the memo holds it. Every record, plan and
+    tiling built is added to the memo.
     """
     memo = ChainMemo() if memo is None else memo
-    held, missed = {}, {}  # layer id -> its plan; layer id -> its node's key, if not held
+    nodes, missed = [], []
     for node_id, layer_ids in g.mapping.items():
         key = (node_id, g.nodes[node_id], layer_ids)
-        plans = memo.nodes.get(key)
-        if plans is None:
-            missed.update(dict.fromkeys(layer_ids, key))
+        node = memo.nodes.get(key)
+        if node is None:
+            missed.append(key)
         else:
-            held.update(plans)
-    parts = []
-    for lid in model.order:
-        plan = held.get(lid)
-        if plan is None:
-            key = missed.get(lid)
-            if key is None:  # fused
-                continue
-            node_id, cap, _ = key
+            nodes.append(node)
+    if missed:
+        owner = {lid: key for key in missed for lid in key[2]}
+        plans = {}
+        for lid in model.derive(_in_model_order, tuple(owner)):
+            node_id, cap, _ = owner[lid]
             plan = memo.plans.get((lid, node_id, cap))
             if plan is None:
                 plan = memo.plans[lid, node_id, cap] = _plan_layer(
                     model.layers[lid], node_id, cap, mode, memo)
-            held[lid] = plan
-        parts.append(plan)
-    for key in set(missed.values()):
-        memo.nodes[key] = {lid: held[lid] for lid in key[2]}
-    return Schedule(plans=parts)
+            plans[lid] = plan
+        for key in missed:
+            node = memo.nodes[key] = _NodeRecord(key[0], {lid: plans[lid] for lid in key[2]})
+            nodes.append(node)
+    return Schedule(nodes=nodes, order=model.order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from test_acceptance import _random_chain_model
 
 import harflow.optimizer as optimizer
+import harflow.perf_model as perf_model
 import harflow.resource_model as resource_model
 import harflow.scheduler as scheduler
 
@@ -411,8 +412,14 @@ def _memo_walk(model, dev, mode, rng, steps, built):
             held = {(nid, graph.nodes[nid], lids) for nid, lids in graph.mapping.items()}
             counts["nodes"] += len(held & nodes.keys())
             by_layer = {p.layer.id: p for p in parts}
+            records = child.schedule.nodes
+            assert len(records) == len(held)
             for nid, cap, lids in held:
-                assert memo.nodes[nid, cap, lids] == {lid: by_layer[lid] for lid in lids}
+                record = memo.nodes[nid, cap, lids]
+                assert any(record is r for r in records)
+                assert record.plans == {lid: by_layer[lid] for lid in lids}
+                assert record.invocations == sum(by_layer[lid].tiling.invocations
+                                                 for lid in lids)
         for (lid, _, cap), (_, cut), plan in zip(keys, tiled, parts):
             # a tiling is keyed on the node's tile shape cut to the layer; a
             # kind without filters has one empty filter tile
@@ -579,23 +586,30 @@ def test_plans_score_as_their_configs(mode):
     assert (counts["no_output"] > 0) == (mode == MODE_RUNTIME)
 
 
-@pytest.mark.parametrize("name", ["toy", "multishape"])
-def test_search_builds_no_config(name, monkeypatch):
-    """A runtime chain scores and checks its plans from their tilings' terms:
-    `anneal` builds no config, nor do the length and constraint check of its
-    best state. Reading the groups builds each config once."""
+@pytest.mark.parametrize("name, mode", [
+    pytest.param(name, mode, id=name + suffix)
+    for mode, suffix in ((MODE_RUNTIME, ""), (MODE_PADDED, "-padded"))
+    for name in ("toy", "multishape")])
+def test_search_builds_no_config(name, mode, monkeypatch):
+    """A chain scores and checks its plans from their tilings' terms, or a
+    padded plan from its node's: `anneal` builds no config and calls no
+    `roofline`, nor do the length and constraint check of its best state.
+    Reading the groups builds each config once."""
     built = Counter()
-    for fn in ("_tile_config", "_padded_config"):
-        def counted(*args, _fn=getattr(scheduler, fn), _name=fn):
+    for module, fn in ((scheduler, "_tile_config"), (scheduler, "_padded_config"),
+                       (scheduler, "roofline"), (perf_model, "roofline")):
+        def counted(*args, _fn=getattr(module, fn), _name=fn):
             built[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(scheduler, fn, counted)
+        monkeypatch.setattr(module, fn, counted)
     dev = load_bundled_profile("zcu102")
-    best, _ = anneal(parse_model(bundled_model_text(name)), dev, AnnealingParams(**PROBE))
+    params = AnnealingParams(**PROBE, enable_runtime_reconfig=mode == MODE_RUNTIME)
+    best, _ = anneal(parse_model(bundled_model_text(name)), dev, params)
     assert len(best.schedule) > 0 and check_constraints(best, dev) == best.violations == []
     assert not built
     groups = best.schedule.groups
-    assert built == {"_tile_config": len(groups)}
+    config = "_tile_config" if mode == MODE_RUNTIME else "_padded_config"
+    assert built == {config: len(groups)}
 
 
 @pytest.mark.parametrize("mode", [MODE_RUNTIME, MODE_PADDED])

@@ -17,6 +17,9 @@ from harflow.perf_model import (
     RuntimeConfig,
     compute_latency,
     invocation_latency,
+    lane_cycles,
+    memory_cycles,
+    roofline,
     schedule_latency,
 )
 from harflow.scheduler import (
@@ -26,6 +29,7 @@ from harflow.scheduler import (
     Schedule,
     ScheduleEntry,
     _compute_cycles_oracle,
+    _memory,
     build_schedule,
 )
 
@@ -325,3 +329,33 @@ def test_integer_roofline_equals_fraction_reference():
                 seen.add("compute tie")
     # the sample decides every rule: both memory bounds, and both kinds of tie
     assert seen == {"memory_in", "memory_out", "memory tie", "compute tie"}
+
+
+def test_lane_cycles_are_the_roofline_totals():
+    """Per invocation, max(⌈work / lanes⌉, memory cycles) is `roofline`'s total,
+    for random work, lanes and words at int, Fraction and unlimited
+    bandwidths; a term without work takes 0 cycles. So a plan scored by
+    `lane_cycles` from its fold-free terms, with the memory cycles of
+    `scheduler._memory`, scores as the sum of its invocations' rooflines."""
+    rng = random.Random(23)
+    values = [None, 1, 3, 8, Fraction(1, 2), Fraction(1, 3), Fraction(15, 2), Fraction(7, 5)]
+    seen = set()
+    for _ in range(3000):
+        bw = (rng.choice(values), rng.choice(values))
+        widths = rng.randint(1, 3)
+        lanes = tuple(rng.randint(1, 64) for _ in range(widths))
+        terms = [(rng.choice([0, rng.randint(1, 50), rng.randint(1, 5000)]),
+                  rng.randint(0, 4000), rng.randint(0, 4000), rng.randrange(widths),
+                  rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        for work, words_in, words_out, k, _ in terms:
+            _, bound, total = roofline(work, lanes[k], words_in, words_out, *bw)
+            if work:
+                assert max(-(-work // lanes[k]), memory_cycles(words_in, words_out, *bw)) == total
+                seen.add(bound)
+            else:
+                assert total == 0 and _memory([(work, words_in, words_out, k, 1)], bw) == [0]
+                seen.add("no work")
+        assert lane_cycles(terms, lanes, _memory(terms, bw)) == sum(
+            roofline(work, lanes[k], words_in, words_out, *bw)[2] * n
+            for work, words_in, words_out, k, n in terms)
+    assert seen == {"compute", "memory_in", "memory_out", "no work"}

@@ -8,12 +8,14 @@ import pytest
 
 from harflow.device import ResourceVector, load_bundled_profile
 from harflow.hardware_graph import NodeCapability, initial_mapping
-from harflow.model_ir import TensorShape, parse_model
+from harflow.model_ir import LAYER_KINDS, TensorShape, parse_model
 from harflow.generators import bundled_model_text
 from harflow.resource_model import (
+    REGRESSION_FEATURES,
     RegressionModel,
     ResourceModelError,
     bram_blocks,
+    capability_features,
     default_regression_models,
     graph_resources,
     node_bram,
@@ -174,6 +176,30 @@ def test_regression_model_round_trip():
     lut_model, _ = default_regression_models()
     again = RegressionModel.from_dict(lut_model.to_dict())
     assert again == lut_model
+
+
+def test_predict_equals_the_feature_product_sum():
+    """`predict` adds only the numeric products and the kind's coefficient:
+    on random capabilities of every kind it gives what the full feature
+    vector gives, for both bundled models and for random coefficients. Their
+    magnitudes span sixteen decades, past the integers a float holds
+    exactly, so a sum taken in another order would round to another
+    integer."""
+    rng = random.Random(17)
+    models = list(default_regression_models())
+    models += [RegressionModel("lut", REGRESSION_FEATURES,
+                               tuple(rng.uniform(-1, 1) * 10 ** rng.randint(0, 16)
+                                     for _ in REGRESSION_FEATURES),
+                               rng.uniform(-1e4, 1e4)) for _ in range(4)]
+    for _ in range(500):
+        kind = rng.choice(LAYER_KINDS)
+        cap = NodeCapability(
+            kind=kind, shape_in_max=TensorShape(*(rng.randint(1, 128) for _ in range(4))),
+            shape_out_max=TensorShape(1, 1, 1, 1), filters_max=rng.randint(0, 512),
+            kernel_max=tuple(rng.randint(1, 7) for _ in range(3)),
+            coarse_in=rng.randint(1, 64), coarse_out=rng.randint(1, 64), fine=rng.randint(1, 27))
+        for model in models:
+            assert model.predict(cap) == model.predict_features(capability_features(cap))
 
 
 def test_predictions_are_non_negative():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from test_acceptance import _random_chain_model, _randomly_shrunk
 
+import harflow.scheduler as scheduler
 from harflow.cli import _load_schedule
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
@@ -404,7 +405,7 @@ def test_tiles_cut_to_the_layer_tile_it_alike(mode):
             cap = capability_for_layers(layer.kind, [layer]).refit(
                 shape_in_max=TensorShape(td, th, tw, tc), filters_max=tf if filters else 0,
                 coarse_in=rng.randint(1, 4), coarse_out=rng.randint(1, 4), fine=rng.randint(1, 9))
-            rows = [list(_LayerPlan(layer, "node", cap, t, t.invocations).rows()) for t in (a, b)]
+            rows = [list(_LayerPlan(layer, "node", cap, t).rows()) for t in (a, b)]
             assert rows[0] == rows[1] and len(rows[0]) == a.invocations
             seen["cut"] += raw != cut
             seen["fc"] += layer.kind == "FullyConnected" and layer.primary_in != s
@@ -412,6 +413,42 @@ def test_tiles_cut_to_the_layer_tile_it_alike(mode):
             seen["stride"] += max(layer.stride) > 1
             seen["padding"] += any(layer.padding)
     assert len(seen) == 5 and min(seen.values()) >= 5, seen
+
+
+def test_plans_with_equal_lanes_share_one_score(toy, monkeypatch):
+    """A runtime plan's score depends on its tiling and lanes only. On one
+    memo, toy's conv node at folds (1, 8, 3) and then (3, 8, 1), which cut
+    to equal lanes on its one width, shares one score: the second schedule
+    tiles nothing and scores nothing. A fold move to other lanes tiles
+    nothing and scores once. Each latency equals the one from scratch."""
+    made = Counter()
+    for name in ("_tile_layer", "lane_cycles"):
+        def counted(*args, _fn=getattr(scheduler, name), _name=name):
+            made[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(scheduler, name, counted)
+    dev = load_bundled_profile("zcu102")
+    base = initial_mapping(toy)
+    memo = ChainMemo()
+
+    def conv_plan(**folds):
+        graph = base.with_node("conv_0", base.nodes["conv_0"].refit(**folds))
+        schedule = build_schedule(toy, graph, MODE_RUNTIME, memo)
+        latency = schedule_latency(schedule, dev)
+        return graph, latency, next(p for p in schedule.parts if p.layer.id == "conv")
+
+    first, cycles, a = conv_plan(coarse_in=1, coarse_out=8, fine=3)
+    assert made["_tile_layer"] > 0 and made["lane_cycles"] > 0
+    before = made.copy()
+    second, again, b = conv_plan(coarse_in=3, coarse_out=8, fine=1)
+    assert made == before
+    assert b is not a and b.tiling is a.tiling and b.lanes == a.lanes == (24,)
+    assert again == cycles and len(a.tiling.scores) == 1
+    _, _, c = conv_plan(coarse_in=1, coarse_out=2, fine=1)
+    assert c.tiling is a.tiling and c.lanes == (2,) and len(a.tiling.scores) == 2
+    assert made == before + Counter(lane_cycles=1)
+    for graph, latency in ((first, cycles), (second, again)):
+        assert latency == schedule_latency(build_schedule(toy, graph, MODE_RUNTIME), dev)
 
 
 def _entries_digest(schedule):

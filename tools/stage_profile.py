@@ -7,11 +7,14 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
   the layer tilings made (`scheduler._tile_layer` calls; a plan whose tiling
   the chain's memo holds makes none), the axes derived for them
   (`scheduler._axis_parts` calls; a tiling takes each axis the memo holds
-  at its tile from it), the combinations of parts scored
-  (`perf_model.roofline` calls), the runtime configs the scheduler built
-  (none in a runtime chain: a plan is scored from its tiling's terms, and
-  builds its configs only when its groups are read), and the evaluations
-  rejected on budget, which `evaluate` returns before building a schedule;
+  at its tile from it), the plan scores computed (`perf_model.lane_cycles`
+  calls: a runtime tiling keeps one per lanes and bandwidth pair, which its
+  plans share), the node records built (`scheduler._NodeRecord`; a node
+  whose record the memo holds builds none), the configs the scheduler built
+  (none in either mode: a plan is scored from its tiling's terms or its
+  node's, and builds its configs only when its groups are read), and the
+  evaluations rejected on budget, which `evaluate` returns before building
+  a schedule;
 - per `evaluate` stage, summed over the chains: the calls and seconds spent in
   `build_schedule`, `schedule_latency`, `graph_resources` and
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
@@ -21,10 +24,9 @@ inputs of the c3d-export benchmark workload) through `harflow schedule` and
 `harflow report`, and prints the entries written, the configs encoded
 (`RuntimeConfig.to_dict` calls) and decoded (`RuntimeConfig.from_dict`
 calls; both are the size of the schedule file's config table), the groups
-scored (`perf_model.roofline` calls in both commands: each group is scored
-by `schedule_latency` in each command and once more for the report's
-per-layer rows), and the seconds summed over the designs of each export
-stage:
+scored (`perf_model.roofline` calls in both commands: each group once, for
+the report's per-layer rows; `schedule_latency` scores plans, not groups),
+and the seconds summed over the designs of each export stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
   file's invocation counts against the design's schedule, then scores and
@@ -96,7 +98,7 @@ def _rejected_on_budget(fn, totals):
 
 def profile(model_name, seeds, padded=False):
     """(per-chain rows, {stage: [calls, seconds]}) of one chain per seed."""
-    from harflow import optimizer, perf_model, scheduler
+    from harflow import optimizer, scheduler
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
     from harflow.model_ir import parse_model
@@ -104,15 +106,16 @@ def profile(model_name, seeds, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     stages = {name: [0, 0.0] for name in STAGES}
-    plans, tilings, axes, scored, configs, rejected = [0], [0], [0], [0], [0], [0]
+    counters = {name: [0] for name in ("plan_layer", "tilings", "axes", "scores", "records",
+                                       "configs", "rejected")}
     patched = {(optimizer, name): _timed(getattr(optimizer, name), stages[name])
                for name in STAGES}
-    patched[scheduler, "_plan_layer"] = _counted(scheduler._plan_layer, plans)
-    patched[scheduler, "_tile_layer"] = _counted(scheduler._tile_layer, tilings)
-    patched[scheduler, "_axis_parts"] = _counted(scheduler._axis_parts, axes)
-    patched[perf_model, "roofline"] = _counted(perf_model.roofline, scored)
-    patched[scheduler, "RuntimeConfig"] = _counted(scheduler.RuntimeConfig, configs)
-    patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate, rejected)
+    for name, counter in (("_plan_layer", "plan_layer"), ("_tile_layer", "tilings"),
+                          ("_axis_parts", "axes"), ("lane_cycles", "scores"),
+                          ("_NodeRecord", "records"), ("RuntimeConfig", "configs")):
+        patched[scheduler, name] = _counted(getattr(scheduler, name), counters[counter])
+    patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate,
+                                                         counters["rejected"])
     saved = {key: getattr(*key) for key in patched}
     rows = []
     try:
@@ -121,14 +124,13 @@ def profile(model_name, seeds, padded=False):
         for seed in seeds:
             params = optimizer.AnnealingParams(
                 seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
-            before = plans[0], tilings[0], axes[0], scored[0], configs[0], rejected[0]
+            before = {name: counter[0] for name, counter in counters.items()}
             start = time.perf_counter()
             best, _ = optimizer.anneal(model, dev, params)
             wall = time.perf_counter() - start
             rows.append(dict(seed=seed, wall_s=wall, best_cycles=best.latency_cycles,
-                             plan_layer=plans[0] - before[0], tilings=tilings[0] - before[1],
-                             axes=axes[0] - before[2], scored=scored[0] - before[3],
-                             configs=configs[0] - before[4], rejected=rejected[0] - before[5]))
+                             **{name: counter[0] - before[name]
+                                for name, counter in counters.items()}))
     finally:
         for (module, name), fn in saved.items():
             setattr(module, name, fn)
@@ -229,8 +231,9 @@ def main(argv=None):
     print(f"{args.model}/{DEVICE} {mode}, params {PARAMS}")
     for row in rows:
         print("seed {seed}: {wall_s:.3f} s, best {best_cycles} cycles, _plan_layer {plan_layer}, "
-              "tilings {tilings}, axes derived {axes}, combinations scored {scored}, "
-              "configs built {configs}, rejected on budget {rejected}"
+              "tilings {tilings}, axes derived {axes}, plan scores computed {scores}, "
+              "node records built {records}, configs built {configs}, "
+              "rejected on budget {rejected}"
               .format(**row))
     for name, (calls, seconds) in stages.items():
         print(f"{name}: {calls} calls, {seconds:.3f} s")
