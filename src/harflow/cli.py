@@ -2,9 +2,12 @@
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
 schedule.json holds each runtime config once, in a `configs` table that its
-entries index, so `harflow report` decodes each config once and counts each
-entry under its (node, layer, config). It checks those counts against the
-design's own schedule, and scores and reports that schedule.
+entries index. `harflow report` builds the design's own schedule and its
+schedule.json text, as `harflow schedule` writes it (`_schedule_text`): a
+file holding that text is the design's schedule and is not decoded. Any
+other file is decoded, each config once, each entry counted under its
+(node, layer, config), and those counts are checked against the design's
+schedule. The report scores and reports the design's schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -175,11 +178,12 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
     )
 
 
-def _read_json_object(path, what):
-    """The JSON object in file `path` (see `_read_text`); invalid JSON or any
-    other JSON value ends in a one-line error naming the `what` file."""
+def _read_json_object(path, what, text=None):
+    """The JSON object in file `path` (see `_read_text`), or in `text`, the
+    file's text when already read; invalid JSON or any other JSON value ends
+    in a one-line error naming the `what` file."""
     try:
-        doc = json.loads(_read_text(path, what))
+        doc = json.loads(_read_text(path, what) if text is None else text)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{what} file {path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -207,12 +211,13 @@ def _load_design(design_file):
     return doc, model, dev, graph
 
 
-def _load_schedule(schedule_file):
-    """Invocations per (node id, layer id, config) of a schedule.json file: an
-    object whose `configs` and `entries` are arrays, each element checked by
-    its reader, so a malformed file ends in one error line naming the bad
-    field. Entries are counted, not kept (`scheduler.read_entries`)."""
-    doc = _read_json_object(schedule_file, "schedule")
+def _load_schedule(schedule_file, text):
+    """Invocations per (node id, layer id, config) of `text`, the text of
+    schedule.json file `schedule_file`: an object whose `configs` and
+    `entries` are arrays, each element checked by its reader, so a
+    malformed file ends in one error line naming the bad field. Entries are
+    counted, not kept (`scheduler.read_entries`)."""
+    doc = _read_json_object(schedule_file, "schedule", text)
     try:
         require_keys(doc, ("configs", "entries"), "document", ValueError)
         for key in ("configs", "entries"):
@@ -224,11 +229,14 @@ def _load_schedule(schedule_file):
         raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
 
 
-def _design_schedule(doc, model, graph):
-    try:
-        return build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
-    except InfeasibleScheduleError as exc:
-        raise click.ClickException(str(exc))
+def _schedule_text(model, dev, schedule) -> tuple:
+    """(total ms, schedule.json text) of a design's schedule on the design's
+    own device `dev`: the text `harflow schedule` writes, and the one
+    `harflow report` compares a schedule file with."""
+    total = schedule_latency(schedule, dev)
+    total_ms = total * 1e3 / dev.clock_hz
+    head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
+    return total_ms, schedule_json(head, schedule)
 
 
 @main.command("schedule")
@@ -237,11 +245,12 @@ def _design_schedule(doc, model, graph):
 def schedule_cmd(design_file, out_file):
     """Build the tiled invocation schedule for an optimized design."""
     doc, model, dev, graph = _load_design(design_file)
-    schedule = _design_schedule(doc, model, graph)
-    total = schedule_latency(schedule, dev)
-    total_ms = total * 1e3 / dev.clock_hz
-    head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
-    _write_text(out_file, schedule_json(head, schedule), "schedule")
+    try:
+        schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
+    except InfeasibleScheduleError as exc:
+        raise click.ClickException(str(exc))
+    total_ms, text = _schedule_text(model, dev, schedule)
+    _write_text(out_file, text, "schedule")
     click.echo(
         f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
         f"{total_ms:.3f} ms"
@@ -254,19 +263,31 @@ def schedule_cmd(design_file, out_file):
 @click.option("--device", "device_spec", default=None)
 @click.option("--out", "out_file", default="report.json")
 def report_cmd(design_file, schedule_file, device_spec, out_file):
-    """Derive throughput/utilisation metrics for a design + schedule."""
-    doc, model, dev, graph = _load_design(design_file)
-    if device_spec:
-        dev = _load_device(device_spec)
-    found = _load_schedule(schedule_file)
-    schedule = _design_schedule(doc, model, graph)
-    # the groups hold one count per (node id, layer id, config)
-    expected = Counter({(node, layer, cfg): n for node, layer, cfg, n in schedule.groups})
-    if found != expected:
-        node, layer = min(k[:2] for k in found.keys() | expected.keys() if found[k] != expected[k])
-        raise click.ClickException(
-            f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' with other "
-            f"configs or invocation counts than the design does")
+    """Derive throughput/utilisation metrics for a design + schedule.
+
+    A schedule file whose text is the one `harflow schedule` writes for the
+    design (`_schedule_text`) holds the design's own invocations, so it is
+    not decoded. Any other file is decoded and its counts are compared with
+    the design's; a malformed file fails before an infeasible design does.
+    """
+    doc, model, design_dev, graph = _load_design(design_file)
+    dev = _load_device(device_spec) if device_spec else design_dev
+    text = _read_text(schedule_file, "schedule")
+    try:
+        schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
+    except InfeasibleScheduleError as exc:
+        _load_schedule(schedule_file, text)  # a malformed file fails first
+        raise click.ClickException(str(exc))
+    if text != _schedule_text(model, design_dev, schedule)[1]:
+        found = _load_schedule(schedule_file, text)
+        # the groups hold one count per (node id, layer id, config)
+        expected = Counter({(node, layer, cfg): n for node, layer, cfg, n in schedule.groups})
+        if found != expected:
+            node, layer = min(k[:2] for k in found.keys() | expected.keys()
+                              if found[k] != expected[k])
+            raise click.ClickException(
+                f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' with other "
+                f"configs or invocation counts than the design does")
     latency = schedule_latency(schedule, dev)
     if latency <= 0:
         raise click.ClickException(

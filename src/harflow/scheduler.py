@@ -34,12 +34,14 @@ that changes only folds re-tiles nothing; and each axis's parts, keyed on
 (layer id, axis, extent, tile), so a new tile shape derives only the axes
 it changed.
 
-`schedule_json` formats each invocation's row, as its layer plan yields it,
-into schedule.json text: a `configs` table holds each config object once,
-and each entry names its config by index into it. `read_entries` checks
-each decoded entry (`entry_key`) and counts it under its (node, layer,
-config); no `ScheduleEntry` is built on either path unless
-`Schedule.entries` is read.
+`schedule_json` writes schedule.json text: a `configs` table holds each
+config object once, and each entry names its config by index into it. A
+layer plan formats its own entries (`_LayerPlan.entry_texts`): one template
+per (h, w, d) tile and (c, f) tile class, filled with the C and F fields of
+each (c, f) tile, formatted once per plan. `_Groups` formats row by row.
+`read_entries` checks each decoded entry (`entry_key`) and counts it under
+its (node, layer, config); no `ScheduleEntry` is built on either path
+unless `Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -52,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, mod
 
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
@@ -94,16 +96,19 @@ _ENTRY_ROW = attrgetter(*ScheduleEntry.__slots__)  # an entry's row: its fields,
 def entry_key(doc, configs: list) -> tuple:
     """(node id, layer id, config index) of a schedule.json entry document:
     string ids, a JSON integer index into `configs`, the decoded table, and
-    integer tile and filter fields. Else ValueError names the first bad field."""
+    tile and filter fields of JSON integers of 0 or more. Else ValueError
+    names the first bad field."""
     try:
         node, layer, index = doc["node"], doc["layer"], doc["config"]
         arrays = doc["tile_index"], doc["tile_origin"], doc["tile_shape"]
         (i0, i1, i2, i3, i4), (o0, o1, o2, o3), (s0, s1, s2, s3) = arrays
+        f0, f1 = doc["filter_origin"], doc["filter_count"]
         if (type(node) is type(layer) is str and type(index) is int
                 and 0 <= index < len(configs) and set(map(type, arrays)) == {list}
                 and {type(i0), type(i1), type(i2), type(i3), type(i4), type(o0), type(o1),
                      type(o2), type(o3), type(s0), type(s1), type(s2), type(s3),
-                     type(doc["filter_origin"]), type(doc["filter_count"])} == {int}):
+                     type(f0), type(f1)} == {int}
+                and min(i0, i1, i2, i3, i4, o0, o1, o2, o3, s0, s1, s2, s3, f0, f1) >= 0):
             return node, layer, index
     except (KeyError, TypeError, ValueError):  # no object, a key missing or a length wrong
         pass
@@ -116,7 +121,7 @@ def entry_key(doc, configs: list) -> tuple:
         raise ValueError(f"entry 'config' must be an integer index into the "
                          f"{len(configs)} configs, got {index!r}")
     for key, length in zip(_ENTRY_KEYS[2:7], (5, 4, 4, None, None)):
-        strict(doc[key], int, f"entry '{key}'", ValueError, length)
+        strict(doc[key], int, f"entry '{key}'", ValueError, length, least=0)
     return node, layer, index
 
 
@@ -189,28 +194,37 @@ def read_entries(docs: list, configs: list) -> Counter:
     return counts
 
 
-# the text `json.dumps` writes for an entry document past its ids, each "%d" one integer
-_ENTRY_TEXT = ('[%d, %d, %d, %d, %d], "tile_origin": [%d, %d, %d, %d], "tile_shape": '
+# the text `json.dumps` writes for an entry document past its 'tile_index' key,
+# each "%d" one integer
+_ENTRY_TEXT = ('%d, %d, %d, %d, %d], "tile_origin": [%d, %d, %d, %d], "tile_shape": '
                '[%d, %d, %d, %d], "filter_origin": %d, "filter_count": %d, "config": %d}')
+
+
+def _entry_start(node_id, layer_id) -> str:
+    """The text `json.dumps` writes for an entry document up to its first tile index."""
+    return f'{{"node": {json.dumps(node_id)}, "layer": {json.dumps(layer_id)}, "tile_index": ['
+
+
+def _config_index(cfg, index: dict, configs: list) -> int:
+    """Position of config object `cfg` in `configs`, the config documents of a
+    schedule.json in first-use order: `index` maps id(config) to it, and a
+    config not seen yet is appended."""
+    i = index.get(id(cfg))
+    if i is None:
+        i = index[id(cfg)] = len(configs)
+        configs.append(cfg.to_dict())
+    return i
 
 
 def schedule_json(head: dict, schedule: Schedule) -> str:
     """schedule.json text: `head`, then `configs`, each config object of the
     schedule once in first-use order, then `entries`, each naming its config
-    by index into `configs`: what `json.dumps` writes, each entry formatted
-    from its row and each (node, layer) pair of ids encoded once."""
-    index, configs = {}, []  # index: id(config) -> position in configs
-    heads, entries = {}, []  # heads: (node id, layer id) -> entry text up to 'tile_index'
-    for node, layer, tile_index, origin, shape, f_origin, f_count, cfg in schedule.rows():
-        i = index.get(id(cfg))
-        if i is None:
-            i = index[id(cfg)] = len(configs)
-            configs.append(cfg.to_dict())
-        start = heads.get((node, layer))
-        if start is None:
-            start = heads[node, layer] = (
-                f'{{"node": {json.dumps(node)}, "layer": {json.dumps(layer)}, "tile_index": ')
-        entries.append(start + _ENTRY_TEXT % (*tile_index, *origin, *shape, f_origin, f_count, i))
+    by index into `configs`: what `json.dumps` writes. Each part of the
+    schedule formats its own entries (`entry_texts`): a layer plan fills
+    one template per (h, w, d) tile, `_Groups` formats each row."""
+    index, configs, entries = {}, [], []
+    for part in schedule.parts:
+        entries += part.entry_texts(index, configs)
     text = json.dumps(dict(head, configs=configs, entries=[]))  # ends in '"entries": []}'
     return f"{text[:-2]}{', '.join(entries)}]}}\n"
 
@@ -238,15 +252,23 @@ class _Groups:
         return sum(roofline(work, lanes, words_in, words_out, *bw)[2] * n
                    for _, _, work, lanes, words_in, words_out, n in self.terms)
 
+    def entry_texts(self, index, configs) -> list:
+        """The schedule.json text of each row's entry (see
+        `_LayerPlan.entry_texts`), formatted one row at a time, each (node,
+        layer) pair of ids encoded once."""
+        starts, texts = {}, []  # starts: (node id, layer id) -> `_entry_start`
+        for node, layer, tile_index, origin, shape, f_origin, f_count, cfg in self.rows():
+            start = starts.get((node, layer))
+            if start is None:
+                start = starts[node, layer] = _entry_start(node, layer)
+            texts.append(start + _ENTRY_TEXT % (*tile_index, *origin, *shape, f_origin, f_count,
+                                                _config_index(cfg, index, configs)))
+        return texts
+
 
 def _axis_count(full: int, tile: int) -> int:
     """Number of tiles of `tile` covering `full`; an empty axis has one empty tile."""
     return max(1, -(-full // tile))
-
-
-def _axis_tiles(full: int, tile: int):
-    """[(origin, extent), ...] partitioning `full` into tiles of `tile`."""
-    return [(i * tile, min(tile, full - i * tile)) for i in range(_axis_count(full, tile))]
 
 
 def _tile_shapes(layer, parts) -> tuple:
@@ -313,7 +335,8 @@ def _padded_config(layer, cap, parts):
 
 
 def _axis_classes(full: int, tile: int) -> dict:
-    """{(is_first, is_last): (extent, count)} of `_axis_tiles(full, tile)`, in closed form."""
+    """{(is_first, is_last): (extent, count)} of the tiles of `tile` that
+    partition an axis of extent `full`, in closed form."""
     n = _axis_count(full, tile)
     classes = {
         (True, n == 1): (min(tile, full), 1),
@@ -322,6 +345,25 @@ def _axis_classes(full: int, tile: int) -> dict:
     if n > 2:
         classes[False, False] = (tile, n - 2)  # interior tiles
     return classes
+
+
+def _indexed_tiles(axis) -> tuple:
+    """(number of tile classes, [(index, origin, extent, class position)] per
+    tile) of the tiles of `tile` that partition an axis of extent `full`,
+    `axis` = (full, tile), in closed form: each tile `tile` long but the
+    last, and an empty axis one empty tile. A class's position is its place
+    in `_axis_classes`, and so in the tiling's product of classes."""
+    full, tile = axis
+    classes = _axis_classes(full, tile)
+    position = {cls: k for k, cls in enumerate(classes)}
+    n = _axis_count(full, tile)
+    tiles = [(0, 0, classes[True, n == 1][0], position[True, n == 1])]
+    if n > 2:
+        interior = position[False, False]
+        tiles += [(i, i * tile, tile, interior) for i in range(1, n - 1)]
+    if n > 1:
+        tiles.append((n - 1, (n - 1) * tile, classes[False, True][0], position[False, True]))
+    return len(position), tiles
 
 
 def _axis_parts(layer, axis, full, tile, mode) -> list:
@@ -481,6 +523,7 @@ class _LayerPlan:
     lanes: tuple = ()
     no_output: bool = False
     built: list = None  # `groups`, once read
+    scores: dict = None  # a padded plan's cycles per bandwidth pair, once scored
 
     @property
     def fold_free(self) -> list:
@@ -503,11 +546,17 @@ class _LayerPlan:
 
     def score(self, bw) -> int:
         """Cycles of the plan's invocations at bandwidths `bw` = (in, out):
-        a runtime plan's are kept by its tiling (`_Tiling.score`)."""
+        a runtime plan's are kept by its tiling (`_Tiling.score`), a padded
+        plan's by the plan, in `scores` per bandwidth pair."""
         if self.tiling.mode == MODE_RUNTIME:
             return self.tiling.score(self.lanes, bw)
-        terms = self.fold_free
-        return lane_cycles(terms, self.lanes, _memory(terms, bw))
+        if self.scores is None:
+            self.scores = {}
+        cycles = self.scores.get(bw)
+        if cycles is None:
+            terms = self.fold_free
+            cycles = self.scores[bw] = lane_cycles(terms, self.lanes, _memory(terms, bw))
+        return cycles
 
     @property
     def groups(self) -> list:
@@ -522,15 +571,8 @@ class _LayerPlan:
         filters innermost. A row's config is found by the position of its
         combination of tile classes in the tiling's product of classes
         (`_Tiling.slots`), worked out one loop level at a time."""
-        def indexed(axis):
-            index = {cls: k for k, cls in enumerate(_axis_classes(*axis))}
-            tiles = _axis_tiles(*axis)
-            n = len(tiles)
-            return len(index), [(i, o, x, index[i == 0, i == n - 1])
-                                for i, (o, x) in enumerate(tiles)]
-
         tiling, groups = self.tiling, self.groups
-        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(indexed, tiling.axes)
+        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(_indexed_tiles, tiling.axes)
         node_id, layer_id = self.node_id, self.layer.id
         configs = [groups[slot][2] for slot in tiling.slots]
         for ih, oh, th, kh in h:
@@ -544,6 +586,40 @@ class _LayerPlan:
                         for i_f, of, tf, kf in f:
                             yield (node_id, layer_id, (ih, iw, i_d, ic, i_f), origin, shape,
                                    of, tf, configs[at_c + kf])
+
+    def entry_texts(self, index, configs) -> list:
+        """The schedule.json text of each invocation's entry, in `rows()`
+        order, naming its config by its position in `configs` (see
+        `_config_index`). The C and F fields of each (c, f) tile are
+        formatted once. Each (h, w, d) tile bakes its ids and H, W and D
+        fields into a template, copied once per (c, f) tile class with that
+        class's config index, in the order the (c, f) tiles first meet the
+        classes: so configs take their indices in first-use order. Each
+        (c, f) tile fills the copy of its class."""
+        tiling, groups, slots = self.tiling, self.groups, self.tiling.slots
+        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(_indexed_tiles, tiling.axes)
+        # '%' in an id would be read as a conversion of the template
+        start = _entry_start(self.node_id, self.layer.id).replace("%", "%%")
+        # per (c, f) tile: its C and F fields, and its (c, f) tile class
+        ends = [(i_f, f'], "filter_origin": {of}, "filter_count": {tf}, "config": ')
+                for i_f, of, tf, _ in f]
+        fills = [(f"{ic}, {i_f}", oc, f"{tc}{end}") for ic, oc, tc, _ in c for i_f, end in ends]
+        f_classes = [kf for _, _, _, kf in f]
+        classes = [kc * nf + kf for _, _, _, kc in c for kf in f_classes]
+        met = list(dict.fromkeys(classes))
+        templates, texts = [None] * (nc * nf), []
+        for ih, oh, th, kh in h:
+            for iw, ow, tw, kw in w:
+                at_w = (kh * nw + kw) * nd
+                for i_d, od, td, kd in d:
+                    at_d = (at_w + kd) * nc * nf
+                    template = (f'{start}{ih}, {iw}, {i_d}, %s], "tile_origin": [{od}, {oh}, '
+                                f'{ow}, %d], "tile_shape": [{td}, {th}, {tw}, %s')
+                    for k in met:
+                        cfg = groups[slots[at_d + k]][2]
+                        templates[k] = f"{template}{_config_index(cfg, index, configs)}}}"
+                    texts += map(mod, map(templates.__getitem__, classes), fills)
+        return texts
 
 
 def _plan_layer(layer, node_id, cap, mode, memo: ChainMemo) -> _LayerPlan:

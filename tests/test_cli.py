@@ -1,16 +1,18 @@
 import csv
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import harflow.cli as cli
 import harflow.scheduler as scheduler
 from harflow.cli import main
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import HardwareGraph, initial_mapping
-from harflow.model_ir import KIND_FIELDS, parse_model
+from harflow.model_ir import KIND_FIELDS, TensorShape, parse_model
 from harflow.optimizer import check_constraints, evaluate
 from harflow.perf_model import RuntimeConfig, invocation_latency
 from harflow.reporting import per_layer_latency
@@ -189,11 +191,24 @@ SCHEDULE_EDITS = [
      "entry 'filter_count' must be an integer, got 1.0"),
     (lambda d: d["entries"][0].update(config=len(d["configs"])),
      "entry 'config' must be an integer index into the 4 configs, got 4"),
+    # a tile or filter field below 0 names no tile of the design
+    (lambda d: d["entries"][0]["tile_index"].__setitem__(0, -1),
+     "entry 'tile_index' must be 5 integers >= 0, got [-1, 0, 0, 0, 0]"),
+    (lambda d: d["entries"][0]["tile_origin"].__setitem__(0, -1),
+     "entry 'tile_origin' must be 4 integers >= 0, got [-1, 0, 0, 0]"),
+    (lambda d: d["entries"][0]["tile_shape"].__setitem__(3, -1),
+     "entry 'tile_shape' must be 4 integers >= 0, got [4, 16, 16, -1]"),
+    (lambda d: d["entries"][0].update(filter_origin=-1),
+     "entry 'filter_origin' must be an integer >= 0, got -1"),
+    (lambda d: d["entries"][0].update(filter_count=-1),
+     "entry 'filter_count' must be an integer >= 0, got -1"),
 ]
 SCHEDULE_EDIT_IDS = ["config-without-kind", "config-without-shape-in", "config-shape-short",
                      "config-not-object", "entry-not-object", "entry-without-node",
                      "entries-not-array", "no-configs", "tile-index-holds-true",
-                     "filter-count-float", "config-index-past-table"]
+                     "filter-count-float", "config-index-past-table", "tile-index-negative",
+                     "tile-origin-negative", "tile-shape-negative", "filter-origin-negative",
+                     "filter-count-negative"]
 
 
 def _report_edited(workdir, edit):
@@ -532,20 +547,129 @@ def test_report_counts_reordered_equal_configs_as_one_group(runner, workdir):
 
 
 def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
+    """The design's own schedule file is checked by its text, so its report
+    decodes no config; a copy with the entries reversed is decoded, and
+    each config of its table once."""
     design = _tiled_conv_design(workdir)
     schedule = workdir / "schedule.json"
     assert runner.invoke(main, ["schedule", "--design", str(design),
                                 "--out", str(schedule)]).exit_code == 0
     doc = json.loads(schedule.read_text())
+    reversed_copy = workdir / "reversed.json"
+    reversed_copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])))
     decoded = []
     from_dict = RuntimeConfig.from_dict.__func__
     monkeypatch.setattr(RuntimeConfig, "from_dict", classmethod(
         lambda cls, doc: decoded.append(doc) or from_dict(cls, doc)))
-    result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(schedule),
-                                  "--out", str(workdir / "report.json")])
-    assert result.exit_code == 0, result.output
     assert len(doc["entries"]) > 20 * len(doc["configs"])
-    assert decoded == doc["configs"]
+    for path, configs in ((schedule, []), (reversed_copy, doc["configs"])):
+        decoded.clear()
+        result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(path),
+                                      "--out", str(workdir / "report.json")])
+        assert result.exit_code == 0, result.output
+        assert decoded == configs
+
+
+def _slow_dma_device(workdir):
+    """zcu102 at DMA bandwidths of 1/2 and 1/3 words per cycle, written to a file."""
+    path = workdir / "slow_dma.json"
+    path.write_text(json.dumps(dict(load_bundled_profile("zcu102").to_dict(),
+                                    name="zcu102-slow-dma", bw_in_words_per_cycle="1/2",
+                                    bw_out_words_per_cycle="1/3")))
+    return str(path)
+
+
+def test_report_checks_its_own_schedule_by_its_text(runner, workdir, monkeypatch):
+    """On the tiled toy design, the file `harflow schedule` writes and a copy
+    re-dumped with `indent=2` and its entries reversed give byte-identical
+    report.json, at the design's device and at `--device`. The design's own
+    file is compared by its text: it is never passed to `json.loads`, and
+    `read_entries` counts no entry of it."""
+    design = str(_tiled_conv_design(workdir))
+    canonical = _schedule_file(workdir, design)
+    doc = json.loads(Path(canonical).read_text())
+    copy = workdir / "indented.json"
+    copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1]), indent=2))
+    loaded, counted = [], []
+    loads, read_entries = json.loads, cli.read_entries
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: loaded.append(s) or loads(s, *a, **k))
+    monkeypatch.setattr(cli, "read_entries", lambda docs, configs: counted.append(
+        len(docs)) or read_entries(docs, configs))
+    for device in ([], ["--device", _slow_dma_device(workdir)]):
+        reports = []
+        for schedule in (canonical, str(copy)):
+            loaded.clear()
+            counted.clear()
+            out = workdir / f"report{len(reports)}.json"
+            result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+                                          "--out", str(out), *device])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+            schedule_text = Path(schedule).read_text()
+            if schedule == canonical:
+                assert schedule_text not in loaded and counted == []
+            else:
+                assert loaded.count(schedule_text) == 1 and counted == [len(doc["entries"])]
+        assert reports[0] == reports[1]
+    assert len(doc["entries"]) > 20 * len(doc["configs"])
+
+
+def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, workdir):
+    """A design that cannot be scheduled has no schedule text to compare a
+    file with, so the file is decoded first: a malformed file fails on the
+    file, a well-formed one on the design."""
+    doc = json.loads(bundled_model_text("toy"))
+    conv = doc["layers"][0]
+    doc["layers"].insert(0, dict(conv, id="gconv", shape_out=[4, 16, 16, 3], filters=3,
+                                 groups=3))
+    doc["edges"].insert(0, ["gconv", "conv"])
+    model = parse_model(json.dumps(doc))
+    graph = initial_mapping(model)
+    node = next(nid for nid, lids in graph.mapping.items() if "gconv" in lids)
+    graph = graph.with_node(node, graph.nodes[node].refit(
+        shape_in_max=TensorShape(4, 16, 16, 2)))
+    design = workdir / "grouped.json"
+    design.write_text(json.dumps({"model": doc, "device": load_bundled_profile("zcu102").to_dict(),
+                                  "mode": MODE_RUNTIME, "graph": graph.to_dict()}))
+    malformed = _bad_schedule(workdir, "{oops")
+    for schedule, message in (
+            (malformed, f"schedule file {malformed}: invalid JSON"),
+            (_schedule_file(workdir), f"layer 'gconv' cannot run on node '{node}'")):
+        result = runner.invoke(main, ["report", "--design", str(design), "--schedule", schedule,
+                                      "--out", str(workdir / "report.json")])
+        assert result.exit_code == 1 and result.output.startswith(f"Error: {message}"), (
+            result.output)
+
+
+def test_report_of_an_id_holding_a_percent_sign(runner, workdir):
+    """Entry texts are filled into templates with `%`: a node and a layer id
+    holding '%' are written as `json.dumps` writes them, and the design's
+    own file then reports as a copy of it that is decoded does."""
+    def percent_ids(doc):
+        _conv_node(doc).update(shape_in_max=[4, 1, 1, 3])
+        graph = doc["graph"]
+        graph["nodes"]["n%d%%s"] = graph["nodes"].pop("conv_0")
+        graph["mapping"]["n%d%%s"] = [
+            "c%s%" if lid == "conv" else lid for lid in graph["mapping"].pop("conv_0")]
+        for layer in doc["model"]["layers"]:
+            if layer["id"] == "conv":
+                layer["id"] = "c%s%"
+        doc["model"]["edges"] = [["c%s%" if x == "conv" else x for x in edge]
+                                 for edge in doc["model"]["edges"]]
+    design = str(_design(workdir, percent_ids))
+    canonical = _schedule_file(workdir, design)
+    doc = json.loads(Path(canonical).read_text())
+    assert {(e["node"], e["layer"]) for e in doc["entries"]} >= {("n%d%%s", "c%s%")}
+    copy = workdir / "reversed.json"
+    copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])))
+    reports = []
+    for schedule in (canonical, str(copy)):
+        out = workdir / f"report{len(reports)}.json"
+        result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_reports_and_checks_read_only_the_plans_terms(runner, workdir, monkeypatch):

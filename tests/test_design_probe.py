@@ -116,8 +116,9 @@ def test_stage_profile_of_toy_seed_0():
     export = re.fullmatch(
         r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "
         r"\((\d+) infeasible\), (\d+) entries written, (\d+) configs encoded, "
-        r"(\d+) configs decoded, (\d+) groups scored", lines[6])
-    designs = infeasible = entries = encoded = 0
+        r"(\d+) configs decoded, (\d+) reports checked by text, (\d+) reports decoded, "
+        r"(\d+) groups scored", lines[6])
+    designs = infeasible = entries = groups = 0
     for seed in range(8):
         params = AnnealingParams(seed=seed, **ast.literal_eval(params_text))
         try:
@@ -128,14 +129,16 @@ def test_stage_profile_of_toy_seed_0():
             continue
         designs += 1
         entries += len(warm.schedule)
-        encoded += len(warm.schedule.groups)  # one config object per group
+        groups += len(warm.schedule.groups)  # one config object per group
     *counts, scored = map(int, export.groups())
-    assert counts == [designs, infeasible, entries, encoded, encoded]
+    # both commands format the design's own text, encoding each config once;
+    # the report finds the file equal to it and decodes none
+    assert counts == [designs, infeasible, entries, 2 * groups, 0, designs, 0]
     # `schedule_latency` scores plans; each group is scored once, for the
     # report's per-layer rows
-    assert scored == encoded
-    assert entries > encoded
+    assert scored == groups
+    assert entries > groups
     export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
                      for line in lines[7:]]
-    assert export_stages == ["build", "expand + encode + write", "read + decode",
+    assert export_stages == ["build", "expand + encode + write", "compare", "read + decode",
                              "check + count", "score + report", "load design"]

@@ -187,7 +187,12 @@ def _entry_mutations():
     yield ("swap", ("entries", 0, "config"), 1)
     yield ("swap", ("entries", 3, "config"), 0)
     yield ("swap", ("entries", 0, "node"), "x")
+    # a tile or filter field below 0: rejected by both readers
+    yield ("swap", ("entries", 0, "tile_index", 0), -1)
     yield ("swap", ("entries", 0, "tile_origin", 0), -1)
+    yield ("swap", ("entries", 0, "tile_shape", 3), -1)
+    yield ("swap", ("entries", 0, "filter_origin"), -1)
+    yield ("swap", ("entries", 0, "filter_count"), -1)
 
 
 def _read_as_entries(path, doc):
@@ -206,7 +211,7 @@ def test_counting_reader_agrees_with_the_entry_reader(tmp_path, mutation):
     path.write_text(json.dumps(doc))
     entries = _read_as_entries(path, doc)
     try:
-        counts = _load_schedule(str(path))
+        counts = _load_schedule(str(path), path.read_text())
     except click.ClickException as exc:
         assert exc.message == entries
         return
@@ -214,8 +219,8 @@ def test_counting_reader_agrees_with_the_entry_reader(tmp_path, mutation):
     # the same invocations per (node, layer, config), in first-seen order
     assert list(counts.items()) == list(
         Counter((e.node_id, e.layer_id, e.config) for e in entries).items())
-    for e in entries:  # what the readers accept has the JSON types of the format
+    for e in entries:  # what the readers accept has the JSON types and ranges of the format
         assert type(e.node_id) is type(e.layer_id) is str
         assert tuple(map(len, (e.tile_index, e.tile_origin, e.tile_shape))) == (5, 4, 4)
-        assert {*map(type, (*e.tile_index, *e.tile_origin, *e.tile_shape)),
-                type(e.filter_origin), type(e.filter_count)} == {int}
+        fields = (*e.tile_index, *e.tile_origin, *e.tile_shape, e.filter_origin, e.filter_count)
+        assert set(map(type, fields)) == {int} and min(fields) >= 0

@@ -33,7 +33,9 @@ from harflow.scheduler import (
     InfeasibleScheduleError,
     Schedule,
     ScheduleEntry,
+    _axis_classes,
     _axis_count,
+    _indexed_tiles,
     _LayerPlan,
     _tile_layer,
     build_schedule,
@@ -91,18 +93,33 @@ def test_channel_tiling_sets_psum_on_non_final_tiles(toy):
     assert coverage_oracle(schedule, toy).passed
 
 
-def test_min_rule_tile_sizes():
-    # layer C=96 on node C_max=64: channel tiles of 64 then 32
-    doc = bundled_model_text("toy")
-    model = parse_model(doc)
-    graph = initial_mapping(model)
-    nid = next(n for n, cap in graph.nodes.items() if cap.kind == "Activation")
-    cap = graph.nodes[nid]
-    from harflow.scheduler import _axis_tiles
+def _axis_tiles(full, tile):
+    """[(origin, extent), ...] partitioning `full` into tiles of `tile`, by
+    enumeration; an empty axis has one empty tile."""
+    origins = range(0, full, tile) if full else [0]
+    return [(o, min(tile, full - o)) for o in origins]
 
-    assert _axis_tiles(96, 64) == [(0, 64), (64, 32)]
-    assert _axis_tiles(64, 64) == [(0, 64)]
-    assert _axis_tiles(12, 5) == [(0, 5), (5, 5), (10, 2)]
+
+def test_min_rule_tile_sizes():
+    """`_indexed_tiles` cuts an axis into tiles of the node's tile, the last
+    one shorter: layer C=96 on node C_max=64 has channel tiles of 64 then
+    32. Each tile's class position is that of its (is first, is last) class
+    in `_axis_classes`."""
+    def tiles(full, tile):
+        return [(o, x) for _, o, x, _ in _indexed_tiles((full, tile))[1]]
+
+    assert tiles(96, 64) == [(0, 64), (64, 32)]
+    assert tiles(64, 64) == [(0, 64)]
+    assert tiles(12, 5) == [(0, 5), (5, 5), (10, 2)]
+    for full in range(40):
+        for tile in range(1, 14):
+            classes = list(_axis_classes(full, tile))
+            count, indexed = _indexed_tiles((full, tile))
+            expected = _axis_tiles(full, tile)
+            n = len(expected)
+            assert count == len(classes)
+            assert indexed == [(i, o, x, classes.index((i == 0, i == n - 1)))
+                               for i, (o, x) in enumerate(expected)]
 
 
 def test_runtime_folds_are_gcd_of_tile_and_node_folds(toy):
@@ -451,6 +468,32 @@ def test_plans_with_equal_lanes_share_one_score(toy, monkeypatch):
         assert latency == schedule_latency(build_schedule(toy, graph, MODE_RUNTIME), dev)
 
 
+def test_a_padded_plan_is_scored_once_per_bandwidth_pair(multishape, monkeypatch):
+    """A padded plan keeps its score per bandwidth pair: new node records
+    that hold plans the memo kept score none of them again, and a second
+    device scores each plan once more."""
+    calls = []
+    lane_cycles = scheduler.lane_cycles
+    monkeypatch.setattr(scheduler, "lane_cycles", lambda *a: calls.append(1) or lane_cycles(*a))
+    dev = load_bundled_profile("zcu102")
+    half = replace(dev, bw_in_words_per_cycle=Fraction(1, 2),
+                   bw_out_words_per_cycle=Fraction(1, 2))
+    graph = initial_mapping(multishape)
+    memo = ChainMemo()
+    first = build_schedule(multishape, graph, MODE_PADDED, memo)
+    cycles = schedule_latency(first, dev)
+    plans = len(first.parts)
+    assert len(calls) == plans > 1
+    memo.nodes.clear()  # the next schedule builds new records over the kept plans
+    second = build_schedule(multishape, graph, MODE_PADDED, memo)
+    assert second.nodes[0] is not first.nodes[0]
+    assert second.parts == first.parts
+    assert schedule_latency(second, dev) == cycles and len(calls) == plans
+    schedule_latency(second, half)
+    schedule_latency(first, half)
+    assert len(calls) == 2 * plans
+
+
 def _entries_digest(schedule):
     doc = json.dumps([entry_doc(e, e.config.to_dict()) for e in schedule.entries])
     return len(schedule.entries), hashlib.sha256(doc.encode()).hexdigest()[:16]
@@ -530,7 +573,8 @@ def test_schedule_json_reads_back_as_its_entries(tmp_path):
         # the counting reader gives each (node, layer, config) its invocations
         path.write_text(text)
         counts = Counter((e.node_id, e.layer_id, e.config) for e in schedule.entries)
-        assert list(_load_schedule(str(path)).items()) == list(counts.items()), name
+        read = _load_schedule(str(path), path.read_text())
+        assert list(read.items()) == list(counts.items()), name
 
 
 def _dumped_schedule_json(head, schedule):

@@ -22,24 +22,31 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
 Then it exports the warm-start design of each of the seeds 0-7 (for C3D, the
 inputs of the c3d-export benchmark workload) through `harflow schedule` and
 `harflow report`, and prints the entries written, the configs encoded
-(`RuntimeConfig.to_dict` calls) and decoded (`RuntimeConfig.from_dict`
-calls; both are the size of the schedule file's config table), the groups
-scored (`perf_model.roofline` calls in both commands: each group once, for
-the report's per-layer rows; `schedule_latency` scores plans, not groups),
-and the seconds summed over the designs of each export stage:
+(`RuntimeConfig.to_dict` calls: both commands format the design's
+schedule.json text, so twice the size of the file's config table) and
+decoded (`RuntimeConfig.from_dict` calls), the reports that checked the
+file by its text and those that decoded it (`cli._load_schedule` calls; a
+file `harflow schedule` has just written is the design's own text, so
+none), the groups scored (`perf_model.roofline` calls in both commands:
+each group once, for the report's per-layer rows; `schedule_latency`
+scores plans, not groups), and the seconds summed over the designs of each
+export stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
-  file's invocation counts against the design's schedule, then scores and
-  reports that schedule);
+  file against the design's schedule, then scores and reports that
+  schedule);
 - expand + encode + write: the rest of `harflow schedule`, past loading the
-  design and scoring the schedule: `schedule_json` formats each invocation's
-  row as its layer plan yields it, then the text is written;
-- read + decode: `harflow report` reading the schedule file, decoding its
-  JSON and its config table;
-- check + count: `scheduler.read_entries`, checking each entry and counting
-  it under its (node, layer, config);
+  design and scoring the schedule: `schedule_json` has each layer plan
+  format its entries from its templates, then the text is written;
+- compare: `harflow report` reading the schedule file's text and formatting
+  the design's own text (`schedule_json`) to compare it with;
+- read + decode: `harflow report` decoding a file that is not the design's
+  own text: its JSON and its config table;
+- check + count: `scheduler.read_entries`, checking each entry of such a
+  file and counting it under its (node, layer, config);
 - score + report: `schedule_latency` in both commands and the rest of
-  `harflow report`: the count comparison, the scoring and the report;
+  `harflow report`: the text or count comparison, the scoring and the
+  report;
 - load design: `cli._load_design` in both commands.
 
 The counts are deterministic per seed; the seconds are wall time of this
@@ -152,10 +159,14 @@ def export_profile(model_name, seeds, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule",
-             "read_entries")
-    timers = {name: [0, 0.0] for name in names}
+             "read_entries", "schedule_json")
+    timers = {name: [0, 0.0] for name in names + ("read schedule text",)}
     encoded, decoded, scored = [0], [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
+    read_text, read_schedule_text = cli._read_text, _timed(cli._read_text,
+                                                           timers["read schedule text"])
+    patched[cli, "_read_text"] = lambda path, what: (
+        read_schedule_text if what == "schedule" else read_text)(path, what)
     patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
     patched[RuntimeConfig, "from_dict"] = classmethod(
         _counted(RuntimeConfig.from_dict.__func__, decoded))
@@ -174,9 +185,9 @@ def export_profile(model_name, seeds, padded=False):
         counts["scored"] += scored[0] - first
         return wall, {name: t[1] - before[name] for name, t in timers.items()}
 
-    stages = dict.fromkeys(("build", "expand + encode + write", "read + decode",
+    stages = dict.fromkeys(("build", "expand + encode + write", "compare", "read + decode",
                             "check + count", "score + report", "load design"), 0.0)
-    counts = dict(designs=0, infeasible=0, entries=0, scored=0)
+    counts = dict(designs=0, infeasible=0, entries=0, scored=0, by_text=0, decoded_reports=0)
     try:
         for (owner, name), fn in patched.items():
             setattr(owner, name, fn)
@@ -196,15 +207,22 @@ def export_profile(model_name, seeds, padded=False):
                     "mode": params.mode, "graph": state.graph.to_dict(),
                 }))
                 ws, ts = command("schedule", "--design", design, "--out", schedule)
+                loads = timers["_load_schedule"][0]
                 wr, tr = command("report", "--design", design, "--schedule", schedule,
                                  "--out", report)
+                decoded_report = timers["_load_schedule"][0] > loads
+                counts["decoded_reports"] += decoded_report
+                counts["by_text"] += not decoded_report
+                compare = tr["read schedule text"] + tr["schedule_json"]
                 stages["build"] += ts["build_schedule"] + tr["build_schedule"]
                 stages["expand + encode + write"] += (
                     ws - ts["_load_design"] - ts["build_schedule"] - ts["schedule_latency"])
+                stages["compare"] += compare
                 stages["read + decode"] += tr["_load_schedule"] - tr["read_entries"]
                 stages["check + count"] += tr["read_entries"]
-                stages["score + report"] += (wr - tr["_load_design"] - tr["_load_schedule"]
-                                             - tr["build_schedule"] + ts["schedule_latency"])
+                stages["score + report"] += (wr - tr["_load_design"] - compare
+                                             - tr["_load_schedule"] - tr["build_schedule"]
+                                             + ts["schedule_latency"])
                 stages["load design"] += ts["_load_design"] + tr["_load_design"]
                 counts["designs"] += 1
                 counts["entries"] += len(state.schedule)
@@ -241,7 +259,8 @@ def main(argv=None):
     print(f"export: {counts['designs']} warm-start designs of seeds {list(EXPORT_SEEDS)} "
           f"({counts['infeasible']} infeasible), {counts['entries']} entries written, "
           f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
-          f"{counts['scored']} groups scored")
+          f"{counts['by_text']} reports checked by text, {counts['decoded_reports']} reports "
+          f"decoded, {counts['scored']} groups scored")
     for name, seconds in stages.items():
         print(f"export {name}: {seconds:.3f} s")
     return 0
