@@ -2,10 +2,11 @@
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
 schedule.json holds each runtime config once, in a `configs` table that its
-entries index. `harflow report` builds the design's own schedule and its
-schedule.json text, as `harflow schedule` writes it (`_schedule_text`): a
-file holding that text is the design's schedule and is not decoded. Any
-other file is decoded, each config once, each entry counted under its
+entries index. `harflow report` builds the design's own schedule and
+compares the file, a layer plan at a time, with the schedule.json text
+`harflow schedule` writes for it (`scheduler.is_schedule_json`): a file
+holding that text is the design's schedule and is not decoded. Any other
+file is decoded, each config once, each entry counted under its
 (node, layer, config), and those counts are checked against the design's
 schedule. The report scores and reports the design's schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
@@ -38,6 +39,7 @@ from .scheduler import (
     MODE_RUNTIME,
     InfeasibleScheduleError,
     build_schedule,
+    is_schedule_json,
     read_entries,
     schedule_json,
 )
@@ -229,14 +231,15 @@ def _load_schedule(schedule_file, text):
         raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
 
 
-def _schedule_text(model, dev, schedule) -> tuple:
-    """(total ms, schedule.json text) of a design's schedule on the design's
-    own device `dev`: the text `harflow schedule` writes, and the one
-    `harflow report` compares a schedule file with."""
+def _schedule_head(model, dev, schedule) -> tuple:
+    """(total ms, schedule.json head) of a design's schedule on the design's
+    own device `dev`: the head of the text `harflow schedule` writes
+    (`scheduler.schedule_json`), and of the one `harflow report` compares a
+    schedule file with (`scheduler.is_schedule_json`)."""
     total = schedule_latency(schedule, dev)
     total_ms = total * 1e3 / dev.clock_hz
     head = {"model": model.name, "device": dev.name, "total_cycles": total, "total_ms": total_ms}
-    return total_ms, schedule_json(head, schedule)
+    return total_ms, head
 
 
 @main.command("schedule")
@@ -249,8 +252,8 @@ def schedule_cmd(design_file, out_file):
         schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
     except InfeasibleScheduleError as exc:
         raise click.ClickException(str(exc))
-    total_ms, text = _schedule_text(model, dev, schedule)
-    _write_text(out_file, text, "schedule")
+    total_ms, head = _schedule_head(model, dev, schedule)
+    _write_text(out_file, schedule_json(head, schedule), "schedule")
     click.echo(
         f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
         f"{total_ms:.3f} ms"
@@ -266,9 +269,11 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     """Derive throughput/utilisation metrics for a design + schedule.
 
     A schedule file whose text is the one `harflow schedule` writes for the
-    design (`_schedule_text`) holds the design's own invocations, so it is
-    not decoded. Any other file is decoded and its counts are compared with
-    the design's; a malformed file fails before an infeasible design does.
+    design (`_schedule_head`) holds the design's own invocations, so it is
+    not decoded. The text is compared a layer plan at a time
+    (`scheduler.is_schedule_json`), so a file that differs is decoded at its
+    first difference: its counts are compared with the design's. A
+    malformed file fails before an infeasible design does.
     """
     doc, model, design_dev, graph = _load_design(design_file)
     dev = _load_device(device_spec) if device_spec else design_dev
@@ -278,7 +283,7 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     except InfeasibleScheduleError as exc:
         _load_schedule(schedule_file, text)  # a malformed file fails first
         raise click.ClickException(str(exc))
-    if text != _schedule_text(model, design_dev, schedule)[1]:
+    if not is_schedule_json(text, _schedule_head(model, design_dev, schedule)[1], schedule):
         found = _load_schedule(schedule_file, text)
         # the groups hold one count per (node id, layer id, config)
         expected = Counter({(node, layer, cfg): n for node, layer, cfg, n in schedule.groups})

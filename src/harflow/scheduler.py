@@ -36,12 +36,14 @@ it changed.
 
 `schedule_json` writes schedule.json text: a `configs` table holds each
 config object once, and each entry names its config by index into it. A
-layer plan formats its own entries (`_LayerPlan.entry_texts`): one template
-per (h, w, d) tile and (c, f) tile class, filled with the C and F fields of
-each (c, f) tile, formatted once per plan. `_Groups` formats row by row.
-`read_entries` checks each decoded entry (`entry_key`) and counts it under
-its (node, layer, config); no `ScheduleEntry` is built on either path
-unless `Schedule.entries` is read.
+layer plan formats its own entries (`_LayerPlan.entry_texts`) a run of C
+tiles of one class at a time: per (h, w, d) tile and run, one row of
+pieces for one C tile, repeated per C tile of the run, each tile's index
+and origin texts slice-assigned in, and one join. `_Groups` formats row by
+row. `is_schedule_json` compares a text with the one `schedule_json` would
+write, a part at a time. `read_entries` checks each decoded entry
+(`entry_key`) and counts it under its (node, layer, config); no
+`ScheduleEntry` is built on either path unless `Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -54,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, mod
+from operator import attrgetter
 
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
@@ -216,17 +218,56 @@ def _config_index(cfg, index: dict, configs: list) -> int:
     return i
 
 
+def _head_text(head: dict, configs: list) -> str:
+    """The text `json.dumps` writes for a schedule.json document of `head`
+    and `configs` up to its first entry: it ends in '"entries": ['."""
+    return json.dumps(dict(head, configs=configs, entries=[]))[:-2]
+
+
 def schedule_json(head: dict, schedule: Schedule) -> str:
     """schedule.json text: `head`, then `configs`, each config object of the
     schedule once in first-use order, then `entries`, each naming its config
     by index into `configs`: what `json.dumps` writes. Each part of the
-    schedule formats its own entries (`entry_texts`): a layer plan fills
-    one template per (h, w, d) tile, `_Groups` formats each row."""
+    schedule formats its own entries (`entry_texts`), as texts of one or
+    more entries: a layer plan one per (h, w, d) tile and run of C tiles of
+    one class, `_Groups` one per row."""
     index, configs, entries = {}, [], []
     for part in schedule.parts:
         entries += part.entry_texts(index, configs)
-    text = json.dumps(dict(head, configs=configs, entries=[]))  # ends in '"entries": []}'
-    return f"{text[:-2]}{', '.join(entries)}]}}\n"
+    head_text = _head_text(head, configs)
+    if not entries:
+        return f"{head_text}]}}\n"
+    entries[0] = head_text + entries[0]
+    entries[-1] += "]}\n"
+    return ", ".join(entries)  # the text is copied once
+
+
+_ENTRIES_KEY = '"entries": ['
+
+
+def is_schedule_json(text: str, head: dict, schedule: Schedule) -> bool:
+    """Whether `text` is `schedule_json(head, schedule)`, compared part by
+    part: each part's entry texts at their offsets past the first
+    '"entries": [' of `text`, then the head and config table before it and
+    the end after them. The config table is known only once every entry is
+    formatted, so it is compared last. It returns False at the first
+    difference, formatting no part past it, and builds no whole text.
+    (`json.dumps` escapes every '"' inside a string, so in the text
+    `schedule_json` writes the first '"entries": [' is the entries key, as
+    long as `head` nests no "entries" key.)"""
+    at = start = text.find(_ENTRIES_KEY) + len(_ENTRIES_KEY)
+    if start < len(_ENTRIES_KEY):  # no entries key
+        return False
+    index, configs, sep = {}, [], ""
+    for part in schedule.parts:
+        for entries in part.entry_texts(index, configs):
+            if not (text.startswith(sep, at) and text.startswith(entries, at + len(sep))):
+                return False
+            at += len(sep) + len(entries)
+            sep = ", "
+    head_text = _head_text(head, configs)
+    return (len(head_text) == start and text.startswith(head_text)
+            and len(text) == at + 3 and text.endswith("]}\n"))
 
 
 class _Groups:
@@ -347,23 +388,30 @@ def _axis_classes(full: int, tile: int) -> dict:
     return classes
 
 
+def _tile_runs(axis) -> tuple:
+    """(number of tile classes, [(first index, end index, extent, class
+    position)] per run of tiles of one class) of the tiles of `tile` that
+    partition an axis of extent `full`, `axis` = (full, tile), in closed
+    form and tile order: the first tile, the interior tiles, the last. Each
+    tile is `tile` long but the last, and an empty axis one empty tile. A
+    class's position is its place in `_axis_classes` (first, last,
+    interior), and so in the tiling's product of classes."""
+    full, tile = axis
+    n = _axis_count(full, tile)
+    if n == 1:
+        return 1, [(0, 1, full, 0)]
+    last = (n - 1, n, full - (n - 1) * tile, 1)
+    if n == 2:
+        return 2, [(0, 1, tile, 0), last]
+    return 3, [(0, 1, tile, 0), (1, n - 1, tile, 2), last]
+
+
 def _indexed_tiles(axis) -> tuple:
     """(number of tile classes, [(index, origin, extent, class position)] per
-    tile) of the tiles of `tile` that partition an axis of extent `full`,
-    `axis` = (full, tile), in closed form: each tile `tile` long but the
-    last, and an empty axis one empty tile. A class's position is its place
-    in `_axis_classes`, and so in the tiling's product of classes."""
-    full, tile = axis
-    classes = _axis_classes(full, tile)
-    position = {cls: k for k, cls in enumerate(classes)}
-    n = _axis_count(full, tile)
-    tiles = [(0, 0, classes[True, n == 1][0], position[True, n == 1])]
-    if n > 2:
-        interior = position[False, False]
-        tiles += [(i, i * tile, tile, interior) for i in range(1, n - 1)]
-    if n > 1:
-        tiles.append((n - 1, (n - 1) * tile, classes[False, True][0], position[False, True]))
-    return len(position), tiles
+    tile) of the tiles of `axis` (see `_tile_runs`)."""
+    count, runs = _tile_runs(axis)
+    tile = axis[1]
+    return count, [(i, i * tile, x, k) for lo, hi, x, k in runs for i in range(lo, hi)]
 
 
 def _axis_parts(layer, axis, full, tile, mode) -> list:
@@ -590,35 +638,52 @@ class _LayerPlan:
     def entry_texts(self, index, configs) -> list:
         """The schedule.json text of each invocation's entry, in `rows()`
         order, naming its config by its position in `configs` (see
-        `_config_index`). The C and F fields of each (c, f) tile are
-        formatted once. Each (h, w, d) tile bakes its ids and H, W and D
-        fields into a template, copied once per (c, f) tile class with that
-        class's config index, in the order the (c, f) tiles first meet the
-        classes: so configs take their indices in first-use order. Each
-        (c, f) tile fills the copy of its class."""
+        `_config_index`): one text per (h, w, d) tile and run of C tiles of
+        one class (`_tile_runs`), its entries joined by ', '.
+
+        The entries of such a run differ only in their C tile's index and
+        origin. So the run formats one row of pieces, the entries of its
+        first C tile with the F tiles inside, repeats the row once per C
+        tile, slice-assigns each tile's index and origin text, made once per
+        plan, into its copy, and joins the pieces once. Rows are formatted
+        in entry order, so configs take their indices in first-use order."""
         tiling, groups, slots = self.tiling, self.groups, self.tiling.slots
-        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(_indexed_tiles, tiling.axes)
-        # '%' in an id would be read as a conversion of the template
-        start = _entry_start(self.node_id, self.layer.id).replace("%", "%%")
-        # per (c, f) tile: its C and F fields, and its (c, f) tile class
-        ends = [(i_f, f'], "filter_origin": {of}, "filter_count": {tf}, "config": ')
-                for i_f, of, tf, _ in f]
-        fills = [(f"{ic}, {i_f}", oc, f"{tc}{end}") for ic, oc, tc, _ in c for i_f, end in ends]
-        f_classes = [kf for _, _, _, kf in f]
-        classes = [kc * nf + kf for _, _, _, kc in c for kf in f_classes]
-        met = list(dict.fromkeys(classes))
-        templates, texts = [None] * (nc * nf), []
+        h_axis, w_axis, d_axis, c_axis, f_axis = tiling.axes
+        (_, h), (nw, w), (nd, d), (nf, f) = map(_indexed_tiles, (h_axis, w_axis, d_axis, f_axis))
+        nc, runs = _tile_runs(c_axis)
+        n, tile = runs[-1][1], c_axis[1]
+        c_index = list(map(str, range(n)))
+        c_origin = c_index if tile == 1 else list(map(str, range(0, n * tile, tile)))
+        # per run: its C tiles, extent and class, and its tiles' index and origin texts
+        c_runs = [(hi - lo, tc, kc, c_index[lo:hi], c_origin[lo:hi]) for lo, hi, tc, kc in runs]
+        start = _entry_start(self.node_id, self.layer.id)
+        # per F tile: its text from its index to the tile origin, its F fields, its class
+        f_texts = [(f', {i_f}], "tile_origin": [',
+                    f'], "filter_origin": {of}, "filter_count": {tf}, "config": ', kf)
+                   for i_f, of, tf, kf in f]
+        step, texts = 4 * len(f_texts), []
         for ih, oh, th, kh in h:
             for iw, ow, tw, kw in w:
                 at_w = (kh * nw + kw) * nd
                 for i_d, od, td, kd in d:
-                    at_d = (at_w + kd) * nc * nf
-                    template = (f'{start}{ih}, {iw}, {i_d}, %s], "tile_origin": [{od}, {oh}, '
-                                f'{ow}, %d], "tile_shape": [{td}, {th}, {tw}, %s')
-                    for k in met:
-                        cfg = groups[slots[at_d + k]][2]
-                        templates[k] = f"{template}{_config_index(cfg, index, configs)}}}"
-                    texts += map(mod, map(templates.__getitem__, classes), fills)
+                    at_d = (at_w + kd) * nc
+                    head, origin = f"{start}{ih}, {iw}, {i_d}, ", f"{od}, {oh}, {ow}, "
+                    for count, tc, kc, indices, origins in c_runs:
+                        at_c = (at_d + kc) * nf
+                        shape = f'], "tile_shape": [{td}, {th}, {tw}, {tc}'
+                        i_c, o_c, row = indices[0], origins[0], []
+                        # each entry's last piece runs on to the next entry's first
+                        for to_origin, fields, kf in f_texts:
+                            k = _config_index(groups[slots[at_c + kf]][2], index, configs)
+                            row += (i_c, to_origin + origin, o_c, f"{shape}{fields}{k}}}, {head}")
+                        pieces = row * count
+                        if count > 1:
+                            for j in range(0, step, 4):
+                                pieces[j::step] = indices
+                                pieces[j + 2::step] = origins
+                        pieces[0] = head + i_c
+                        pieces[-1] = f"{shape}{fields}{k}}}"
+                        texts.append("".join(pieces))
         return texts
 
 

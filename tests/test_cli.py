@@ -614,6 +614,34 @@ def test_report_checks_its_own_schedule_by_its_text(runner, workdir, monkeypatch
     assert len(doc["entries"]) > 20 * len(doc["configs"])
 
 
+def test_report_stops_comparing_at_the_first_plan_that_differs(runner, workdir, monkeypatch):
+    """`harflow report` compares a schedule file with the design's own text a
+    layer plan at a time. The design's own file formats every plan; a copy
+    whose first entry differs, its entries reversed, is decoded once the
+    first plan's entries differ, with no other plan formatted, and reports
+    as the design's own file does."""
+    design = str(_tiled_conv_design(workdir))
+    canonical = _schedule_file(workdir, design)
+    doc = json.loads(Path(canonical).read_text())
+    reversed_copy = workdir / "reversed.json"
+    reversed_copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])) + "\n")
+    formatted = []
+    entry_texts = scheduler._LayerPlan.entry_texts
+    monkeypatch.setattr(scheduler._LayerPlan, "entry_texts", lambda plan, *args: (
+        formatted.append(plan.layer.id) or entry_texts(plan, *args)))
+    reports = []
+    for schedule, plans in ((canonical, ["conv", "relu", "pool", "fc"]),
+                            (str(reversed_copy), ["conv"])):
+        formatted.clear()
+        out = workdir / f"report{len(reports)}.json"
+        result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert formatted == plans
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, workdir):
     """A design that cannot be scheduled has no schedule text to compare a
     file with, so the file is decoded first: a malformed file fails on the
@@ -642,9 +670,9 @@ def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, wor
 
 
 def test_report_of_an_id_holding_a_percent_sign(runner, workdir):
-    """Entry texts are filled into templates with `%`: a node and a layer id
-    holding '%' are written as `json.dumps` writes them, and the design's
-    own file then reports as a copy of it that is decoded does."""
+    """A node and a layer id holding '%', which a format template would read
+    as a conversion, are written as `json.dumps` writes them, and the
+    design's own file then reports as a copy of it that is decoded does."""
     def percent_ids(doc):
         _conv_node(doc).update(shape_in_max=[4, 1, 1, 3])
         graph = doc["graph"]

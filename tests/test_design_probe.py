@@ -113,32 +113,35 @@ def test_stage_profile_of_toy_seed_0():
     assert int(stages["build_schedule"]) + rejected == int(stages["graph_resources"]) > 0
     assert rejected > 0
 
-    export = re.fullmatch(
-        r"export: (\d+) warm-start designs of seeds \[0, 1, 2, 3, 4, 5, 6, 7\] "
-        r"\((\d+) infeasible\), (\d+) entries written, (\d+) configs encoded, "
-        r"(\d+) configs decoded, (\d+) reports checked by text, (\d+) reports decoded, "
-        r"(\d+) groups scored", lines[6])
-    designs = infeasible = entries = groups = 0
+    # the warm starts of seeds 0-7, then the best design of the chain just profiled
+    warm = []
     for seed in range(8):
         params = AnnealingParams(seed=seed, **ast.literal_eval(params_text))
         try:
-            warm, _ = warm_start(model, load_bundled_profile("zcu102"), params,
-                                 random.Random(seed))
+            warm.append(warm_start(model, load_bundled_profile("zcu102"), params,
+                                   random.Random(seed))[0].schedule)
         except OptimizerError:
-            infeasible += 1
-            continue
-        designs += 1
-        entries += len(warm.schedule)
-        groups += len(warm.schedule.groups)  # one config object per group
-    *counts, scored = map(int, export.groups())
-    # both commands format the design's own text, encoding each config once;
-    # the report finds the file equal to it and decodes none
-    assert counts == [designs, infeasible, entries, 2 * groups, 0, designs, 0]
-    # `schedule_latency` scores plans; each group is scored once, for the
-    # report's per-layer rows
-    assert scored == groups
-    assert entries > groups
-    export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
-                     for line in lines[7:]]
-    assert export_stages == ["build", "expand + encode + write", "compare", "read + decode",
-                             "check + count", "score + report", "load design"]
+            pass
+    exports = [("warm-start", "0, 1, 2, 3, 4, 5, 6, 7", 8 - len(warm), warm, lines[6:14]),
+               ("chain-best", "0", 0, [state.schedule], lines[14:])]
+    for what, seeds, infeasible, schedules, export_lines in exports:
+        export = re.fullmatch(
+            rf"export: (\d+) {what} designs of seeds \[{seeds}\] \((\d+) infeasible\), "
+            r"(\d+) entries written, (\d+) configs encoded, (\d+) configs decoded, "
+            r"(\d+) reports checked by text, (\d+) reports decoded, (\d+) groups scored",
+            export_lines[0])
+        designs = len(schedules)
+        entries = sum(map(len, schedules))
+        groups = sum(len(s.groups) for s in schedules)  # one config object per group
+        *counts, scored = map(int, export.groups())
+        # both commands format the design's own text, encoding each config once;
+        # the report finds the file equal to it and decodes none
+        assert counts == [designs, infeasible, entries, 2 * groups, 0, designs, 0], what
+        # `schedule_latency` scores plans; each group is scored once, for the
+        # report's per-layer rows
+        assert scored == groups and entries > groups, what
+        export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
+                         for line in export_lines[1:]]
+        assert export_stages == ["build", "expand + encode + write", "compare",
+                                 "read + decode", "check + count", "score + report",
+                                 "load design"], what

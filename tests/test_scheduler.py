@@ -8,7 +8,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from test_acceptance import _random_chain_model, _randomly_shrunk
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_acceptance import _Builder, _random_chain_model, _randomly_shrunk
 
 import harflow.scheduler as scheduler
 from harflow.cli import _load_schedule
@@ -41,6 +43,7 @@ from harflow.scheduler import (
     build_schedule,
     coverage_oracle,
     entry_key,
+    is_schedule_json,
     schedule_json,
     schedule_latency_oracle,
 )
@@ -604,3 +607,94 @@ def test_schedule_json_writes_the_text_json_dumps_writes():
         # a schedule of entries, and one read back, stream the same rows
         for entries in (schedule.entries, entries_of_doc(json.loads(text))):
             assert schedule_json(head, Schedule(entries)) == text, name
+
+
+# ids that JSON escapes ('"', '\\', 'é') or that a format template would read ('%', '{')
+_IDS = st.text(st.sampled_from('a%"{\u00e9\\'), min_size=1, max_size=4)
+
+
+@st.composite
+def _tilings(draw):
+    """(mode, (conv id, fc id, conv node id, fc node id), conv kernel, conv
+    (extent, tile) per axis H, W, D, C, F, fc channel tile, fc (filters,
+    filter tile)) of a conv -> global pool -> fc chain. Each conv axis, and
+    the fc's filters, has 1, 2 or more tiles, the last one short or full."""
+    def axis(most):
+        count, tile = draw(st.integers(1, most)), draw(st.integers(1, 3))
+        return (count - 1) * tile + draw(st.integers(1, tile)), tile
+    ids = tuple(draw(_IDS) for _ in range(4))
+    conv = (axis(3), axis(3), axis(3), axis(4), axis(4))
+    return (draw(st.sampled_from([MODE_RUNTIME, MODE_PADDED])), ids,
+            draw(st.sampled_from([1, 3])), conv, draw(st.integers(1, 4)), axis(4))
+
+
+def _tiled_chain(spec):
+    """The model and the schedule of a `_tilings` example, each node's tile
+    shape cut to its drawn tiles (the pool's node runs whole)."""
+    mode, (conv_id, fc_id, conv_node, fc_node), k, axes, fc_c, (fc_f, fc_tf) = spec
+    conv_id, fc_id, conv_node, fc_node = "c" + conv_id, "f" + fc_id, "n" + conv_node, "m" + fc_node
+    (h, th), (w, tw), (d, td), (c, tc), (f, tf) = axes
+    b = _Builder("rand", (d, h, w, c))
+    b.add(conv_id, "Conv3D", filters=f, kernel=(k, k, k), padding=(k // 2,) * 6)
+    b.add("gap", "GlobalAvgPool")
+    b.add(fc_id, "FullyConnected", filters=fc_f)
+    model = parse_model(json.dumps(b.document()))
+    graph = initial_mapping(model)
+    nodes, mapping = {}, {}
+    for nid, lids in graph.mapping.items():
+        cap = graph.nodes[nid]
+        if conv_id in lids:
+            nid, cap = conv_node, cap.refit(shape_in_max=TensorShape(td, th, tw, tc),
+                                            filters_max=tf)
+        elif fc_id in lids:
+            nid, cap = fc_node, cap.refit(shape_in_max=TensorShape(1, 1, 1, fc_c),
+                                          filters_max=fc_tf)
+        nodes[nid], mapping[nid] = cap, lids
+    return model, build_schedule(model, HardwareGraph(nodes, mapping, {}), mode)
+
+
+# the fc runs 4,096 one-channel tiles, each with a full and a short filter tile
+_FC_OF_CHANNEL_TILES = (MODE_RUNTIME, ("a", "%", '"', "\u00e9{"), 1,
+                        ((1, 1), (1, 1), (1, 1), (1, 1), (4096, 4096)), 1, (3, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spec=_tilings())
+@example(spec=_FC_OF_CHANNEL_TILES)
+def test_schedule_json_writes_json_dumps_text_of_random_tilings(spec):
+    """The text `schedule_json` writes a layer plan's entries with, a C tile
+    run at a time, is the text `json.dumps` writes for the whole document:
+    over C and F axes of 1, 2 and more tiles, each last tile short or full,
+    several (h, w, d) tile classes, both modes and ids that JSON escapes."""
+    model, schedule = _tiled_chain(spec)
+    head = {"model": model.name, "device": "zcu102", "total_cycles": 1, "total_ms": 0.5}
+    text = schedule_json(head, schedule)
+    assert text == _dumped_schedule_json(head, schedule)
+    assert is_schedule_json(text, head, schedule)
+    if spec == _FC_OF_CHANNEL_TILES:
+        fc = schedule.parts[-1]
+        assert fc.layer.kind == "FullyConnected"
+        assert [_axis_count(*axis) for axis in fc.tiling.axes] == [1, 1, 1, 4096, 2]
+
+
+def test_is_schedule_json_finds_every_one_character_difference():
+    """`is_schedule_json` holds for the text `schedule_json` writes and for
+    no text one character off it: in the head, the config table, any entry,
+    the end, one character more or less. The schedules hold no entry, one
+    entry, and several plans."""
+    model = parse_model(bundled_model_text("toy"))
+    toy = build_schedule(model, initial_mapping(model), MODE_RUNTIME)
+    cases = [("empty", Schedule()), ("one entry", Schedule(toy.entries[:1])), ("toy", toy),
+             ("escaped ids", _escaped_ids_schedule())]
+    head = {"model": "toy \"\u00e9\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
+    for name, schedule in cases:
+        text = schedule_json(head, schedule)
+        assert text == _dumped_schedule_json(head, schedule), name
+        assert is_schedule_json(text, head, schedule), name
+        assert not is_schedule_json(text, dict(head, total_cycles=13), schedule), name
+        for at in range(0, len(text), 7):
+            changed = "#" if text[at] != "#" else "$"
+            for other in (text[:at] + changed + text[at + 1:], text[:at] + text[at + 1:],
+                          text[:at] + changed + text[at:]):
+                assert not is_schedule_json(other, head, schedule), (name, at)
+        assert not is_schedule_json(text + " ", head, schedule), name

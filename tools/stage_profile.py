@@ -20,11 +20,13 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
 
 Then it exports the warm-start design of each of the seeds 0-7 (for C3D, the
-inputs of the c3d-export benchmark workload) through `harflow schedule` and
-`harflow report`, and prints the entries written, the configs encoded
-(`RuntimeConfig.to_dict` calls: both commands format the design's
-schedule.json text, so twice the size of the file's config table) and
-decoded (`RuntimeConfig.from_dict` calls), the reports that checked the
+inputs of the c3d-export benchmark workload), and then the best design of
+each chain it has just profiled (for C3D, the designs the c3d-search
+workload exports, whose plans have few tiles), through `harflow schedule`
+and `harflow report`. For each set it prints the entries written, the
+configs encoded (`RuntimeConfig.to_dict` calls: both commands format the
+design's schedule.json text, so twice the size of the file's config table)
+and decoded (`RuntimeConfig.from_dict` calls), the reports that checked the
 file by its text and those that decoded it (`cli._load_schedule` calls; a
 file `harflow schedule` has just written is the design's own text, so
 none), the groups scored (`perf_model.roofline` calls in both commands:
@@ -37,16 +39,15 @@ export stage:
   schedule);
 - expand + encode + write: the rest of `harflow schedule`, past loading the
   design and scoring the schedule: `schedule_json` has each layer plan
-  format its entries from its templates, then the text is written;
-- compare: `harflow report` reading the schedule file's text and formatting
-  the design's own text (`schedule_json`) to compare it with;
+  format its entries a run of C tiles at a time, then the text is written;
+- compare: `harflow report` reading the schedule file's text and comparing
+  it, a layer plan at a time, with the design's own (`is_schedule_json`);
 - read + decode: `harflow report` decoding a file that is not the design's
   own text: its JSON and its config table;
 - check + count: `scheduler.read_entries`, checking each entry of such a
   file and counting it under its (node, layer, config);
 - score + report: `schedule_latency` in both commands and the rest of
-  `harflow report`: the text or count comparison, the scoring and the
-  report;
+  `harflow report`: the count comparison, the scoring and the report;
 - load design: `cli._load_design` in both commands.
 
 The counts are deterministic per seed; the seconds are wall time of this
@@ -104,7 +105,8 @@ def _rejected_on_budget(fn, totals):
 
 
 def profile(model_name, seeds, padded=False):
-    """(per-chain rows, {stage: [calls, seconds]}) of one chain per seed."""
+    """(per-chain rows, {stage: [calls, seconds]}, best graph per chain) of
+    one chain per seed."""
     from harflow import optimizer, scheduler
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
@@ -124,7 +126,7 @@ def profile(model_name, seeds, padded=False):
     patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate,
                                                          counters["rejected"])
     saved = {key: getattr(*key) for key in patched}
-    rows = []
+    rows, bests = [], []
     try:
         for (module, name), fn in patched.items():
             setattr(module, name, fn)
@@ -135,31 +137,52 @@ def profile(model_name, seeds, padded=False):
             start = time.perf_counter()
             best, _ = optimizer.anneal(model, dev, params)
             wall = time.perf_counter() - start
+            bests.append(best.graph)
             rows.append(dict(seed=seed, wall_s=wall, best_cycles=best.latency_cycles,
                              **{name: counter[0] - before[name]
                                 for name, counter in counters.items()}))
     finally:
         for (module, name), fn in saved.items():
             setattr(module, name, fn)
-    return rows, stages
+    return rows, stages, bests
 
 
-def export_profile(model_name, seeds, padded=False):
-    """(stage seconds, counts) of exporting the warm-start design of each seed.
+def warm_starts(model_name, seeds, padded=False):
+    """(the warm-start design graph of each seed, the seeds skipped): a seed
+    whose warm start finds no feasible design (`OptimizerError`) is skipped."""
+    from harflow import optimizer
+    from harflow.device import load_bundled_profile
+    from harflow.generators import bundled_model_text
+    from harflow.model_ir import parse_model
 
-    Seeds whose warm start finds no feasible design (`OptimizerError`) are
-    skipped and counted.
-    """
-    from harflow import cli, optimizer, perf_model, reporting
+    model = parse_model(bundled_model_text(model_name))
+    dev = load_bundled_profile(DEVICE)
+    graphs, skipped = [], []
+    for seed in seeds:
+        params = optimizer.AnnealingParams(seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
+        try:
+            state, _ = optimizer.warm_start(model, dev, params, random.Random(seed))
+        except optimizer.OptimizerError:
+            skipped.append(seed)
+            continue
+        graphs.append(state.graph)
+    return graphs, skipped
+
+
+def export_profile(model_name, graphs, padded=False):
+    """(stage seconds, counts) of exporting the design of each hardware graph."""
+    from harflow import cli, perf_model, reporting
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
     from harflow.model_ir import parse_model, serialize_model
     from harflow.perf_model import RuntimeConfig
+    from harflow.scheduler import MODE_PADDED, MODE_RUNTIME, build_schedule
 
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
+    mode = MODE_PADDED if padded else MODE_RUNTIME
     names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule",
-             "read_entries", "schedule_json")
+             "read_entries", "is_schedule_json")
     timers = {name: [0, 0.0] for name in names + ("read schedule text",)}
     encoded, decoded, scored = [0], [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
@@ -187,24 +210,17 @@ def export_profile(model_name, seeds, padded=False):
 
     stages = dict.fromkeys(("build", "expand + encode + write", "compare", "read + decode",
                             "check + count", "score + report", "load design"), 0.0)
-    counts = dict(designs=0, infeasible=0, entries=0, scored=0, by_text=0, decoded_reports=0)
+    counts = dict(designs=0, entries=0, scored=0, by_text=0, decoded_reports=0)
     try:
         for (owner, name), fn in patched.items():
             setattr(owner, name, fn)
         with tempfile.TemporaryDirectory() as tmp:
             design, schedule, report = (str(Path(tmp) / f) for f in (
                 "design.json", "schedule.json", "report.json"))
-            for seed in seeds:
-                params = optimizer.AnnealingParams(
-                    seed=seed, enable_runtime_reconfig=not padded, **PARAMS)
-                try:
-                    state, _ = optimizer.warm_start(model, dev, params, random.Random(seed))
-                except optimizer.OptimizerError:
-                    counts["infeasible"] += 1
-                    continue
+            for graph in graphs:
                 Path(design).write_text(json.dumps({
                     "model": json.loads(serialize_model(model)), "device": dev.to_dict(),
-                    "mode": params.mode, "graph": state.graph.to_dict(),
+                    "mode": mode, "graph": graph.to_dict(),
                 }))
                 ws, ts = command("schedule", "--design", design, "--out", schedule)
                 loads = timers["_load_schedule"][0]
@@ -213,7 +229,7 @@ def export_profile(model_name, seeds, padded=False):
                 decoded_report = timers["_load_schedule"][0] > loads
                 counts["decoded_reports"] += decoded_report
                 counts["by_text"] += not decoded_report
-                compare = tr["read schedule text"] + tr["schedule_json"]
+                compare = tr["read schedule text"] + tr["is_schedule_json"]
                 stages["build"] += ts["build_schedule"] + tr["build_schedule"]
                 stages["expand + encode + write"] += (
                     ws - ts["_load_design"] - ts["build_schedule"] - ts["schedule_latency"])
@@ -225,7 +241,7 @@ def export_profile(model_name, seeds, padded=False):
                                              + ts["schedule_latency"])
                 stages["load design"] += ts["_load_design"] + tr["_load_design"]
                 counts["designs"] += 1
-                counts["entries"] += len(state.schedule)
+                counts["entries"] += len(build_schedule(model, graph, mode))
     finally:
         for (owner, name), fn in saved.items():
             setattr(owner, name, fn)
@@ -244,7 +260,8 @@ def main(argv=None):
                     help="source directory harflow is imported from")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src))
-    rows, stages = profile(args.model, args.seed or [0, 1, 2], args.padded)
+    seeds = args.seed or [0, 1, 2]
+    rows, stages, bests = profile(args.model, seeds, args.padded)
     mode = "padded" if args.padded else "runtime"
     print(f"{args.model}/{DEVICE} {mode}, params {PARAMS}")
     for row in rows:
@@ -255,14 +272,18 @@ def main(argv=None):
               .format(**row))
     for name, (calls, seconds) in stages.items():
         print(f"{name}: {calls} calls, {seconds:.3f} s")
-    stages, counts = export_profile(args.model, EXPORT_SEEDS, args.padded)
-    print(f"export: {counts['designs']} warm-start designs of seeds {list(EXPORT_SEEDS)} "
-          f"({counts['infeasible']} infeasible), {counts['entries']} entries written, "
-          f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
-          f"{counts['by_text']} reports checked by text, {counts['decoded_reports']} reports "
-          f"decoded, {counts['scored']} groups scored")
-    for name, seconds in stages.items():
-        print(f"export {name}: {seconds:.3f} s")
+    warm, skipped = warm_starts(args.model, EXPORT_SEEDS, args.padded)
+    for what, graphs, of_seeds, infeasible in (
+            ("warm-start", warm, list(EXPORT_SEEDS), len(skipped)),
+            ("chain-best", bests, seeds, 0)):
+        stages, counts = export_profile(args.model, graphs, args.padded)
+        print(f"export: {counts['designs']} {what} designs of seeds {of_seeds} "
+              f"({infeasible} infeasible), {counts['entries']} entries written, "
+              f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
+              f"{counts['by_text']} reports checked by text, {counts['decoded_reports']} "
+              f"reports decoded, {counts['scored']} groups scored")
+        for name, seconds in stages.items():
+            print(f"export {name}: {seconds:.3f} s")
     return 0
 
 
