@@ -6,9 +6,9 @@ entries index. `harflow report` builds the design's own schedule and
 compares the file, a layer plan at a time, with the schedule.json text
 `harflow schedule` writes for it (`scheduler.is_schedule_json`): a file
 holding that text is the design's schedule and is not decoded. Any other
-file is decoded, each config once, each entry counted under its
-(node, layer, config), and those counts are checked against the design's
-schedule. The report scores and reports the design's schedule.
+file is decoded and compared with the design's entries, in order, every
+field, each config as a document (`scheduler.check_schedule_doc`). The
+report scores and reports the design's schedule.
 Set HARFLOW_LOG to error/info/debug to control verbosity.
 """
 
@@ -17,21 +17,20 @@ import io
 import json
 import logging
 import os
-from collections import Counter
 from pathlib import Path
 
 import click
 
 from . import device as device_mod
 from . import generators
-from .model_ir import ModelError, parse_model, require_keys, serialize_model
+from .model_ir import ModelError, parse_model, serialize_model
 from .optimizer import (
     AnnealingParams,
     OptimizerError,
     anneal,
     pareto_sweep,
 )
-from .perf_model import RuntimeConfig, schedule_latency
+from .perf_model import schedule_latency
 from .reporting import build_report
 from .resource_model import default_regression_models, graph_resources
 from .scheduler import (
@@ -39,8 +38,8 @@ from .scheduler import (
     MODE_RUNTIME,
     InfeasibleScheduleError,
     build_schedule,
+    check_schedule_doc,
     is_schedule_json,
-    read_entries,
     schedule_json,
 )
 from .hardware_graph import HardwareGraph, HardwareGraphError
@@ -213,24 +212,6 @@ def _load_design(design_file):
     return doc, model, dev, graph
 
 
-def _load_schedule(schedule_file, text):
-    """Invocations per (node id, layer id, config) of `text`, the text of
-    schedule.json file `schedule_file`: an object whose `configs` and
-    `entries` are arrays, each element checked by its reader, so a
-    malformed file ends in one error line naming the bad field. Entries are
-    counted, not kept (`scheduler.read_entries`)."""
-    doc = _read_json_object(schedule_file, "schedule", text)
-    try:
-        require_keys(doc, ("configs", "entries"), "document", ValueError)
-        for key in ("configs", "entries"):
-            if type(doc[key]) is not list:
-                raise ValueError(f"'{key}' must be an array, got {type(doc[key]).__name__}")
-        configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
-        return read_entries(doc["entries"], configs)
-    except ValueError as exc:
-        raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
-
-
 def _schedule_head(model, dev, schedule) -> tuple:
     """(total ms, schedule.json head) of a design's schedule on the design's
     own device `dev`: the head of the text `harflow schedule` writes
@@ -272,8 +253,9 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     design (`_schedule_head`) holds the design's own invocations, so it is
     not decoded. The text is compared a layer plan at a time
     (`scheduler.is_schedule_json`), so a file that differs is decoded at its
-    first difference: its counts are compared with the design's. A
-    malformed file fails before an infeasible design does.
+    first difference and compared with the design's entries
+    (`scheduler.check_schedule_doc`). A file that is not a JSON object fails
+    before an infeasible design does.
     """
     doc, model, design_dev, graph = _load_design(design_file)
     dev = _load_device(device_spec) if device_spec else design_dev
@@ -281,18 +263,13 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
     try:
         schedule = build_schedule(model, graph, doc.get("mode", MODE_RUNTIME))
     except InfeasibleScheduleError as exc:
-        _load_schedule(schedule_file, text)  # a malformed file fails first
+        _read_json_object(schedule_file, "schedule", text)  # a file not an object fails first
         raise click.ClickException(str(exc))
     if not is_schedule_json(text, _schedule_head(model, design_dev, schedule)[1], schedule):
-        found = _load_schedule(schedule_file, text)
-        # the groups hold one count per (node id, layer id, config)
-        expected = Counter({(node, layer, cfg): n for node, layer, cfg, n in schedule.groups})
-        if found != expected:
-            node, layer = min(k[:2] for k in found.keys() | expected.keys()
-                              if found[k] != expected[k])
-            raise click.ClickException(
-                f"schedule file {schedule_file}: node '{node}' runs layer '{layer}' with other "
-                f"configs or invocation counts than the design does")
+        try:
+            check_schedule_doc(_read_json_object(schedule_file, "schedule", text), schedule)
+        except ValueError as exc:
+            raise click.ClickException(f"schedule file {schedule_file}: invalid schedule: {exc}")
     latency = schedule_latency(schedule, dev)
     if latency <= 0:
         raise click.ClickException(

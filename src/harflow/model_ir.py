@@ -69,8 +69,8 @@ def require_keys(doc, keys, what, error=ModelError):
     return doc
 
 
-# Each operator field of a layer or runtime config document: its attribute,
-# its default and the `strict` rule of its value (type, array length, least).
+# Each operator field of a layer document: its attribute, its default and the
+# `strict` rule of its value (type, array length, least).
 _OPERATOR_FIELDS = {
     "filters": ("filters", 0, int, None, 0),
     "kernel": ("kernel", (1, 1, 1), int, 3, 1),
@@ -82,20 +82,20 @@ _OPERATOR_FIELDS = {
 }
 
 
-def operator_fields(doc, kind, where, error=ModelError) -> dict:
-    """The operator fields of a layer or runtime config document of layer kind
-    `kind`, as keyword arguments of `LayerDescriptor` and `RuntimeConfig`, each
-    checked by `strict` (see `_OPERATOR_FIELDS`). An absent field takes its
-    default; a field that `kind` does not take (see `KIND_FIELDS`) must hold
-    it. `where` prefixes each field name in an error."""
+def operator_fields(doc, kind, where) -> dict:
+    """The operator fields of a layer document of layer kind `kind`, as
+    keyword arguments of `LayerDescriptor`, each checked by `strict` (see
+    `_OPERATOR_FIELDS`). An absent field takes its default; a field that
+    `kind` does not take (see `KIND_FIELDS`) must hold it. `where` prefixes
+    each field name in an error."""
     takes = KIND_FIELDS[kind]
     fields = {}
     for key, (attr, default, type_, length, least) in _OPERATOR_FIELDS.items():
         value = doc.get(key, default)
         if value is not default:
-            value = strict(value, type_, f"{where}'{key}'", error, length, least)
+            value = strict(value, type_, f"{where}'{key}'", length=length, least=least)
             if key not in takes and value != default:
-                raise error(f"{where}{kind} takes no '{key}'")
+                raise ModelError(f"{where}{kind} takes no '{key}'")
         fields[attr] = value
     return fields
 

@@ -23,14 +23,7 @@ per chain and device.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model_ir import (
-    FILTER_KINDS, LAYER_KINDS, WINDOWED_KINDS, TensorShape, operator_fields, require_keys,
-    strict,
-)
-
-
-class PerfModelError(ValueError):
-    pass
+from .model_ir import FILTER_KINDS, WINDOWED_KINDS, TensorShape
 
 
 @dataclass(frozen=True)
@@ -86,30 +79,6 @@ class RuntimeConfig:
         if self.kind == "ElementWise":
             d["broadcast"] = self.broadcast
         return d
-
-    @classmethod
-    def from_dict(cls, doc) -> "RuntimeConfig":
-        """The config of a schedule.json config document, every field checked:
-        an object with `kind`, `shape_in` and `shape_out`; the kind first,
-        the operator fields by `model_ir.operator_fields` (so none that the
-        kind does not take), and the folds at least 1, so no latency term
-        divides by zero or counts negative work."""
-        error = PerfModelError
-        kind = require_keys(doc, ("kind", "shape_in", "shape_out"), "config", error)["kind"]
-        if kind not in LAYER_KINDS:
-            raise error(f"config 'kind' must be one of {', '.join(LAYER_KINDS)}, got {kind!r}")
-        return cls(
-            kind=kind,
-            **{key: TensorShape(*strict(doc[key], int, f"config '{key}'", error, 4, 0))
-               for key in ("shape_in", "shape_out")},
-            **operator_fields(doc, kind, "config ", error),
-            coarse_in=strict(doc.get("coarse_in", 1), int, "config 'coarse_in'", error, least=1),
-            coarse_out=strict(doc.get("coarse_out", 1), int, "config 'coarse_out'", error,
-                              least=1),
-            fine=strict(doc.get("fine", 1), int, "config 'fine'", error, least=1),
-            accumulate_psum=strict(doc.get("accumulate_psum", False), bool,
-                                   "config 'accumulate_psum'", error),
-        )
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ tiles of one class at a time: per (h, w, d) tile and run, one row of
 pieces for one C tile, repeated per C tile of the run, each tile's index
 and origin texts slice-assigned in, and one join. `_Groups` formats row by
 row. `is_schedule_json` compares a text with the one `schedule_json` would
-write, a part at a time. `read_entries` checks each decoded entry
-(`entry_key`) and counts it under its (node, layer, config); no
-`ScheduleEntry` is built on either path unless `Schedule.entries` is read.
+write, a part at a time. `check_schedule_doc` compares a decoded document
+with the schedule's entries, in order, every field, configs as documents;
+no `ScheduleEntry` is built on any path unless `Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -59,7 +59,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .hardware_graph import HardwareGraph
-from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys, strict
+from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys
 from .perf_model import (
     RuntimeConfig, config_terms, fold_lanes, lane_cycles, memory_cycles, roofline, work_terms,
 )
@@ -75,11 +75,6 @@ class InfeasibleScheduleError(ValueError):
         super().__init__(f"layer '{layer_id}' cannot run on node '{node_id}': {reason}")
 
 
-# the keys of a schedule.json entry document, in `ScheduleEntry` field order
-_ENTRY_KEYS = ("node", "layer", "tile_index", "tile_origin", "tile_shape", "filter_origin",
-               "filter_count", "config")
-
-
 @dataclass(frozen=True, slots=True)
 class ScheduleEntry:
     node_id: str
@@ -93,38 +88,6 @@ class ScheduleEntry:
 
 
 _ENTRY_ROW = attrgetter(*ScheduleEntry.__slots__)  # an entry's row: its fields, in order
-
-
-def entry_key(doc, configs: list) -> tuple:
-    """(node id, layer id, config index) of a schedule.json entry document:
-    string ids, a JSON integer index into `configs`, the decoded table, and
-    tile and filter fields of JSON integers of 0 or more. Else ValueError
-    names the first bad field."""
-    try:
-        node, layer, index = doc["node"], doc["layer"], doc["config"]
-        arrays = doc["tile_index"], doc["tile_origin"], doc["tile_shape"]
-        (i0, i1, i2, i3, i4), (o0, o1, o2, o3), (s0, s1, s2, s3) = arrays
-        f0, f1 = doc["filter_origin"], doc["filter_count"]
-        if (type(node) is type(layer) is str and type(index) is int
-                and 0 <= index < len(configs) and set(map(type, arrays)) == {list}
-                and {type(i0), type(i1), type(i2), type(i3), type(i4), type(o0), type(o1),
-                     type(o2), type(o3), type(s0), type(s1), type(s2), type(s3),
-                     type(f0), type(f1)} == {int}
-                and min(i0, i1, i2, i3, i4, o0, o1, o2, o3, s0, s1, s2, s3, f0, f1) >= 0):
-            return node, layer, index
-    except (KeyError, TypeError, ValueError):  # no object, a key missing or a length wrong
-        pass
-    # the checks that name the first bad field
-    require_keys(doc, _ENTRY_KEYS, "entry", ValueError)
-    node, layer, index = doc["node"], doc["layer"], doc["config"]
-    if type(node) is not str or type(layer) is not str:
-        raise ValueError(f"entry 'node' and 'layer' must be strings, got {node!r}, {layer!r}")
-    if type(index) is not int or not 0 <= index < len(configs):
-        raise ValueError(f"entry 'config' must be an integer index into the "
-                         f"{len(configs)} configs, got {index!r}")
-    for key, length in zip(_ENTRY_KEYS[2:7], (5, 4, 4, None, None)):
-        strict(doc[key], int, f"entry '{key}'", ValueError, length, least=0)
-    return node, layer, index
 
 
 class Schedule:
@@ -184,16 +147,6 @@ class Schedule:
 
     def __len__(self):
         return sum(node.invocations for node in self.nodes)
-
-
-def read_entries(docs: list, configs: list) -> Counter:
-    """Invocations per (node id, layer id, config) of the schedule.json entry
-    documents `docs`, each checked (`entry_key`) and counted under (node id,
-    layer id, config index), equal configs at two indices then folded into one."""
-    counts = Counter()
-    for (node, layer, index), n in Counter(entry_key(doc, configs) for doc in docs).items():
-        counts[node, layer, configs[index]] += n
-    return counts
 
 
 # the text `json.dumps` writes for an entry document past its 'tile_index' key,
@@ -268,6 +221,57 @@ def is_schedule_json(text: str, head: dict, schedule: Schedule) -> bool:
     head_text = _head_text(head, configs)
     return (len(head_text) == start and text.startswith(head_text)
             and len(text) == at + 3 and text.endswith("]}\n"))
+
+
+def _same(a, b) -> bool:
+    """Whether JSON values `a` and `b`, neither an object, are equal with
+    their JSON types: 1.0 and true are not 1."""
+    return type(a) is type(b) and (len(a) == len(b) and all(map(_same, a, b))
+                                   if type(a) is list else a == b)
+
+
+def check_schedule_doc(doc: dict, schedule: Schedule):
+    """Check that the decoded schedule.json document `doc` holds `schedule`:
+    `configs` and `entries` are arrays, each element of `configs` equals, as
+    a document, a config the schedule runs, and each entry, its `config`
+    resolved through `configs`, equals the schedule's entry at its position,
+    values with their JSON types. Else ValueError names the first config
+    index, or the first entry and field, that differs; the head is not
+    compared. A document that `json.dumps` writes as `schedule_json` does
+    passes on one comparison of texts; any other is compared entry by entry
+    with the entry documents of that text, configs as documents, as the
+    schedule's own table can hold one config at two indices."""
+    require_keys(doc, ("configs", "entries"), "document", ValueError)
+    configs, entries = doc["configs"], doc["entries"]
+    for key, value in (("configs", configs), ("entries", entries)):
+        if type(value) is not list:
+            raise ValueError(f"'{key}' must be an array, got {type(value).__name__}")
+    index, own = {}, []
+    text = f"[{', '.join(t for part in schedule.parts for t in part.entry_texts(index, own))}]"
+    if json.dumps(configs) == json.dumps(own) and text == json.dumps(
+            entries, check_circular=False):  # a decoded document holds no cycles
+        return
+    keys, own_keys = ([json.dumps(c, sort_keys=True) for c in table] for table in (configs, own))
+    for i in (i for i, key in enumerate(keys) if key not in own_keys):
+        raise ValueError(f"config {i} is no config the design runs")
+    wanted = json.loads(text)
+    for n, (got, want) in enumerate(zip(entries, wanted)):
+        require_keys(got, want, f"entry {n}", ValueError)
+        for key, value in want.items():
+            if key == "config":
+                i = got[key]
+                if not (type(i) is int and 0 <= i < len(keys) and keys[i] == own_keys[value]):
+                    raise ValueError(f"entry {n} 'config' {json.dumps(i)} names no config "
+                                     f"equal to the design's")
+            elif not _same(got[key], value):
+                raise ValueError(f"entry {n} '{key}' is {json.dumps(got[key])}, not the "
+                                 f"design's {json.dumps(value)}")
+        if len(got) > len(want):
+            extra = next(key for key in got if key not in want)
+            raise ValueError(f"entry {n} has '{extra}', a key the design's entries lack")
+    if len(entries) != len(wanted):
+        raise ValueError(f"entry {min(len(entries), len(wanted))}: the file lists "
+                         f"{len(entries)} entries, the design runs {len(wanted)}")
 
 
 class _Groups:

@@ -14,7 +14,7 @@ from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import HardwareGraph, initial_mapping
 from harflow.model_ir import KIND_FIELDS, TensorShape, parse_model
 from harflow.optimizer import check_constraints, evaluate
-from harflow.perf_model import RuntimeConfig, invocation_latency
+from harflow.perf_model import invocation_latency
 from harflow.reporting import per_layer_latency
 from harflow.scheduler import MODE_RUNTIME
 
@@ -176,39 +176,44 @@ def _old_layout(doc):
 
 # edits of the toy design's schedule.json document, each with the error it ends in
 SCHEDULE_EDITS = [
-    (lambda d: d["configs"][0].pop("kind"), "config lacks 'kind'"),
-    (lambda d: d["configs"][0].pop("shape_in"), "config lacks 'shape_in'"),
+    (lambda d: d["configs"][0].pop("kind"), "config 0 is no config the design runs"),
+    (lambda d: d["configs"][0].pop("shape_in"), "config 0 is no config the design runs"),
     (lambda d: d["configs"][0].update(shape_out=[1, 1, 1]),
-     "config 'shape_out' must be 4 integers, got [1, 1, 1]"),
-    (lambda d: d["configs"].__setitem__(0, 1), "config must be an object, got 1"),
-    (lambda d: d["entries"].__setitem__(0, 1), "entry must be an object, got 1"),
-    (lambda d: d["entries"][0].pop("node"), "entry lacks 'node'"),
+     "config 0 is no config the design runs"),
+    (lambda d: d["configs"].__setitem__(0, 1), "config 0 is no config the design runs"),
+    # a config that no entry names is checked too
+    (lambda d: d["configs"].append(dict(d["configs"][0], coarse_in=2)),
+     "config 4 is no config the design runs"),
+    (lambda d: d["entries"].__setitem__(0, 1), "entry 0 must be an object, got 1"),
+    (lambda d: d["entries"][0].pop("node"), "entry 0 lacks 'node'"),
+    (lambda d: d["entries"][0].update(x=1), "entry 0 has 'x', a key the design's entries lack"),
     (lambda d: d.update(entries=5), "'entries' must be an array, got int"),
     (lambda d: d.pop("configs"), "document lacks 'configs'"),
+    (lambda d: d["entries"].pop(), "entry 3: the file lists 3 entries, the design runs 4"),
     (lambda d: d["entries"][0]["tile_index"].__setitem__(1, True),
-     "entry 'tile_index' must be 5 integers, got [0, True, 0, 0, 0]"),
-    (lambda d: d["entries"][0].update(filter_count=1.0),
-     "entry 'filter_count' must be an integer, got 1.0"),
+     "entry 0 'tile_index' is [0, true, 0, 0, 0], not the design's [0, 0, 0, 0, 0]"),
+    # 8.0 == 8 in Python, not in JSON
+    (lambda d: d["entries"][0].update(filter_count=8.0),
+     "entry 0 'filter_count' is 8.0, not the design's 8"),
     (lambda d: d["entries"][0].update(config=len(d["configs"])),
-     "entry 'config' must be an integer index into the 4 configs, got 4"),
-    # a tile or filter field below 0 names no tile of the design
+     "entry 0 'config' 4 names no config equal to the design's"),
     (lambda d: d["entries"][0]["tile_index"].__setitem__(0, -1),
-     "entry 'tile_index' must be 5 integers >= 0, got [-1, 0, 0, 0, 0]"),
+     "entry 0 'tile_index' is [-1, 0, 0, 0, 0], not the design's [0, 0, 0, 0, 0]"),
     (lambda d: d["entries"][0]["tile_origin"].__setitem__(0, -1),
-     "entry 'tile_origin' must be 4 integers >= 0, got [-1, 0, 0, 0]"),
+     "entry 0 'tile_origin' is [-1, 0, 0, 0], not the design's [0, 0, 0, 0]"),
     (lambda d: d["entries"][0]["tile_shape"].__setitem__(3, -1),
-     "entry 'tile_shape' must be 4 integers >= 0, got [4, 16, 16, -1]"),
+     "entry 0 'tile_shape' is [4, 16, 16, -1], not the design's [4, 16, 16, 3]"),
     (lambda d: d["entries"][0].update(filter_origin=-1),
-     "entry 'filter_origin' must be an integer >= 0, got -1"),
+     "entry 0 'filter_origin' is -1, not the design's 0"),
     (lambda d: d["entries"][0].update(filter_count=-1),
-     "entry 'filter_count' must be an integer >= 0, got -1"),
+     "entry 0 'filter_count' is -1, not the design's 8"),
 ]
 SCHEDULE_EDIT_IDS = ["config-without-kind", "config-without-shape-in", "config-shape-short",
-                     "config-not-object", "entry-not-object", "entry-without-node",
-                     "entries-not-array", "no-configs", "tile-index-holds-true",
-                     "filter-count-float", "config-index-past-table", "tile-index-negative",
-                     "tile-origin-negative", "tile-shape-negative", "filter-origin-negative",
-                     "filter-count-negative"]
+                     "config-not-object", "config-unused-not-the-designs", "entry-not-object",
+                     "entry-without-node", "entry-extra-key", "entries-not-array", "no-configs",
+                     "entry-missing", "tile-index-holds-true", "filter-count-float",
+                     "config-index-past-table", "tile-index-negative", "tile-origin-negative",
+                     "tile-shape-negative", "filter-origin-negative", "filter-count-negative"]
 
 
 def _report_edited(workdir, edit):
@@ -546,30 +551,6 @@ def test_report_counts_reordered_equal_configs_as_one_group(runner, workdir):
     assert rows["conv"]["invocations"] > rows["conv"]["configs"]
 
 
-def test_report_decodes_each_distinct_config_once(runner, workdir, monkeypatch):
-    """The design's own schedule file is checked by its text, so its report
-    decodes no config; a copy with the entries reversed is decoded, and
-    each config of its table once."""
-    design = _tiled_conv_design(workdir)
-    schedule = workdir / "schedule.json"
-    assert runner.invoke(main, ["schedule", "--design", str(design),
-                                "--out", str(schedule)]).exit_code == 0
-    doc = json.loads(schedule.read_text())
-    reversed_copy = workdir / "reversed.json"
-    reversed_copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])))
-    decoded = []
-    from_dict = RuntimeConfig.from_dict.__func__
-    monkeypatch.setattr(RuntimeConfig, "from_dict", classmethod(
-        lambda cls, doc: decoded.append(doc) or from_dict(cls, doc)))
-    assert len(doc["entries"]) > 20 * len(doc["configs"])
-    for path, configs in ((schedule, []), (reversed_copy, doc["configs"])):
-        decoded.clear()
-        result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(path),
-                                      "--out", str(workdir / "report.json")])
-        assert result.exit_code == 0, result.output
-        assert decoded == configs
-
-
 def _slow_dma_device(workdir):
     """zcu102 at DMA bandwidths of 1/2 and 1/3 words per cycle, written to a file."""
     path = workdir / "slow_dma.json"
@@ -579,27 +560,145 @@ def _slow_dma_device(workdir):
     return str(path)
 
 
+def _indented(doc):
+    """The document re-dumped with `indent=2`: the design's entries, in order."""
+    return json.dumps(doc, indent=2)
+
+
+def _configs_permuted(doc):
+    """The config table reversed, each entry naming its config at its new index."""
+    last = len(doc["configs"]) - 1
+    return json.dumps(dict(doc, configs=doc["configs"][::-1], entries=[
+        dict(e, config=last - e["config"]) for e in doc["entries"]]))
+
+
+def _config_at_two_indices(doc):
+    """The config table twice over, every other entry naming its config's second copy."""
+    n = len(doc["configs"])
+    return json.dumps(dict(doc, configs=doc["configs"] * 2, entries=[
+        dict(e, config=e["config"] + n * (k % 2)) for k, e in enumerate(doc["entries"])]))
+
+
+def _keys_reversed(doc):
+    """Each object's keys in reverse order, the head's included, and another total."""
+    def reverse(value):
+        if type(value) is dict:
+            return {key: reverse(value[key]) for key in reversed(value)}
+        return [reverse(v) for v in value] if type(value) is list else value
+    return json.dumps(reverse(dict(doc, total_ms=0.5)))
+
+
+@pytest.mark.parametrize("copy", [_configs_permuted, _config_at_two_indices, _keys_reversed])
+def test_report_of_a_copy_holding_the_designs_entries(runner, workdir, copy):
+    """A file that holds the design's entries in their order, each config
+    as a document, reports as the design's own file does, byte for byte,
+    at the design's device and at `--device`: with the config table
+    permuted or one config at two indices, with the keys of every object in
+    another order (for another whitespace, see
+    `test_report_checks_its_own_schedule_by_its_text`)."""
+    design = str(_tiled_conv_design(workdir))
+    canonical = _schedule_file(workdir, design)
+    other = _bad_schedule(workdir, copy(json.loads(Path(canonical).read_text())))
+    for device in ([], ["--device", _slow_dma_device(workdir)]):
+        reports = []
+        for schedule in (canonical, other):
+            out = workdir / f"report{len(reports)}.json"
+            result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+                                          "--out", str(out), *device])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+def _reversed(entries):
+    """Reverse the entries: (index, key) of the first difference."""
+    entries.reverse()
+    return 0, "node"
+
+
+def _tile_moved(entries):
+    """Move entry 5's tile by one along H, its counts unchanged."""
+    entries[5]["tile_origin"][1] += 1
+    return 5, "tile_origin"
+
+
+def _true_for_1(entries):
+    """Write true for the first `tile_index[1]` of 1, equal to it in Python."""
+    n = next(n for n, e in enumerate(entries) if e["tile_index"][1] == 1)
+    entries[n]["tile_index"][1] = True
+    return n, "tile_index"
+
+
+def _float_filter_count(entries):
+    """Write the first entry's `filter_count` as a float, equal to it in Python."""
+    entries[0]["filter_count"] = float(entries[0]["filter_count"])
+    return 0, "filter_count"
+
+
+@pytest.mark.parametrize("edit", [_reversed, _tile_moved, _true_for_1, _float_filter_count])
+def test_report_rejects_a_file_whose_entries_differ(runner, workdir, edit):
+    """The design runs its entries in order, each on its tile: a file with
+    the entries reversed or one tile moved is not the design's schedule,
+    though each (node, layer, config) keeps its count. Values are compared
+    with their JSON types, so true for 1 or 8.0 for 8 differ too. The error
+    line names the first entry and field that differ."""
+    design = str(_tiled_conv_design(workdir))
+    doc = json.loads(Path(_schedule_file(workdir, design)).read_text())
+    own = json.loads(json.dumps(doc["entries"]))
+    n, key = edit(doc["entries"])
+    schedule = _bad_schedule(workdir, json.dumps(doc))
+    result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+                                  "--out", str(workdir / "report.json")])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: schedule file {schedule}: invalid schedule: entry {n} '{key}' is "
+        f"{json.dumps(doc['entries'][n][key])}, not the design's {json.dumps(own[n][key])}\n")
+
+
+def test_report_decodes_the_designs_entries_only_for_a_copy_in_another_form(
+        runner, workdir, monkeypatch):
+    """A file that is not the design's own text is decoded once. When
+    `json.dumps` writes its entries and config table as the design's, that
+    one comparison of texts holds; any other file, such as one with its
+    config table permuted, is compared entry by entry with the design's
+    entry documents, decoded from the design's own entry text."""
+    design = _tiled_conv_design(workdir)
+    doc = json.loads(Path(_schedule_file(workdir, str(design))).read_text())
+    assert len(doc["entries"]) > 20 * len(doc["configs"])
+    loaded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: loaded.append(s) or loads(s, *a, **k))
+    for copy, entry_texts_decoded in ((_indented, 0), (_configs_permuted, 1)):
+        path = workdir / "copy.json"
+        path.write_text(copy(doc))
+        loaded.clear()
+        result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(path),
+                                      "--out", str(workdir / "report.json")])
+        assert result.exit_code == 0, result.output
+        assert loaded.count(path.read_text()) == 1, copy
+        assert sum(s.startswith('[{"node": ') for s in loaded) == entry_texts_decoded, copy
+
+
 def test_report_checks_its_own_schedule_by_its_text(runner, workdir, monkeypatch):
     """On the tiled toy design, the file `harflow schedule` writes and a copy
-    re-dumped with `indent=2` and its entries reversed give byte-identical
-    report.json, at the design's device and at `--device`. The design's own
-    file is compared by its text: it is never passed to `json.loads`, and
-    `read_entries` counts no entry of it."""
+    re-dumped with `indent=2` give byte-identical report.json, at the
+    design's device and at `--device`. The design's own file is compared by
+    its text: it is never passed to `json.loads`, nor to
+    `check_schedule_doc`; the copy is decoded once and checked once."""
     design = str(_tiled_conv_design(workdir))
     canonical = _schedule_file(workdir, design)
     doc = json.loads(Path(canonical).read_text())
     copy = workdir / "indented.json"
-    copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1]), indent=2))
-    loaded, counted = [], []
-    loads, read_entries = json.loads, cli.read_entries
+    copy.write_text(_indented(doc))
+    loaded, checked = [], []
+    loads, check_schedule_doc = json.loads, cli.check_schedule_doc
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: loaded.append(s) or loads(s, *a, **k))
-    monkeypatch.setattr(cli, "read_entries", lambda docs, configs: counted.append(
-        len(docs)) or read_entries(docs, configs))
+    monkeypatch.setattr(cli, "check_schedule_doc", lambda doc, schedule: checked.append(
+        len(doc["entries"])) or check_schedule_doc(doc, schedule))
     for device in ([], ["--device", _slow_dma_device(workdir)]):
         reports = []
         for schedule in (canonical, str(copy)):
             loaded.clear()
-            counted.clear()
+            checked.clear()
             out = workdir / f"report{len(reports)}.json"
             result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
                                           "--out", str(out), *device])
@@ -607,45 +706,49 @@ def test_report_checks_its_own_schedule_by_its_text(runner, workdir, monkeypatch
             reports.append(out.read_bytes())
             schedule_text = Path(schedule).read_text()
             if schedule == canonical:
-                assert schedule_text not in loaded and counted == []
+                assert schedule_text not in loaded and checked == []
             else:
-                assert loaded.count(schedule_text) == 1 and counted == [len(doc["entries"])]
+                assert loaded.count(schedule_text) == 1 and checked == [len(doc["entries"])]
         assert reports[0] == reports[1]
     assert len(doc["entries"]) > 20 * len(doc["configs"])
 
 
 def test_report_stops_comparing_at_the_first_plan_that_differs(runner, workdir, monkeypatch):
     """`harflow report` compares a schedule file with the design's own text a
-    layer plan at a time. The design's own file formats every plan; a copy
-    whose first entry differs, its entries reversed, is decoded once the
-    first plan's entries differ, with no other plan formatted, and reports
-    as the design's own file does."""
+    layer plan at a time. The design's own file formats every plan once. A
+    copy that differs from it in the whitespace of the first plan formats
+    that plan, then is decoded and compared whole, formatting every plan; a
+    copy that differs only in the last plan formats every plan twice. Each
+    reports as the design's own file does."""
     design = str(_tiled_conv_design(workdir))
     canonical = _schedule_file(workdir, design)
-    doc = json.loads(Path(canonical).read_text())
-    reversed_copy = workdir / "reversed.json"
-    reversed_copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])) + "\n")
+    text = Path(canonical).read_text()
+    first, last = workdir / "first.json", workdir / "last.json"
+    first.write_text(text.replace('"entries": [{"node": ', '"entries": [{"node":  ', 1))
+    at = text.rindex('{"node": ')
+    last.write_text(text[:at] + '{"node":  ' + text[at + len('{"node": '):])
     formatted = []
     entry_texts = scheduler._LayerPlan.entry_texts
     monkeypatch.setattr(scheduler._LayerPlan, "entry_texts", lambda plan, *args: (
         formatted.append(plan.layer.id) or entry_texts(plan, *args)))
+    plans = ["conv", "relu", "pool", "fc"]
     reports = []
-    for schedule, plans in ((canonical, ["conv", "relu", "pool", "fc"]),
-                            (str(reversed_copy), ["conv"])):
+    for schedule, formats in ((canonical, plans), (first, ["conv", *plans]),
+                              (last, plans + plans)):
         formatted.clear()
         out = workdir / f"report{len(reports)}.json"
-        result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
+        result = runner.invoke(main, ["report", "--design", design, "--schedule", str(schedule),
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert formatted == plans
+        assert formatted == formats, schedule
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, workdir):
     """A design that cannot be scheduled has no schedule text to compare a
-    file with, so the file is decoded first: a malformed file fails on the
-    file, a well-formed one on the design."""
+    file with, so the file is decoded first: a file that is not a JSON
+    object fails on the file, any object on the design."""
     doc = json.loads(bundled_model_text("toy"))
     conv = doc["layers"][0]
     doc["layers"].insert(0, dict(conv, id="gconv", shape_out=[4, 16, 16, 3], filters=3,
@@ -662,7 +765,9 @@ def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, wor
     malformed = _bad_schedule(workdir, "{oops")
     for schedule, message in (
             (malformed, f"schedule file {malformed}: invalid JSON"),
-            (_schedule_file(workdir), f"layer 'gconv' cannot run on node '{node}'")):
+            (_schedule_file(workdir), f"layer 'gconv' cannot run on node '{node}'"),
+            (str(_design(workdir, lambda d: None, "object.json")),
+             f"layer 'gconv' cannot run on node '{node}'")):
         result = runner.invoke(main, ["report", "--design", str(design), "--schedule", schedule,
                                       "--out", str(workdir / "report.json")])
         assert result.exit_code == 1 and result.output.startswith(f"Error: {message}"), (
@@ -672,7 +777,7 @@ def test_report_reads_the_file_before_it_finds_the_design_infeasible(runner, wor
 def test_report_of_an_id_holding_a_percent_sign(runner, workdir):
     """A node and a layer id holding '%', which a format template would read
     as a conversion, are written as `json.dumps` writes them, and the
-    design's own file then reports as a copy of it that is decoded does."""
+    design's own file then reports as copies of it that are decoded do."""
     def percent_ids(doc):
         _conv_node(doc).update(shape_in_max=[4, 1, 1, 3])
         graph = doc["graph"]
@@ -688,16 +793,15 @@ def test_report_of_an_id_holding_a_percent_sign(runner, workdir):
     canonical = _schedule_file(workdir, design)
     doc = json.loads(Path(canonical).read_text())
     assert {(e["node"], e["layer"]) for e in doc["entries"]} >= {("n%d%%s", "c%s%")}
-    copy = workdir / "reversed.json"
-    copy.write_text(json.dumps(dict(doc, entries=doc["entries"][::-1])))
     reports = []
-    for schedule in (canonical, str(copy)):
+    for schedule in (canonical, _bad_schedule(workdir, _indented(doc)),
+                     _bad_schedule(workdir, _configs_permuted(doc))):
         out = workdir / f"report{len(reports)}.json"
         result = runner.invoke(main, ["report", "--design", design, "--schedule", schedule,
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_reports_and_checks_read_only_the_plans_terms(runner, workdir, monkeypatch):
@@ -883,9 +987,10 @@ def multishape_files(tmp_path_factory):
 def test_a_field_its_kind_does_not_take_is_one_error_line(runner, workdir, multishape_files,
                                                           document, kind, field):
     """Each reader enforces the kind table (`model_ir.KIND_FIELDS`): a layer
-    document, a schedule.json config or a design.json node with a field that
-    its kind does not take, at a value other than its default, ends in one
-    `Error:` line that names the kind and the field."""
+    document or a design.json node with a field that its kind does not take,
+    at a value other than its default, ends in one `Error:` line that names
+    the kind and the field. A schedule.json config with such a field is no
+    config the design runs: its line names the config's index."""
     design, schedule = multishape_files
     edited = workdir / "edited.json"
     if document == "layer":
@@ -896,10 +1001,11 @@ def test_a_field_its_kind_does_not_take_is_one_error_line(runner, workdir, multi
         message = f"layer '{layer['id']}': {kind} takes no '{field}'"
     elif document == "config":
         doc = json.loads(schedule.read_text())
-        next(c for c in doc["configs"] if c["kind"] == kind)[field] = FOREIGN_VALUES[field]
+        i = next(i for i, c in enumerate(doc["configs"]) if c["kind"] == kind)
+        doc["configs"][i][field] = FOREIGN_VALUES[field]
         argv = ["report", "--design", str(design), "--schedule", str(edited),
                 "--out", str(workdir / "report.json")]
-        message = f"config {kind} takes no '{field}'"
+        message = f"invalid schedule: config {i} is no config the design runs"
     else:
         doc = json.loads(design.read_text())
         node = next(n for n in doc["graph"]["nodes"].values() if n["kind"] == kind)

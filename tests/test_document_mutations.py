@@ -8,17 +8,14 @@ zcu102 profile, the toy design and the toy design's schedule file.
 import copy
 import json
 import re
-from collections import Counter
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_scheduler import entries_of_doc
 
-from harflow.cli import _load_schedule, main
+from harflow.cli import main
 from harflow.device import DeviceError, load_bundled_profile, load_profile
 from harflow.generators import bundled_model_text
 from harflow.hardware_graph import initial_mapping
@@ -171,7 +168,8 @@ def test_mutated_schedule_reports_or_fails_in_one_line(tmp_path_factory, mutatio
 def _entry_mutations():
     """Every mutation that `mutations` can draw on the schedule's first entry,
     as the schedule gate above draws them, then in-type values no swap draws:
-    rejected ones, and accepted ones that move an entry to another group."""
+    values equal to the original's in Python but not in JSON, other config
+    indices and ids, fields below 0, and one value equal to the original's."""
     for path in _paths(SCHEDULE):
         if path[:2] != ("entries", 0):
             continue
@@ -187,40 +185,34 @@ def _entry_mutations():
     yield ("swap", ("entries", 0, "config"), 1)
     yield ("swap", ("entries", 3, "config"), 0)
     yield ("swap", ("entries", 0, "node"), "x")
-    # a tile or filter field below 0: rejected by both readers
     yield ("swap", ("entries", 0, "tile_index", 0), -1)
     yield ("swap", ("entries", 0, "tile_origin", 0), -1)
     yield ("swap", ("entries", 0, "tile_shape", 3), -1)
     yield ("swap", ("entries", 0, "filter_origin"), -1)
     yield ("swap", ("entries", 0, "filter_count"), -1)
+    yield ("swap", ("entries", 0, "filter_origin"), SCHEDULE["entries"][0]["filter_origin"])
 
 
-def _read_as_entries(path, doc):
-    """A schedule document read as one `ScheduleEntry` per entry by the
-    reference reader, or the error line of the first bad field."""
-    try:
-        return entries_of_doc(doc)
-    except ValueError as exc:
-        return f"schedule file {path}: invalid schedule: {exc}"
+def _report(tmp_path, doc, name):
+    """(exit code, output, report.json bytes or None) of the toy design's report
+    on schedule document `doc`, written to `name`."""
+    design, schedule, out = (tmp_path / f for f in ("design.json", name, f"{name}.report"))
+    design.write_text(json.dumps(DESIGN))
+    schedule.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["report", "--design", str(design),
+                                       "--schedule", str(schedule), "--out", str(out)])
+    return result.exit_code, result.output, out.read_bytes() if out.exists() else None
 
 
 @pytest.mark.parametrize("mutation", list(_entry_mutations()), ids=repr)
-def test_counting_reader_agrees_with_the_entry_reader(tmp_path, mutation):
+def test_an_entry_mutation_reports_as_the_original_or_names_its_entry(tmp_path, mutation):
+    """A mutated schedule document that has the original's JSON value,
+    types included, reports as the original does; any other fails in one
+    line that names the mutated entry."""
     doc = _mutated(SCHEDULE, mutation)
-    path = tmp_path / "schedule.json"
-    path.write_text(json.dumps(doc))
-    entries = _read_as_entries(path, doc)
-    try:
-        counts = _load_schedule(str(path), path.read_text())
-    except click.ClickException as exc:
-        assert exc.message == entries
-        return
-    assert type(entries) is list, entries
-    # the same invocations per (node, layer, config), in first-seen order
-    assert list(counts.items()) == list(
-        Counter((e.node_id, e.layer_id, e.config) for e in entries).items())
-    for e in entries:  # what the readers accept has the JSON types and ranges of the format
-        assert type(e.node_id) is type(e.layer_id) is str
-        assert tuple(map(len, (e.tile_index, e.tile_origin, e.tile_shape))) == (5, 4, 4)
-        fields = (*e.tile_index, *e.tile_origin, *e.tile_shape, e.filter_origin, e.filter_count)
-        assert set(map(type, fields)) == {int} and min(fields) >= 0
+    code, output, report = _report(tmp_path, doc, "mutated.json")
+    if json.dumps(doc, sort_keys=True) == json.dumps(SCHEDULE, sort_keys=True):
+        assert (code, report) == _report(tmp_path, SCHEDULE, "original.json")[::2], output
+    else:
+        assert code == 1 and output.count("\n") == 1, output
+        assert f": invalid schedule: entry {mutation[1][1]} " in output, output

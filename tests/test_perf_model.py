@@ -13,7 +13,6 @@ from harflow.hardware_graph import fuse_activations, initial_mapping
 from harflow.model_ir import ModelError, TensorShape, parse_model
 from harflow.optimizer import AnnealingParams, _sample_capabilities, random_transformation
 from harflow.perf_model import (
-    PerfModelError,
     RuntimeConfig,
     compute_latency,
     invocation_latency,
@@ -31,6 +30,8 @@ from harflow.scheduler import (
     _compute_cycles_oracle,
     _memory,
     build_schedule,
+    check_schedule_doc,
+    schedule_json,
 )
 
 
@@ -91,14 +92,29 @@ def test_pool_latency_fixture():
     assert compute_latency(identity) == 512
 
 
+def _toy_schedule_doc():
+    """(schedule.json document, schedule) of the toy initial mapping."""
+    model = parse_model(bundled_model_text("toy"))
+    schedule = build_schedule(model, initial_mapping(model), MODE_RUNTIME)
+    return json.loads(schedule_json({}, schedule)), schedule
+
+
+def _config_rejected(kind, **fields):
+    """Set `fields` on the toy schedule document's `kind` config: the schedule
+    check finds it no config the design runs, so it never reaches the model."""
+    doc, schedule = _toy_schedule_doc()
+    i = next(i for i, c in enumerate(doc["configs"]) if c["kind"] == kind)
+    doc["configs"][i].update(fields)
+    with pytest.raises(ValueError, match=f"^config {i} is no config the design runs$"):
+        check_schedule_doc(doc, schedule)
+
+
 def test_zero_fold_rejected():
-    with pytest.raises(PerfModelError):
-        RuntimeConfig.from_dict(_conv(coarse_in=0).to_dict())
+    _config_rejected("Conv3D", coarse_in=0)
 
 
 def test_non_string_type_rejected():
-    with pytest.raises(PerfModelError, match="'type' must be a string"):
-        RuntimeConfig.from_dict(dict(_conv().to_dict(), type=3))
+    _config_rejected("Pool3D", type=3)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -110,26 +126,26 @@ def test_non_string_type_rejected():
     ("type", 3),
     ("broadcast", "false"),
 ])
-def test_layer_and_config_readers_share_the_operator_field_rule(field, value):
-    """A bad operator field is rejected, by name, in a model's layer and in a
-    schedule's config alike: both documents are read by one rule."""
+def test_a_bad_operator_field_fails_the_layer_reader_and_the_schedule_check(field, value):
+    """A bad operator field is rejected, by name, in a model's layer; in a
+    schedule's config it makes the config no config the design runs."""
     model = json.loads(bundled_model_text("toy"))
     model["layers"][0][field] = value
     with pytest.raises(ModelError, match=f"layer 'conv': '{field}' must be"):
         parse_model(json.dumps(model))
-    with pytest.raises(PerfModelError, match=f"config '{field}' must be"):
-        RuntimeConfig.from_dict(dict(_conv().to_dict(), **{field: value}))
+    _config_rejected("Conv3D", **{field: value})
 
 
 def test_config_hashes_as_its_value_however_built():
     """The hash is kept per object, so a config hashes as its value whether it
-    was built by the scheduler, `from_dict` or `replace`."""
+    was built by the scheduler, from its fields or by `replace`."""
     model = parse_model(bundled_model_text("multishape"))
     graph = _sample_capabilities(initial_mapping(model), model, random.Random(3))
     for mode in (MODE_RUNTIME, MODE_PADDED):
         for _, _, cfg, _ in build_schedule(model, graph, mode).groups:
             hash(cfg)
-            for other in (RuntimeConfig.from_dict(cfg.to_dict()), replace(cfg)):
+            fields = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
+            for other in (RuntimeConfig(**fields), replace(cfg)):
                 assert other == cfg and hash(other) == hash(cfg)
             changed = replace(cfg, accumulate_psum=not cfg.accumulate_psum)
             hash(changed)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from test_acceptance import _Builder, _random_chain_model, _randomly_shrunk
 
 import harflow.scheduler as scheduler
-from harflow.cli import _load_schedule
 from harflow.device import load_bundled_profile
 from harflow.generators import bundled_model_names, bundled_model_text
 from harflow.hardware_graph import (
@@ -41,8 +40,8 @@ from harflow.scheduler import (
     _LayerPlan,
     _tile_layer,
     build_schedule,
+    check_schedule_doc,
     coverage_oracle,
-    entry_key,
     is_schedule_json,
     schedule_json,
     schedule_latency_oracle,
@@ -260,19 +259,28 @@ def entry_doc(entry, config):
     }
 
 
+def config_of_doc(doc):
+    """The config of a schedule.json config document, as `RuntimeConfig.to_dict`
+    writes it: arrays as tuples, shapes as `TensorShape`, 'type' as `op_type`.
+    The reference reader of one config."""
+    fields = {"op_type" if key == "type" else key: tuple(value) if type(value) is list else value
+              for key, value in doc.items()}
+    return RuntimeConfig(**dict(fields, shape_in=TensorShape(*doc["shape_in"]),
+                                shape_out=TensorShape(*doc["shape_out"])))
+
+
 def entry_of_doc(doc, configs):
-    """The entry of a schedule.json entry document, checked by `entry_key`:
-    the reference reader of one entry."""
-    node, layer, index = entry_key(doc, configs)
-    return ScheduleEntry(node, layer, tuple(doc["tile_index"]), tuple(doc["tile_origin"]),
-                         tuple(doc["tile_shape"]), doc["filter_origin"], doc["filter_count"],
-                         configs[index])
+    """The entry of a schedule.json entry document, its config `configs[i]`
+    for its 'config' index i: the reference reader of one entry."""
+    return ScheduleEntry(doc["node"], doc["layer"], tuple(doc["tile_index"]),
+                         tuple(doc["tile_origin"]), tuple(doc["tile_shape"]),
+                         doc["filter_origin"], doc["filter_count"], configs[doc["config"]])
 
 
 def entries_of_doc(doc):
     """The entries of a decoded schedule.json document, one `ScheduleEntry`
     per entry document, by the reference reader."""
-    configs = [RuntimeConfig.from_dict(c) for c in doc["configs"]]
+    configs = list(map(config_of_doc, doc["configs"]))
     return [entry_of_doc(e, configs) for e in doc["entries"]]
 
 
@@ -558,11 +566,10 @@ def _escaped_ids_schedule():
     return schedule
 
 
-def test_schedule_json_reads_back_as_its_entries(tmp_path):
+def test_schedule_json_reads_back_as_its_entries():
     cases = list(_pinned_schedules())
     cases += [("empty", Schedule()), ("escaped ids", _escaped_ids_schedule())]
     head = {"model": "toy \"\u00e9\"", "device": "zcu102", "total_cycles": 12, "total_ms": 0.06}
-    path = tmp_path / "schedule.json"
     for name, schedule in cases:
         text = schedule_json(head, schedule)
         doc = json.loads(text)
@@ -573,11 +580,12 @@ def test_schedule_json_reads_back_as_its_entries(tmp_path):
         assert doc["configs"] == [cfg.to_dict() for cfg in first_use.values()], name
         assert doc == json.loads(_dumped_schedule_json(head, schedule)), name
         assert entries_of_doc(doc) == schedule.entries, name
-        # the counting reader gives each (node, layer, config) its invocations
-        path.write_text(text)
-        counts = Counter((e.node_id, e.layer_id, e.config) for e in schedule.entries)
-        read = _load_schedule(str(path), path.read_text())
-        assert list(read.items()) == list(counts.items()), name
+        # the document holds the schedule, and its entries reversed do not
+        check_schedule_doc(doc, schedule)
+        if len(doc["entries"]) > 1:
+            doc["entries"].reverse()
+            with pytest.raises(ValueError, match="^entry 0 "):
+                check_schedule_doc(doc, schedule)
 
 
 def _dumped_schedule_json(head, schedule):

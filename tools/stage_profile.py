@@ -23,16 +23,18 @@ Then it exports the warm-start design of each of the seeds 0-7 (for C3D, the
 inputs of the c3d-export benchmark workload), and then the best design of
 each chain it has just profiled (for C3D, the designs the c3d-search
 workload exports, whose plans have few tiles), through `harflow schedule`
-and `harflow report`. For each set it prints the entries written, the
-configs encoded (`RuntimeConfig.to_dict` calls: both commands format the
-design's schedule.json text, so twice the size of the file's config table)
-and decoded (`RuntimeConfig.from_dict` calls), the reports that checked the
-file by its text and those that decoded it (`cli._load_schedule` calls; a
-file `harflow schedule` has just written is the design's own text, so
-none), the groups scored (`perf_model.roofline` calls in both commands:
-each group once, for the report's per-layer rows; `schedule_latency`
-scores plans, not groups), and the seconds summed over the designs of each
-export stage:
+and `harflow report`. The first design of each set is reported once more,
+from a copy of its schedule.json re-dumped with `indent=2`, which the
+report decodes. For each set it prints the entries written, the configs
+encoded (`RuntimeConfig.to_dict` calls: both commands format the design's
+schedule.json text, so twice the size of the file's config table, and the
+copy's report formats its first plan's text and then the whole text once
+more), the reports that checked the file by its text and those that
+decoded it (`scheduler.check_schedule_doc` calls: a file `harflow
+schedule` has just written is the design's own text, so only the copy's),
+the groups scored (`perf_model.roofline` calls: each report scores each
+group once, for its per-layer rows; `schedule_latency` scores plans, not
+groups), and the seconds summed over the designs of each export stage:
 
 - build: `build_schedule` in both commands (`harflow report` checks the
   file against the design's schedule, then scores and reports that
@@ -42,12 +44,11 @@ export stage:
   format its entries a run of C tiles at a time, then the text is written;
 - compare: `harflow report` reading the schedule file's text and comparing
   it, a layer plan at a time, with the design's own (`is_schedule_json`);
-- read + decode: `harflow report` decoding a file that is not the design's
-  own text: its JSON and its config table;
-- check + count: `scheduler.read_entries`, checking each entry of such a
-  file and counting it under its (node, layer, config);
+- decode + compare: `harflow report` decoding a file that is not the
+  design's own text and comparing it with the design's entries
+  (`scheduler.check_schedule_doc`): the copy's report only;
 - score + report: `schedule_latency` in both commands and the rest of
-  `harflow report`: the count comparison, the scoring and the report;
+  `harflow report`: the scoring and the report;
 - load design: `cli._load_design` in both commands.
 
 The counts are deterministic per seed; the seconds are wall time of this
@@ -170,7 +171,8 @@ def warm_starts(model_name, seeds, padded=False):
 
 
 def export_profile(model_name, graphs, padded=False):
-    """(stage seconds, counts) of exporting the design of each hardware graph."""
+    """(stage seconds, counts) of exporting the design of each hardware graph,
+    and of reporting the first one from an `indent=2` copy of its file."""
     from harflow import cli, perf_model, reporting
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
@@ -181,18 +183,17 @@ def export_profile(model_name, graphs, padded=False):
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     mode = MODE_PADDED if padded else MODE_RUNTIME
-    names = ("_load_design", "build_schedule", "schedule_latency", "_load_schedule",
-             "read_entries", "is_schedule_json")
-    timers = {name: [0, 0.0] for name in names + ("read schedule text",)}
-    encoded, decoded, scored = [0], [0], [0]
+    names = ("_load_design", "build_schedule", "schedule_latency", "check_schedule_doc",
+             "is_schedule_json")
+    timers = {name: [0, 0.0] for name in names + ("read schedule text", "decode schedule")}
+    encoded, scored = [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
-    read_text, read_schedule_text = cli._read_text, _timed(cli._read_text,
-                                                           timers["read schedule text"])
-    patched[cli, "_read_text"] = lambda path, what: (
-        read_schedule_text if what == "schedule" else read_text)(path, what)
+    for name, timer in (("_read_text", "read schedule text"),
+                        ("_read_json_object", "decode schedule")):
+        plain, timed = getattr(cli, name), _timed(getattr(cli, name), timers[timer])
+        patched[cli, name] = lambda path, what, *args, plain=plain, timed=timed: (
+            timed if what == "schedule" else plain)(path, what, *args)
     patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
-    patched[RuntimeConfig, "from_dict"] = classmethod(
-        _counted(RuntimeConfig.from_dict.__func__, decoded))
     for module in (perf_model, reporting):
         patched[module, "roofline"] = _counted(perf_model.roofline, scored)
     saved = {key: vars(key[0])[key[1]] for key in patched}
@@ -208,44 +209,53 @@ def export_profile(model_name, graphs, padded=False):
         counts["scored"] += scored[0] - first
         return wall, {name: t[1] - before[name] for name, t in timers.items()}
 
-    stages = dict.fromkeys(("build", "expand + encode + write", "compare", "read + decode",
-                            "check + count", "score + report", "load design"), 0.0)
+    def report(schedule):
+        """Run `harflow report` on `schedule` and add its stages."""
+        checks = timers["check_schedule_doc"][0]
+        wr, tr = command("report", "--design", design, "--schedule", schedule, "--out", out)
+        decoded = timers["check_schedule_doc"][0] > checks
+        counts["decoded_reports"] += decoded
+        counts["by_text"] += not decoded
+        compare = tr["read schedule text"] + tr["is_schedule_json"]
+        decode = tr["decode schedule"] + tr["check_schedule_doc"]
+        stages["build"] += tr["build_schedule"]
+        stages["compare"] += compare
+        stages["decode + compare"] += decode
+        stages["score + report"] += (wr - tr["_load_design"] - compare - decode
+                                     - tr["build_schedule"])
+        stages["load design"] += tr["_load_design"]
+
+    stages = dict.fromkeys(("build", "expand + encode + write", "compare", "decode + compare",
+                            "score + report", "load design"), 0.0)
     counts = dict(designs=0, entries=0, scored=0, by_text=0, decoded_reports=0)
     try:
         for (owner, name), fn in patched.items():
             setattr(owner, name, fn)
         with tempfile.TemporaryDirectory() as tmp:
-            design, schedule, report = (str(Path(tmp) / f) for f in (
-                "design.json", "schedule.json", "report.json"))
+            design, schedule, indented, out = (str(Path(tmp) / f) for f in (
+                "design.json", "schedule.json", "indented.json", "report.json"))
             for graph in graphs:
                 Path(design).write_text(json.dumps({
                     "model": json.loads(serialize_model(model)), "device": dev.to_dict(),
                     "mode": mode, "graph": graph.to_dict(),
                 }))
                 ws, ts = command("schedule", "--design", design, "--out", schedule)
-                loads = timers["_load_schedule"][0]
-                wr, tr = command("report", "--design", design, "--schedule", schedule,
-                                 "--out", report)
-                decoded_report = timers["_load_schedule"][0] > loads
-                counts["decoded_reports"] += decoded_report
-                counts["by_text"] += not decoded_report
-                compare = tr["read schedule text"] + tr["is_schedule_json"]
-                stages["build"] += ts["build_schedule"] + tr["build_schedule"]
+                stages["build"] += ts["build_schedule"]
                 stages["expand + encode + write"] += (
                     ws - ts["_load_design"] - ts["build_schedule"] - ts["schedule_latency"])
-                stages["compare"] += compare
-                stages["read + decode"] += tr["_load_schedule"] - tr["read_entries"]
-                stages["check + count"] += tr["read_entries"]
-                stages["score + report"] += (wr - tr["_load_design"] - compare
-                                             - tr["_load_schedule"] - tr["build_schedule"]
-                                             + ts["schedule_latency"])
-                stages["load design"] += ts["_load_design"] + tr["_load_design"]
+                stages["score + report"] += ts["schedule_latency"]
+                stages["load design"] += ts["_load_design"]
+                report(schedule)
+                if not counts["designs"]:
+                    text = Path(schedule).read_text()
+                    Path(indented).write_text(json.dumps(json.loads(text), indent=2))
+                    report(indented)
                 counts["designs"] += 1
                 counts["entries"] += len(build_schedule(model, graph, mode))
     finally:
         for (owner, name), fn in saved.items():
             setattr(owner, name, fn)
-    counts.update(encoded=encoded[0], decoded=decoded[0])
+    counts.update(encoded=encoded[0])
     return stages, counts
 
 
@@ -279,7 +289,7 @@ def main(argv=None):
         stages, counts = export_profile(args.model, graphs, args.padded)
         print(f"export: {counts['designs']} {what} designs of seeds {of_seeds} "
               f"({infeasible} infeasible), {counts['entries']} entries written, "
-              f"{counts['encoded']} configs encoded, {counts['decoded']} configs decoded, "
+              f"{counts['encoded']} configs encoded, "
               f"{counts['by_text']} reports checked by text, {counts['decoded_reports']} "
               f"reports decoded, {counts['scored']} groups scored")
         for name, seconds in stages.items():
