@@ -1,8 +1,10 @@
 """Command-line entry point: parse -> optimize -> schedule -> report.
 
 All artifacts are JSON/CSV so runs can be diffed and pinned as fixtures.
-schedule.json holds each runtime config once, in a `configs` table that its
-entries index. `harflow report` builds the design's own schedule and
+design.json is decoded once. schedule.json holds each runtime config once,
+in a `configs` table that its entries index, each written from its plan's
+parts by the one writer of config documents (`perf_model.config_document`):
+no command builds a `RuntimeConfig`. `harflow report` builds the design's own schedule and
 compares the file, a layer plan at a time, with the schedule.json text
 `harflow schedule` writes for it (`scheduler.is_schedule_json`): a file
 holding that text is the design's schedule and is not decoded. Any other
@@ -23,7 +25,7 @@ import click
 
 from . import device as device_mod
 from . import generators
-from .model_ir import ModelError, parse_model, serialize_model
+from .model_ir import ModelError, parse_model, read_model, serialize_model
 from .optimizer import (
     AnnealingParams,
     OptimizerError,
@@ -95,9 +97,9 @@ def _load_device(spec: str):
     )
 
 
-def _parse_model_or_fail(text: str):
+def _model_or_fail(read, value):
     try:
-        return parse_model(text)
+        return read(value)  # `parse_model` of a text or `read_model` of a document
     except ModelError as exc:
         raise click.ClickException(str(exc))
 
@@ -112,7 +114,7 @@ def main():
 @click.argument("model_file")
 def parse_cmd(model_file):
     """Validate a model document and print a summary."""
-    model = _parse_model_or_fail(_load_model_text(model_file))
+    model = _model_or_fail(parse_model, _load_model_text(model_file))
     kinds = {}
     for layer in model.layers.values():
         kinds[layer.kind] = kinds.get(layer.kind, 0) + 1
@@ -149,7 +151,7 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
                  no_fusion, no_runtime_reconfig, no_combine):
     """Minimise model latency on a device with simulated annealing."""
     model_text = _load_model_text(model_file)
-    model = _parse_model_or_fail(model_text)
+    model = _model_or_fail(parse_model, model_text)
     dev = _load_device(device_spec)
     params = _params_from_file(
         params_file, seed, not no_fusion, not no_runtime_reconfig, not no_combine
@@ -197,9 +199,9 @@ def _load_design(design_file):
     missing = [k for k in ("model", "device", "graph") if k not in doc]
     if missing:
         raise click.ClickException(f"design file {design_file}: missing {', '.join(missing)}")
-    model = _parse_model_or_fail(json.dumps(doc["model"]))
+    model = _model_or_fail(read_model, doc["model"])
     try:
-        dev = device_mod.load_profile(json.dumps(doc["device"]))
+        dev = device_mod.read_profile(doc["device"])
     except device_mod.DeviceError as exc:
         raise click.ClickException(f"design file {design_file}: {exc}")
     try:
@@ -235,10 +237,9 @@ def schedule_cmd(design_file, out_file):
         raise click.ClickException(str(exc))
     total_ms, head = _schedule_head(model, dev, schedule)
     _write_text(out_file, schedule_json(head, schedule), "schedule")
-    click.echo(
-        f"schedule: {len(schedule)} invocations ({len(schedule.groups)} distinct configs), "
-        f"{total_ms:.3f} ms"
-    )
+    configs = sum(len(plan.tiling.counts) for plan in schedule.parts)  # one per group
+    click.echo(f"schedule: {len(schedule)} invocations ({configs} distinct configs), "
+               f"{total_ms:.3f} ms")
 
 
 @main.command("report")
@@ -292,7 +293,7 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
 @click.option("--out", "out_file", default="pareto.csv")
 def pareto_cmd(model_file, device_spec, budgets, seed, params_file, out_file):
     """Sweep DSP budgets and emit the non-dominated (dsp, latency) set."""
-    model = _parse_model_or_fail(_load_model_text(model_file))
+    model = _model_or_fail(parse_model, _load_model_text(model_file))
     dev = _load_device(device_spec)
     params = _params_from_file(params_file, seed, True, True, True)
     try:

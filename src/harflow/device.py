@@ -117,11 +117,17 @@ def _overhead(name, doc, key, default) -> ResourceVector:
 
 
 def load_profile(document: str) -> DeviceProfile:
-    """Parse and validate a device JSON document (see docs/device-schema.md)."""
+    """Parse and validate a device JSON document (see `read_profile`)."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DeviceError(f"invalid JSON: {exc}") from exc
+    return read_profile(doc)
+
+
+def read_profile(doc) -> DeviceProfile:
+    """The validated profile of a decoded device document (see
+    docs/device-schema.md), such as a design's `device` member."""
     if not isinstance(doc, dict):
         raise DeviceError(f"device document must be a JSON object, got {type(doc).__name__}")
     name = doc.get("name", "device")

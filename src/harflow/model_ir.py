@@ -44,13 +44,13 @@ def strict(value, kind, what, error=ModelError, length=None, least=None):
     2.5, true or "false" rejected, not truncated or coerced."""
     if length is None:
         typed = type(value) is kind
-        values = (value,)
+        if typed and (least is None or value >= least):
+            return value
     else:
         typed = (isinstance(value, (list, tuple)) and len(value) == length
-                 and set(map(type, value)) == {kind})
-        values = value
-    if typed and (least is None or min(values) >= least):
-        return value if length is None else tuple(value)
+                 and all(type(x) is kind for x in value))
+        if typed and (least is None or min(value) >= least):
+            return tuple(value)
     one, many = _NOUNS[kind]
     noun = one if length is None else f"{length} {many}"
     if typed:
@@ -83,20 +83,19 @@ _OPERATOR_FIELDS = {
 
 
 def operator_fields(doc, kind, where) -> dict:
-    """The operator fields of a layer document of layer kind `kind`, as
+    """The operator fields a layer document of layer kind `kind` holds, as
     keyword arguments of `LayerDescriptor`, each checked by `strict` (see
-    `_OPERATOR_FIELDS`). An absent field takes its default; a field that
+    `_OPERATOR_FIELDS`). An absent field keeps its default; a field that
     `kind` does not take (see `KIND_FIELDS`) must hold it. `where` prefixes
     each field name in an error."""
     takes = KIND_FIELDS[kind]
     fields = {}
     for key, (attr, default, type_, length, least) in _OPERATOR_FIELDS.items():
-        value = doc.get(key, default)
-        if value is not default:
-            value = strict(value, type_, f"{where}'{key}'", length=length, least=least)
+        if key in doc:
+            value = fields[attr] = strict(doc[key], type_, f"{where}'{key}'", length=length,
+                                          least=least)
             if key not in takes and value != default:
                 raise ModelError(f"{where}{kind} takes no '{key}'")
-        fields[attr] = value
     return fields
 
 
@@ -138,9 +137,10 @@ class TensorShape:
     def from_list(cls, dims) -> "TensorShape":
         """The shape of a [D, H, W, C] document value: four non-negative JSON
         integers (the rule of `strict`: no bool)."""
-        if (isinstance(dims, (list, tuple)) and len(dims) == 4
-                and all(type(x) is int and x >= 0 for x in dims)):
-            return cls(*dims)
+        if isinstance(dims, (list, tuple)) and len(dims) == 4:
+            d, h, w, c = dims
+            if type(d) is type(h) is type(w) is type(c) is int and min(dims) >= 0:
+                return cls(d, h, w, c)
         raise ModelError(f"shape must be a 4-element [D,H,W,C] integer array, got {dims!r}")
 
     def to_list(self):
@@ -235,7 +235,7 @@ class ModelGraph:
     name: str
     layers: dict = field(default_factory=dict)  # id -> LayerDescriptor, insertion ordered
     edges: list = field(default_factory=list)  # list of (src_id, dst_id)
-    order: list = field(default_factory=list)  # `topological_order`, set by parse_model
+    order: list = field(default_factory=list)  # `topological_order`, set by read_model
     # facts that depend only on the model and a tuple of its layer ids, by
     # (the function that derives one, layer ids); see `derive`
     derived: dict = field(default_factory=dict, repr=False, compare=False)
@@ -252,9 +252,6 @@ class ModelGraph:
 
     def predecessors(self, layer_id: str) -> list:
         return [s for s, t in self.edges if t == layer_id]
-
-    def successors(self, layer_id: str) -> list:
-        return [t for s, t in self.edges if s == layer_id]
 
     def workload_macs(self) -> int:
         return sum(layer_workload_macs(l) for l in self.layers.values())
@@ -320,20 +317,18 @@ def _layer_from_json(entry: dict) -> LayerDescriptor:
     raw_in = entry.get("shape_in")
     if not raw_in or not isinstance(raw_in, list):
         raise ModelError(f"layer '{lid}': missing or malformed shape_in")
-    if isinstance(raw_in[0], (list, tuple)):
-        shape_in = tuple(TensorShape.from_list(s) for s in raw_in)
-    else:
-        shape_in = (TensorShape.from_list(raw_in),)
+    shape_in = tuple(map(TensorShape.from_list,
+                         raw_in if isinstance(raw_in[0], (list, tuple)) else (raw_in,)))
     if "shape_out" not in entry:
         raise ModelError(f"layer '{lid}': missing shape_out")
-    shape_out = TensorShape.from_list(entry["shape_out"])
-
-    return LayerDescriptor(id=lid, kind=kind, shape_in=shape_in, shape_out=shape_out,
+    return LayerDescriptor(lid, kind, shape_in, TensorShape.from_list(entry["shape_out"]),
                            **operator_fields(entry, kind, f"layer '{lid}': "))
 
 
 def _check_graph_structure(model: ModelGraph) -> list:
-    """Validate the DAG; returns its `topological_order`."""
+    """Validate the DAG; returns its `topological_order`. A DAG with a single
+    input layer reaches every layer from it: each layer's producers lead
+    back to an input layer."""
     ids = set(model.layers)
     for src, dst in model.edges:
         if src not in ids or dst not in ids:
@@ -344,17 +339,6 @@ def _check_graph_structure(model: ModelGraph) -> list:
     sources = sorted(ids - {dst for _, dst in model.edges})
     if len(sources) != 1:
         raise ModelError(f"model must have a single input layer, found {sources}")
-    # connectivity from the single input
-    reach = set()
-    stack = [sources[0]]
-    while stack:
-        lid = stack.pop()
-        if lid in reach:
-            continue
-        reach.add(lid)
-        stack.extend(model.successors(lid))
-    if reach != ids:
-        raise ModelError(f"layers unreachable from input: {sorted(ids - reach)}")
     # edge shape consistency, checked in layer declaration order so the layer
     # reported does not vary with string hashing; input slots follow edge order
     incoming = {lid: [] for lid in model.layers}
@@ -379,11 +363,17 @@ def _check_graph_structure(model: ModelGraph) -> list:
 
 
 def parse_model(document: str) -> ModelGraph:
-    """Parse and validate a model JSON document."""
+    """Parse and validate a model JSON document (see `read_model`)."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
+    return read_model(doc)
+
+
+def read_model(doc) -> ModelGraph:
+    """The validated model of a decoded model document, such as a design's
+    `model` member."""
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ModelError("document must be an object with a 'layers' array")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
@@ -429,16 +419,18 @@ def topological_order(model: ModelGraph) -> list:
     """Deterministic topological order; ties broken lexicographically by id."""
     import heapq
 
-    indeg = {lid: 0 for lid in model.layers}
-    for _, dst in model.edges:
+    indeg = dict.fromkeys(model.layers, 0)
+    successors = {lid: [] for lid in model.layers}
+    for src, dst in model.edges:
         indeg[dst] += 1
+        successors[src].append(dst)
     heap = [lid for lid, n in indeg.items() if n == 0]
     heapq.heapify(heap)
     order = []
     while heap:
         lid = heapq.heappop(heap)
         order.append(lid)
-        for nxt in model.successors(lid):
+        for nxt in successors[lid]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 heapq.heappush(heap, nxt)

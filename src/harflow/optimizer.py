@@ -26,7 +26,7 @@ cuts its new plans' folds into lanes; plans whose lanes the tiling has
 scored before take that score. A new tile shape derives only the axes the
 chain has not tiled at that size. The search builds no `RuntimeConfig` and
 calls no `roofline`: a plan builds its configs only when its groups are
-read, on export or in a report's count check. The memo lives only as long
+read, which no command does. The memo lives only as long
 as its chain. The result equals an evaluation from scratch.
 
 What a move draws from is derived once per model and set of layers

@@ -20,7 +20,7 @@ a node that a search chain's memo shares among its schedules is scored once
 per chain and device.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .model_ir import FILTER_KINDS, WINDOWED_KINDS, TensorShape
@@ -57,28 +57,31 @@ class RuntimeConfig:
         return kd * kh * kw
 
     def to_dict(self):
-        d = {
-            "kind": self.kind,
-            "shape_in": self.shape_in.to_list(),
-            "shape_out": self.shape_out.to_list(),
-            "coarse_in": self.coarse_in,
-            "coarse_out": self.coarse_out,
-        }
-        if self.kind in FILTER_KINDS:
-            d["filters"] = self.filters
-            d["accumulate_psum"] = self.accumulate_psum
-        if self.kind in WINDOWED_KINDS:
-            d["kernel"] = list(self.kernel)
-            d["stride"] = list(self.stride)
-            d["padding"] = list(self.padding)
-        if self.kind == "Conv3D":
-            d["groups"] = self.groups
-            d["fine"] = self.fine
-        if self.op_type:
-            d["type"] = self.op_type
-        if self.kind == "ElementWise":
-            d["broadcast"] = self.broadcast
-        return d
+        return config_document(*astuple(self))
+
+
+def config_document(kind, shape_in, shape_out, filters, kernel, stride, padding, groups,
+                    op_type, broadcast, coarse_in, coarse_out, fine, accumulate_psum) -> dict:
+    """The schedule.json document of the config with these `RuntimeConfig`
+    fields, shapes as (d, h, w, c) sequences: the fields its kind takes, in
+    the file's key order. Every config document is written by it."""
+    d = {"kind": kind, "shape_in": list(shape_in), "shape_out": list(shape_out),
+         "coarse_in": coarse_in, "coarse_out": coarse_out}
+    if kind in FILTER_KINDS:
+        d["filters"] = filters
+        d["accumulate_psum"] = accumulate_psum
+    if kind in WINDOWED_KINDS:
+        d["kernel"] = list(kernel)
+        d["stride"] = list(stride)
+        d["padding"] = list(padding)
+    if kind == "Conv3D":
+        d["groups"] = groups
+        d["fine"] = fine
+    if op_type:
+        d["type"] = op_type
+    if kind == "ElementWise":
+        d["broadcast"] = broadcast
+    return d
 
 
 @dataclass(frozen=True)

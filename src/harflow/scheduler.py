@@ -15,7 +15,7 @@ node's folds per distinct (channels, filters) of the combinations
 those lanes. A padded plan takes its terms and lanes from its node, which
 runs every tile at full size. A plan derives its roofline terms only when
 a report reads them, and builds its configs only when its `groups` are
-first read (export, reports, tests), never in a search.
+first read (tests, the benchmark), never in a command or a search.
 
 A built schedule is one record per node (`_NodeRecord`): its plans, its
 invocations, its no-output verdicts and its cycles per bandwidth pair. So
@@ -35,15 +35,16 @@ that changes only folds re-tiles nothing; and each axis's parts, keyed on
 it changed.
 
 `schedule_json` writes schedule.json text: a `configs` table holds each
-config object once, and each entry names its config by index into it. A
-layer plan formats its own entries (`_LayerPlan.entry_texts`) a run of C
-tiles of one class at a time: per (h, w, d) tile and run, one row of
+config document once, and each entry names its config by index into it.
+A layer plan formats its own entries (`_LayerPlan.entry_texts`) a run of
+C tiles of one class at a time: per (h, w, d) tile and run, one row of
 pieces for one C tile, repeated per C tile of the run, each tile's index
 and origin texts slice-assigned in, and one join. `_Groups` formats row by
 row. `is_schedule_json` compares a text with the one `schedule_json` would
-write, a part at a time. `check_schedule_doc` compares a decoded document
-with the schedule's entries, in order, every field, configs as documents;
-no `ScheduleEntry` is built on any path unless `Schedule.entries` is read.
+write, a part at a time; `check_schedule_doc` compares a decoded document
+with the schedule's entries, in order, every field, configs as documents.
+Both read `Schedule.texts`, so each part is formatted once; no
+`ScheduleEntry` is built on any path unless `Schedule.entries` is read.
 
 The oracles re-derive coverage and cycle counts by explicit enumeration and
 are kept free of the analytical formulas they check.
@@ -61,7 +62,8 @@ from operator import attrgetter
 from .hardware_graph import HardwareGraph
 from .model_ir import FILTER_KINDS, ModelGraph, TensorShape, _windowed_axis, require_keys
 from .perf_model import (
-    RuntimeConfig, config_terms, fold_lanes, lane_cycles, memory_cycles, roofline, work_terms,
+    RuntimeConfig, config_document, config_terms, fold_lanes, lane_cycles, memory_cycles,
+    roofline, work_terms,
 )
 
 MODE_RUNTIME = "runtime_configurable"
@@ -109,7 +111,8 @@ class Schedule:
     made only then or when `rows()` or `entries` is read. `rows()` streams
     every invocation from the parts; `entries` lists them as
     `ScheduleEntry` objects, kept when given and built on first access
-    otherwise. An empty schedule has no nodes.
+    otherwise; `texts` formats the parts' entry texts (`_EntryTexts`). An
+    empty schedule has no nodes.
     """
 
     def __init__(self, entries=(), nodes=None, order=None):
@@ -133,6 +136,10 @@ class Schedule:
     @cached_property
     def groups(self) -> list:
         return [g for part in self.parts for g in part.groups]
+
+    @cached_property
+    def texts(self) -> "_EntryTexts":
+        return _EntryTexts(self.parts)
 
     def rows(self):
         """Each invocation's row, in schedule order: the fields of its
@@ -160,21 +167,21 @@ def _entry_start(node_id, layer_id) -> str:
     return f'{{"node": {json.dumps(node_id)}, "layer": {json.dumps(layer_id)}, "tile_index": ['
 
 
-def _config_index(cfg, index: dict, configs: list) -> int:
-    """Position of config object `cfg` in `configs`, the config documents of a
-    schedule.json in first-use order: `index` maps id(config) to it, and a
-    config not seen yet is appended."""
-    i = index.get(id(cfg))
+def _config_index(doc, index: dict, configs: list) -> int:
+    """Position of config document `doc` in `configs`, a schedule.json's in
+    first-use order: `index` maps id(doc), of a document `configs` keeps
+    alive, to it, and a document not seen yet is appended."""
+    i = index.get(id(doc))
     if i is None:
-        i = index[id(cfg)] = len(configs)
-        configs.append(cfg.to_dict())
+        i = index[id(doc)] = len(configs)
+        configs.append(doc)
     return i
 
 
 def _head_text(head: dict, configs: list) -> str:
     """The text `json.dumps` writes for a schedule.json document of `head`
     and `configs` up to its first entry: it ends in '"entries": ['."""
-    return json.dumps(dict(head, configs=configs, entries=[]))[:-2]
+    return json.dumps(dict(head, configs=configs, entries=[]), check_circular=False)[:-2]
 
 
 def schedule_json(head: dict, schedule: Schedule) -> str:
@@ -211,16 +218,31 @@ def is_schedule_json(text: str, head: dict, schedule: Schedule) -> bool:
     at = start = text.find(_ENTRIES_KEY) + len(_ENTRIES_KEY)
     if start < len(_ENTRIES_KEY):  # no entries key
         return False
-    index, configs, sep = {}, [], ""
-    for part in schedule.parts:
-        for entries in part.entry_texts(index, configs):
+    texts, sep = schedule.texts, ""
+    for part in texts:
+        for entries in part:
             if not (text.startswith(sep, at) and text.startswith(entries, at + len(sep))):
                 return False
             at += len(sep) + len(entries)
             sep = ", "
-    head_text = _head_text(head, configs)
+    head_text = _head_text(head, texts.configs)
     return (len(head_text) == start and text.startswith(head_text)
             and len(text) == at + 3 and text.endswith("]}\n"))
+
+
+class _EntryTexts:
+    """A schedule's entry texts, a list per part (`entry_texts`), and the
+    config table they index, each part formatted when first read: so
+    `check_schedule_doc` reads on where `is_schedule_json` stopped."""
+
+    def __init__(self, parts):
+        self.index, self.configs, self.formatted, self._parts = {}, [], [], iter(parts)
+
+    def __iter__(self):
+        yield from self.formatted
+        for part in self._parts:
+            self.formatted.append(part.entry_texts(self.index, self.configs))
+            yield self.formatted[-1]
 
 
 def _same(a, b) -> bool:
@@ -246,8 +268,9 @@ def check_schedule_doc(doc: dict, schedule: Schedule):
     for key, value in (("configs", configs), ("entries", entries)):
         if type(value) is not list:
             raise ValueError(f"'{key}' must be an array, got {type(value).__name__}")
-    index, own = {}, []
-    text = f"[{', '.join(t for part in schedule.parts for t in part.entry_texts(index, own))}]"
+    texts = schedule.texts
+    text = f"[{', '.join(t for part in texts for t in part)}]"
+    own = texts.configs
     if json.dumps(configs) == json.dumps(own) and text == json.dumps(
             entries, check_circular=False):  # a decoded document holds no cycles
         return
@@ -300,14 +323,15 @@ class _Groups:
     def entry_texts(self, index, configs) -> list:
         """The schedule.json text of each row's entry (see
         `_LayerPlan.entry_texts`), formatted one row at a time, each (node,
-        layer) pair of ids encoded once."""
-        starts, texts = {}, []  # starts: (node id, layer id) -> `_entry_start`
+        layer) pair of ids encoded once, each config object's document once."""
+        starts, docs, texts = {}, {}, []  # starts: (node id, layer id) -> `_entry_start`
         for node, layer, tile_index, origin, shape, f_origin, f_count, cfg in self.rows():
             start = starts.get((node, layer))
             if start is None:
                 start = starts[node, layer] = _entry_start(node, layer)
+            doc = docs.get(id(cfg)) or docs.setdefault(id(cfg), cfg.to_dict())
             texts.append(start + _ENTRY_TEXT % (*tile_index, *origin, *shape, f_origin, f_count,
-                                                _config_index(cfg, index, configs)))
+                                                _config_index(doc, index, configs)))
         return texts
 
 
@@ -333,50 +357,25 @@ def _folds(layer, cap, tc, tf) -> tuple:
     return c_in, c_out, math.gcd(layer.kernel_volume, cap.fine)
 
 
-def _tile_config(layer, cap, parts):
-    """Runtime config of the tiles whose per-axis parts are `parts`: their own
+def _tile_config(layer, cap, parts) -> tuple:
+    """The runtime config of the tiles whose per-axis parts are `parts`, as
+    `RuntimeConfig`'s fields in order, shapes as (d, h, w, c): their own
     shape and border padding, the layer's other operator fields, folds cut
-    to fit (`_folds`)."""
+    to fit (`_folds`). A layer without filters has one empty filter tile."""
     (_, ph0, ph1, _), (_, pw0, pw1, _), (_, pd0, pd1, _), (tc, psum), tf = parts
-    shape_in, shape_out = _tile_shapes(layer, parts)
-    coarse_in, coarse_out, fine = _folds(layer, cap, tc, tf)
-    return RuntimeConfig(
-        kind=layer.kind,
-        shape_in=TensorShape(*shape_in),
-        shape_out=TensorShape(*shape_out),
-        filters=tf,  # a layer without filters has one empty filter tile
-        kernel=layer.kernel,
-        stride=layer.stride,
-        padding=(pd0, pd1, ph0, ph1, pw0, pw1),
-        groups=layer.groups,
-        op_type=layer.op_type,
-        broadcast=layer.broadcast,
-        coarse_in=coarse_in,
-        coarse_out=coarse_out,
-        fine=fine,
-        accumulate_psum=psum,
-    )
+    return (layer.kind, *_tile_shapes(layer, parts), tf, layer.kernel, layer.stride,
+            (pd0, pd1, ph0, ph1, pw0, pw1), layer.groups, layer.op_type, layer.broadcast,
+            *_folds(layer, cap, tc, tf), psum)
 
 
-def _padded_config(layer, cap, parts):
-    """Non-runtime-configurable execution: the node runs at full compile-time
-    size, so `filters` and `kernel` are the node's, and the other operator
-    fields the layer's but `padding` and `groups`, which keep their defaults.
-    Of the per-axis parts only the partial-sum flag is left."""
-    return RuntimeConfig(
-        kind=cap.kind,
-        shape_in=cap.shape_in_max,
-        shape_out=cap.shape_out_max,
-        filters=cap.filters_max,
-        kernel=cap.kernel_max,
-        stride=layer.stride,
-        op_type=layer.op_type,
-        broadcast=layer.broadcast,
-        coarse_in=cap.coarse_in,
-        coarse_out=cap.coarse_out,
-        fine=cap.fine,
-        accumulate_psum=parts[3],
-    )
+def _padded_config(layer, cap, parts) -> tuple:
+    """Non-runtime-configurable execution, as `_tile_config`: the node runs at
+    full compile-time size, so `filters` and `kernel` are the node's, and the
+    other operator fields the layer's but `padding` and `groups`, which keep
+    their defaults. Of the per-axis parts only the partial-sum flag is left."""
+    return (cap.kind, cap.shape_in_max.to_list(), cap.shape_out_max.to_list(), cap.filters_max,
+            cap.kernel_max, layer.stride, (0,) * 6, 1, layer.op_type, layer.broadcast,
+            cap.coarse_in, cap.coarse_out, cap.fine, parts[3])
 
 
 def _axis_classes(full: int, tile: int) -> dict:
@@ -611,11 +610,17 @@ class _LayerPlan:
         return cycles
 
     @property
+    def configs(self) -> list:
+        """The config of each combination of parts, as its fields (`_tile_config`)."""
+        config = _padded_config if self.tiling.mode == MODE_PADDED else _tile_config
+        return [config(self.layer, self.cap, parts) for parts in self.tiling.counts]
+
+    @property
     def groups(self) -> list:
         if self.built is None:
-            config = _padded_config if self.tiling.mode == MODE_PADDED else _tile_config
-            self.built = [(self.node_id, self.layer.id, config(self.layer, self.cap, parts), n)
-                          for parts, n in self.tiling.counts.items()]
+            self.built = [(self.node_id, self.layer.id, RuntimeConfig(
+                kind, TensorShape(*si), TensorShape(*so), *fields), n) for
+                (kind, si, so, *fields), n in zip(self.configs, self.tiling.counts.values())]
         return self.built
 
     def rows(self):
@@ -650,8 +655,10 @@ class _LayerPlan:
         first C tile with the F tiles inside, repeats the row once per C
         tile, slice-assigns each tile's index and origin text, made once per
         plan, into its copy, and joins the pieces once. Rows are formatted
-        in entry order, so configs take their indices in first-use order."""
-        tiling, groups, slots = self.tiling, self.groups, self.tiling.slots
+        in entry order, so configs take their indices in first-use order;
+        each config document is written from the config's fields."""
+        tiling, slots = self.tiling, self.tiling.slots
+        docs = [config_document(*fields) for fields in self.configs]
         h_axis, w_axis, d_axis, c_axis, f_axis = tiling.axes
         (_, h), (nw, w), (nd, d), (nf, f) = map(_indexed_tiles, (h_axis, w_axis, d_axis, f_axis))
         nc, runs = _tile_runs(c_axis)
@@ -678,7 +685,7 @@ class _LayerPlan:
                         i_c, o_c, row = indices[0], origins[0], []
                         # each entry's last piece runs on to the next entry's first
                         for to_origin, fields, kf in f_texts:
-                            k = _config_index(groups[slots[at_c + kf]][2], index, configs)
+                            k = _config_index(docs[slots[at_c + kf]], index, configs)
                             row += (i_c, to_origin + origin, o_c, f"{shape}{fields}{k}}}, {head}")
                         pieces = row * count
                         if count > 1:

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import harflow.cli as cli
+import harflow.perf_model as perf_model
 import harflow.scheduler as scheduler
 from harflow.cli import main
 from harflow.device import load_bundled_profile
@@ -715,11 +716,12 @@ def test_report_checks_its_own_schedule_by_its_text(runner, workdir, monkeypatch
 
 def test_report_stops_comparing_at_the_first_plan_that_differs(runner, workdir, monkeypatch):
     """`harflow report` compares a schedule file with the design's own text a
-    layer plan at a time. The design's own file formats every plan once. A
-    copy that differs from it in the whitespace of the first plan formats
-    that plan, then is decoded and compared whole, formatting every plan; a
-    copy that differs only in the last plan formats every plan twice. Each
-    reports as the design's own file does."""
+    layer plan at a time, and formats each plan once. The design's own file
+    formats every plan. A copy that differs from it in the whitespace of the
+    first plan formats that plan, then is decoded and compared whole,
+    formatting the plans past it; a copy that differs only in the last plan
+    formats every plan before it is decoded, and none after. Each reports as
+    the design's own file does."""
     design = str(_tiled_conv_design(workdir))
     canonical = _schedule_file(workdir, design)
     text = Path(canonical).read_text()
@@ -733,8 +735,7 @@ def test_report_stops_comparing_at_the_first_plan_that_differs(runner, workdir, 
         formatted.append(plan.layer.id) or entry_texts(plan, *args)))
     plans = ["conv", "relu", "pool", "fc"]
     reports = []
-    for schedule, formats in ((canonical, plans), (first, ["conv", *plans]),
-                              (last, plans + plans)):
+    for schedule, formats in ((canonical, plans), (first, plans), (last, plans)):
         formatted.clear()
         out = workdir / f"report{len(reports)}.json"
         result = runner.invoke(main, ["report", "--design", design, "--schedule", str(schedule),
@@ -831,6 +832,33 @@ def test_reports_and_checks_read_only_the_plans_terms(runner, workdir, monkeypat
     assert json.loads((workdir / "report.json").read_text())["per_layer"] == rows
     cache = invocation_latency.cache_info()
     assert cache.hits == cache.misses == 0
+
+
+@pytest.mark.parametrize("mode", ["runtime_configurable", "padded_baseline"])
+def test_export_commands_build_no_config(runner, workdir, monkeypatch, mode):
+    """`harflow schedule` writes, and `harflow report` checks, the tiled toy
+    design's schedule.json from its plans' config fields through
+    `perf_model.config_document`: neither command constructs a
+    `RuntimeConfig`, in either mode, nor does a report that decodes a copy."""
+    design = _design(workdir, lambda d: (_conv_node(d).update(shape_in_max=[4, 1, 1, 3]),
+                                         d.update(mode=mode)))
+
+    def no_config(*args, **kwargs):
+        raise AssertionError("a RuntimeConfig was constructed")
+    monkeypatch.setattr(perf_model.RuntimeConfig, "__init__", no_config)
+    schedule = workdir / "schedule.json"
+    result = runner.invoke(main, ["schedule", "--design", str(design), "--out", str(schedule)])
+    assert result.exit_code == 0, result.output
+    copy = workdir / "indented.json"
+    copy.write_text(_indented(json.loads(schedule.read_text())))
+    reports = []
+    for path in (schedule, copy):
+        out = workdir / f"report{len(reports)}.json"
+        result = runner.invoke(main, ["report", "--design", str(design), "--schedule", str(path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_unknown_device_fails(runner, workdir):

@@ -122,8 +122,8 @@ def test_stage_profile_of_toy_seed_0():
                                    random.Random(seed))[0].schedule)
         except OptimizerError:
             pass
-    exports = [("warm-start", "0, 1, 2, 3, 4, 5, 6, 7", 8 - len(warm), warm, lines[6:13]),
-               ("chain-best", "0", 0, [state.schedule], lines[13:])]
+    exports = [("warm-start", "0, 1, 2, 3, 4, 5, 6, 7", 8 - len(warm), warm, lines[6:14]),
+               ("chain-best", "0", 0, [state.schedule], lines[14:])]
     for what, seeds, infeasible, schedules, export_lines in exports:
         export = re.fullmatch(
             rf"export: (\d+) {what} designs of seeds \[{seeds}\] \((\d+) infeasible\), "
@@ -137,8 +137,8 @@ def test_stage_profile_of_toy_seed_0():
         # both commands format the design's own text, encoding each config
         # once, and the report finds the file equal to it; the copy's report
         # formats the first plan's text, finds it differs, decodes the copy
-        # and formats the whole text once more to compare it with
-        encoded = 2 * groups + len(first.groups) + len(first.parts[0].groups)
+        # and formats the rest of the text to compare it with
+        encoded = 2 * groups + len(first.groups)
         assert counts == [designs, infeasible, entries, encoded, designs, 1], what
         # `schedule_latency` scores plans; each report scores each group once,
         # for its per-layer rows
@@ -146,4 +146,5 @@ def test_stage_profile_of_toy_seed_0():
         export_stages = [re.fullmatch(r"export ([\w +]+): [\d.]+ s", line).group(1)
                          for line in export_lines[1:]]
         assert export_stages == ["build", "expand + encode + write", "compare",
-                                 "decode + compare", "score + report", "load design"], what
+                                 "decode + compare", "score + report", "read model",
+                                 "read design + device + graph"], what

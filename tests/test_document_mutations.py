@@ -147,6 +147,31 @@ def test_mutated_design_schedules_or_fails_in_one_line(tmp_path_factory, mutatio
     _schedule(tmp_path_factory.mktemp("design"), _mutated(DESIGN, mutation))
 
 
+_MODEL_ERROR = "Error: document must be an object with a 'layers' array"
+
+
+# members of the toy design set to a malformed value, with the line the design
+# reader ends in: a model error as `parse` prints it, a device error after the
+# design file's name
+@pytest.mark.parametrize("key, value, line", [
+    ("model", [], _MODEL_ERROR),
+    ("model", "x", _MODEL_ERROR),
+    ("model", {}, _MODEL_ERROR),
+    ("model", {k: v for k, v in MODEL.items() if k != "layers"}, _MODEL_ERROR),
+    ("device", 3, "Error: design file {}: device document must be a JSON object, got int"),
+    ("device", {k: v for k, v in DEVICE.items() if k != "dsp_total"},
+     "Error: design file {}: device 'zcu102': missing field 'dsp_total'"),
+], ids=["model-array", "model-string", "model-empty", "model-no-layers", "device-int",
+        "device-no-dsp_total"])
+def test_a_malformed_design_member_ends_in_its_error_line(tmp_path, key, value, line):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(dict(DESIGN, **{key: value})))
+    for argv in (["schedule", "--out", str(tmp_path / "schedule.json")],
+                 ["report", "--schedule", str(path), "--out", str(tmp_path / "report.json")]):
+        result = CliRunner().invoke(main, [*argv, "--design", str(path)])
+        assert (result.exit_code, result.output) == (1, line.format(path) + "\n"), argv
+
+
 @GATE
 @given(mutation=mutations(
     SCHEDULE, lambda p: len(p) == 1 or p[:2] in (("configs", 0), ("entries", 0))))

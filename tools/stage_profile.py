@@ -26,12 +26,14 @@ workload exports, whose plans have few tiles), through `harflow schedule`
 and `harflow report`. The first design of each set is reported once more,
 from a copy of its schedule.json re-dumped with `indent=2`, which the
 report decodes. For each set it prints the entries written, the configs
-encoded (`RuntimeConfig.to_dict` calls: both commands format the design's
-schedule.json text, so twice the size of the file's config table, and the
-copy's report formats its first plan's text and then the whole text once
-more), the reports that checked the file by its text and those that
-decoded it (`scheduler.check_schedule_doc` calls: a file `harflow
-schedule` has just written is the design's own text, so only the copy's),
+encoded (`perf_model.config_document` calls, the one writer of config
+documents: both commands format the design's schedule.json text, so twice
+the size of the file's config table, and the copy's report formats its
+whole text once, the first plan to compare it with the file's text and the
+rest to compare them with the decoded file), the reports that checked the
+file by its text and those that decoded it (`scheduler.check_schedule_doc`
+calls: a file `harflow schedule` has just written is the design's own
+text, so only the copy's),
 the groups scored (`perf_model.roofline` calls: each report scores each
 group once, for its per-layer rows; `schedule_latency` scores plans, not
 groups), and the seconds summed over the designs of each export stage:
@@ -49,7 +51,10 @@ groups), and the seconds summed over the designs of each export stage:
   (`scheduler.check_schedule_doc`): the copy's report only;
 - score + report: `schedule_latency` in both commands and the rest of
   `harflow report`: the scoring and the report;
-- load design: `cli._load_design` in both commands.
+- read model: `model_ir.read_model` of the design's model in both commands;
+- read design + device + graph: the rest of `cli._load_design` in both
+  commands: decoding design.json, reading its device and its graph and
+  checking that the graph covers the model.
 
 The counts are deterministic per seed; the seconds are wall time of this
 process. Two trees are compared by running the profile on each:
@@ -173,18 +178,17 @@ def warm_starts(model_name, seeds, padded=False):
 def export_profile(model_name, graphs, padded=False):
     """(stage seconds, counts) of exporting the design of each hardware graph,
     and of reporting the first one from an `indent=2` copy of its file."""
-    from harflow import cli, perf_model, reporting
+    from harflow import cli, perf_model, reporting, scheduler
     from harflow.device import load_bundled_profile
     from harflow.generators import bundled_model_text
     from harflow.model_ir import parse_model, serialize_model
-    from harflow.perf_model import RuntimeConfig
     from harflow.scheduler import MODE_PADDED, MODE_RUNTIME, build_schedule
 
     model = parse_model(bundled_model_text(model_name))
     dev = load_bundled_profile(DEVICE)
     mode = MODE_PADDED if padded else MODE_RUNTIME
-    names = ("_load_design", "build_schedule", "schedule_latency", "check_schedule_doc",
-             "is_schedule_json")
+    names = ("_load_design", "read_model", "build_schedule", "schedule_latency",
+             "check_schedule_doc", "is_schedule_json")
     timers = {name: [0, 0.0] for name in names + ("read schedule text", "decode schedule")}
     encoded, scored = [0], [0]
     patched = {(cli, name): _timed(getattr(cli, name), timers[name]) for name in names}
@@ -193,7 +197,8 @@ def export_profile(model_name, graphs, padded=False):
         plain, timed = getattr(cli, name), _timed(getattr(cli, name), timers[timer])
         patched[cli, name] = lambda path, what, *args, plain=plain, timed=timed: (
             timed if what == "schedule" else plain)(path, what, *args)
-    patched[RuntimeConfig, "to_dict"] = _counted(RuntimeConfig.to_dict, encoded)
+    for module in (perf_model, scheduler):
+        patched[module, "config_document"] = _counted(perf_model.config_document, encoded)
     for module in (perf_model, reporting):
         patched[module, "roofline"] = _counted(perf_model.roofline, scored)
     saved = {key: vars(key[0])[key[1]] for key in patched}
@@ -223,10 +228,16 @@ def export_profile(model_name, graphs, padded=False):
         stages["decode + compare"] += decode
         stages["score + report"] += (wr - tr["_load_design"] - compare - decode
                                      - tr["build_schedule"])
-        stages["load design"] += tr["_load_design"]
+        load(tr)
+
+    def load(times):
+        """Add the stages of `cli._load_design` of one command."""
+        stages["read model"] += times["read_model"]
+        stages["read design + device + graph"] += times["_load_design"] - times["read_model"]
 
     stages = dict.fromkeys(("build", "expand + encode + write", "compare", "decode + compare",
-                            "score + report", "load design"), 0.0)
+                            "score + report", "read model", "read design + device + graph"),
+                           0.0)
     counts = dict(designs=0, entries=0, scored=0, by_text=0, decoded_reports=0)
     try:
         for (owner, name), fn in patched.items():
@@ -244,7 +255,7 @@ def export_profile(model_name, graphs, padded=False):
                 stages["expand + encode + write"] += (
                     ws - ts["_load_design"] - ts["build_schedule"] - ts["schedule_latency"])
                 stages["score + report"] += ts["schedule_latency"]
-                stages["load design"] += ts["_load_design"]
+                load(ts)
                 report(schedule)
                 if not counts["designs"]:
                     text = Path(schedule).read_text()
