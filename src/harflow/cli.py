@@ -125,12 +125,12 @@ def parse_cmd(model_file):
     click.echo(f"order: {' -> '.join(model.order[:6])} ...")
 
 
-def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):
+def _params_from_file(params_file, seed, **off):
+    """AnnealingParams of `params_file`, `seed` unless None, each switch flagged in `off` off."""
     overrides = _read_json_object(params_file, "params") if params_file else {}
-    overrides.setdefault("seed", seed)
-    overrides["enable_fusion"] = fusion
-    overrides["enable_runtime_reconfig"] = runtime_reconfig
-    overrides["enable_combine_separate"] = combine
+    if seed is not None:
+        overrides["seed"] = seed
+    overrides.update((name, False) for name, flag in off.items() if flag)
     try:
         return AnnealingParams(**overrides)
     except (TypeError, ValueError) as exc:
@@ -140,7 +140,7 @@ def _params_from_file(params_file, seed, fusion, runtime_reconfig, combine):
 @main.command("optimize")
 @click.option("--model", "model_file", required=True)
 @click.option("--device", "device_spec", required=True)
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=None, type=int, help="beats the params file's seed; default 0")
 @click.option("--params", "params_file", default=None, help="JSON of AnnealingParams overrides")
 @click.option("--out", "out_file", default="design.json")
 @click.option("--trace", "trace_file", default=None)
@@ -153,9 +153,9 @@ def optimize_cmd(model_file, device_spec, seed, params_file, out_file, trace_fil
     model_text = _load_model_text(model_file)
     model = _model_or_fail(parse_model, model_text)
     dev = _load_device(device_spec)
-    params = _params_from_file(
-        params_file, seed, not no_fusion, not no_runtime_reconfig, not no_combine
-    )
+    params = _params_from_file(params_file, seed, enable_fusion=no_fusion,
+                               enable_runtime_reconfig=no_runtime_reconfig,
+                               enable_combine_separate=no_combine)
     try:
         best, trace = anneal(model, dev, params)
     except OptimizerError as exc:
@@ -288,14 +288,14 @@ def report_cmd(design_file, schedule_file, device_spec, out_file):
 @click.option("--model", "model_file", required=True)
 @click.option("--device", "device_spec", required=True)
 @click.option("--budgets", required=True, help="comma-separated ascending DSP caps")
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=None, type=int, help="beats the params file's seed; default 0")
 @click.option("--params", "params_file", default=None)
 @click.option("--out", "out_file", default="pareto.csv")
 def pareto_cmd(model_file, device_spec, budgets, seed, params_file, out_file):
     """Sweep DSP budgets and emit the non-dominated (dsp, latency) set."""
     model = _model_or_fail(parse_model, _load_model_text(model_file))
     dev = _load_device(device_spec)
-    params = _params_from_file(params_file, seed, True, True, True)
+    params = _params_from_file(params_file, seed)
     try:
         caps = [int(b) for b in budgets.split(",")]
     except ValueError:

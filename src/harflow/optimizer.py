@@ -97,6 +97,8 @@ class AnnealingParams:
         strict(self.separate_layers, int, "separate_layers", ValueError, least=1)
         strict(self.combine_nodes, int, "combine_nodes", ValueError, least=2)
         strict(self.warm_start_samples, int, "warm_start_samples", ValueError, least=0)
+        for name in ("enable_combine_separate", "enable_fusion", "enable_runtime_reconfig"):
+            strict(getattr(self, name), bool, name, ValueError)
 
     @property
     def mode(self) -> str:

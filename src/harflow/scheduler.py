@@ -6,16 +6,17 @@ innermost for Conv/FC) and counts the invocations of each distinct runtime
 configuration; the invocation list itself is expanded on demand.
 
 A layer is planned in two steps. Its tiling depends only on the layer, its
-node's tile shape cut to the layer's extents and the schedule mode: the
-per-axis parts of its tile classes, the invocations of each combination of
-parts and, at runtime, each combination's fold-free roofline terms (work,
-words in and out) and whether one has no work. The fold pass then cuts the
-node's folds per distinct (channels, filters) of the combinations
-(`_folds`) into one lane count each: a runtime plan is its tiling and
-those lanes. A padded plan takes its terms and lanes from its node, which
-runs every tile at full size. A plan derives its roofline terms only when
-a report reads them, and builds its configs only when its `groups` are
-first read (tests, the benchmark), never in a command or a search.
+node's tile shape cut to the layer's extents and the schedule mode: how
+tiles cut each axis (`_AxisCut`, the one source of every tile's index,
+origin, extent, padding and class, in tile order), the invocations of each
+combination of the axes' parts and, at runtime, each combination's fold-free
+roofline terms (work, words in and out) and whether one has no work. The
+fold pass then cuts the node's folds per distinct (channels, filters) of the
+combinations (`_folds`) into one lane count each: a runtime plan is its
+tiling and those lanes. A padded plan takes its terms and lanes from its
+node, which runs every tile at full size. A plan derives its roofline terms
+only when a report reads them, and builds its configs only when its `groups`
+are first read (tests, the benchmark), never in a command or a search.
 
 A built schedule is one record per node (`_NodeRecord`): its plans, its
 invocations, its no-output verdicts and its cycles per bandwidth pair. So
@@ -30,7 +31,7 @@ mode are fixed. It holds each node's record, keyed on (node id, capability,
 layer ids): a node whose key it holds takes that record, already scored.
 Below that it holds every plan built, keyed on (layer id, node id,
 capability); every tiling, keyed on (layer id, cut tile shape), so a move
-that changes only folds re-tiles nothing; and each axis's parts, keyed on
+that changes only folds re-tiles nothing; and each axis's cut, keyed on
 (layer id, axis, extent, tile), so a new tile shape derives only the axes
 it changed.
 
@@ -335,14 +336,9 @@ class _Groups:
         return texts
 
 
-def _axis_count(full: int, tile: int) -> int:
-    """Number of tiles of `tile` covering `full`; an empty axis has one empty tile."""
-    return max(1, -(-full // tile))
-
-
 def _tile_shapes(layer, parts) -> tuple:
     """(shape_in, shape_out), each (d, h, w, c), of the tiles whose per-axis
-    parts (see `_axis_parts`) are runtime `parts`."""
+    parts (see `_AxisCut`) are runtime `parts`."""
     (th, _, _, oh), (tw, _, _, ow), (td, _, _, od), (tc, _), tf = parts
     return (td, th, tw, tc), (od, oh, ow, tf if layer.kind in FILTER_KINDS else tc)
 
@@ -378,74 +374,53 @@ def _padded_config(layer, cap, parts) -> tuple:
             cap.coarse_in, cap.coarse_out, cap.fine, parts[3])
 
 
-def _axis_classes(full: int, tile: int) -> dict:
-    """{(is_first, is_last): (extent, count)} of the tiles of `tile` that
-    partition an axis of extent `full`, in closed form."""
-    n = _axis_count(full, tile)
-    classes = {
-        (True, n == 1): (min(tile, full), 1),
-        (n == 1, True): (full - (n - 1) * tile, 1),
-    }
-    if n > 2:
-        classes[False, False] = (tile, n - 2)  # interior tiles
-    return classes
+class _AxisCut:
+    """How tiles of `tile` cut axis `axis` (0-4: H, W, D, C, F) of extent
+    `full` of `layer` in mode `mode`: the one source of each tile's index,
+    origin, extent and config part. Each tile is `tile` long but the last;
+    an empty axis has one empty tile. `origins` has each tile's input
+    origin: its index times the step `origins.step`.
 
+    `classes` has the tile classes in tile order (first, interior, last),
+    each as (first index, end index, input extent, padding at the start, at
+    the end, output extent), and `parts` has each class's (part, tile
+    count), in the same order. Only a D, H or W tile at the border of its
+    axis takes the layer's padding, and each slides the layer's window over
+    itself alone; a C or F tile is unpadded, its extent its output. A part
+    is what the class's tiles give their config: at runtime the extent,
+    padding and output extent on D, H and W, the extent and partial-sum flag
+    on C, the filter count on F; a padded tile runs at its node's full size,
+    so only the partial-sum flag is left."""
 
-def _tile_runs(axis) -> tuple:
-    """(number of tile classes, [(first index, end index, extent, class
-    position)] per run of tiles of one class) of the tiles of `tile` that
-    partition an axis of extent `full`, `axis` = (full, tile), in closed
-    form and tile order: the first tile, the interior tiles, the last. Each
-    tile is `tile` long but the last, and an empty axis one empty tile. A
-    class's position is its place in `_axis_classes` (first, last,
-    interior), and so in the tiling's product of classes."""
-    full, tile = axis
-    n = _axis_count(full, tile)
-    if n == 1:
-        return 1, [(0, 1, full, 0)]
-    last = (n - 1, n, full - (n - 1) * tile, 1)
-    if n == 2:
-        return 2, [(0, 1, tile, 0), last]
-    return 3, [(0, 1, tile, 0), (1, n - 1, tile, 2), last]
+    __slots__ = ("classes", "parts", "origins")
 
+    def __init__(self, layer, axis, full, tile, mode):
+        n, runtime = max(1, -(-full // tile)), mode == MODE_RUNTIME
+        self.origins, self.classes, self.parts = range(0, n * tile, tile), [], []
+        # before the last tile: the first, and the interior tiles of an axis of more than two
+        ahead = ((0, 1, tile), (1, n - 1, tile)) if n > 2 else ((0, 1, tile),) * (n - 1)
+        for lo, hi, x in (*ahead, (n - 1, n, full - (n - 1) * tile)):
+            start, end, out, part = 0, 0, x, x
+            if axis < 3:  # a kind that takes no kernel has the unit window and no padding
+                i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
+                start = layer.padding[2 * i] if lo == 0 else 0
+                end = layer.padding[2 * i + 1] if hi == n else 0
+                out = 1 if layer.kind == "GlobalAvgPool" else max(0, _windowed_axis(
+                    x, layer.kernel[i], layer.stride[i], start, end))  # pool: one per channel
+                part = (x, start, end, out)
+            if axis == 3:
+                psum = layer.kind in FILTER_KINDS and hi < n
+                part = (x, psum) if runtime else psum
+            elif not runtime:
+                part = None
+            self.classes.append((lo, hi, x, start, end, out))
+            self.parts.append((part, hi - lo))
 
-def _indexed_tiles(axis) -> tuple:
-    """(number of tile classes, [(index, origin, extent, class position)] per
-    tile) of the tiles of `axis` (see `_tile_runs`)."""
-    count, runs = _tile_runs(axis)
-    tile = axis[1]
-    return count, [(i, i * tile, x, k) for lo, hi, x, k in runs for i in range(lo, hi)]
-
-
-def _axis_parts(layer, axis, full, tile, mode) -> list:
-    """[(part, count)] over the tile classes (see `_axis_classes`) of `tile`
-    on axis `axis` (0-4: H, W, D, C, F) of extent `full`.
-
-    A part is all that tiles of the class contribute to their config. At
-    runtime that is, on H, W and D, the extent, the border padding and the
-    windowed output extent; on C the extent and whether partial sums are
-    accumulated; on F the filter count. A padded tile runs at its node's
-    full size, so only the partial-sum flag is left.
-    """
-    runtime = mode == MODE_RUNTIME
-    parts = []
-    for (first, last), (x, n) in _axis_classes(full, tile).items():
-        if axis == 3:
-            psum = layer.kind in FILTER_KINDS and not last
-            part = (x, psum) if runtime else psum
-        elif not runtime:
-            part = None
-        elif axis == 4:
-            part = x
-        else:  # a kind that takes no kernel has the unit window and no padding
-            i = (1, 2, 0)[axis]  # kernel, stride and padding are in (D, H, W) order
-            start = layer.padding[2 * i] if first else 0
-            end = layer.padding[2 * i + 1] if last else 0
-            out = 1 if layer.kind == "GlobalAvgPool" else _windowed_axis(  # one per channel
-                x, layer.kernel[i], layer.stride[i], start, end)
-            part = (x, start, end, max(0, out))
-        parts.append((part, n))
-    return parts
+    def tiles(self) -> list:
+        """(index, origin, input extent, class position) of each tile, in tile order."""
+        step = self.origins.step
+        return [(i, i * step, x, k) for k, (lo, hi, x, _, _, _) in enumerate(self.classes)
+                for i in range(lo, hi)]
 
 
 @dataclass
@@ -458,8 +433,8 @@ class ChainMemo:
     maps (layer id, node id, capability) to a layer plan; `tilings` maps
     (layer id, axes) to a layer's tiling (see `_plan_layer`), which keeps
     its plans' scores per (lanes, bandwidths); and `axes` maps (layer id,
-    axis, full, tile) to the parts of one axis (see `_axis_parts`). No
-    search step builds a config. No key names the model, the schedule mode
+    axis, full, tile) to how tiles cut that axis (`_AxisCut`). No search
+    step builds a config. No key names the model, the schedule mode
     or the device, so a memo serves one chain: one model, mode and device."""
 
     costs: dict = field(default_factory=dict)
@@ -480,22 +455,23 @@ def _memory(terms, bw) -> list:
 @dataclass(eq=False, slots=True)
 class _Tiling:
     """A layer's tiling over one tile shape in one mode, the same for every
-    fold: (full, tile) per axis (H, W, D, C, F) in `axes`, and the
-    invocations of each combination of per-axis parts (see `_axis_parts`) in
-    `counts`, in schedule order, `invocations` in all. `slots` has, per
-    combination of per-axis tile classes in product order, the position of
-    its parts in `counts`. At runtime `widths` has each distinct (channels,
-    filters) of the combinations, which fix their folds (`_folds`); `terms`
-    has, per combination of parts in `counts` order, its fold-free terms:
-    (work, words in, words out, position of its width in `widths`,
-    invocations) (see `perf_model.work_terms`); and `no_output` says whether
-    a combination has no work, a tile without output, whatever the folds.
-    No fold enters a term's memory cycles either: `memory` keeps them per
-    bandwidth pair (`_memory`), and `scores` keeps the cycles of the
+    fold: (full, tile) per axis (H, W, D, C, F) in `axes`, how tiles cut each
+    axis (`_AxisCut`) in `cuts`, and the invocations of each combination of
+    per-axis parts in `counts`, in schedule order, `invocations` in all.
+    `slots` has, per combination of per-axis tile classes in product order,
+    the position of its parts in `counts`. At runtime `widths` has each
+    distinct (channels, filters) of the combinations, which fix their folds
+    (`_folds`); `terms` has, per combination of parts in `counts` order, its
+    fold-free terms: (work, words in, words out, position of its width in
+    `widths`, invocations) (see `perf_model.work_terms`); and `no_output` says
+    whether a combination has no work, a tile without output, whatever the
+    folds. No fold enters a term's memory cycles either: `memory` keeps them
+    per bandwidth pair (`_memory`), and `scores` keeps the cycles of the
     tiling's invocations per (lanes per width, bandwidth pair), shared by
     every plan whose folds cut to those lanes (`score`)."""
 
     axes: tuple
+    cuts: list
     mode: str
     counts: dict
     slots: list
@@ -522,17 +498,16 @@ class _Tiling:
 def _tile_layer(layer, axes, mode, memo: ChainMemo) -> _Tiling:
     """The tiling of `layer` over `axes`. Per axis a layer has at most three
     tile classes (first, interior, last), so its combinations of parts and
-    their counts are a product over classes. An axis's parts are taken from
-    `memo` when it holds them."""
-    per_axis = []
+    their counts are a product over classes. An axis's cut is taken from
+    `memo` when it holds it."""
+    cuts = []
     for axis, (full, tile) in enumerate(axes):
         key = (layer.id, axis, full, tile)
-        parts = memo.axes.get(key)
-        if parts is None:
-            parts = memo.axes[key] = _axis_parts(layer, axis, full, tile, mode)
-        per_axis.append(parts)
+        cuts.append(memo.axes.get(key) or memo.axes.setdefault(
+            key, _AxisCut(layer, axis, full, tile, mode)))
     counts, slot, slots = {}, {}, []
-    for (ph, kh), (pw, kw), (pd, kd), (pc, kc), (pf, kf) in itertools.product(*per_axis):
+    for (ph, kh), (pw, kw), (pd, kd), (pc, kc), (pf, kf) in itertools.product(
+            *(cut.parts for cut in cuts)):
         parts = (ph, pw, pd, pc, pf)
         counts[parts] = counts.get(parts, 0) + kh * kw * kd * kc * kf
         slots.append(slot.setdefault(parts, len(slot)))
@@ -541,7 +516,7 @@ def _tile_layer(layer, axes, mode, memo: ChainMemo) -> _Tiling:
         (*work_terms(layer.kind, *_tile_shapes(layer, parts), parts[4], layer.kernel_volume),
          widths.setdefault((parts[3][0], parts[4]), len(widths)), n)
         for parts, n in counts.items()]
-    return _Tiling(axes, mode, counts, slots, list(widths), terms, sum(counts.values()),
+    return _Tiling(axes, cuts, mode, counts, slots, list(widths), terms, sum(counts.values()),
                    any(work == 0 for work, *_ in terms))
 
 
@@ -627,9 +602,11 @@ class _LayerPlan:
         """Each invocation's row (see `Schedule.rows`), channels fastest,
         filters innermost. A row's config is found by the position of its
         combination of tile classes in the tiling's product of classes
-        (`_Tiling.slots`), worked out one loop level at a time."""
+        (`_Tiling.slots`), worked out one loop level at a time, from each
+        tile's index, origin, extent and class (`_AxisCut.tiles`)."""
         tiling, groups = self.tiling, self.groups
-        (_, h), (nw, w), (nd, d), (nc, c), (nf, f) = map(_indexed_tiles, tiling.axes)
+        h, w, d, c, f = (cut.tiles() for cut in tiling.cuts)
+        _, nw, nd, nc, nf = (len(cut.classes) for cut in tiling.cuts)
         node_id, layer_id = self.node_id, self.layer.id
         configs = [groups[slot][2] for slot in tiling.slots]
         for ih, oh, th, kh in h:
@@ -648,7 +625,7 @@ class _LayerPlan:
         """The schedule.json text of each invocation's entry, in `rows()`
         order, naming its config by its position in `configs` (see
         `_config_index`): one text per (h, w, d) tile and run of C tiles of
-        one class (`_tile_runs`), its entries joined by ', '.
+        one class (of the C axis's `_AxisCut`), its entries joined by ', '.
 
         The entries of such a run differ only in their C tile's index and
         origin. So the run formats one row of pieces, the entries of its
@@ -659,14 +636,15 @@ class _LayerPlan:
         each config document is written from the config's fields."""
         tiling, slots = self.tiling, self.tiling.slots
         docs = [config_document(*fields) for fields in self.configs]
-        h_axis, w_axis, d_axis, c_axis, f_axis = tiling.axes
-        (_, h), (nw, w), (nd, d), (nf, f) = map(_indexed_tiles, (h_axis, w_axis, d_axis, f_axis))
-        nc, runs = _tile_runs(c_axis)
-        n, tile = runs[-1][1], c_axis[1]
+        h_cut, w_cut, d_cut, c_cut, f_cut = tiling.cuts
+        h, w, d, f = (cut.tiles() for cut in (h_cut, w_cut, d_cut, f_cut))
+        nw, nd, nc, nf = (len(cut.classes) for cut in (w_cut, d_cut, c_cut, f_cut))
+        n = len(c_cut.origins)
         c_index = list(map(str, range(n)))
-        c_origin = c_index if tile == 1 else list(map(str, range(0, n * tile, tile)))
+        c_origin = c_index if c_cut.origins == range(n) else list(map(str, c_cut.origins))
         # per run: its C tiles, extent and class, and its tiles' index and origin texts
-        c_runs = [(hi - lo, tc, kc, c_index[lo:hi], c_origin[lo:hi]) for lo, hi, tc, kc in runs]
+        c_runs = [(hi - lo, tc, kc, c_index[lo:hi], c_origin[lo:hi])
+                  for kc, (lo, hi, tc, _, _, _) in enumerate(c_cut.classes)]
         start = _entry_start(self.node_id, self.layer.id)
         # per F tile: its text from its index to the tile origin, its F fields, its class
         f_texts = [(f', {i_f}], "tile_origin": [',

@@ -328,6 +328,8 @@ def _multishape_search(workdir, **params):
     lambda w: _multishape_search(w, warm_start_samples=-3),
     lambda w: _multishape_search(w, iterations_per_temperature=True),
     lambda w: _multishape_search(w, seed=[1]),
+    lambda w: _multishape_search(w, enable_fusion="yes"),
+    lambda w: _multishape_search(w, enable_runtime_reconfig=0),
     lambda w: _search(w, "optimize", "--params", _params(w, '{"tau_start": Infinity}')),
     # true passes every comparison as 1
     lambda w: _search(w, "optimize", "--params", _params(
@@ -461,7 +463,8 @@ def _multishape_search(workdir, **params):
         "device-overhead-unknown-key", "schedule-device-bad-field",
         "params-zero-iterations", "params-separate-none", "params-combine-one",
         "params-samples-float", "params-samples-string", "params-samples-negative",
-        "params-iterations-bool", "params-seed-list", "params-tau-infinite",
+        "params-iterations-bool", "params-seed-list", "params-fusion-string",
+        "params-runtime-reconfig-int", "params-tau-infinite",
         "params-tau-min-bool", "params-cooling-bool",
         "schedule-layer-mapped-twice", "schedule-kernel-exceeds-node",
         "schedule-fused-not-activation", "schedule-mapped-id-not-string",
@@ -868,6 +871,56 @@ def test_unknown_device_fails(runner, workdir):
     ])
     assert result.exit_code != 0
     assert "unknown device" in result.output
+
+
+def _multishape_design(runner, workdir, *extra, **params):
+    """design.json of `_multishape_search` with `extra` options."""
+    result = runner.invoke(main, [*_multishape_search(workdir, **params), *extra])
+    assert result.exit_code == 0, result.output
+    return json.loads((workdir / "out").read_text())
+
+
+def test_seed_flag_beats_the_params_file_seed(runner, workdir):
+    """A `--seed` given on the command line wins over the params file's
+    seed, which wins over the default, 0."""
+    seed_3 = _multishape_design(runner, workdir, "--seed", "3")
+    assert _multishape_design(runner, workdir, "--seed", "3", seed=0) == seed_3
+    assert _multishape_design(runner, workdir, seed=3) == seed_3
+    assert _multishape_design(runner, workdir) == _multishape_design(runner, workdir, "--seed", "0")
+    assert _multishape_design(runner, workdir)["latency_cycles"] != seed_3["latency_cycles"]
+
+
+def test_params_file_switches_hold_unless_a_flag_forces_them_off(runner, workdir):
+    """The params file's `enable_*` switches hold; a `--no-*` flag forces its
+    switch off whatever the file says."""
+    default = _multishape_design(runner, workdir)
+    assert default["mode"] == MODE_RUNTIME and default["graph"]["fused"]
+    assert _multishape_design(runner, workdir, enable_runtime_reconfig=False)["mode"] == (
+        "padded_baseline")
+    assert _multishape_design(runner, workdir, "--no-runtime-reconfig",
+                              enable_runtime_reconfig=True)["mode"] == "padded_baseline"
+    assert not _multishape_design(runner, workdir, enable_fusion=False)["graph"]["fused"]
+    assert not _multishape_design(runner, workdir, "--no-fusion",
+                                  enable_fusion=True)["graph"]["fused"]
+    assert _multishape_design(runner, workdir, enable_combine_separate=False) != default
+    assert _multishape_design(runner, workdir, "--no-combine",
+                              enable_combine_separate=True) == _multishape_design(
+        runner, workdir, enable_combine_separate=False)
+
+
+def test_pareto_takes_the_params_file_switches(runner, workdir):
+    """`pareto` reads the params file's `enable_*` switches too: a padded
+    sweep finds other latencies than a runtime one."""
+    def sweep(**params):
+        out = workdir / "pareto.csv"
+        params_file = _params(workdir, json.dumps(dict(QUICK_PARAMS, **params)))
+        result = runner.invoke(main, ["pareto", "--model", "toy", "--device", "zcu102",
+                                      "--budgets", "64,256", "--params", params_file,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out.read_text()
+
+    assert sweep(enable_runtime_reconfig=False) != sweep()
 
 
 def test_optimize_schedule_report_pipeline(runner, workdir):

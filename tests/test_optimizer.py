@@ -464,7 +464,7 @@ def test_memo_reuse_equals_evaluation_from_scratch(mode, monkeypatch):
     counted(resource_model, "node_resources", "costs")
     counted(scheduler, "_plan_layer", "plans")
     counted(scheduler, "_tile_layer", "tilings")
-    counted(scheduler, "_axis_parts", "axes")
+    counted(scheduler, "_AxisCut", "axes")
     dev = load_bundled_profile("zcu102")
     rng = random.Random(40)
     counts = Counter()

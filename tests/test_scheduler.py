@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -23,7 +24,7 @@ from harflow.hardware_graph import (
     fuse_activations,
     initial_mapping,
 )
-from harflow.model_ir import FILTER_KINDS, TensorShape, parse_model
+from harflow.model_ir import FILTER_KINDS, TensorShape, _windowed_axis, parse_model
 from harflow.optimizer import _sample_capabilities, check_constraints, evaluate
 from harflow.perf_model import RuntimeConfig, invocation_latency, schedule_latency
 from harflow.reporting import per_layer_latency
@@ -34,9 +35,7 @@ from harflow.scheduler import (
     InfeasibleScheduleError,
     Schedule,
     ScheduleEntry,
-    _axis_classes,
-    _axis_count,
-    _indexed_tiles,
+    _AxisCut,
     _LayerPlan,
     _tile_layer,
     build_schedule,
@@ -102,26 +101,39 @@ def _axis_tiles(full, tile):
     return [(o, min(tile, full - o)) for o in origins]
 
 
-def test_min_rule_tile_sizes():
-    """`_indexed_tiles` cuts an axis into tiles of the node's tile, the last
-    one shorter: layer C=96 on node C_max=64 has channel tiles of 64 then
-    32. Each tile's class position is that of its (is first, is last) class
-    in `_axis_classes`."""
+def test_min_rule_tile_sizes(toy):
+    """`_AxisCut` cuts an axis into tiles of the node's tile, the last one
+    shorter: layer C=96 on node C_max=64 has channel tiles of 64 then 32.
+    Its classes are in tile order, one per (is first, is last) of its
+    tiles, so a tile's class position is that of its class."""
+    conv = toy.layers["conv"]
+
     def tiles(full, tile):
-        return [(o, x) for _, o, x, _ in _indexed_tiles((full, tile))[1]]
+        return [(o, x) for _, o, x, _ in _AxisCut(conv, 3, full, tile, MODE_RUNTIME).tiles()]
 
     assert tiles(96, 64) == [(0, 64), (64, 32)]
     assert tiles(64, 64) == [(0, 64)]
     assert tiles(12, 5) == [(0, 5), (5, 5), (10, 2)]
     for full in range(40):
         for tile in range(1, 14):
-            classes = list(_axis_classes(full, tile))
-            count, indexed = _indexed_tiles((full, tile))
+            cut = _AxisCut(conv, 3, full, tile, MODE_RUNTIME)
             expected = _axis_tiles(full, tile)
             n = len(expected)
-            assert count == len(classes)
-            assert indexed == [(i, o, x, classes.index((i == 0, i == n - 1)))
-                               for i, (o, x) in enumerate(expected)]
+            classes = list(dict.fromkeys((i == 0, i == n - 1) for i in range(n)))
+            assert len(cut.classes) == len(classes)
+            assert len(cut.origins) == n
+            assert cut.tiles() == [(i, o, x, classes.index((i == 0, i == n - 1)))
+                                   for i, (o, x) in enumerate(expected)]
+            # each class's part counts its tiles
+            assert [count for _, count in cut.parts] == [
+                [k for *_, k in cut.tiles()].count(k) for k in range(len(classes))]
+            # on H a class is padded only at the axis border and windows its own
+            # tiles alone; at runtime that is its part
+            h = _AxisCut(conv, 0, full, tile, MODE_RUNTIME)
+            for lo, hi, x, start, end, out in h.classes:
+                assert (start, end) == (conv.padding[2] * (lo == 0), conv.padding[3] * (hi == n))
+                assert out == max(0, _windowed_axis(x, conv.kernel[1], conv.stride[1], start, end))
+            assert [part for part, _ in h.parts] == [c[2:] for c in h.classes]
 
 
 def test_runtime_folds_are_gcd_of_tile_and_node_folds(toy):
@@ -396,7 +408,7 @@ def test_plans_build_each_distinct_config_once(mode):
             # one group per combination of parts of the tiling, in its order
             assert [n for *_, n in plan.groups] == list(plan.tiling.counts.values())
             assert sum(n for *_, n in plan.groups) == math.prod(
-                _axis_count(*axis) for axis in plan.tiling.axes)
+                len(cut.origins) for cut in plan.tiling.cuts)
             if mode == MODE_PADDED:  # only the partial-sum flag varies
                 assert len(configs) <= 2
     assert plans >= 100
@@ -682,7 +694,43 @@ def test_schedule_json_writes_json_dumps_text_of_random_tilings(spec):
     if spec == _FC_OF_CHANNEL_TILES:
         fc = schedule.parts[-1]
         assert fc.layer.kind == "FullyConnected"
-        assert [_axis_count(*axis) for axis in fc.tiling.axes] == [1, 1, 1, 4096, 2]
+        assert [len(cut.origins) for cut in fc.tiling.cuts] == [1, 1, 1, 4096, 2]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spec=_tilings())
+@example(spec=_FC_OF_CHANNEL_TILES)
+def test_rows_are_the_product_of_each_axis_tiles(spec):
+    """Each plan's rows are the product of its H, W, D, C and F tiles
+    (`_axis_tiles` of the layer's extent and its node's tile), channels
+    fastest and filters innermost: index, origin, shape and filter tile per
+    row. At runtime each row's config pads a tile by the layer's padding
+    only at the border of its axis, and its output extent is the layer's
+    window slid over that tile alone."""
+    model, schedule = _tiled_chain(spec)
+    for plan in schedule.parts:
+        layer, cap = plan.layer, plan.cap
+        s, n = layer.tiled_shape_in, cap.shape_in_max
+        filters = (layer.filters, cap.filters_max) if layer.kind in FILTER_KINDS else (0, 1)
+        axes = [list(enumerate(_axis_tiles(full, tile))) for full, tile in
+                ((s.h, n.h), (s.w, n.w), (s.d, n.d), (s.c, n.c), filters)]
+        rows = list(plan.rows())
+        expected = [((ih, iw, i_d, ic, i_f), (od, oh, ow, oc), (td, th, tw, tc), of, tf)
+                    for (ih, (oh, th)), (iw, (ow, tw)), (i_d, (od, td)), (ic, (oc, tc)),
+                    (i_f, (of, tf)) in itertools.product(*axes)]
+        assert [row[2:7] for row in rows] == expected, layer.id
+        if spec[0] == MODE_PADDED:
+            continue
+        for _, _, index, _, shape, _, _, cfg in rows:
+            padding, out = [], []
+            for axis, i in ((2, 0), (0, 1), (1, 2)):  # D, H, W: config (d, h, w) order
+                start = layer.padding[2 * i] if index[axis] == 0 else 0
+                end = layer.padding[2 * i + 1] if index[axis] == len(axes[axis]) - 1 else 0
+                padding += [start, end]
+                out.append(1 if layer.kind == "GlobalAvgPool" else max(0, _windowed_axis(
+                    shape[i], layer.kernel[i], layer.stride[i], start, end)))
+            assert list(cfg.padding) == padding, (layer.id, index)
+            assert cfg.shape_out.to_list()[:3] == out, (layer.id, index)
 
 
 def test_is_schedule_json_finds_every_one_character_difference():

@@ -6,15 +6,15 @@ annealing parameters (C3D seeds 0-2 by default) and prints:
 - per chain: its wall time, best latency, the `scheduler._plan_layer` calls,
   the layer tilings made (`scheduler._tile_layer` calls; a plan whose tiling
   the chain's memo holds makes none), the axes derived for them
-  (`scheduler._axis_parts` calls; a tiling takes each axis the memo holds
-  at its tile from it), the plan scores computed (`perf_model.lane_cycles`
-  calls: a runtime tiling keeps one per lanes and bandwidth pair, which its
-  plans share), the node records built (`scheduler._NodeRecord`; a node
-  whose record the memo holds builds none), the configs the scheduler built
-  (none in either mode: a plan is scored from its tiling's terms or its
-  node's, and builds its configs only when its groups are read), and the
-  evaluations rejected on budget, which `evaluate` returns before building
-  a schedule;
+  (`scheduler._AxisCut` calls, one per axis cut; a tiling takes each axis
+  the memo holds at its tile from it), the plan scores computed
+  (`perf_model.lane_cycles` calls: a runtime tiling keeps one per lanes and
+  bandwidth pair, which its plans share), the node records built
+  (`scheduler._NodeRecord`; a node whose record the memo holds builds
+  none), the configs the scheduler built (none in either mode: a plan is
+  scored from its tiling's terms or its node's, and builds its configs
+  only when its groups are read), and the evaluations rejected on budget,
+  which `evaluate` returns before building a schedule;
 - per `evaluate` stage, summed over the chains: the calls and seconds spent in
   `build_schedule`, `schedule_latency`, `graph_resources` and
   `check_constraints`, timed by wrapping their module-level `optimizer` names.
@@ -126,7 +126,7 @@ def profile(model_name, seeds, padded=False):
     patched = {(optimizer, name): _timed(getattr(optimizer, name), stages[name])
                for name in STAGES}
     for name, counter in (("_plan_layer", "plan_layer"), ("_tile_layer", "tilings"),
-                          ("_axis_parts", "axes"), ("lane_cycles", "scores"),
+                          ("_AxisCut", "axes"), ("lane_cycles", "scores"),
                           ("_NodeRecord", "records"), ("RuntimeConfig", "configs")):
         patched[scheduler, name] = _counted(getattr(scheduler, name), counters[counter])
     patched[optimizer, "evaluate"] = _rejected_on_budget(optimizer.evaluate,
